@@ -123,6 +123,15 @@ class Predicate:
                 f"unknown comparator {self.comparator!r}; "
                 f"expected one of {COMPARATORS}"
             )
+        for name in ("threshold", "tolerance"):
+            value = getattr(self, name)
+            if value is not None and not (
+                    isinstance(value, Real) and not isinstance(value, bool)
+                    and math.isfinite(value)):
+                raise TreeConfigError(
+                    f"{name} of {self.comparator!r} on {self.indicator!r} "
+                    f"must be a finite number, got {value!r}"
+                )
         needs_threshold = self.comparator in _THRESHOLD_COMPARATORS
         if needs_threshold and self.threshold is None:
             raise TreeConfigError(
@@ -244,51 +253,18 @@ class DiagnosticTree:
                     f"{node.predicate.indicator!r} missing from the manifest"
                 )
         reached: set[str] = set()
+        chains: list[tuple[str, set[str]]] = []
         for root in self.roots:
-            self._check_acyclic(root, [], reached)
+            nodes, labels = self._walk(root)
+            reached |= nodes
+            chains.append((root, labels))
         orphans = sorted(set(self.nodes) - reached)
         if orphans:
             raise TreeConfigError(f"nodes unreachable from any root: {orphans}")
-        self._check_labels()
-
-    def _check_acyclic(self, node_id: str, stack: list[str],
-                       reached: set[str]) -> None:
-        if node_id in stack:
-            raise CycleError(
-                f"cycle detected: back edge {stack[-1]!r} -> {node_id!r}"
-            )
-        reached.add(node_id)
-        stack.append(node_id)
-        node = self.nodes[node_id]
-        for branch in (node.on_true, node.on_false):
-            if branch.node is not None:
-                self._check_acyclic(branch.node, stack, reached)
-        stack.pop()
-
-    def _reachable(self, root: str) -> set[str]:
-        seen: set[str] = set()
-        frontier = [root]
-        while frontier:
-            node_id = frontier.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            node = self.nodes[node_id]
-            for branch in (node.on_true, node.on_false):
-                if branch.node is not None:
-                    frontier.append(branch.node)
-        return seen
-
-    def _check_labels(self) -> None:
         # One constraint label per chain guarantees every label receives
         # exactly one verdict per evaluation.
         seen_labels: dict[str, str] = {}
-        for root in self.roots:
-            labels = {
-                self.nodes[n].constraint_label
-                for n in self._reachable(root)
-                if self.nodes[n].constraint_label is not None
-            }
+        for root, labels in chains:
             if len(labels) > 1:
                 raise TreeConfigError(
                     f"chain rooted at {root!r} mixes constraint labels "
@@ -302,6 +278,32 @@ class DiagnosticTree:
                     )
                 seen_labels[label] = root
 
+    def _walk(self, root: str) -> tuple[set[str], set[str]]:
+        """Iterative depth-first walk from ``root``, linear in nodes plus
+        edges: raise on a back edge, else return the reached node ids and
+        the constraint labels among them."""
+        path = {root: self._children(root)}  # insertion order is the path
+        done: set[str] = set()
+        while path:
+            node_id, children = next(reversed(path.items()))
+            child = next(children, None)
+            if child is None:
+                path.popitem()
+                done.add(node_id)
+            elif child in path:
+                raise CycleError(
+                    f"cycle detected: back edge {node_id!r} -> {child!r}"
+                )
+            elif child not in done:
+                path[child] = self._children(child)
+        labels = {self.nodes[n].constraint_label for n in done} - {None}
+        return done, labels
+
+    def _children(self, node_id: str):
+        node = self.nodes[node_id]
+        return (b.node for b in (node.on_true, node.on_false)
+                if b.node is not None)
+
     @property
     def constraint_labels(self) -> tuple[str, ...]:
         return tuple(sorted({
@@ -310,54 +312,70 @@ class DiagnosticTree:
         }))
 
 
-def _parse_branch(raw, node_id: str, name: str) -> Branch:
+def _parse_branch(raw, name: str) -> Branch:
     if not isinstance(raw, Mapping):
-        raise TreeConfigError(
-            f"{name} of node {node_id!r} must be an object with 'node' or "
-            f"'verdict'"
-        )
+        raise TreeConfigError(f"{name} must be an object with 'node' or 'verdict'")
     unknown = set(raw) - {"node", "verdict"}
     if unknown:
-        raise TreeConfigError(
-            f"{name} of node {node_id!r} has unknown keys {sorted(unknown)}"
-        )
-    return Branch(node=raw.get("node"), verdict=raw.get("verdict"))
+        raise TreeConfigError(f"{name} has unknown keys {sorted(unknown)}")
+    child = raw.get("node")
+    if child is not None and not isinstance(child, str):
+        raise TreeConfigError(f"{name} node id must be a string, got {child!r}")
+    return Branch(node=child, verdict=raw.get("verdict"))
 
 
-def tree_from_dict(config: Mapping) -> DiagnosticTree:
-    """Build and validate a tree from parsed config data."""
-    for key in ("roots", "nodes", "manifest"):
-        if key not in config:
-            raise TreeConfigError(f"tree config is missing top-level {key!r}")
-    manifest_raw = config["manifest"]
-    if isinstance(manifest_raw, Mapping):
-        manifest = {str(k): str(v) for k, v in manifest_raw.items()}
-    else:
-        manifest = {str(name): "" for name in manifest_raw}
-    nodes: dict[str, DiagnosticNode] = {}
-    for node_id, raw in config["nodes"].items():
-        pred_raw = raw.get("predicate")
-        if not isinstance(pred_raw, Mapping) or "indicator" not in pred_raw:
-            raise TreeConfigError(
-                f"node {node_id!r} needs a predicate with an indicator"
-            )
-        comparator = str(pred_raw.get("comparator", ""))
-        if comparator == "==":
-            comparator = "="
-        predicate = Predicate(
+def _parse_node(node_id: str, raw) -> DiagnosticNode:
+    if not isinstance(raw, Mapping):
+        raise TreeConfigError(f"must be an object, got {raw!r}")
+    pred_raw = raw.get("predicate")
+    if not isinstance(pred_raw, Mapping) or "indicator" not in pred_raw:
+        raise TreeConfigError("needs a predicate with an indicator")
+    comparator = str(pred_raw.get("comparator", ""))
+    if comparator == "==":
+        comparator = "="
+    label = raw.get("constraint_label")
+    if label is not None and not isinstance(label, str):
+        raise TreeConfigError(f"constraint_label must be a string, got {label!r}")
+    return DiagnosticNode(
+        id=node_id,
+        question=str(raw.get("question", "")),
+        predicate=Predicate(
             indicator=str(pred_raw["indicator"]),
             comparator=comparator,
             threshold=pred_raw.get("threshold"),
             tolerance=pred_raw.get("tolerance"),
-        )
-        nodes[str(node_id)] = DiagnosticNode(
-            id=str(node_id),
-            question=str(raw.get("question", "")),
-            predicate=predicate,
-            on_true=_parse_branch(raw.get("on_true"), node_id, "on_true"),
-            on_false=_parse_branch(raw.get("on_false"), node_id, "on_false"),
-            constraint_label=raw.get("constraint_label"),
-        )
+        ),
+        on_true=_parse_branch(raw.get("on_true"), "on_true"),
+        on_false=_parse_branch(raw.get("on_false"), "on_false"),
+        constraint_label=label,
+    )
+
+
+def tree_from_dict(config: Mapping) -> DiagnosticTree:
+    """Build and validate a tree from parsed config data."""
+    if not isinstance(config, Mapping):
+        raise TreeConfigError("tree config must be a JSON object")
+    for key in ("roots", "nodes", "manifest"):
+        if key not in config:
+            raise TreeConfigError(f"tree config is missing top-level {key!r}")
+    manifest_raw, nodes_raw = config["manifest"], config["nodes"]
+    if isinstance(manifest_raw, Mapping):
+        manifest = {str(k): str(v) for k, v in manifest_raw.items()}
+    elif isinstance(manifest_raw, (list, tuple)):
+        manifest = {str(name): "" for name in manifest_raw}
+    else:
+        raise TreeConfigError(
+            "tree config 'manifest' must be an object or a list of names")
+    if not isinstance(nodes_raw, Mapping):
+        raise TreeConfigError("tree config 'nodes' must be an object of nodes")
+    if not isinstance(config["roots"], (list, tuple)):
+        raise TreeConfigError("tree config 'roots' must be a list of node ids")
+    nodes: dict[str, DiagnosticNode] = {}
+    for node_id, raw in nodes_raw.items():
+        try:
+            nodes[str(node_id)] = _parse_node(str(node_id), raw)
+        except TreeConfigError as exc:
+            raise TreeConfigError(f"node {node_id!r}: {exc}") from None
     return DiagnosticTree(nodes, [str(r) for r in config["roots"]], manifest)
 
 
@@ -411,9 +429,6 @@ class DiagnosticReport:
             "evidence": self.evidence,
             "trace": list(self.trace),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = []

@@ -14,7 +14,7 @@ and safe to share across concurrent readers.
 from __future__ import annotations
 
 import csv
-import io
+import math
 import warnings
 from contextlib import contextmanager
 from typing import Mapping
@@ -89,6 +89,17 @@ def _cell(row: list[str], idx: int, col: str, line: int, what: str,
         ) from None
 
 
+def _amount(row: list[str], idx: int, col: str, line: int, what: str) -> float:
+    """A numeric cell that must be finite and non-negative."""
+    value = _cell(row, idx, col, line, what)
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(
+            f"{what}: value {value!r} in column '{col}', row {line} must be "
+            f"finite and >= 0"
+        )
+    return value
+
+
 def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> CropPanel:
     """Load a crop panel file; optionally deflate prices to real terms.
 
@@ -106,19 +117,21 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> Crop
             if not crop_id:
                 raise SchemaError(f"{what}: empty crop_id in row {line}")
             year = _cell(row, 1, "year", line, what, cast=int)
-            area = _cell(row, 2, "area_ha", line, what)
-            production = _cell(row, 3, "production_t", line, what)
-            price = _cell(row, 4, "price_per_t", line, what)
-            if min(area, production, price) < 0:
-                raise DomainError(
-                    f"{what}: negative value in row {line} for ({crop_id}, {year})"
-                )
+            area = _amount(row, 2, "area_ha", line, what)
+            production = _amount(row, 3, "production_t", line, what)
+            price = _amount(row, 4, "price_per_t", line, what)
             if deflator is not None:
                 if year not in deflator:
                     raise CoverageError(
                         f"{what}: deflator does not cover year {year} (row {line})"
                     )
-                price = price / (deflator[year] / 100.0)
+                index = deflator[year]
+                if not (math.isfinite(index) and index > 0):
+                    raise DomainError(
+                        f"{what}: deflator for {year} must be finite and > 0, "
+                        f"got {index!r} (row {line})"
+                    )
+                price = price / (index / 100.0)
             key = (crop_id, year)
             if key in seen:
                 raise DuplicateKeyError(
@@ -145,12 +158,6 @@ def write_crop_panel(panel: CropPanel, dest) -> None:
     finally:
         if own:
             stream.close()
-
-
-def crop_panel_to_text(panel: CropPanel) -> str:
-    buf = io.StringIO()
-    write_crop_panel(panel, buf)
-    return buf.getvalue()
 
 
 def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
@@ -314,6 +321,6 @@ def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:
             year = _cell(row, 0, "year", line, what, cast=int)
             if year in value:
                 raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
-            value[year] = _cell(row, 1, "output_value", line, what)
-            cost[year] = _cell(row, 2, "input_cost", line, what)
+            value[year] = _amount(row, 1, "output_value", line, what)
+            cost[year] = _amount(row, 2, "input_cost", line, what)
     return value, cost

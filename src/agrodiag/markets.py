@@ -5,10 +5,10 @@ Everything here is pure and stateless.
 """
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import CoverageError, DomainError
 from .ingest import triennium_average
@@ -21,16 +21,20 @@ def coefficient_of_variation(values: Sequence[float], ddof: int = 1) -> float:
     ``ddof=1`` (default) uses the sample standard deviation; pass 0 for the
     population convention.
     """
+    if ddof not in (0, 1):
+        raise ValueError(f"ddof must be 0 or 1, got {ddof!r}")
     if len(values) < 2:
         raise CoverageError(
             f"coefficient of variation needs at least 2 values, got {len(values)}"
         )
-    arr = np.asarray(values, dtype=float)
-    mean = arr.mean()
+    if not all(map(math.isfinite, values)):
+        raise DomainError("coefficient of variation needs finite values")
+    mean = statistics.fmean(values)
     if mean <= 0:
         raise DomainError(f"coefficient of variation needs a positive mean, "
                           f"got {mean!r}")
-    return float(arr.std(ddof=ddof) / mean * 100.0)
+    spread = statistics.stdev(values) if ddof else statistics.pstdev(values)
+    return spread / mean * 100.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,8 @@ def break_analysis(series: PriceSeries, break_year: int,
     return BreakStats(
         commodity_id=series.commodity_id,
         break_year=break_year,
-        mean_before=float(np.mean(before)),
-        mean_after=float(np.mean(after)),
+        mean_before=statistics.fmean(before),
+        mean_after=statistics.fmean(after),
         cv_before=coefficient_of_variation(before, ddof=ddof),
         cv_after=coefficient_of_variation(after, ddof=ddof),
     )

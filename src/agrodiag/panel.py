@@ -105,9 +105,6 @@ class CropPanel:
             if year is None or key[1] == year:
                 yield self._obs[key]
 
-    def crops_in_year(self, year: int) -> tuple[str, ...]:
-        return tuple(c for c, y in sorted(self._obs) if y == year)
-
     def total_area(self, year: int) -> float:
         self._require_year(year)
         return sum(o.area for o in self.observations(year))

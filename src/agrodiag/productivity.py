@@ -15,10 +15,9 @@ series equals 100 * output / input pointwise when all three share a base.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from .errors import (
     CompositionChangeError,
@@ -191,7 +190,6 @@ def avg_annual_growth(
         return ((last / first) ** (1.0 / span) - 1.0) * 100.0
     if min(values) <= 0:
         raise LogDomainError("loglinear growth needs strictly positive values")
-    x = np.asarray(years, dtype=float)
-    x -= x.mean()  # center for conditioning; slope is unchanged
-    slope = np.polyfit(x, np.log(values), 1)[0]
+    slope = statistics.linear_regression(
+        years, [math.log(v) for v in values]).slope
     return (math.exp(slope) - 1.0) * 100.0

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agrodiag
 from agrodiag import fixtures
 from agrodiag.cli import (
     REPORT_ARTIFACTS,
@@ -163,6 +168,58 @@ class TestFailureModes:
         path.write_text(json.dumps({"inputs": {}}))
         assert main(["validate", "-c", str(path)]) == 1
         assert "missing key" in capsys.readouterr().err
+
+
+    def test_non_finite_value_cost_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(bad)
+        lines = (bad / "value_cost.csv").read_text().splitlines()
+        year = lines[2].split(",")[0]
+        lines[2] = f"{year},nan,1"
+        (bad / "value_cost.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["report", "-c", str(bad / "config.json"),
+                   "-o", str(tmp_path / "o")])
+        assert rc == 1
+        assert "'output_value', row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tree", [
+        '{"manifest": {}, "roots": ["a"], "nodes": {"a": 5}}',
+        '{"manifest": {}, "roots": ["a"], "nodes": ["a"]}',
+        '7',
+    ])
+    def test_malformed_tree_exits_1(self, report_dir, tmp_path, capsys,
+                                    tree):
+        path = tmp_path / "tree.json"
+        path.write_text(tree)
+        rc = main(["diagnose", "--tree", str(path),
+                   "--indicators", str(report_dir / "indicators.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNoNumpyAtRuntime:
+    """The package runs on the standard library alone."""
+
+    def test_cli_import_and_report_leave_numpy_unloaded(self, run_dir,
+                                                        tmp_path):
+        src = str(Path(agrodiag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        script = (
+            "import sys\n"
+            "import agrodiag.cli\n"
+            "assert 'numpy' not in sys.modules, 'import agrodiag.cli'\n"
+            "rc = agrodiag.cli.main(['report', '-c', sys.argv[1],"
+            " '-o', sys.argv[2]])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules, 'report'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(run_dir / "config.json"),
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            sorted(REPORT_ARTIFACTS)
 
 
 class TestRunConfig:

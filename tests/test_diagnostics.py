@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from agrodiag.errors import (
     TreeConfigError,
 )
 from agrodiag.fixtures import bihar_reference_indicators
+from agrodiag.serialize import json_text
 
 
 def single_node_config(**overrides):
@@ -139,6 +141,101 @@ class TestLoadTree:
         with pytest.raises(TreeConfigError, match="JSON"):
             load_tree("{not json")
 
+    @pytest.mark.parametrize("key,value", [
+        ("nodes", ["only"]),
+        ("nodes", "only"),
+        ("roots", "only"),
+        ("roots", 7),
+        ("manifest", 7),
+    ])
+    def test_malformed_top_level_value(self, key, value):
+        with pytest.raises(TreeConfigError, match=repr(key)):
+            tree_from_dict(single_node_config(**{key: value}))
+
+    @pytest.mark.parametrize("config", [[], "tree", 7])
+    def test_config_must_be_an_object(self, config):
+        with pytest.raises(TreeConfigError, match="object"):
+            tree_from_dict(config)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda node: "not a node",
+        lambda node: ["a", "list"],
+        lambda node: node["predicate"].update(threshold=float("nan")),
+        lambda node: node["predicate"].update(threshold=float("inf")),
+        lambda node: node["predicate"].update(threshold="5"),
+        lambda node: node["predicate"].update(threshold=True),
+        lambda node: node["predicate"].update(
+            comparator="=", threshold=1.0, tolerance="0.1"),
+        lambda node: node["predicate"].update(
+            comparator="=", threshold=1.0, tolerance=float("nan")),
+        lambda node: node.update(constraint_label=["a"]),
+        lambda node: node.update(on_true={"node": ["x"]}),
+    ])
+    def test_malformed_node_names_the_node(self, mutate):
+        config = single_node_config()
+        node = config["nodes"]["only"]
+        replacement = mutate(node)
+        if replacement is not None:
+            config["nodes"]["only"] = replacement
+        with pytest.raises(TreeConfigError, match="node 'only'"):
+            tree_from_dict(config)
+
+
+def chain_config(length):
+    config = single_node_config()
+    ids = ["only"] + [f"n{i}" for i in range(1, length)]
+    template = config["nodes"]["only"]
+    for here, following in zip(ids, ids[1:] + [None]):
+        node = dict(template, on_true=({"node": following} if following
+                                       else {"verdict": "binding"}))
+        if here != "only":
+            del node["constraint_label"]
+        config["nodes"][here] = node
+    return config
+
+
+def diamond_config(levels):
+    """Every level holds two nodes that both point at both nodes of the
+    next level: 2 * levels + 1 nodes and 2**levels root-to-leaf paths."""
+    config = single_node_config()
+    template = config["nodes"]["only"]
+
+    def target(level, side):
+        if level > levels:
+            return {"verdict": "binding" if side == "a" else "not_binding"}
+        return {"node": f"d{level}{side}"}
+
+    config["nodes"]["only"] = dict(template, on_true=target(1, "a"),
+                                   on_false=target(1, "b"))
+    for level in range(1, levels + 1):
+        for side in "ab":
+            node = dict(template, on_true=target(level + 1, "a"),
+                        on_false=target(level + 1, "b"))
+            del node["constraint_label"]
+            config["nodes"][f"d{level}{side}"] = node
+    return config
+
+
+class TestValidationScale:
+    """Validation is one linear walk per root, not a path enumeration."""
+
+    @pytest.mark.parametrize("config", [chain_config(10_000),
+                                        diamond_config(30)],
+                             ids=["chain_10000", "diamond_30"])
+    def test_validates_within_a_second(self, config):
+        start = time.perf_counter()
+        tree = tree_from_dict(config)
+        assert time.perf_counter() - start < 1.0
+        assert tree.constraint_labels == ("bigness",)
+        assert evaluate(tree, indicators(x=20.0)).binding_constraints == \
+            ("bigness",)
+
+    def test_cycle_at_the_end_of_a_long_chain(self):
+        config = chain_config(10_000)
+        config["nodes"]["n9999"]["on_true"] = {"node": "n5000"}
+        with pytest.raises(CycleError, match="'n9999' -> 'n5000'"):
+            tree_from_dict(config)
+
 
 class TestEvaluate:
     def test_binding_when_predicate_holds(self):
@@ -203,7 +300,8 @@ class TestEvaluate:
     def test_determinism_byte_identical(self):
         tree = builtin_bihar_tree()
         ind = bihar_reference_indicators()
-        assert evaluate(tree, ind).to_json() == evaluate(tree, ind).to_json()
+        assert json_text(evaluate(tree, ind).to_dict()) == \
+            json_text(evaluate(tree, ind).to_dict())
 
     @pytest.mark.parametrize("comparator,direction", [
         (">", +1), (">=", +1), ("<", -1), ("<=", -1),

@@ -12,7 +12,6 @@ from agrodiag.errors import (
     SchemaError,
 )
 from agrodiag.ingest import (
-    crop_panel_to_text,
     load_crop_panel,
     load_io_panel,
     load_land_use,
@@ -20,6 +19,7 @@ from agrodiag.ingest import (
     load_price_table,
     load_value_cost,
     triennium_average,
+    write_crop_panel,
 )
 from agrodiag.panel import CropObservation, CropPanel
 
@@ -33,6 +33,12 @@ wheat,2006,55,95,710
 
 def load_text(text, **kwargs):
     return load_crop_panel(io.StringIO(text), **kwargs)
+
+
+def panel_text(panel):
+    buf = io.StringIO()
+    write_crop_panel(panel, buf)
+    return buf.getvalue()
 
 
 class TestLoadCropPanel:
@@ -52,6 +58,12 @@ class TestLoadCropPanel:
         plain = load_text(TWO_CROP_FILE)
         deflated = load_text(TWO_CROP_FILE, deflator={2005: 100.0, 2006: 100.0})
         assert plain == deflated
+
+    @pytest.mark.parametrize("index", [0.0, -100.0, float("nan"),
+                                       float("inf")])
+    def test_bad_deflator_is_domain_error(self, index):
+        with pytest.raises(DomainError, match="deflator for 2006.*row 3"):
+            load_text(TWO_CROP_FILE, deflator={2005: 100.0, 2006: index})
 
     def test_deflator_must_cover_all_years(self):
         with pytest.raises(CoverageError):
@@ -81,9 +93,14 @@ class TestLoadCropPanel:
         with pytest.raises(DomainError):
             load_text(bad)
 
+    def test_non_finite_value_names_row_and_column(self):
+        bad = TWO_CROP_FILE.replace("520", "nan")
+        with pytest.raises(DomainError, match="price_per_t.*row 3"):
+            load_text(bad)
+
     def test_round_trip_is_identity(self):
         panel = load_text(TWO_CROP_FILE)
-        again = load_text(crop_panel_to_text(panel))
+        again = load_text(panel_text(panel))
         assert panel == again
 
     @given(st.lists(
@@ -98,7 +115,7 @@ class TestLoadCropPanel:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, rows):
         panel = CropPanel(CropObservation(*row) for row in rows)
-        assert load_text(crop_panel_to_text(panel)) == panel
+        assert load_text(panel_text(panel)) == panel
 
     @given(st.integers(min_value=2, max_value=9))
     @settings(max_examples=25, deadline=None)
@@ -221,3 +238,14 @@ class TestLoadLandUseAndCosts:
         value, cost = load_value_cost(io.StringIO(text))
         assert value == {2000: 1500.0}
         assert cost == {2000: 1000.0}
+
+    @pytest.mark.parametrize("row,column", [
+        ("2000,nan,1000", "output_value"),
+        ("2000,1500,inf", "input_cost"),
+        ("2000,-1500,1000", "output_value"),
+        ("2000,1500,-inf", "input_cost"),
+    ])
+    def test_value_cost_rejects_non_finite_and_negative(self, row, column):
+        text = f"year,output_value,input_cost\n1999,1,1\n{row}\n"
+        with pytest.raises(DomainError, match=f"'{column}', row 3"):
+            load_value_cost(io.StringIO(text))

@@ -48,6 +48,16 @@ class TestCoefficientOfVariation:
         with pytest.raises(DomainError):
             coefficient_of_variation([-1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_value_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            coefficient_of_variation([1.0, bad, 2.0])
+
+    def test_unsupported_ddof(self):
+        with pytest.raises(ValueError, match="ddof"):
+            coefficient_of_variation([1.0, 2.0, 3.0], ddof=2)
+
     @given(positive_values, st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=60, deadline=None)
     def test_scale_invariance(self, values, k):
