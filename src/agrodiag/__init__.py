@@ -28,7 +28,6 @@ from .ingest import (
     load_crop_panel,
     load_io_panel,
     load_land_use,
-    load_price_series,
     load_price_table,
     load_value_cost,
     triennium_average,
@@ -93,7 +92,6 @@ __all__ = [
     "load_crop_panel",
     "load_io_panel",
     "load_land_use",
-    "load_price_series",
     "load_price_table",
     "load_tree",
     "load_value_cost",

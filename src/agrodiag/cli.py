@@ -68,12 +68,21 @@ class RunConfig:
     config_dir: Path = field(default_factory=Path)
 
 
+def _read_json(path: Path, what: str):
+    """Parse a UTF-8 JSON file; bad bytes or syntax raise SchemaError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{what} {path}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} {path}: not valid JSON: {exc}") from None
+
+
 def load_run_config(path: Path | str) -> RunConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config {path}: not valid JSON: {exc}") from None
+    raw = _read_json(path, "config")
     base = path.parent
 
     def resolve(p) -> Path:
@@ -260,8 +269,7 @@ def compute_artifacts(config: RunConfig,
 
     # comparative advantage
     cai_values = advantage.cai_table(inputs.region, inputs.nation)
-    artifacts["cai.csv"] = csv_text(["group_id", "cai"],
-                                    sorted(cai_values.items()))
+    artifacts["cai.csv"] = _cai_csv(cai_values)
 
     indicators = assemble_indicators(
         config, tfp_growth=tfp_growth, break_stats=stats,
@@ -279,6 +287,10 @@ def compute_artifacts(config: RunConfig,
     report = diagnostics.evaluate(tree, rounded)
     artifacts["diagnosis.json"] = json_text(report.to_dict())
     return artifacts, report
+
+
+def _cai_csv(cai_values: dict[str, float]) -> str:
+    return csv_text(["group_id", "cai"], sorted(cai_values.items()))
 
 
 def assemble_indicators(config: RunConfig, *, tfp_growth: float,
@@ -456,27 +468,24 @@ def _cmd_markets(args) -> int:
 
 def _cmd_cai(args) -> int:
     if args.region is not None and args.nation is not None:
-        region = advantage.load_area_share_table(args.region, "region")
-        nation = advantage.load_area_share_table(args.nation, "nation")
-        values = advantage.cai_table(region, nation)
-        _emit(args, {"cai.csv": csv_text(["group_id", "cai"],
-                                         sorted(values.items()))})
-        return 0
-    if args.config is None:
+        region_path, nation_path = args.region, args.nation
+    elif args.config is not None:
+        config = load_run_config(args.config)
+        region_path = config.area_shares_region
+        nation_path = config.area_shares_nation
+    else:
         print("error: cai needs --config or both --region and --nation",
               file=sys.stderr)
         return 2
-    _emit(args, _subset(load_run_config(args.config), ("cai.csv",)))
+    region = advantage.load_area_share_table(region_path, "region")
+    nation = advantage.load_area_share_table(nation_path, "nation")
+    _emit(args, {"cai.csv": _cai_csv(advantage.cai_table(region, nation))})
     return 0
 
 
 def _cmd_diagnose(args) -> int:
     if args.indicators is not None:
-        try:
-            data = json.loads(Path(args.indicators).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"indicators file is not valid JSON: {exc}") from None
+        data = _read_json(Path(args.indicators), "indicators file")
         indicators = diagnostics.IndicatorSet.from_dict(data)
         tree = resolve_tree(args.tree or "builtin", Path("."))
         report = diagnostics.evaluate(tree, indicators)

@@ -386,8 +386,13 @@ def load_tree(source) -> DiagnosticTree:
     else:
         text = str(source)
         if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise TreeConfigError(
+                    f"tree config {source}: not UTF-8 text ({exc.reason})"
+                ) from None
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:

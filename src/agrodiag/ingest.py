@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Mapping
 
@@ -42,13 +44,22 @@ SHARE_RENORM_BAND = (0.999, 1.001)
 
 
 @contextmanager
-def _open_text(source):
-    """Yield a text stream for a path or pass a file-like object through."""
+def _open_text(source, what: str):
+    """Yield a text stream for a path or pass a file-like object through.
+
+    A file that is not UTF-8 raises ``SchemaError`` naming it, also when
+    the bad bytes are only decoded while the caller iterates.
+    """
     if hasattr(source, "read"):
         yield source
-    else:
+        return
+    try:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             yield fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{what} {source}: not UTF-8 text ({exc.reason})"
+        ) from None
 
 
 def _rows(stream, expected_header: list[str], what: str):
@@ -109,14 +120,16 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> Crop
     """
     what = "crop panel"
     observations = []
-    seen: set[tuple[str, int]] = set()
-    with _open_text(source) as stream:
+    years: dict[int, int] = {}  # one int object per distinct year
+    seen: defaultdict[int, set[str]] = defaultdict(set)  # crop ids per year
+    with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["crop_id", "year", "area_ha",
                                         "production_t", "price_per_t"], what):
-            crop_id = row[0].strip()
+            crop_id = sys.intern(row[0].strip())
             if not crop_id:
                 raise SchemaError(f"{what}: empty crop_id in row {line}")
             year = _cell(row, 1, "year", line, what, cast=int)
+            year = years.setdefault(year, year)
             area = _amount(row, 2, "area_ha", line, what)
             production = _amount(row, 3, "production_t", line, what)
             price = _amount(row, 4, "price_per_t", line, what)
@@ -132,15 +145,16 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> Crop
                         f"got {index!r} (row {line})"
                     )
                 price = price / (index / 100.0)
-            key = (crop_id, year)
-            if key in seen:
+            crops = seen[year]
+            if crop_id in crops:
                 raise DuplicateKeyError(
                     f"{what}: duplicate ({crop_id}, {year}) in row {line}"
                 )
-            seen.add(key)
+            crops.add(crop_id)
             observations.append(
                 CropObservation(crop_id, year, area, production, price)
             )
+    del seen  # the panel builds its own index; never hold both
     return CropPanel(observations)
 
 
@@ -186,9 +200,9 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
     return CropPanel(averaged)
 
 
-def _normalize_shares(items: list[tuple[str, float, float]], year: int,
+def _normalize_shares(items: dict[str, tuple[float, float]], year: int,
                       kind: str) -> list[IOItem]:
-    total = sum(share for _, _, share in items)
+    total = sum(share for _, share in items.values())
     if abs(total - 1.0) <= 1e-9:
         factor = 1.0
     elif SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
@@ -198,7 +212,8 @@ def _normalize_shares(items: list[tuple[str, float, float]], year: int,
             f"io panel: {kind} shares for {year} sum to {total!r}, outside "
             f"the renormalization band {SHARE_RENORM_BAND}"
         )
-    return [IOItem(item_id, qty, share / factor) for item_id, qty, share in items]
+    return [IOItem(item_id, qty, share / factor)
+            for item_id, (qty, share) in items.items()]
 
 
 def load_io_panel(source) -> InputOutputPanel:
@@ -209,8 +224,9 @@ def load_io_panel(source) -> InputOutputPanel:
     because they cannot enter a log-ratio later.
     """
     what = "io panel"
-    by_year: dict[int, dict[str, list[tuple[str, float, float]]]] = {}
-    with _open_text(source) as stream:
+    # per year and kind: item id -> (quantity, share), in file order
+    by_year: dict[int, dict[str, dict[str, tuple[float, float]]]] = {}
+    with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
                                         "share"], what):
             year = _cell(row, 0, "year", line, what, cast=int)
@@ -232,12 +248,12 @@ def load_io_panel(source) -> InputOutputPanel:
                     f"log-ratio",
                     stacklevel=2,
                 )
-            bucket = by_year.setdefault(year, {"output": [], "input": []})
-            if any(item_id == existing for existing, _, _ in bucket[kind]):
+            items = by_year.setdefault(year, {"output": {}, "input": {}})[kind]
+            if item_id in items:
                 raise DuplicateKeyError(
                     f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}"
                 )
-            bucket[kind].append((item_id, quantity, share))
+            items[item_id] = (quantity, share)
     years = []
     for year in sorted(by_year):
         outputs = _normalize_shares(by_year[year]["output"], year, "output")
@@ -250,7 +266,7 @@ def load_price_table(source) -> dict[str, PriceSeries]:
     """Load every commodity in a price-series file, keyed by commodity id."""
     what = "price series"
     values: dict[str, dict[int, float]] = {}
-    with _open_text(source) as stream:
+    with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["commodity_id", "year", "price_per_t"],
                                what):
             commodity = row[0].strip()
@@ -267,34 +283,11 @@ def load_price_table(source) -> dict[str, PriceSeries]:
     return {c: PriceSeries(c, v) for c, v in sorted(values.items())}
 
 
-def load_price_series(source, commodity_id: str | None = None) -> PriceSeries:
-    """Load one commodity's price series.
-
-    With ``commodity_id`` the file is filtered to that commodity; without it
-    the file must contain exactly one commodity.
-    """
-    table = load_price_table(source)
-    if commodity_id is not None:
-        try:
-            return table[commodity_id]
-        except KeyError:
-            raise CoverageError(
-                f"price series: commodity {commodity_id!r} not in file "
-                f"(have {sorted(table)})"
-            ) from None
-    if len(table) != 1:
-        raise SchemaError(
-            f"price series: expected a single commodity, found {sorted(table)}; "
-            "pass commodity_id to select one"
-        )
-    return next(iter(table.values()))
-
-
 def load_land_use(source) -> list[LandUseRecord]:
     """Load land-use records, sorted by year."""
     what = "land use"
     records: dict[int, LandUseRecord] = {}
-    with _open_text(source) as stream:
+    with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "agricultural_land",
                                         "non_agricultural_land",
                                         "total_reported"], what):
@@ -315,7 +308,7 @@ def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:
     what = "value/cost series"
     value: dict[int, float] = {}
     cost: dict[int, float] = {}
-    with _open_text(source) as stream:
+    with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "output_value", "input_cost"],
                                what):
             year = _cell(row, 0, "year", line, what, cast=int)

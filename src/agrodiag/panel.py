@@ -7,6 +7,7 @@ assume the invariants hold.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
 SHARE_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CropObservation:
     """One crop in one year: area (ha), production (t), price (currency/t).
 
@@ -56,20 +57,28 @@ class CropObservation:
 class CropPanel:
     """A set of crop observations keyed by (crop_id, year).
 
-    At most one observation per key; iteration orders are sorted so that
+    At most one observation per key. Observations are indexed by year once,
+    at construction: years ascend and, within a year, crop ids ascend, so
     every downstream aggregate is reproducible bit-for-bit.
     """
 
     def __init__(self, observations) -> None:
-        obs_map: dict[tuple[str, int], CropObservation] = {}
+        by_year: defaultdict[int, dict[str, CropObservation]] = defaultdict(dict)
         for obs in observations:
-            key = (obs.crop_id, obs.year)
-            if key in obs_map:
-                raise DuplicateKeyError(f"duplicate observation for {key}")
-            obs_map[key] = obs
-        self._obs = obs_map
-        self._years = tuple(sorted({y for _, y in obs_map}))
-        self._crops = tuple(sorted({c for c, _ in obs_map}))
+            crops = by_year[obs.year]
+            if obs.crop_id in crops:
+                raise DuplicateKeyError(
+                    f"duplicate observation for {(obs.crop_id, obs.year)}"
+                )
+            crops[obs.crop_id] = obs
+        # re-insert year by year, so at most one year is held twice
+        self._by_year: dict[int, dict[str, CropObservation]] = {}
+        for year in sorted(by_year):
+            crops = by_year.pop(year)
+            self._by_year[year] = {c: crops[c] for c in sorted(crops)}
+        self._years = tuple(self._by_year)
+        self._crops = tuple(sorted(set().union(*self._by_year.values())))
+        self._len = sum(map(len, self._by_year.values()))
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -80,30 +89,36 @@ class CropPanel:
         return self._crops
 
     def __len__(self) -> int:
-        return len(self._obs)
+        return self._len
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CropPanel):
             return NotImplemented
-        return self._obs == other._obs
+        return self._by_year == other._by_year
 
     def __repr__(self) -> str:
         return (
-            f"CropPanel({len(self._obs)} observations, "
+            f"CropPanel({self._len} observations, "
             f"{len(self._crops)} crops, years {self._years[:1]}..{self._years[-1:]})"
         )
 
     def has_year(self, year: int) -> bool:
-        return year in set(self._years)
+        return year in self._by_year
 
     def get(self, crop_id: str, year: int) -> CropObservation | None:
-        return self._obs.get((crop_id, year))
+        crops = self._by_year.get(year)
+        return None if crops is None else crops.get(crop_id)
 
     def observations(self, year: int | None = None):
-        """All observations (optionally one year), in sorted key order."""
-        for key in sorted(self._obs):
-            if year is None or key[1] == year:
-                yield self._obs[key]
+        """All observations in (crop_id, year) order, or one year's by crop_id."""
+        if year is not None:
+            return iter(self._by_year.get(year, {}).values())
+        return (
+            crops[crop]
+            for crop in self._crops
+            for crops in self._by_year.values()
+            if crop in crops
+        )
 
     def total_area(self, year: int) -> float:
         self._require_year(year)

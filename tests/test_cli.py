@@ -114,6 +114,24 @@ class TestSubcommands:
         assert (out / "diagnosis.json").read_bytes() == \
             (report_dir / "diagnosis.json").read_bytes()
 
+    def test_cai_config_reads_only_the_area_tables(self, run_dir, report_dir,
+                                                   tmp_path):
+        # a growth window the io panel does not cover breaks the full
+        # pipeline, but cai reads no growth period
+        config = json.loads((run_dir / "config.json").read_text())
+        config["periods"] = {"x": [1990, 1991]}
+        config["inputs"] = {
+            key: ([str(run_dir / v) for v in value] if isinstance(value, list)
+                  else str(run_dir / value))
+            for key, value in config["inputs"].items()
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "cai_out"
+        assert main(["cai", "-c", str(path), "-o", str(out)]) == 0
+        assert (out / "cai.csv").read_bytes() == \
+            (report_dir / "cai.csv").read_bytes()
+
     def test_diagnose_prints_verdict(self, run_dir, report_dir, capsys):
         rc = main(["diagnose", "--tree", "builtin",
                    "--indicators", str(report_dir / "indicators.json")])
@@ -195,6 +213,27 @@ class TestFailureModes:
                    "--indicators", str(report_dir / "indicators.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("name", ["land_use.csv", "config.json",
+                                      "tree.json", "indicators.json"])
+    def test_non_utf8_file_exits_1_naming_it(self, report_dir, tmp_path,
+                                             capsys, name):
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        bad = inputs / name
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = {
+            "land_use.csv": ["report", "-c", str(inputs / "config.json")],
+            "config.json": ["validate", "-c", str(bad)],
+            "tree.json": ["diagnose", "--tree", str(bad), "--indicators",
+                          str(report_dir / "indicators.json")],
+            "indicators.json": ["diagnose", "--indicators", str(bad)],
+        }[name]
+        assert main(argv + ["-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(bad) in err and "not UTF-8" in err
 
 
 class TestNoNumpyAtRuntime:

@@ -15,7 +15,6 @@ from agrodiag.ingest import (
     load_crop_panel,
     load_io_panel,
     load_land_use,
-    load_price_series,
     load_price_table,
     load_value_cost,
     triennium_average,
@@ -97,6 +96,15 @@ class TestLoadCropPanel:
         bad = TWO_CROP_FILE.replace("520", "nan")
         with pytest.raises(DomainError, match="price_per_t.*row 3"):
             load_text(bad)
+
+    def test_non_utf8_bytes_after_first_chunk_name_the_file(self, tmp_path):
+        # the bad byte sits past the first decoded chunk, so it is met while
+        # the rows are iterated, not when the file is opened
+        path = tmp_path / "crops.csv"
+        rows = "".join(f"c{i},2000,1,1,1\n" for i in range(5000))
+        path.write_bytes((TWO_CROP_FILE + rows).encode() + b"\xff\n")
+        with pytest.raises(SchemaError, match="crop panel .*crops.csv.*UTF-8"):
+            load_crop_panel(path)
 
     def test_round_trip_is_identity(self):
         panel = load_text(TWO_CROP_FILE)
@@ -201,6 +209,18 @@ class TestLoadIOPanel:
         with pytest.raises(SchemaError, match="midput"):
             load_io_panel(io.StringIO(text))
 
+    def test_duplicate_item_cites_row_number(self):
+        # the same id may appear once per (year, kind): as an input too, and
+        # in another year, but not twice as a 2000 output
+        text = IO_FILE + "2000,input,grain,1,0\n2001,output,grain,1,0\n" \
+                         "2000,output,grain,1,0\n"
+        lines = text.splitlines()
+        assert lines[-1] == "2000,output,grain,1,0"
+        with pytest.raises(DuplicateKeyError,
+                           match=f"duplicate output 'grain' for 2000 in row "
+                                 f"{len(lines)}$"):
+            load_io_panel(io.StringIO(text))
+
 
 PRICE_FILE = """commodity_id,year,price_per_t
 wheat,2002,700
@@ -214,16 +234,6 @@ class TestLoadPrices:
         table = load_price_table(io.StringIO(PRICE_FILE))
         assert sorted(table) == ["urea", "wheat"]
         assert table["wheat"].values == {2002: 700.0, 2003: 720.0}
-
-    def test_single_series_needs_unique_commodity(self):
-        with pytest.raises(SchemaError):
-            load_price_series(io.StringIO(PRICE_FILE))
-        series = load_price_series(io.StringIO(PRICE_FILE), "urea")
-        assert series.values == {2002: 500.0}
-
-    def test_unknown_commodity(self):
-        with pytest.raises(CoverageError):
-            load_price_series(io.StringIO(PRICE_FILE), "gram")
 
 
 class TestLoadLandUseAndCosts:

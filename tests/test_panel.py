@@ -1,6 +1,10 @@
+import io
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrodiag.errors import (
     CoverageError,
@@ -9,6 +13,7 @@ from agrodiag.errors import (
     DuplicateKeyError,
     NormalizationError,
 )
+from agrodiag.ingest import load_crop_panel, write_crop_panel
 from agrodiag.panel import (
     CropObservation,
     CropPanel,
@@ -35,6 +40,23 @@ class TestCropObservation:
         kwargs[field] = -0.5
         with pytest.raises(DomainError):
             CropObservation("paddy", 2005, **kwargs)
+
+    def test_slotted_and_frozen(self):
+        obs = CropObservation("paddy", 2005, 1.0, 1.0, 1.0)
+        assert not hasattr(obs, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            obs.area = 2.0
+
+
+CROPS = ["gram", "maize", "paddy", "wheat"]
+YEARS = range(2000, 2006)
+
+# distinct (crop_id, year) keys, each with its own area, production, price
+observation_lists = st.dictionaries(
+    st.tuples(st.sampled_from(CROPS), st.sampled_from(YEARS)),
+    st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+    max_size=len(CROPS) * len(YEARS),
+).map(lambda d: [CropObservation(c, y, *v) for (c, y), v in d.items()])
 
 
 class TestCropPanel:
@@ -69,6 +91,33 @@ class TestCropPanel:
         panel = CropPanel([CropObservation("a", 2000, 1.0, 1.0, 1.0)])
         with pytest.raises(CoverageError):
             panel.total_area(1999)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_year_index_agrees_with_sorted_key_model(self, data):
+        observations = data.draw(observation_lists)
+        shuffled = data.draw(st.permutations(observations))
+        model = dict(sorted(((o.crop_id, o.year), o) for o in observations))
+        panel = CropPanel(shuffled)
+
+        assert list(panel.observations()) == list(model.values())
+        assert panel.years == tuple(sorted({y for _, y in model}))
+        assert panel.crops == tuple(sorted({c for c, _ in model}))
+        assert len(panel) == len(model)
+        for year in (YEARS.start - 1, *YEARS):
+            assert list(panel.observations(year)) == \
+                [o for (_, y), o in model.items() if y == year]
+            assert panel.has_year(year) == any(y == year for _, y in model)
+            for crop in CROPS + ["absent"]:
+                assert panel.get(crop, year) is model.get((crop, year))
+        assert panel == CropPanel(observations)
+        if observations:
+            assert panel != CropPanel(shuffled[1:])
+
+        text = io.StringIO()
+        write_crop_panel(panel, text)
+        text.seek(0)
+        assert load_crop_panel(text) == panel
 
 
 class TestIOYear:
