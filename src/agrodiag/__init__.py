@@ -10,95 +10,69 @@ The package splits into small pure modules:
 * :mod:`agrodiag.advantage` -- area-based comparative advantage
 * :mod:`agrodiag.diagnostics` -- declarative constraint-tree evaluation
 * :mod:`agrodiag.cli` -- file-in/file-out report pipeline
-"""
 
-from .advantage import AreaShareTable, area_share_table_from_panel, cai, cai_table
-from .decomposition import DecompositionResult, decompose, gross_revenue
-from .diagnostics import (
-    DiagnosticReport,
-    DiagnosticTree,
-    IndicatorSet,
-    Predicate,
-    builtin_bihar_tree,
-    evaluate,
-    load_tree,
-)
-from .errors import AgrodiagError
-from .ingest import (
-    load_crop_panel,
-    load_io_panel,
-    load_land_use,
-    load_price_table,
-    load_value_cost,
-    triennium_average,
-    write_crop_panel,
-)
-from .markets import (
-    BreakStats,
-    break_analysis,
-    coefficient_of_variation,
-    land_use_ratios,
-    price_ratio,
-    share_table,
-    value_cost_ratio,
-)
-from .panel import (
-    CropObservation,
-    CropPanel,
-    InputOutputPanel,
-    IOItem,
-    IOYear,
-    LandUseRecord,
-    PriceSeries,
-)
-from .productivity import (
-    IndexSeries,
-    avg_annual_growth,
-    build_index,
-    tornqvist_log_growth,
-)
+Every public name below is imported from its submodule on first access
+(PEP 562), so ``import agrodiag`` and the CLI's start-up load only the
+layers they use.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgrodiagError",
-    "AreaShareTable",
-    "BreakStats",
-    "CropObservation",
-    "CropPanel",
-    "DecompositionResult",
-    "DiagnosticReport",
-    "DiagnosticTree",
-    "IndexSeries",
-    "IndicatorSet",
-    "InputOutputPanel",
-    "IOItem",
-    "IOYear",
-    "LandUseRecord",
-    "Predicate",
-    "PriceSeries",
-    "area_share_table_from_panel",
-    "avg_annual_growth",
-    "break_analysis",
-    "build_index",
-    "builtin_bihar_tree",
-    "cai",
-    "cai_table",
-    "coefficient_of_variation",
-    "decompose",
-    "evaluate",
-    "gross_revenue",
-    "land_use_ratios",
-    "load_crop_panel",
-    "load_io_panel",
-    "load_land_use",
-    "load_price_table",
-    "load_tree",
-    "load_value_cost",
-    "price_ratio",
-    "share_table",
-    "tornqvist_log_growth",
-    "triennium_average",
-    "value_cost_ratio",
-    "write_crop_panel",
-]
+# public name -> defining submodule
+_EXPORTS = {
+    "AgrodiagError": "errors",
+    "AreaShareTable": "advantage",
+    "BreakStats": "markets",
+    "CropObservation": "panel",
+    "CropPanel": "panel",
+    "DecompositionResult": "decomposition",
+    "DiagnosticReport": "diagnostics",
+    "DiagnosticTree": "diagnostics",
+    "IndexSeries": "productivity",
+    "IndicatorSet": "diagnostics",
+    "InputOutputPanel": "panel",
+    "IOItem": "panel",
+    "IOYear": "panel",
+    "LandUseRecord": "panel",
+    "Predicate": "diagnostics",
+    "PriceSeries": "panel",
+    "area_share_table_from_panel": "advantage",
+    "avg_annual_growth": "productivity",
+    "break_analysis": "markets",
+    "build_index": "productivity",
+    "builtin_bihar_tree": "diagnostics",
+    "cai": "advantage",
+    "cai_table": "advantage",
+    "coefficient_of_variation": "markets",
+    "decompose": "decomposition",
+    "evaluate": "diagnostics",
+    "gross_revenue": "decomposition",
+    "land_use_ratios": "markets",
+    "load_crop_panel": "ingest",
+    "load_io_panel": "ingest",
+    "load_land_use": "ingest",
+    "load_price_table": "ingest",
+    "load_tree": "diagnostics",
+    "load_value_cost": "ingest",
+    "price_ratio": "markets",
+    "share_table": "markets",
+    "tornqvist_log_growth": "productivity",
+    "triennium_average": "ingest",
+    "value_cost_ratio": "markets",
+    "write_crop_panel": "ingest",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value

@@ -18,18 +18,24 @@ Artifacts are deterministic: floats are serialized at 6 significant digits
 and all orderings are fixed, so identical inputs give byte-identical
 output directories. Relative paths inside a config file are resolved
 against the config file's directory.
+
+Only argument parsing and error reporting are imported with this module;
+each function imports the analysis layers it calls, so ``--help`` and a
+subcommand load no layer they do not run.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import advantage, decomposition, diagnostics, ingest, markets, productivity
 from .errors import AgrodiagError, DuplicateKeyError, SchemaError
-from .serialize import canonical, csv_text, json_text
+
+# true for type checkers only; saves importing ``typing`` at start-up
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .diagnostics import DiagnosticReport, DiagnosticTree, IndicatorSet
 
 REPORT_ARTIFACTS = (
     "decomposition.json", "tfp_index.csv", "growth_rates.json",
@@ -69,9 +75,12 @@ class RunConfig:
 
 
 def _read_json(path: Path, what: str):
-    """Parse a UTF-8 JSON file; bad bytes or syntax raise SchemaError."""
+    """Parse a UTF-8 JSON file (a leading byte-order mark is dropped); bad
+    bytes or syntax raise SchemaError."""
+    import json
+
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise SchemaError(
             f"{what} {path}: not UTF-8 text ({exc.reason})"
@@ -88,14 +97,32 @@ def load_run_config(path: Path | str) -> RunConfig:
     def resolve(p) -> Path:
         return base / Path(p)
 
+    def section(key: str) -> dict:
+        value = raw.get(key, {})
+        if not isinstance(value, dict):
+            raise SchemaError(f"config {path}: {key} must be an object, "
+                              f"got {value!r}")
+        return value
+
+    def strings(name: str, value) -> list[str]:
+        if not (isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise SchemaError(f"config {path}: {name} must be a list of "
+                              f"strings, got {value!r}")
+        return value
+
     try:
         inputs = raw["inputs"]
-        methods = raw.get("methods", {})
+        methods = section("methods")
         periods = {
             str(label): (int(lo), int(hi))
-            for label, (lo, hi) in raw.get("periods", {}).items()
+            for label, (lo, hi) in section("periods").items()
         }
         decomp = raw["decomposition"]
+        tfp_base_year = methods.get("tfp_base_year")
+        if tfp_base_year is not None and type(tfp_base_year) is not int:
+            raise SchemaError(f"config {path}: methods.tfp_base_year must be "
+                              f"an integer year, got {tfp_base_year!r}")
         for key, value, allowed in (
             ("growth_method", methods.get("growth_method", "loglinear"),
              ("loglinear", "cagr")),
@@ -111,7 +138,8 @@ def load_run_config(path: Path | str) -> RunConfig:
         return RunConfig(
             crop_panel=resolve(inputs["crop_panel"]),
             io_panel=resolve(inputs["io_panel"]),
-            price_series=[resolve(p) for p in inputs["price_series"]],
+            price_series=[resolve(p) for p in strings(
+                "inputs.price_series", inputs["price_series"])],
             land_use=resolve(inputs["land_use"]),
             cost_series=resolve(inputs["cost_series"]),
             area_shares_region=resolve(inputs["area_shares_region"]),
@@ -120,19 +148,20 @@ def load_run_config(path: Path | str) -> RunConfig:
             decomposition_base=int(decomp["base_year"]),
             decomposition_terminal=int(decomp["terminal_year"]),
             break_year=int(raw["break_year"]),
-            break_commodities=[str(c) for c in raw["break_commodities"]],
+            break_commodities=strings("break_commodities",
+                                      raw["break_commodities"]),
             grain_commodity=str(raw["grain_commodity"]),
             fertilizer_commodity=str(raw["fertilizer_commodity"]),
             diversification_group=str(raw["diversification_group"]),
             national_tfp_growth_pct=float(
-                raw.get("benchmarks", {}).get("national_tfp_growth_pct", 0.0)
+                section("benchmarks").get("national_tfp_growth_pct", 0.0)
             ),
             tree=str(raw.get("tree", "builtin")),
             output_dir=resolve(raw.get("output_dir", "out")),
             growth_method=str(methods.get("growth_method", "loglinear")),
             cv_ddof=int(methods.get("cv_ddof", 1)),
             period_mode=str(methods.get("period_mode", "triennium")),
-            tfp_base_year=methods.get("tfp_base_year"),
+            tfp_base_year=tfp_base_year,
             config_dir=base,
         )
     except KeyError as exc:
@@ -154,6 +183,8 @@ class LoadedInputs:
 
 
 def load_inputs(config: RunConfig) -> LoadedInputs:
+    from . import advantage, ingest
+
     prices = {}
     for path in config.price_series:
         for commodity, series in ingest.load_price_table(path).items():
@@ -178,7 +209,9 @@ def load_inputs(config: RunConfig) -> LoadedInputs:
     )
 
 
-def resolve_tree(selector: str, config_dir: Path) -> diagnostics.DiagnosticTree:
+def resolve_tree(selector: str, config_dir: Path) -> DiagnosticTree:
+    from . import diagnostics
+
     if selector == "builtin":
         return diagnostics.builtin_bihar_tree()
     return diagnostics.load_tree(config_dir / selector)
@@ -186,8 +219,11 @@ def resolve_tree(selector: str, config_dir: Path) -> diagnostics.DiagnosticTree:
 
 def compute_artifacts(config: RunConfig,
                       inputs: LoadedInputs | None = None
-                      ) -> tuple[dict[str, str], diagnostics.DiagnosticReport]:
+                      ) -> tuple[dict[str, str], DiagnosticReport]:
     """Run the full pipeline in memory; nothing touches the disk here."""
+    from . import advantage, decomposition, diagnostics, markets, productivity
+    from .serialize import canonical, csv_text, json_text
+
     if inputs is None:
         inputs = load_inputs(config)
     artifacts: dict[str, str] = {}
@@ -246,8 +282,10 @@ def compute_artifacts(config: RunConfig,
 
     # crop shares at the comparison trienniums
     share_rows = []
+    area_shares = {}
     for te_year in (config.decomposition_base, config.decomposition_terminal):
-        area = markets.share_table(inputs.panel, te_year, "area")
+        area = area_shares[te_year] = markets.share_table(inputs.panel,
+                                                          te_year, "area")
         value = markets.share_table(inputs.panel, te_year, "value")
         share_rows.extend(
             (te_year, crop, area[crop], value[crop]) for crop in sorted(area)
@@ -274,8 +312,7 @@ def compute_artifacts(config: RunConfig,
     indicators = assemble_indicators(
         config, tfp_growth=tfp_growth, break_stats=stats,
         land_first=first, land_last=last, cai_values=cai_values,
-        terminal_area_shares=markets.share_table(
-            inputs.panel, config.decomposition_terminal, "area"),
+        terminal_area_shares=area_shares[config.decomposition_terminal],
         value_cost=value_cost, grain_fert=grain_fert,
     )
     artifacts["indicators.json"] = json_text(indicators.to_dict())
@@ -290,6 +327,8 @@ def compute_artifacts(config: RunConfig,
 
 
 def _cai_csv(cai_values: dict[str, float]) -> str:
+    from .serialize import csv_text
+
     return csv_text(["group_id", "cai"], sorted(cai_values.items()))
 
 
@@ -297,9 +336,11 @@ def assemble_indicators(config: RunConfig, *, tfp_growth: float,
                         break_stats: list, land_first: dict, land_last: dict,
                         cai_values: dict, terminal_area_shares: dict,
                         value_cost: dict, grain_fert: dict
-                        ) -> diagnostics.IndicatorSet:
+                        ) -> IndicatorSet:
     """Reduce the module outputs to the scalars the tree predicates read."""
-    ind = diagnostics.IndicatorSet()
+    from .diagnostics import IndicatorSet
+
+    ind = IndicatorSet()
     ind.add("agricultural_land_ratio_change",
             land_last["al_ratio"] - land_first["al_ratio"],
             "ratio", "land_use_ratios, first vs last triennium")
@@ -361,7 +402,7 @@ def write_artifacts(outdir: Path, artifacts: dict[str, str]) -> None:
 
 
 def run_pipeline(config: RunConfig, outdir: Path | None = None
-                 ) -> diagnostics.DiagnosticReport:
+                 ) -> DiagnosticReport:
     """Compute and write every report artifact; returns the diagnosis."""
     artifacts, report = compute_artifacts(config)
     write_artifacts(outdir or config.output_dir, artifacts)
@@ -403,6 +444,9 @@ def _subset(config: RunConfig, names: tuple[str, ...]) -> dict[str, str]:
 
 
 def _cmd_decompose(args) -> int:
+    from . import decomposition, ingest
+    from .serialize import json_text
+
     if args.config is not None:
         config = load_run_config(args.config)
         panel = ingest.load_crop_panel(config.crop_panel)
@@ -423,6 +467,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_tfp(args) -> int:
+    from . import ingest, productivity
+    from .serialize import csv_text
+
     if args.config is not None:
         config = load_run_config(args.config)
         io_panel = ingest.load_io_panel(config.io_panel)
@@ -467,6 +514,8 @@ def _cmd_markets(args) -> int:
 
 
 def _cmd_cai(args) -> int:
+    from . import advantage
+
     if args.region is not None and args.nation is not None:
         region_path, nation_path = args.region, args.nation
     elif args.config is not None:
@@ -484,6 +533,9 @@ def _cmd_cai(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from . import diagnostics
+    from .serialize import json_text
+
     if args.indicators is not None:
         data = _read_json(Path(args.indicators), "indicators file")
         indicators = diagnostics.IndicatorSet.from_dict(data)

@@ -380,14 +380,15 @@ def tree_from_dict(config: Mapping) -> DiagnosticTree:
 
 
 def load_tree(source) -> DiagnosticTree:
-    """Load a tree from JSON text, a path, or an open stream."""
+    """Load a tree from JSON text, a path (UTF-8, with or without a
+    byte-order mark), or an open stream."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = str(source)
         if not text.lstrip().startswith("{"):
             try:
-                with open(text, "r", encoding="utf-8") as fh:
+                with open(text, "r", encoding="utf-8-sig") as fh:
                     text = fh.read()
             except UnicodeDecodeError as exc:
                 raise TreeConfigError(

@@ -47,14 +47,15 @@ SHARE_RENORM_BAND = (0.999, 1.001)
 def _open_text(source, what: str):
     """Yield a text stream for a path or pass a file-like object through.
 
-    A file that is not UTF-8 raises ``SchemaError`` naming it, also when
-    the bad bytes are only decoded while the caller iterates.
+    A leading UTF-8 byte-order mark, as spreadsheet programs write it, is
+    dropped. A file that is not UTF-8 raises ``SchemaError`` naming it,
+    also when the bad bytes are only decoded while the caller iterates.
     """
     if hasattr(source, "read"):
         yield source
         return
     try:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise SchemaError(

@@ -272,3 +272,42 @@ class TestRunConfig:
         artifacts, report = compute_artifacts(config)
         assert sorted(artifacts) == sorted(REPORT_ARTIFACTS)
         assert report.binding_constraints
+
+    @pytest.mark.parametrize("key, value", [
+        ("methods", []),
+        ("periods", []),
+        ("benchmarks", []),
+        ("break_commodities", "rice"),
+        ("break_commodities", ["rice", 5]),
+        ("inputs.price_series", "x.csv"),
+        ("methods.tfp_base_year", "1990"),
+        ("methods.tfp_base_year", True),
+    ])
+    def test_malformed_shape_exits_1_naming_the_key(self, tmp_path, capsys,
+                                                    key, value):
+        config_path = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        config = json.loads(config_path.read_text())
+        *owners, leaf = key.split(".")
+        target = config
+        for owner in owners:
+            target = target[owner]
+        target[leaf] = value
+        config_path.write_text(json.dumps(config))
+        rc = main(["report", "-c", str(config_path),
+                   "-o", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith(f"error: config {config_path}: {key} ")
+
+    def test_byte_order_marks_change_no_artifact(self, report_dir, tmp_path):
+        """A config and CSVs saved with a UTF-8 BOM, as spreadsheet
+        programs write them, give the same report as without."""
+        config_path = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        for path in [config_path, *config_path.parent.glob("*.csv")]:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / "o"
+        assert main(["report", "-c", str(config_path), "-o", str(out)]) == 0
+        for name in REPORT_ARTIFACTS:
+            assert (out / name).read_bytes() == \
+                (report_dir / name).read_bytes(), name

@@ -141,6 +141,14 @@ class TestLoadTree:
         with pytest.raises(TreeConfigError, match="JSON"):
             load_tree("{not json")
 
+    def test_byte_order_mark_in_file_is_dropped(self, tmp_path):
+        path = tmp_path / "tree.json"
+        text = json.dumps(single_node_config())
+        path.write_bytes(text.encode("utf-8-sig"))
+        with_bom, without = load_tree(path), load_tree(text)
+        assert (with_bom.nodes, with_bom.roots, with_bom.manifest) == \
+            (without.nodes, without.roots, without.manifest)
+
     @pytest.mark.parametrize("key,value", [
         ("nodes", ["only"]),
         ("nodes", "only"),

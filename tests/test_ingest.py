@@ -106,6 +106,11 @@ class TestLoadCropPanel:
         with pytest.raises(SchemaError, match="crop panel .*crops.csv.*UTF-8"):
             load_crop_panel(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "crops.csv"
+        path.write_bytes(TWO_CROP_FILE.encode("utf-8-sig"))
+        assert load_crop_panel(path) == load_text(TWO_CROP_FILE)
+
     def test_round_trip_is_identity(self):
         panel = load_text(TWO_CROP_FILE)
         again = load_text(panel_text(panel))

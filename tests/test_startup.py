@@ -1,0 +1,115 @@
+"""Start-up footprint: the package and the CLI load only the layers a
+command runs, and the package's lazy public names behave like eager ones."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import agrodiag
+from agrodiag.cli import main
+
+SRC = str(Path(agrodiag.__file__).resolve().parents[1])
+
+# `python -m agrodiag` runs __main__.py as `__main__`, so the package's
+# __main__ module is never registered under its own name
+ENTRY = {"agrodiag", "agrodiag.cli", "agrodiag.errors"}
+
+# runs ``python -m agrodiag ARGS`` as the interpreter's -m option does, then
+# prints its exit code and the agrodiag modules it left loaded
+RUN_CLI = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['agrodiag', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('agrodiag', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules\n"
+    "                                if m.split('.')[0] == 'agrodiag')]))\n"
+)
+
+
+def loaded_modules(script: str, *args: str) -> tuple[object, set[str]]:
+    """Run SCRIPT in a fresh interpreter; return its exit code and modules."""
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+@pytest.fixture(scope="module")
+def indicators(fixture_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("startup_report")
+    assert main(["report", "-c", str(fixture_dir / "config.json"),
+                 "-o", str(out)]) == 0
+    return out / "indicators.json"
+
+
+def layers(*names: str) -> set[str]:
+    return ENTRY | {f"agrodiag.{name}" for name in names}
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["cai", "--help"], 0),
+        (["report"], 2),
+    ])
+    def test_parsing_loads_no_layer(self, argv, code):
+        assert loaded_modules(RUN_CLI, *argv) == (code, ENTRY)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["cai", "--region", "area_region.csv",
+          "--nation", "area_nation.csv"],
+         layers("advantage", "ingest", "panel", "serialize")),
+        (["tfp", "--io-panel", "io_panel.csv"],
+         layers("ingest", "panel", "productivity", "serialize")),
+        (["decompose", "--crop-panel", "crops.csv", "--base", "2002",
+          "--terminal", "2016"],
+         layers("ingest", "panel", "decomposition", "serialize")),
+    ])
+    def test_subcommand_loads_only_its_layers(self, fixture_dir, tmp_path,
+                                              argv, expected):
+        argv = [str(fixture_dir / a) if a.endswith(".csv") else a
+                for a in argv]
+        code, modules = loaded_modules(RUN_CLI, *argv, "-o", str(tmp_path))
+        assert (code, modules) == (0, expected)
+
+    def test_diagnose_indicators_loads_only_the_tree(self, indicators,
+                                                     tmp_path):
+        code, modules = loaded_modules(
+            RUN_CLI, "diagnose", "--indicators", str(indicators),
+            "-o", str(tmp_path))
+        assert (code, modules) == (0, layers("diagnostics", "serialize"))
+
+    def test_import_package_loads_no_layer(self):
+        script = ("import json, sys, agrodiag\n"
+                  "print(json.dumps([0, [m for m in sys.modules\n"
+                  "                     if m.split('.')[0] == 'agrodiag']]))\n")
+        assert loaded_modules(script) == (0, {"agrodiag"})
+
+
+class TestLazyPublicNames:
+    @pytest.mark.parametrize("name", agrodiag.__all__)
+    def test_name_is_its_defining_modules_object(self, name):
+        value = getattr(agrodiag, name)
+        module = value.__module__
+        assert module.startswith("agrodiag.")
+        assert getattr(importlib.import_module(module), name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from agrodiag import *", namespace)
+        for name in agrodiag.__all__:
+            assert namespace[name] is getattr(agrodiag, name), name
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            agrodiag.no_such_name
+        assert not hasattr(agrodiag, "load_price_series")
