@@ -9,7 +9,8 @@ The package splits into small pure modules:
 * :mod:`agrodiag.markets` -- volatility, ratio and share indicators
 * :mod:`agrodiag.advantage` -- area-based comparative advantage
 * :mod:`agrodiag.diagnostics` -- declarative constraint-tree evaluation
-* :mod:`agrodiag.cli` -- file-in/file-out report pipeline
+* :mod:`agrodiag.pipeline` -- file-in/file-out report pipeline
+* :mod:`agrodiag.cli` -- command-line parsing and exit codes
 
 Every public name below is imported from its submodule on first access
 (PEP 562), so ``import agrodiag`` and the CLI's start-up load only the

@@ -414,6 +414,13 @@ def builtin_bihar_tree() -> DiagnosticTree:
     return load_tree(data)
 
 
+def resolve_tree(selector: str, config_dir) -> DiagnosticTree:
+    """``"builtin"`` or a tree JSON path, relative to ``config_dir``."""
+    if selector == "builtin":
+        return builtin_bihar_tree()
+    return load_tree(config_dir / selector)
+
+
 # -- evaluation ----------------------------------------------------------
 
 

@@ -122,11 +122,13 @@ def tornqvist_log_growth(panel: InputOutputPanel, from_year: int,
     )
 
 
-def build_index(panel: InputOutputPanel, kind: str, base_year: int) -> IndexSeries:
+def build_index(panel: InputOutputPanel, kind: str,
+                base_year: int | None = None) -> IndexSeries:
     """Chain year-over-year log changes into a level series, base = 100.
 
     ``kind`` selects the output term, the input term, or their difference
-    (tfp). The panel's years must be contiguous.
+    (tfp). The panel's years must be contiguous. ``base_year`` defaults to
+    the panel's first year.
     """
     if kind not in INDEX_KINDS:
         raise ValueError(f"kind must be one of {INDEX_KINDS}, got {kind!r}")
@@ -135,6 +137,8 @@ def build_index(panel: InputOutputPanel, kind: str, base_year: int) -> IndexSeri
         raise CoverageError("io panel is empty")
     if list(years) != list(range(years[0], years[-1] + 1)):
         raise CoverageError(f"io panel years are not contiguous: {years}")
+    if base_year is None:
+        base_year = years[0]
     if base_year not in years:
         raise CoverageError(f"base year {base_year} outside panel years {years}")
 
@@ -152,6 +156,12 @@ def build_index(panel: InputOutputPanel, kind: str, base_year: int) -> IndexSeri
     values = {y: 100.0 * math.exp(c - anchor) for y, c in cumulative.items()}
     values[base_year] = 100.0
     return IndexSeries(label=kind, base_year=base_year, values=values)
+
+
+def index_series(panel: InputOutputPanel,
+                 base_year: int | None = None) -> dict[str, IndexSeries]:
+    """The output, input and TFP series of PANEL on one base year."""
+    return {kind: build_index(panel, kind, base_year) for kind in INDEX_KINDS}
 
 
 def avg_annual_growth(

@@ -1,4 +1,4 @@
-"""Deterministic artifact serialization.
+"""Deterministic artifact text, in and out.
 
 Serialized artifacts round floats to 6 significant digits and order keys
 and rows, so two runs on identical inputs are byte-identical. Full
@@ -7,7 +7,11 @@ precision is kept in memory; only the on-disk form is rounded.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+import os
+from pathlib import Path
+from typing import Any, Iterable, Mapping
+
+from .errors import SchemaError
 
 SIG_DIGITS = 6
 
@@ -49,3 +53,57 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(format_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def index_csvs(series: Mapping[str, Any]) -> dict[str, str]:
+    """``tfp_index.csv`` and ``figure2.csv`` from the output, input and tfp
+    index series (see ``productivity.index_series``)."""
+    output, input_, tfp = series["output"], series["input"], series["tfp"]
+    return {
+        "tfp_index.csv": csv_text(["year", "value"], tfp.to_rows()),
+        "figure2.csv": csv_text(
+            ["year", "output", "input", "tfp"],
+            [(y, output.values[y], input_.values[y], tfp.values[y])
+             for y in tfp.years],
+        ),
+    }
+
+
+def cai_csv(cai_values: Mapping[str, float]) -> str:
+    """``cai.csv``: one ``group_id,cai`` row per group."""
+    return csv_text(["group_id", "cai"], sorted(cai_values.items()))
+
+
+def read_json(path: Path, what: str):
+    """Parse a UTF-8 JSON file (a leading byte-order mark is dropped); bad
+    bytes or syntax raise SchemaError naming WHAT and the path."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{what} {path}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} {path}: not valid JSON: {exc}") from None
+
+
+def write_artifacts(outdir: Path, artifacts: Mapping[str, str]) -> None:
+    """Write every artifact into OUTDIR, or none of them.
+
+    Each artifact goes to a temporary file in OUTDIR first; only once all
+    are written does each replace its target. If anything fails, the
+    temporary files are removed and the files already in OUTDIR, such as
+    the last good report, are left as they were."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name in sorted(artifacts):
+            temp = outdir / f".{name}.{os.getpid()}.tmp"
+            staged.append((temp, outdir / name))
+            temp.write_text(artifacts[name], encoding="utf-8", newline="\n")
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
+        raise

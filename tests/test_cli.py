@@ -32,6 +32,18 @@ def report_dir(run_dir):
     return out
 
 
+def absolute_config(run_dir: Path) -> dict:
+    """RUN_DIR's config with its input paths made absolute, so that an
+    edited copy may be written anywhere."""
+    config = json.loads((run_dir / "config.json").read_text())
+    config["inputs"] = {
+        key: ([str(run_dir / v) for v in value] if isinstance(value, list)
+              else str(run_dir / value))
+        for key, value in config["inputs"].items()
+    }
+    return config
+
+
 class TestReport:
     def test_full_artifact_set(self, report_dir):
         names = sorted(p.name for p in report_dir.iterdir())
@@ -118,19 +130,30 @@ class TestSubcommands:
                                                    tmp_path):
         # a growth window the io panel does not cover breaks the full
         # pipeline, but cai reads no growth period
-        config = json.loads((run_dir / "config.json").read_text())
+        config = absolute_config(run_dir)
         config["periods"] = {"x": [1990, 1991]}
-        config["inputs"] = {
-            key: ([str(run_dir / v) for v in value] if isinstance(value, list)
-                  else str(run_dir / value))
-            for key, value in config["inputs"].items()
-        }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "cai_out"
         assert main(["cai", "-c", str(path), "-o", str(out)]) == 0
         assert (out / "cai.csv").read_bytes() == \
             (report_dir / "cai.csv").read_bytes()
+
+    def test_growth_config_reads_only_the_io_panel(self, run_dir, report_dir,
+                                                   tmp_path):
+        # a broken crop panel breaks the full pipeline, but growth reads
+        # only the io panel
+        config = absolute_config(run_dir)
+        config["inputs"]["crop_panel"] = str(tmp_path / "crops.csv")
+        (tmp_path / "crops.csv").write_text("nonsense\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["report", "-c", str(path),
+                     "-o", str(tmp_path / "report_out")]) == 1
+        out = tmp_path / "growth_out"
+        assert main(["growth", "-c", str(path), "-o", str(out)]) == 0
+        assert (out / "growth_rates.json").read_bytes() == \
+            (report_dir / "growth_rates.json").read_bytes()
 
     def test_diagnose_prints_verdict(self, run_dir, report_dir, capsys):
         rc = main(["diagnose", "--tree", "builtin",
@@ -215,6 +238,36 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("fail_at", [1, 2, len(REPORT_ARTIFACTS)])
+    def test_failed_write_keeps_the_last_report(self, run_dir, tmp_path,
+                                                monkeypatch, capsys, fail_at):
+        out = tmp_path / "o"
+        out.mkdir()
+        previous = {name: f"previous {name}\n".encode()
+                    for name in REPORT_ARTIFACTS}
+        for name, data in previous.items():
+            (out / name).write_bytes(data)
+        write_text = Path.write_text
+        calls = []
+
+        def failing_write_text(self, data, *args, **kwargs):
+            # the FAIL_AT-th write stops partway, as on a full disk
+            calls.append(self)
+            if len(calls) == fail_at:
+                write_text(self, data[:10], *args, **kwargs)
+                raise OSError(28, "No space left on device")
+            return write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        rc = main(["report", "-c", str(run_dir / "config.json"),
+                   "-o", str(out)])
+        monkeypatch.undo()
+        assert rc == 1
+        assert "No space left" in capsys.readouterr().err
+        assert len(calls) == fail_at
+        # every old artifact unchanged and no temporary file left behind
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
     @pytest.mark.parametrize("name", ["land_use.csv", "config.json",
                                       "tree.json", "indicators.json"])
     def test_non_utf8_file_exits_1_naming_it(self, report_dir, tmp_path,
@@ -282,6 +335,13 @@ class TestRunConfig:
         ("inputs.price_series", "x.csv"),
         ("methods.tfp_base_year", "1990"),
         ("methods.tfp_base_year", True),
+        ("break_year", 2007.9),
+        ("decomposition.base_year", 2002.5),
+        ("decomposition.terminal_year", True),
+        ("periods.x", [2001.7, True]),
+        ("periods.x", [2001, 2005, 2009]),
+        ("methods.cv_ddof", True),
+        ("methods.cv_ddof", 1.0),
     ])
     def test_malformed_shape_exits_1_naming_the_key(self, tmp_path, capsys,
                                                     key, value):

@@ -1,5 +1,6 @@
 """Start-up footprint: the package and the CLI load only the layers a
-command runs, and the package's lazy public names behave like eager ones."""
+command runs, and the lazy public names of the package and of the CLI
+behave like eager ones."""
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import agrodiag
+from agrodiag import cli
 from agrodiag.cli import main
 
 SRC = str(Path(agrodiag.__file__).resolve().parents[1])
@@ -88,6 +90,21 @@ class TestImportFootprint:
             "-o", str(tmp_path))
         assert (code, modules) == (0, layers("diagnostics", "serialize"))
 
+    def test_help_loads_neither_dataclasses_nor_the_pipeline(self):
+        script = RUN_CLI + (
+            "print(json.dumps([code, [m for m in ('dataclasses',\n"
+            "                                     'agrodiag.pipeline')\n"
+            "                         if m in sys.modules]]))\n")
+        assert loaded_modules(script, "--help") == (0, set())
+
+    def test_growth_config_loads_only_the_io_layers(self, fixture_dir,
+                                                    tmp_path):
+        code, modules = loaded_modules(
+            RUN_CLI, "growth", "-c", str(fixture_dir / "config.json"),
+            "-o", str(tmp_path))
+        assert (code, modules) == (0, layers(
+            "pipeline", "ingest", "panel", "productivity", "serialize"))
+
     def test_import_package_loads_no_layer(self):
         script = ("import json, sys, agrodiag\n"
                   "print(json.dumps([0, [m for m in sys.modules\n"
@@ -113,3 +130,14 @@ class TestLazyPublicNames:
         with pytest.raises(AttributeError, match="no_such_name"):
             agrodiag.no_such_name
         assert not hasattr(agrodiag, "load_price_series")
+
+
+class TestCliForwardedNames:
+    @pytest.mark.parametrize("name", sorted(cli._FORWARDED))
+    def test_name_is_its_defining_modules_object(self, name):
+        module = importlib.import_module(f"agrodiag.{cli._FORWARDED[name]}")
+        assert getattr(cli, name) is getattr(module, name)
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
