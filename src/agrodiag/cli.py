@@ -106,7 +106,8 @@ def _cmd_decompose(args) -> int:
         panel = ingest.load_crop_panel(args.crop_panel)
         base, terminal, mode = args.base, args.terminal, args.mode or "triennium"
     result = decomposition.decompose(panel, base, terminal, period_mode=mode)
-    _emit(args, {"decomposition.json": json_text(result.to_record())})
+    _emit(args, {"decomposition.json": json_text(result.to_record(),
+                                                 "decomposition.json")})
     return 0
 
 
@@ -145,12 +146,16 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_markets(args) -> int:
-    from .pipeline import compute_artifacts, load_run_config
+    from . import ingest
+    from .pipeline import load_prices, load_run_config, market_artifacts
 
-    artifacts, _ = compute_artifacts(load_run_config(args.config))
-    _emit(args, {name: artifacts[name] for name in (
-        "break_stats.json", "figure3.csv", "figure4.csv", "shares.csv",
-        "land_ratios.json")})
+    config = load_run_config(args.config)
+    prices = load_prices(config)
+    output_value, input_cost = ingest.load_value_cost(config.cost_series)
+    artifacts, _ = market_artifacts(
+        config, ingest.load_crop_panel(config.crop_panel), prices,
+        ingest.load_land_use(config.land_use), output_value, input_cost)
+    _emit(args, artifacts)
     return 0
 
 
@@ -185,7 +190,8 @@ def _cmd_diagnose(args) -> int:
         indicators = diagnostics.IndicatorSet.from_dict(data)
         tree = diagnostics.resolve_tree(args.tree or "builtin", Path("."))
         report = diagnostics.evaluate(tree, indicators)
-        artifacts = {"diagnosis.json": json_text(report.to_dict())}
+        artifacts = {"diagnosis.json": json_text(report.to_dict(),
+                                                 "diagnosis.json")}
     elif args.config is not None:
         from .pipeline import compute_artifacts, load_run_config
 

@@ -83,7 +83,8 @@ def gross_revenue(panel: CropPanel, year: int) -> float:
     """Total production times price over all crops in ``year``."""
     if not panel.has_year(year):
         raise CoverageError(f"year {year} not covered by panel")
-    return sum(o.production * o.price for o in panel.observations(year))
+    _, _, production, price = panel.columns(year)
+    return sum(q * p for q, p in zip(production, price))
 
 
 def _period_values(panel: CropPanel, year: int, mode: str):
@@ -98,11 +99,8 @@ def _period_values(panel: CropPanel, year: int, mode: str):
         label = str(year)
     else:
         raise ValueError(f"unknown period_mode {mode!r}")
-    values = {
-        o.crop_id: (o.area, o.production, o.price)
-        for o in period.observations(year)
-    }
-    return label, values
+    crops, area, production, price = period.columns(year)
+    return label, dict(zip(crops, zip(area, production, price)))
 
 
 def _yield_of(crop: str, area: float, production: float, label: str) -> float:

@@ -17,7 +17,6 @@ import csv
 import math
 import sys
 import warnings
-from collections import defaultdict
 from contextlib import contextmanager
 from typing import Mapping
 
@@ -29,13 +28,13 @@ from .errors import (
     SchemaError,
 )
 from .panel import (
-    CropObservation,
     CropPanel,
     InputOutputPanel,
     IOItem,
     IOYear,
     LandUseRecord,
     PriceSeries,
+    _Columns,
 )
 
 # Shares are accepted and renormalized inside this band, rejected outside it.
@@ -120,9 +119,7 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> Crop
     No deflator is ever invented: nominal prices pass through unchanged.
     """
     what = "crop panel"
-    observations = []
-    years: dict[int, int] = {}  # one int object per distinct year
-    seen: defaultdict[int, set[str]] = defaultdict(set)  # crop ids per year
+    columns = _Columns()
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["crop_id", "year", "area_ha",
                                         "production_t", "price_per_t"], what):
@@ -130,7 +127,6 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> Crop
             if not crop_id:
                 raise SchemaError(f"{what}: empty crop_id in row {line}")
             year = _cell(row, 1, "year", line, what, cast=int)
-            year = years.setdefault(year, year)
             area = _amount(row, 2, "area_ha", line, what)
             production = _amount(row, 3, "production_t", line, what)
             price = _amount(row, 4, "price_per_t", line, what)
@@ -146,17 +142,11 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> Crop
                         f"got {index!r} (row {line})"
                     )
                 price = price / (index / 100.0)
-            crops = seen[year]
-            if crop_id in crops:
+            if not columns.add(crop_id, year, area, production, price):
                 raise DuplicateKeyError(
                     f"{what}: duplicate ({crop_id}, {year}) in row {line}"
                 )
-            crops.add(crop_id)
-            observations.append(
-                CropObservation(crop_id, year, area, production, price)
-            )
-    del seen  # the panel builds its own index; never hold both
-    return CropPanel(observations)
+    return CropPanel(columns)
 
 
 def write_crop_panel(panel: CropPanel, dest) -> None:
@@ -182,23 +172,33 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
     to that year's term (not grown means literally nothing harvested), while
     its price is averaged only over years where it was observed: a zero
     price would be meaningless.
+
+    The result is memoised on ``panel``: a second call with the same
+    ``end_year`` returns the same averaged panel.
     """
+    memo = panel._trienniums
+    if end_year in memo:
+        return memo[end_year]
     span = (end_year - 2, end_year - 1, end_year)
     missing = [y for y in span if not panel.has_year(y)]
     if missing:
         raise CoverageError(
             f"triennium ending {end_year} needs years {span}, missing {missing}"
         )
-    crops = sorted({o.crop_id for y in span for o in panel.observations(y)})
-    averaged = []
-    for crop in crops:
-        found = [panel.get(crop, y) for y in span]
-        present = [o for o in found if o is not None]
-        area = sum(o.area for o in present) / 3.0
-        production = sum(o.production for o in present) / 3.0
-        price = sum(o.price for o in present) / len(present)
-        averaged.append(CropObservation(crop, end_year, area, production, price))
-    return CropPanel(averaged)
+    present: dict[str, list[tuple[float, float, float]]] = {}
+    for year in span:
+        ids, area, production, price = panel.columns(year)
+        for crop, values in zip(ids, zip(area, production, price)):
+            present.setdefault(crop, []).append(values)
+    averaged = _Columns()
+    for crop in sorted(present):
+        found = present[crop]  # the years observed, in year order
+        averaged.add(crop, end_year,
+                     sum(v[0] for v in found) / 3.0,
+                     sum(v[1] for v in found) / 3.0,
+                     sum(v[2] for v in found) / len(found))
+    memo[end_year] = CropPanel(averaged)
+    return memo[end_year]
 
 
 def _normalize_shares(items: dict[str, tuple[float, float]], year: int,

@@ -126,16 +126,16 @@ def share_table(panel: CropPanel, te_year: int,
     """
     if dimension not in ("area", "value"):
         raise ValueError(f"dimension must be 'area' or 'value', got {dimension!r}")
-    te = triennium_average(panel, te_year)
+    crops, area, production, price = triennium_average(
+        panel, te_year).columns(te_year)
     if dimension == "area":
-        weights = {o.crop_id: o.area for o in te.observations(te_year)}
+        weights = list(area)
     else:
-        weights = {o.crop_id: o.production * o.price
-                   for o in te.observations(te_year)}
-    total = sum(weights.values())
+        weights = [q * p for q, p in zip(production, price)]
+    total = sum(weights)
     if total <= 0:
         raise DomainError(f"total {dimension} in TE {te_year} is not positive")
-    return {crop: w / total * 100.0 for crop, w in sorted(weights.items())}
+    return {crop: w / total * 100.0 for crop, w in zip(crops, weights)}
 
 
 def land_use_ratios(records: Sequence[LandUseRecord],

@@ -3,12 +3,21 @@
 All types here are immutable once constructed and therefore safe to share
 across threads. Validation happens at construction time; analysis code can
 assume the invariants hold.
+
+A ``CropPanel`` stores each year as crop ids plus three ``array('d')``
+columns (area, production, price), which hold doubles bit for bit. It also
+memoises the trienniums averaged from it (``ingest.triennium_average``).
+That memo is an idempotent cache on an immutable panel: it changes no
+result, and two threads that fill one entry at once store equal panels,
+so it needs no lock.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import (
     CoverageError,
@@ -54,31 +63,79 @@ class CropObservation:
         return self.production / self.area
 
 
+class _Columns:
+    """Observations gathered year by year, in arrival order: per year, the
+    crop ids plus an area, a production and a price column.
+
+    Every ``CropPanel`` is indexed from one of these, which it empties;
+    ``ingest.load_crop_panel`` fills one straight from a file, so no
+    per-row object is built.
+    """
+
+    __slots__ = ("years",)
+
+    def __init__(self) -> None:
+        # year -> (crop ids as an insertion-ordered dict, area, production,
+        # price)
+        self.years: dict[int, tuple[dict[str, None], array, array, array]] = {}
+
+    def add(self, crop_id: str, year: int, area: float, production: float,
+            price: float) -> bool:
+        """Append one observation; False, and nothing appended, if
+        (crop_id, year) is already present."""
+        columns = self.years.get(year)
+        if columns is None:
+            columns = self.years[year] = ({}, array("d"), array("d"),
+                                          array("d"))
+        ids, areas, productions, prices = columns
+        if crop_id in ids:
+            return False
+        ids[crop_id] = None
+        areas.append(area)
+        productions.append(production)
+        prices.append(price)
+        return True
+
+
 class CropPanel:
     """A set of crop observations keyed by (crop_id, year).
 
     At most one observation per key. Observations are indexed by year once,
     at construction: years ascend and, within a year, crop ids ascend, so
-    every downstream aggregate is reproducible bit-for-bit.
+    every downstream aggregate is reproducible bit-for-bit. Each year is
+    stored as a tuple of crop ids plus area, production and price columns
+    of doubles; ``get`` and ``observations`` build ``CropObservation``
+    objects on demand. ``_trienniums`` maps an end year to the triennium
+    averaged from this panel; ``ingest.triennium_average`` fills and reads
+    it.
     """
 
     def __init__(self, observations) -> None:
-        by_year: defaultdict[int, dict[str, CropObservation]] = defaultdict(dict)
-        for obs in observations:
-            crops = by_year[obs.year]
-            if obs.crop_id in crops:
-                raise DuplicateKeyError(
-                    f"duplicate observation for {(obs.crop_id, obs.year)}"
-                )
-            crops[obs.crop_id] = obs
-        # re-insert year by year, so at most one year is held twice
-        self._by_year: dict[int, dict[str, CropObservation]] = {}
-        for year in sorted(by_year):
-            crops = by_year.pop(year)
-            self._by_year[year] = {c: crops[c] for c in sorted(crops)}
+        if isinstance(observations, _Columns):
+            columns = observations
+        else:
+            columns = _Columns()
+            for obs in observations:
+                if not columns.add(obs.crop_id, obs.year, obs.area,
+                                   obs.production, obs.price):
+                    raise DuplicateKeyError(
+                        f"duplicate observation for {(obs.crop_id, obs.year)}"
+                    )
+        # sort year by year, so at most one year is held twice
+        self._by_year: dict[int, tuple[tuple[str, ...], array, array, array]] = {}
+        for year in sorted(columns.years):
+            ids, *values = columns.years.pop(year)
+            ids = list(ids)
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self._by_year[year] = (
+                tuple([ids[i] for i in order]),
+                *(array("d", [column[i] for i in order]) for column in values),
+            )
         self._years = tuple(self._by_year)
-        self._crops = tuple(sorted(set().union(*self._by_year.values())))
-        self._len = sum(map(len, self._by_year.values()))
+        self._crops = tuple(sorted(
+            set().union(*(ids for ids, *_ in self._by_year.values()))))
+        self._len = sum(len(ids) for ids, *_ in self._by_year.values())
+        self._trienniums: dict[int, CropPanel] = {}
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -106,30 +163,47 @@ class CropPanel:
         return year in self._by_year
 
     def get(self, crop_id: str, year: int) -> CropObservation | None:
-        crops = self._by_year.get(year)
-        return None if crops is None else crops.get(crop_id)
+        columns = self._by_year.get(year)
+        if columns is None:
+            return None
+        ids, area, production, price = columns
+        i = bisect_left(ids, crop_id)
+        if i == len(ids) or ids[i] != crop_id:
+            return None
+        return CropObservation(ids[i], year, area[i], production[i], price[i])
 
     def observations(self, year: int | None = None):
         """All observations in (crop_id, year) order, or one year's by crop_id."""
         if year is not None:
-            return iter(self._by_year.get(year, {}).values())
+            if year not in self._by_year:
+                return iter(())
+            ids, *values = self._by_year[year]
+            return map(CropObservation, ids, repeat(year), *values)
         return (
-            crops[crop]
+            obs
             for crop in self._crops
-            for crops in self._by_year.values()
-            if crop in crops
+            for year in self._years
+            if (obs := self.get(crop, year)) is not None
         )
 
-    def total_area(self, year: int) -> float:
+    def columns(self, year: int):
+        """One year as ``(crop_ids, area, production, price)``: crop ids
+        ascending, each value column a read-only view of doubles in the
+        same order."""
         self._require_year(year)
-        return sum(o.area for o in self.observations(year))
+        ids, *values = self._by_year[year]
+        return (ids, *(memoryview(column).toreadonly() for column in values))
+
+    def total_area(self, year: int) -> float:
+        return sum(self.columns(year)[1])
 
     def area_shares(self, year: int) -> dict[str, float]:
         """Per-crop share of total cropped area; shares sum to 1."""
-        total = self.total_area(year)
+        ids, area, _, _ = self.columns(year)
+        total = sum(area)
         if total <= 0:
             raise DomainError(f"total cropped area in {year} is not positive")
-        return {o.crop_id: o.area / total for o in self.observations(year)}
+        return {crop: a / total for crop, a in zip(ids, area)}
 
     def _require_year(self, year: int) -> None:
         if not self.has_year(year):
@@ -138,7 +212,7 @@ class CropPanel:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IOItem:
     """One output or input in one year: quantity plus its value share."""
 
@@ -155,7 +229,7 @@ class IOItem:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IOYear:
     year: int
     outputs: tuple[IOItem, ...]

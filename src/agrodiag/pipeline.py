@@ -21,6 +21,7 @@ from .errors import DuplicateKeyError, SchemaError
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .diagnostics import DiagnosticReport, IndicatorSet
+    from .panel import CropPanel
     from .productivity import IndexSeries
 
 REPORT_ARTIFACTS = (
@@ -169,8 +170,9 @@ class LoadedInputs:
     nation: object
 
 
-def load_inputs(config: RunConfig) -> LoadedInputs:
-    from . import advantage, ingest
+def load_prices(config: RunConfig) -> dict:
+    """Every configured price series, keyed by commodity id."""
+    from . import ingest
 
     prices = {}
     for path in config.price_series:
@@ -181,6 +183,13 @@ def load_inputs(config: RunConfig) -> LoadedInputs:
                     "price-series file"
                 )
             prices[commodity] = series
+    return prices
+
+
+def load_inputs(config: RunConfig) -> LoadedInputs:
+    from . import advantage, ingest
+
+    prices = load_prices(config)
     output_value, input_cost = ingest.load_value_cost(config.cost_series)
     return LoadedInputs(
         panel=ingest.load_crop_panel(config.crop_panel),
@@ -207,7 +216,8 @@ def growth_rates_json(config: RunConfig, tfp: IndexSeries) -> str:
         for label, (lo, hi) in sorted(config.periods.items())
     }
     return json_text(
-        {"series": "tfp", "method": config.growth_method, "periods": rates}
+        {"series": "tfp", "method": config.growth_method, "periods": rates},
+        "growth_rates.json",
     )
 
 
@@ -215,8 +225,8 @@ def compute_artifacts(config: RunConfig,
                       inputs: LoadedInputs | None = None
                       ) -> tuple[dict[str, str], DiagnosticReport]:
     """Run the full pipeline in memory; nothing touches the disk here."""
-    from . import advantage, decomposition, diagnostics, markets, productivity
-    from .serialize import cai_csv, canonical, csv_text, index_csvs, json_text
+    from . import advantage, decomposition, diagnostics, productivity
+    from .serialize import cai_csv, canonical, index_csvs, json_text
 
     if inputs is None:
         inputs = load_inputs(config)
@@ -227,7 +237,8 @@ def compute_artifacts(config: RunConfig,
         inputs.panel, config.decomposition_base, config.decomposition_terminal,
         period_mode=config.period_mode,
     )
-    artifacts["decomposition.json"] = json_text(result.to_record())
+    artifacts["decomposition.json"] = json_text(result.to_record(),
+                                                "decomposition.json")
 
     # index series and period growth rates
     series = productivity.index_series(inputs.io_panel, config.tfp_base_year)
@@ -236,71 +247,94 @@ def compute_artifacts(config: RunConfig,
     artifacts["growth_rates.json"] = growth_rates_json(config, tfp)
     tfp_growth = productivity.avg_annual_growth(tfp, method=config.growth_method)
 
-    # market indicators
-    stats = []
-    for commodity in sorted(config.break_commodities):
-        if commodity not in inputs.prices:
-            raise SchemaError(f"break commodity {commodity!r} has no price series")
-        stats.append(markets.break_analysis(
-            inputs.prices[commodity], config.break_year, ddof=config.cv_ddof,
-        ))
-    artifacts["break_stats.json"] = json_text([s.to_record() for s in stats])
-    value_cost = markets.value_cost_ratio(inputs.output_value, inputs.input_cost)
-    artifacts["figure3.csv"] = csv_text(["year", "value"],
-                                        sorted(value_cost.items()))
-    for role, commodity in (("grain", config.grain_commodity),
-                            ("fertilizer", config.fertilizer_commodity)):
-        if commodity not in inputs.prices:
-            raise SchemaError(f"{role} commodity {commodity!r} has no price series")
-    grain_fert = markets.price_ratio(inputs.prices[config.grain_commodity],
-                                     inputs.prices[config.fertilizer_commodity])
-    artifacts["figure4.csv"] = csv_text(["year", "value"],
-                                        sorted(grain_fert.items()))
-
-    # crop shares at the comparison trienniums
-    share_rows = []
-    area_shares = {}
-    for te_year in (config.decomposition_base, config.decomposition_terminal):
-        area = area_shares[te_year] = markets.share_table(inputs.panel,
-                                                          te_year, "area")
-        value = markets.share_table(inputs.panel, te_year, "value")
-        share_rows.extend(
-            (te_year, crop, area[crop], value[crop]) for crop in sorted(area)
-        )
-    artifacts["shares.csv"] = csv_text(
-        ["te_year", "crop_id", "area_share_pct", "value_share_pct"], share_rows
-    )
-
-    # land-use ratios at the first and last resolvable trienniums
-    land_years = [r.year for r in inputs.land]
-    first_te, last_te = land_years[0] + 2, land_years[-1]
-    first = markets.land_use_ratios(inputs.land, first_te)
-    last = markets.land_use_ratios(inputs.land, last_te)
-    artifacts["land_ratios.json"] = json_text({
-        "first_te": first_te, "last_te": last_te,
-        "first": first, "last": last,
-        "al_ratio_change": last["al_ratio"] - first["al_ratio"],
-    })
+    # market indicators, crop shares and land-use ratios
+    market, readings = market_artifacts(
+        config, inputs.panel, inputs.prices, inputs.land,
+        inputs.output_value, inputs.input_cost)
+    artifacts.update(market)
 
     # comparative advantage
     cai_values = advantage.cai_table(inputs.region, inputs.nation)
     artifacts["cai.csv"] = cai_csv(cai_values)
 
     indicators = assemble_indicators(
-        config, tfp_growth=tfp_growth, break_stats=stats,
-        land_first=first, land_last=last, cai_values=cai_values,
-        terminal_area_shares=area_shares[config.decomposition_terminal],
-        value_cost=value_cost, grain_fert=grain_fert,
-    )
-    artifacts["indicators.json"] = json_text(indicators.to_dict())
+        config, tfp_growth=tfp_growth, cai_values=cai_values, **readings)
+    artifacts["indicators.json"] = json_text(indicators.to_dict(),
+                                             "indicators.json")
 
     # evaluate on the serialized (rounded) set so `diagnose` on the emitted
     # indicators.json reproduces diagnosis.json byte for byte
     tree = diagnostics.resolve_tree(config.tree, config.config_dir)
     rounded = diagnostics.IndicatorSet.from_dict(canonical(indicators.to_dict()))
     report = diagnostics.evaluate(tree, rounded)
-    artifacts["diagnosis.json"] = json_text(report.to_dict())
+    artifacts["diagnosis.json"] = json_text(report.to_dict(), "diagnosis.json")
     return artifacts, report
+
+
+def market_artifacts(config: RunConfig, panel: CropPanel, prices: dict,
+                     land: list, output_value: dict, input_cost: dict
+                     ) -> tuple[dict[str, str], dict]:
+    """The market artifacts (break stats, figure3/4, crop shares, land
+    ratios) from the crop panel, prices, land use and value/cost series,
+    plus the readings of them that ``assemble_indicators`` takes."""
+    from . import markets
+    from .serialize import csv_text, json_text
+
+    artifacts: dict[str, str] = {}
+    stats = []
+    for commodity in sorted(config.break_commodities):
+        if commodity not in prices:
+            raise SchemaError(f"break commodity {commodity!r} has no price series")
+        stats.append(markets.break_analysis(
+            prices[commodity], config.break_year, ddof=config.cv_ddof,
+        ))
+    artifacts["break_stats.json"] = json_text([s.to_record() for s in stats],
+                                              "break_stats.json")
+    value_cost = markets.value_cost_ratio(output_value, input_cost)
+    artifacts["figure3.csv"] = csv_text(["year", "value"],
+                                        sorted(value_cost.items()),
+                                        "figure3.csv")
+    for role, commodity in (("grain", config.grain_commodity),
+                            ("fertilizer", config.fertilizer_commodity)):
+        if commodity not in prices:
+            raise SchemaError(f"{role} commodity {commodity!r} has no price series")
+    grain_fert = markets.price_ratio(prices[config.grain_commodity],
+                                     prices[config.fertilizer_commodity])
+    artifacts["figure4.csv"] = csv_text(["year", "value"],
+                                        sorted(grain_fert.items()),
+                                        "figure4.csv")
+
+    # crop shares at the comparison trienniums
+    share_rows = []
+    area_shares = {}
+    for te_year in (config.decomposition_base, config.decomposition_terminal):
+        area = area_shares[te_year] = markets.share_table(panel, te_year,
+                                                          "area")
+        value = markets.share_table(panel, te_year, "value")
+        share_rows.extend(
+            (te_year, crop, area[crop], value[crop]) for crop in sorted(area)
+        )
+    artifacts["shares.csv"] = csv_text(
+        ["te_year", "crop_id", "area_share_pct", "value_share_pct"],
+        share_rows, "shares.csv",
+    )
+
+    # land-use ratios at the first and last resolvable trienniums
+    land_years = [r.year for r in land]
+    first_te, last_te = land_years[0] + 2, land_years[-1]
+    first = markets.land_use_ratios(land, first_te)
+    last = markets.land_use_ratios(land, last_te)
+    artifacts["land_ratios.json"] = json_text({
+        "first_te": first_te, "last_te": last_te,
+        "first": first, "last": last,
+        "al_ratio_change": last["al_ratio"] - first["al_ratio"],
+    }, "land_ratios.json")
+    readings = {
+        "break_stats": stats, "land_first": first, "land_last": last,
+        "terminal_area_shares": area_shares[config.decomposition_terminal],
+        "value_cost": value_cost, "grain_fert": grain_fert,
+    }
+    return artifacts, readings
 
 
 def assemble_indicators(config: RunConfig, *, tfp_growth: float,

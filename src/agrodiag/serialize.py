@@ -2,16 +2,19 @@
 
 Serialized artifacts round floats to 6 significant digits and order keys
 and rows, so two runs on identical inputs are byte-identical. Full
-precision is kept in memory; only the on-disk form is rounded.
+precision is kept in memory; only the on-disk form is rounded. No
+artifact holds a NaN or an infinity: ``json_text`` and ``csv_text`` raise
+``DomainError`` naming the artifact instead.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 SIG_DIGITS = 6
 
@@ -36,9 +39,36 @@ def canonical(obj: Any) -> Any:
     return obj
 
 
-def json_text(obj: Any) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+def _non_finite(obj: Any, path: str = "") -> tuple[str, float] | None:
+    """The key path and value of the first NaN or infinity in OBJ."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, key)
+        if found is not None:
+            return found
+    return None
+
+
+def json_text(obj: Any, name: str = "JSON text") -> str:
+    """OBJ as canonical JSON; a NaN or infinity raises DomainError naming
+    NAME (the artifact) and the key path, as JSON has no such numbers."""
+    data = canonical(obj)
+    try:
+        text = json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False,
+                          allow_nan=False)
+    except ValueError:
+        path, value = _non_finite(data)
+        raise DomainError(
+            f"{name}: non-finite number {value!r} at key '{path}'"
+        ) from None
+    return text + "\n"
 
 
 def format_cell(value: Any) -> str:
@@ -49,9 +79,20 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
-def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
+             name: str = "CSV text") -> str:
+    """A header line plus one line per row; a NaN or infinity raises
+    DomainError naming NAME (the artifact) and the column."""
+    header = list(header)
     lines = [",".join(header)]
-    lines.extend(",".join(format_cell(v) for v in row) for row in rows)
+    for row in rows:
+        cells = []
+        for column, value in enumerate(row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{name}: non-finite value {value!r} in "
+                                  f"column '{header[column]}'")
+            cells.append(format_cell(value))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -60,18 +101,20 @@ def index_csvs(series: Mapping[str, Any]) -> dict[str, str]:
     index series (see ``productivity.index_series``)."""
     output, input_, tfp = series["output"], series["input"], series["tfp"]
     return {
-        "tfp_index.csv": csv_text(["year", "value"], tfp.to_rows()),
+        "tfp_index.csv": csv_text(["year", "value"], tfp.to_rows(),
+                                  "tfp_index.csv"),
         "figure2.csv": csv_text(
             ["year", "output", "input", "tfp"],
             [(y, output.values[y], input_.values[y], tfp.values[y])
              for y in tfp.years],
+            "figure2.csv",
         ),
     }
 
 
 def cai_csv(cai_values: Mapping[str, float]) -> str:
     """``cai.csv``: one ``group_id,cai`` row per group."""
-    return csv_text(["group_id", "cai"], sorted(cai_values.items()))
+    return csv_text(["group_id", "cai"], sorted(cai_values.items()), "cai.csv")
 
 
 def read_json(path: Path, what: str):

@@ -64,6 +64,23 @@ def oracle_decompose(base: dict, term: dict) -> dict:
     }
 
 
+def oracle_triennium(by_year: dict, end_year: int) -> dict:
+    """Triennium average from ``{year: {crop: (area, production, price)}}``,
+    term by term: area and production over all three years, an absent year
+    counting as zero; price over the years the crop was observed."""
+    span = (end_year - 2, end_year - 1, end_year)
+    crops = sorted({c for y in span for c in by_year[y]})
+    zero = (0.0, 0.0, None)
+    out = {}
+    for crop in crops:
+        a, b, c = (by_year[y].get(crop, zero) for y in span)
+        prices = [v[2] for v in (a, b, c) if v[2] is not None]
+        out[crop] = ((a[0] + b[0] + c[0]) / 3.0,
+                     (a[1] + b[1] + c[1]) / 3.0,
+                     sum(prices) / len(prices))
+    return out
+
+
 # io years are dicts item_id -> (quantity, share)
 
 

@@ -155,6 +155,26 @@ class TestSubcommands:
         assert (out / "growth_rates.json").read_bytes() == \
             (report_dir / "growth_rates.json").read_bytes()
 
+    def test_markets_config_reads_only_its_inputs(self, run_dir, report_dir,
+                                                  tmp_path):
+        # a broken io panel breaks the full pipeline, but markets reads only
+        # the crop panel, prices, land use and value/cost series
+        config = absolute_config(run_dir)
+        config["inputs"]["io_panel"] = str(tmp_path / "io_panel.csv")
+        (tmp_path / "io_panel.csv").write_text("nonsense\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["report", "-c", str(path),
+                     "-o", str(tmp_path / "report_out")]) == 1
+        out = tmp_path / "markets_out"
+        assert main(["markets", "-c", str(path), "-o", str(out)]) == 0
+        names = ["break_stats.json", "figure3.csv", "figure4.csv",
+                 "land_ratios.json", "shares.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == \
+                (report_dir / name).read_bytes()
+
     def test_diagnose_prints_verdict(self, run_dir, report_dir, capsys):
         rc = main(["diagnose", "--tree", "builtin",
                    "--indicators", str(report_dir / "indicators.json")])
@@ -222,6 +242,36 @@ class TestFailureModes:
                    "-o", str(tmp_path / "o")])
         assert rc == 1
         assert "'output_value', row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, artifact, where", [
+        ("report", "decomposition.json", "at key 'area_effect'"),
+        ("decompose", "decomposition.json", "at key 'area_effect'"),
+        ("markets", "shares.csv", "in column 'value_share_pct'"),
+    ])
+    def test_overflow_to_non_finite_exits_1_writing_nothing(
+            self, tmp_path, capsys, command, artifact, where):
+        # finite inputs whose sums overflow to inf, and so to NaN
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        crops = inputs / "crops.csv"
+        lines = crops.read_text().splitlines()
+        for i, line in enumerate(lines):
+            crop, year, area, production, price = line.split(",")
+            if (crop, year) == ("paddy", "2000"):
+                price = "1.7e308"
+            elif (crop, year) == ("wheat", "2000"):
+                area = "1.7e308"
+            lines[i] = ",".join((crop, year, area, production, price))
+        crops.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        rc = main([command, "-c", str(inputs / "config.json"),
+                   "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {artifact}: non-finite")
+        assert where in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("tree", [
         '{"manifest": {}, "roots": ["a"], "nodes": {"a": 5}}',

@@ -1,4 +1,6 @@
 import io
+import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from agrodiag.ingest import (
     write_crop_panel,
 )
 from agrodiag.panel import CropObservation, CropPanel
+
+from helpers import oracle_triennium
 
 TWO_CROP_FILE = """crop_id,year,area_ha,production_t,price_per_t
 paddy,2005,100,250,500
@@ -116,6 +120,33 @@ class TestLoadCropPanel:
         again = load_text(panel_text(panel))
         assert panel == again
 
+    def test_signed_zero_and_subnormals_round_trip(self):
+        text = ("crop_id,year,area_ha,production_t,price_per_t\n"
+                "paddy,2000,-0.0,5e-324,2.2250738585072014e-308\n"
+                "wheat,2000,1e-310,0.0,1.7976931348623157e+308\n")
+        panel = load_text(text)
+        paddy = panel.get("paddy", 2000)
+        assert math.copysign(1.0, paddy.area) == -1.0
+        assert paddy.production.hex() == (5e-324).hex()
+        assert panel.get("wheat", 2000).area.hex() == (1e-310).hex()
+        assert panel_text(panel) == text
+
+    def test_memory_per_row(self):
+        # 1,000 crops x 20 years; the panel keeps ids and three columns of
+        # doubles, not an object per row
+        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
+                       for y in range(2000, 2020) for c in range(1000))
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            panel = load_text(text)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 20_000
+        assert retained / len(panel) < 80
+
     @given(st.lists(
         st.tuples(
             st.sampled_from(["paddy", "wheat", "maize", "gram"]),
@@ -175,6 +206,27 @@ class TestTriennium:
         assert maize.area == pytest.approx(10.0)
         assert maize.production == pytest.approx(20.0)
         assert maize.price == 550.0
+
+    @given(st.dictionaries(
+        st.sampled_from(range(2003, 2008)),
+        st.dictionaries(st.sampled_from(["gram", "maize", "paddy", "wheat"]),
+                        st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6),
+                                  st.floats(1.0, 1e6)),
+                        min_size=1),
+        min_size=5,
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_memoised_and_equal_to_oracle(self, by_year):
+        panel = self.make_panel(by_year)
+        for end_year in (2005, 2007, 2005):
+            te = triennium_average(panel, end_year)
+            assert triennium_average(panel, end_year) is te
+            expected = oracle_triennium(by_year, end_year)
+            assert te.years == (end_year,)
+            assert te.crops == tuple(expected)
+            for crop, values in expected.items():
+                obs = te.get(crop, end_year)
+                assert (obs.area, obs.production, obs.price) == values
 
     def test_insufficient_years(self):
         panel = self.make_panel({2006: {"paddy": (1.0, 1.0, 1.0)}})

@@ -48,6 +48,12 @@ class TestCropObservation:
             obs.area = 2.0
 
 
+def bits(obs: CropObservation) -> tuple:
+    """An observation's key and the exact bits of its three values."""
+    return (obs.crop_id, obs.year, obs.area.hex(), obs.production.hex(),
+            obs.price.hex())
+
+
 CROPS = ["gram", "maize", "paddy", "wheat"]
 YEARS = range(2000, 2006)
 
@@ -109,7 +115,11 @@ class TestCropPanel:
                 [o for (_, y), o in model.items() if y == year]
             assert panel.has_year(year) == any(y == year for _, y in model)
             for crop in CROPS + ["absent"]:
-                assert panel.get(crop, year) is model.get((crop, year))
+                got, want = panel.get(crop, year), model.get((crop, year))
+                if want is None:
+                    assert got is None
+                else:
+                    assert bits(got) == bits(want)
         assert panel == CropPanel(observations)
         if observations:
             assert panel != CropPanel(shuffled[1:])
@@ -121,6 +131,16 @@ class TestCropPanel:
 
 
 class TestIOYear:
+    @pytest.mark.parametrize("obj, field", [
+        (IOItem("x", 1.0, 1.0), "quantity"),
+        (IOYear(2000, (IOItem("x", 1.0, 1.0),), (IOItem("l", 1.0, 1.0),)),
+         "year"),
+    ])
+    def test_slotted_and_frozen(self, obj, field):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, 2)
+
     def test_share_sum_enforced(self):
         with pytest.raises(NormalizationError):
             IOYear(2000, (IOItem("x", 1.0, 0.7),), (IOItem("l", 1.0, 1.0),))

@@ -105,6 +105,14 @@ class TestImportFootprint:
         assert (code, modules) == (0, layers(
             "pipeline", "ingest", "panel", "productivity", "serialize"))
 
+    def test_markets_config_loads_neither_productivity_nor_advantage(
+            self, fixture_dir, tmp_path):
+        code, modules = loaded_modules(
+            RUN_CLI, "markets", "-c", str(fixture_dir / "config.json"),
+            "-o", str(tmp_path))
+        assert (code, modules) == (0, layers(
+            "pipeline", "ingest", "panel", "markets", "serialize"))
+
     def test_import_package_loads_no_layer(self):
         script = ("import json, sys, agrodiag\n"
                   "print(json.dumps([0, [m for m in sys.modules\n"
