@@ -28,13 +28,13 @@ from .errors import (
     SchemaError,
 )
 from .panel import (
+    IO_SIDES,
     CropPanel,
     InputOutputPanel,
-    IOItem,
-    IOYear,
     LandUseRecord,
     PriceSeries,
     _Columns,
+    _IOColumns,
 )
 
 # Shares are accepted and renormalized inside this band, rejected outside it.
@@ -63,7 +63,11 @@ def _open_text(source, what: str):
 
 
 def _rows(stream, expected_header: list[str], what: str):
-    """Yield (line_number, row) pairs after validating header and widths."""
+    """Yield (line_number, row) pairs after validating header and widths.
+
+    A file with a header but no data row raises ``SchemaError`` naming the
+    input kind, and the file when the stream has a name.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -75,6 +79,7 @@ def _rows(stream, expected_header: list[str], what: str):
         raise SchemaError(
             f"{what}: bad header {header!r}, expected {expected_header!r}"
         )
+    empty = True
     for line, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -83,7 +88,12 @@ def _rows(stream, expected_header: list[str], what: str):
                 f"{what}: row {line} has {len(row)} columns, "
                 f"expected {len(expected_header)}"
             )
+        empty = False
         yield line, row
+    if empty:
+        name = getattr(stream, "name", None)
+        raise SchemaError(f"{what}{f' {name}' if name else ''}: header but "
+                          f"no data rows")
 
 
 def _cell(row: list[str], idx: int, col: str, line: int, what: str,
@@ -185,25 +195,31 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
         raise CoverageError(
             f"triennium ending {end_year} needs years {span}, missing {missing}"
         )
-    present: dict[str, list[tuple[float, float, float]]] = {}
-    for year in span:
-        ids, area, production, price = panel.columns(year)
-        for crop, values in zip(ids, zip(area, production, price)):
-            present.setdefault(crop, []).append(values)
+    years = [panel.columns(year) for year in span]
+    at = [0, 0, 0]  # per year, the position of the next crop not yet merged
     averaged = _Columns()
-    for crop in sorted(present):
-        found = present[crop]  # the years observed, in year order
-        averaged.add(crop, end_year,
-                     sum(v[0] for v in found) / 3.0,
-                     sum(v[1] for v in found) / 3.0,
-                     sum(v[2] for v in found) / len(found))
+    for crop in sorted(set().union(*(ids for ids, *_ in years))):
+        # each total is a left-to-right ``+`` chain from int 0 in year
+        # order, as ``sum()`` adds floats up to CPython 3.11
+        area = production = price = 0
+        observed = 0
+        for k, (ids, areas, productions, prices) in enumerate(years):
+            i = at[k]
+            if i < len(ids) and ids[i] == crop:
+                area += areas[i]
+                production += productions[i]
+                price += prices[i]
+                observed += 1
+                at[k] = i + 1
+        averaged.add(crop, end_year, area / 3.0, production / 3.0,
+                     price / observed)
     memo[end_year] = CropPanel(averaged)
     return memo[end_year]
 
 
-def _normalize_shares(items: dict[str, tuple[float, float]], year: int,
-                      kind: str) -> list[IOItem]:
-    total = sum(share for _, share in items.values())
+def _normalize_shares(ids, shares, year: int, kind: str) -> None:
+    """Rescale one year's ``kind`` shares, in place, to sum to 1."""
+    total = sum(shares)
     if abs(total - 1.0) <= 1e-9:
         factor = 1.0
     elif SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
@@ -213,8 +229,13 @@ def _normalize_shares(items: dict[str, tuple[float, float]], year: int,
             f"io panel: {kind} shares for {year} sum to {total!r}, outside "
             f"the renormalization band {SHARE_RENORM_BAND}"
         )
-    return [IOItem(item_id, qty, share / factor)
-            for item_id, (qty, share) in items.items()]
+    for i, item_id in enumerate(ids):
+        share = shares[i] = shares[i] / factor
+        if share > 1:
+            raise DomainError(
+                f"io panel: {kind} {item_id!r} in {year} has share {share!r} "
+                f"after renormalization; shares must lie in [0, 1]"
+            )
 
 
 def load_io_panel(source) -> InputOutputPanel:
@@ -225,23 +246,22 @@ def load_io_panel(source) -> InputOutputPanel:
     because they cannot enter a log-ratio later.
     """
     what = "io panel"
-    # per year and kind: item id -> (quantity, share), in file order
-    by_year: dict[int, dict[str, dict[str, tuple[float, float]]]] = {}
+    columns = _IOColumns()
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
                                         "share"], what):
             year = _cell(row, 0, "year", line, what, cast=int)
             kind = row[1].strip()
-            if kind not in ("output", "input"):
+            if kind not in IO_SIDES:
                 raise SchemaError(
                     f"{what}: kind must be 'output' or 'input', got {kind!r} "
                     f"in row {line}"
                 )
-            item_id = row[2].strip()
+            item_id = sys.intern(row[2].strip())
             if not item_id:
                 raise SchemaError(f"{what}: empty item_id in row {line}")
-            quantity = _cell(row, 3, "quantity", line, what)
-            share = _cell(row, 4, "share", line, what)
+            quantity = _amount(row, 3, "quantity", line, what)
+            share = _amount(row, 4, "share", line, what)
             if quantity <= 0 and share > 0:
                 warnings.warn(
                     f"{what}: non-positive quantity for {kind} {item_id!r} in "
@@ -249,18 +269,14 @@ def load_io_panel(source) -> InputOutputPanel:
                     f"log-ratio",
                     stacklevel=2,
                 )
-            items = by_year.setdefault(year, {"output": {}, "input": {}})[kind]
-            if item_id in items:
+            if not columns.add(year, kind, item_id, quantity, share):
                 raise DuplicateKeyError(
                     f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}"
                 )
-            items[item_id] = (quantity, share)
-    years = []
-    for year in sorted(by_year):
-        outputs = _normalize_shares(by_year[year]["output"], year, "output")
-        inputs = _normalize_shares(by_year[year]["input"], year, "input")
-        years.append(IOYear(year, tuple(outputs), tuple(inputs)))
-    return InputOutputPanel(years)
+    for year in sorted(columns.years):
+        for kind, (ids, _, shares) in columns.years[year].items():
+            _normalize_shares(ids, shares, year, kind)
+    return InputOutputPanel(columns)
 
 
 def load_price_table(source) -> dict[str, PriceSeries]:

@@ -4,12 +4,20 @@ All types here are immutable once constructed and therefore safe to share
 across threads. Validation happens at construction time; analysis code can
 assume the invariants hold.
 
-A ``CropPanel`` stores each year as crop ids plus three ``array('d')``
-columns (area, production, price), which hold doubles bit for bit. It also
-memoises the trienniums averaged from it (``ingest.triennium_average``).
-That memo is an idempotent cache on an immutable panel: it changes no
-result, and two threads that fill one entry at once store equal panels,
-so it needs no lock.
+Both panels are columnar, and both are filled through one private builder
+each (``_Columns``, ``_IOColumns``), so no per-row object is kept. Their
+``array('d')`` columns hold doubles bit for bit, and the row objects
+(``CropObservation``, ``IOItem``, ``IOYear``) are built on demand.
+
+* A ``CropPanel`` stores each year as ascending crop ids plus three columns
+  (area, production, price).
+* An ``InputOutputPanel`` stores each year and side (outputs, inputs) as
+  item ids in the order given plus two columns (quantity, share).
+
+A ``CropPanel`` also memoises the trienniums averaged from it
+(``ingest.triennium_average``). That memo is an idempotent cache on an
+immutable panel: it changes no result, and two threads that fill one entry
+at once store equal panels, so it needs no lock.
 """
 from __future__ import annotations
 
@@ -212,6 +220,9 @@ class CropPanel:
             )
 
 
+IO_SIDES = ("output", "input")
+
+
 @dataclass(frozen=True, slots=True)
 class IOItem:
     """One output or input in one year: quantity plus its value share."""
@@ -229,6 +240,14 @@ class IOItem:
             )
 
 
+def _check_share_sum(kind: str, year: int, shares) -> None:
+    total = sum(shares)
+    if abs(total - 1.0) > SHARE_SUM_TOL:
+        raise NormalizationError(
+            f"{kind} shares for {year} sum to {total!r}, not 1"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class IOYear:
     year: int
@@ -236,29 +255,83 @@ class IOYear:
     inputs: tuple[IOItem, ...]
 
     def __post_init__(self) -> None:
-        for kind, items in (("output", self.outputs), ("input", self.inputs)):
-            total = sum(it.share for it in items)
-            if abs(total - 1.0) > SHARE_SUM_TOL:
-                raise NormalizationError(
-                    f"{kind} shares for {self.year} sum to {total!r}, not 1"
-                )
+        for kind, items in zip(IO_SIDES, (self.outputs, self.inputs)):
+            _check_share_sum(kind, self.year, [it.share for it in items])
             ids = [it.item_id for it in items]
             if len(ids) != len(set(ids)):
                 raise DuplicateKeyError(f"duplicate {kind} item in {self.year}")
 
 
+class _IOColumns:
+    """Items gathered year by year and side by side, in arrival order: per
+    year and side (``IO_SIDES``), the item ids plus a quantity and a share
+    column.
+
+    Every ``InputOutputPanel`` is built from one of these, which it empties;
+    ``ingest.load_io_panel`` fills one straight from a file, so no per-row
+    object is built.
+    """
+
+    __slots__ = ("years",)
+
+    def __init__(self) -> None:
+        # year -> side -> (item ids as an insertion-ordered dict, quantity,
+        # share)
+        self.years: dict[int, dict[str, tuple[dict[str, None], array,
+                                              array]]] = {}
+
+    def add(self, year: int, side: str, item_id: str, quantity: float,
+            share: float) -> bool:
+        """Append one item; False, and nothing appended, if ``item_id`` is
+        already on that side of that year."""
+        sides = self.years.get(year)
+        if sides is None:
+            sides = self.years[year] = {
+                s: ({}, array("d"), array("d")) for s in IO_SIDES}
+        ids, quantities, shares = sides[side]
+        if item_id in ids:
+            return False
+        ids[item_id] = None
+        quantities.append(quantity)
+        shares.append(share)
+        return True
+
+
 class InputOutputPanel:
     """Per-year output quantities with revenue shares and input quantities
-    with cost shares. Substrate for the productivity index."""
+    with cost shares. Substrate for the productivity index.
+
+    Each year and side is stored as a tuple of item ids, in the order they
+    were given, plus quantity and share columns of doubles; ``year``,
+    ``outputs`` and ``inputs`` build ``IOYear`` and ``IOItem`` objects on
+    demand. Every side's shares sum to 1 within ``SHARE_SUM_TOL``.
+    """
 
     def __init__(self, years) -> None:
-        by_year: dict[int, IOYear] = {}
-        for ioy in years:
-            if ioy.year in by_year:
-                raise DuplicateKeyError(f"duplicate year {ioy.year} in panel")
-            by_year[ioy.year] = ioy
-        self._by_year = by_year
-        self._years = tuple(sorted(by_year))
+        if isinstance(years, _IOColumns):
+            columns = years
+        else:
+            columns = _IOColumns()
+            for ioy in years:
+                if ioy.year in columns.years:
+                    raise DuplicateKeyError(
+                        f"duplicate year {ioy.year} in panel")
+                # an IOYear has checked that its ids are unique
+                for side, items in zip(IO_SIDES, (ioy.outputs, ioy.inputs)):
+                    for it in items:
+                        columns.add(ioy.year, side, it.item_id, it.quantity,
+                                    it.share)
+        self._by_year: dict[int, dict[str, tuple[tuple[str, ...], array,
+                                                 array]]] = {}
+        for year in sorted(columns.years):
+            sides = columns.years.pop(year)
+            for side, (_, _, shares) in sides.items():
+                _check_share_sum(side, year, shares)
+            self._by_year[year] = {
+                side: (tuple(ids), quantities, shares)
+                for side, (ids, quantities, shares) in sides.items()
+            }
+        self._years = tuple(self._by_year)
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -269,19 +342,27 @@ class InputOutputPanel:
             return NotImplemented
         return self._by_year == other._by_year
 
-    def year(self, year: int) -> IOYear:
-        try:
-            return self._by_year[year]
-        except KeyError:
+    def columns(self, year: int, side: str):
+        """One year's outputs or inputs (``side`` is ``"output"`` or
+        ``"input"``) as ``(item_ids, quantity, share)``: ids in the order
+        given, each value column a read-only view of doubles in the same
+        order."""
+        sides = self._by_year.get(year)
+        if sides is None:
             raise CoverageError(
                 f"year {year} not covered by panel (have {self._years})"
-            ) from None
+            )
+        ids, *values = sides[side]
+        return (ids, *(memoryview(column).toreadonly() for column in values))
+
+    def year(self, year: int) -> IOYear:
+        return IOYear(year, self.outputs(year), self.inputs(year))
 
     def outputs(self, year: int) -> tuple[IOItem, ...]:
-        return self.year(year).outputs
+        return tuple(map(IOItem, *self.columns(year, "output")))
 
     def inputs(self, year: int) -> tuple[IOItem, ...]:
-        return self.year(year).inputs
+        return tuple(map(IOItem, *self.columns(year, "input")))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     LogDomainError,
 )
-from .panel import InputOutputPanel, IOItem
+from .panel import InputOutputPanel
 
 INDEX_KINDS = ("output", "input", "tfp")
 GROWTH_METHODS = ("loglinear", "cagr")
@@ -74,39 +74,43 @@ class IndexSeries:
 
 
 def _paired_items(
-    old: tuple[IOItem, ...], new: tuple[IOItem, ...], kind: str,
-    from_year: int, to_year: int,
+    old, new, kind: str, from_year: int, to_year: int,
 ) -> list[tuple[str, float, float, float]]:
-    """Match items across two years -> (id, mean share, old qty, new qty)."""
-    old_map = {it.item_id: it for it in old}
-    new_map = {it.item_id: it for it in new}
+    """Match items across two years' ``(item_ids, quantity, share)``
+    columns -> (id, mean share, old qty, new qty), by item id."""
+    # read each column into a list once, so no access boxes a new float
+    old_ids, old_quantity, old_share = old[0], old[1].tolist(), old[2].tolist()
+    new_ids, new_quantity, new_share = new[0], new[1].tolist(), new[2].tolist()
+    old_at = dict(zip(old_ids, range(len(old_ids))))
+    new_at = dict(zip(new_ids, range(len(new_ids))))
     rows = []
-    for item_id in sorted(set(old_map) | set(new_map)):
-        a, b = old_map.get(item_id), new_map.get(item_id)
-        if a is None or b is None:
-            present = a or b
-            if present.share > 0:
+    for item_id in sorted(old_at.keys() | new_at.keys()):
+        i, j = old_at.get(item_id), new_at.get(item_id)
+        if i is None or j is None:
+            present_share = new_share[j] if i is None else old_share[i]
+            if present_share > 0:
                 raise CompositionChangeError(
-                    f"{kind} {item_id!r} carries share {present.share!r} but "
+                    f"{kind} {item_id!r} carries share {present_share!r} but "
                     f"exists in only one of years {from_year} and {to_year}"
                 )
             continue
-        share = 0.5 * (a.share + b.share)
+        share = 0.5 * (old_share[i] + new_share[j])
         if share == 0.0:
             continue
-        if a.quantity <= 0 or b.quantity <= 0:
+        q0, q1 = old_quantity[i], new_quantity[j]
+        if q0 <= 0 or q1 <= 0:
             raise LogDomainError(
                 f"{kind} {item_id!r} has non-positive quantity in "
                 f"{from_year}->{to_year} but share {share!r}"
             )
-        rows.append((item_id, share, a.quantity, b.quantity))
+        rows.append((item_id, share, q0, q1))
     return rows
 
 
 def _weighted_log_change(panel: InputOutputPanel, from_year: int,
                          to_year: int, side: str) -> float:
-    old = getattr(panel.year(from_year), side + "s")
-    new = getattr(panel.year(to_year), side + "s")
+    old = panel.columns(from_year, side)
+    new = panel.columns(to_year, side)
     return sum(
         share * math.log(q1 / q0)
         for _, share, q0, q1 in _paired_items(old, new, side, from_year, to_year)

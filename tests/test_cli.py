@@ -273,6 +273,29 @@ class TestFailureModes:
         assert where in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    @pytest.mark.parametrize("name", [
+        "crops.csv", "io_panel.csv", "prices.csv", "land_use.csv",
+        "value_cost.csv", "area_region.csv", "area_nation.csv",
+    ])
+    def test_header_only_input_exits_1_naming_it(self, tmp_path, capsys,
+                                                 command, name):
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        bad = inputs / name
+        bad.write_text(bad.read_text().splitlines()[0] + "\n\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        rc = main([command, "-c", str(inputs / "config.json"),
+                   "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert f"{bad}: header but no data rows" in captured.err
+        assert "Traceback" not in captured.err
+        assert "all inputs valid" not in captured.out
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("tree", [
         '{"manifest": {}, "roots": ["a"], "nodes": {"a": 5}}',
         '{"manifest": {}, "roots": ["a"], "nodes": ["a"]}',

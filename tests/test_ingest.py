@@ -22,9 +22,16 @@ from agrodiag.ingest import (
     triennium_average,
     write_crop_panel,
 )
-from agrodiag.panel import CropObservation, CropPanel
+from agrodiag.panel import (
+    CropObservation,
+    CropPanel,
+    InputOutputPanel,
+    IOItem,
+    IOYear,
+)
+from agrodiag.productivity import index_series, tornqvist_log_growth
 
-from helpers import oracle_triennium
+from helpers import oracle_tornqvist, oracle_triennium
 
 TWO_CROP_FILE = """crop_id,year,area_ha,production_t,price_per_t
 paddy,2005,100,250,500
@@ -228,6 +235,26 @@ class TestTriennium:
                 obs = te.get(crop, end_year)
                 assert (obs.area, obs.production, obs.price) == values
 
+    @pytest.mark.parametrize("by_year", [
+        # maize grown in the middle year only
+        {2004: {"wheat": (5.0, 7.0, 700.0)},
+         2005: {"maize": (0.1, 0.7, 550.3), "wheat": (6.0, 8.0, 710.0)},
+         2006: {"wheat": (7.0, 9.0, 720.0)}},
+        # a signed-zero area, in a crop grown every year and in one grown
+        # in the last year only
+        {2004: {"paddy": (-0.0, 1.0, 2.0)},
+         2005: {"paddy": (0.3, 1.1, 2.2)},
+         2006: {"gram": (-0.0, 0.0, 9.0), "paddy": (0.7, 1.3, 2.3)}},
+    ])
+    def test_sparse_and_signed_zero_bits_equal_oracle(self, by_year):
+        te = triennium_average(self.make_panel(by_year), 2006)
+        expected = oracle_triennium(by_year, 2006)
+        assert te.crops == tuple(expected)
+        for crop, values in expected.items():
+            obs = te.get(crop, 2006)
+            assert [v.hex() for v in (obs.area, obs.production, obs.price)] \
+                == [v.hex() for v in values]
+
     def test_insufficient_years(self):
         panel = self.make_panel({2006: {"paddy": (1.0, 1.0, 1.0)}})
         with pytest.raises(CoverageError):
@@ -277,6 +304,98 @@ class TestLoadIOPanel:
                            match=f"duplicate output 'grain' for 2000 in row "
                                  f"{len(lines)}$"):
             load_io_panel(io.StringIO(text))
+
+    @pytest.mark.parametrize("row, column", [
+        ("2000,input,labour,inf,1.0", "quantity"),
+        ("2000,input,labour,nan,1.0", "quantity"),
+        ("2000,input,labour,-1,1.0", "quantity"),
+        ("2000,input,labour,10,nan", "share"),
+    ])
+    def test_bad_amount_names_row_and_column(self, row, column):
+        text = IO_FILE.replace("2000,input,labour,10,1.0", row)
+        value = row.split(",")[3 if column == "quantity" else 4]
+        with pytest.raises(DomainError,
+                           match=f"^io panel: value {float(value)!r} in "
+                                 f"column '{column}', row 4 must be finite "
+                                 f"and >= 0$"):
+            load_io_panel(io.StringIO(text))
+
+    def test_share_above_one_after_renormalization_names_item_and_year(self):
+        # inside the 1e-9 tolerance the shares are kept as they are, so a
+        # lone share may exceed 1 by less than that
+        text = IO_FILE.replace("2000,input,labour,10,1.0",
+                               "2000,input,labour,10,1.0000000005")
+        with pytest.raises(DomainError,
+                           match=r"^io panel: input 'labour' in 2000 has share "
+                                 r"1\.0000000005 after renormalization"):
+            load_io_panel(io.StringIO(text))
+
+    def test_memory_per_row(self):
+        # 100 items a side x 20 years; the panel keeps ids and two columns
+        # of doubles, not an object per row
+        rows = "".join(f"{y},{kind},{kind}{i:03d},{i + y * 0.5},0.01\n"
+                       for y in range(2000, 2020)
+                       for kind in ("output", "input") for i in range(100))
+        text = "year,kind,item_id,quantity,share\n" + rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            panel = load_io_panel(io.StringIO(text))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(panel.years) == 20
+        assert len(panel.inputs(2019)) == 100
+        assert retained / 4000 < 80
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_loaded_equals_built_and_index_matches_oracle(self, data):
+        n_years = data.draw(st.integers(min_value=2, max_value=4))
+        years = range(2000, 2000 + n_years)
+        names = {kind: data.draw(st.lists(
+            st.sampled_from(["grain", "veg", "milk", "labour", "seed"]),
+            min_size=1, max_size=4, unique=True)) for kind in ("output", "input")}
+        quantity = st.floats(1e-3, 1e6)
+        rows = []
+        for year in years:
+            for kind, ids in names.items():
+                weights = [data.draw(st.floats(0.01, 1.0)) for _ in ids]
+                total = sum(weights)
+                rows += [(year, kind, i, data.draw(quantity), w / total)
+                         for i, w in zip(ids, weights)]
+        rows = data.draw(st.permutations(rows))
+        text = "year,kind,item_id,quantity,share\n" + "".join(
+            f"{y},{k},{i},{q!r},{s!r}\n" for y, k, i, q, s in rows)
+        # IOYears holding each side's items in file order
+        built = InputOutputPanel(
+            IOYear(year, *(tuple(IOItem(i, q, s) for y, k, i, q, s in rows
+                                 if (y, k) == (year, kind))
+                           for kind in ("output", "input")))
+            for year in years
+        )
+        loaded = load_io_panel(io.StringIO(text))
+        assert loaded == built
+        for year in years:
+            assert loaded.year(year) == built.year(year)
+        got, want = index_series(loaded), index_series(built)
+        for kind in got:
+            assert [v.hex() for v in got[kind].values.values()] == \
+                [v.hex() for v in want[kind].values.values()]
+        items = {}
+        for y, k, i, q, s in rows:
+            items.setdefault((y, k), {})[i] = (q, s)
+        level = 0.0
+        for year in years[1:]:
+            step = oracle_tornqvist(items[year - 1, "output"],
+                                    items[year, "output"],
+                                    items[year - 1, "input"],
+                                    items[year, "input"])
+            assert tornqvist_log_growth(loaded, year - 1, year).hex() == \
+                step.hex()
+            level += step
+            assert got["tfp"].values[year].hex() == \
+                (100.0 * math.exp(level)).hex()
 
 
 PRICE_FILE = """commodity_id,year,price_per_t

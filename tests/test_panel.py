@@ -12,11 +12,13 @@ from agrodiag.errors import (
     DomainError,
     DuplicateKeyError,
     NormalizationError,
+    SchemaError,
 )
 from agrodiag.ingest import load_crop_panel, write_crop_panel
 from agrodiag.panel import (
     CropObservation,
     CropPanel,
+    InputOutputPanel,
     IOItem,
     IOYear,
     LandUseRecord,
@@ -127,7 +129,12 @@ class TestCropPanel:
         text = io.StringIO()
         write_crop_panel(panel, text)
         text.seek(0)
-        assert load_crop_panel(text) == panel
+        if observations:
+            assert load_crop_panel(text) == panel
+        else:
+            # an empty panel writes a header-only file, which loads as none
+            with pytest.raises(SchemaError, match="header but no data rows"):
+                load_crop_panel(text)
 
 
 class TestIOYear:
@@ -149,6 +156,41 @@ class TestIOYear:
         year = IOYear(2000, (IOItem("x", 1.0, 0.6), IOItem("y", 1.0, 0.4)),
                       (IOItem("l", 1.0, 1.0),))
         assert [it.share for it in year.outputs] == [0.6, 0.4]
+
+
+class TestInputOutputPanel:
+    YEARS = (
+        IOYear(2001, (IOItem("y", 2, 0.5), IOItem("x", 1.0, 0.5)),
+               (IOItem("l", 3.0, 1.0),)),
+        IOYear(2000, (IOItem("x", 1.0, 1.0),), (IOItem("l", 3.0, 1.0),)),
+    )
+
+    def test_years_built_on_demand_equal_the_given_ones(self):
+        panel = InputOutputPanel(self.YEARS)
+        assert panel.years == (2000, 2001)
+        assert [panel.year(y.year) for y in self.YEARS] == list(self.YEARS)
+        assert [it.item_id for it in panel.outputs(2001)] == ["y", "x"]
+        assert panel.inputs(2000) == (IOItem("l", 3.0, 1.0),)
+        assert panel == InputOutputPanel(reversed(self.YEARS))
+        assert panel != InputOutputPanel(self.YEARS[1:])
+
+    def test_columns_are_read_only_views_in_given_order(self):
+        ids, quantity, share = InputOutputPanel(self.YEARS).columns(2001,
+                                                                    "output")
+        assert (ids, list(quantity), list(share)) == \
+            (("y", "x"), [2.0, 1.0], [0.5, 0.5])
+        with pytest.raises(TypeError):
+            quantity[0] = 5.0
+
+    def test_duplicate_and_uncovered_years(self):
+        with pytest.raises(DuplicateKeyError,
+                           match="^duplicate year 2000 in panel$"):
+            InputOutputPanel(self.YEARS + self.YEARS[1:])
+        panel = InputOutputPanel(self.YEARS)
+        for call in (panel.year, panel.outputs, panel.inputs):
+            with pytest.raises(CoverageError, match=r"^year 1999 not covered "
+                               r"by panel \(have \(2000, 2001\)\)$"):
+                call(1999)
 
 
 class TestPriceSeries:
