@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     UndefinedIndexError,
 )
-from .ingest import load_crop_panel
+from .ingest import _label, _named, load_crop_panel
 from .panel import CropPanel
 
 
@@ -32,6 +32,8 @@ class AreaShareTable:
     scope: str
     year: int
     entries: dict[str, float] = field(compare=True)
+    # the sum of ``entries``, taken once so each share is one division
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scope not in ("region", "nation"):
@@ -46,12 +48,9 @@ class AreaShareTable:
                 )
             clean[group] = area
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "total", sum(clean.values()))
         if self.total <= 0:
             raise DomainError(f"{self.scope} table for {self.year} has no area")
-
-    @property
-    def total(self) -> float:
-        return sum(self.entries.values())
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -96,10 +95,15 @@ def area_share_table_from_panel(panel: CropPanel, year: int,
 
 
 def load_area_share_table(source, scope: str) -> AreaShareTable:
-    """Load a table from a crop-panel file restricted to a single year."""
-    panel = load_crop_panel(source)
+    """Load a table from a crop-panel file restricted to a single year.
+
+    Errors name the table (``region area-share table`` or ``nation
+    area-share table``) and its file."""
+    what = _label(source, f"{scope} area-share table")
+    panel = load_crop_panel(source, what=what)
     if len(panel.years) != 1:
         raise DuplicateKeyError(
-            f"area-share table must cover exactly one year, got {panel.years}"
+            f"{what}: must cover exactly one year, got {panel.years}"
         )
-    return area_share_table_from_panel(panel, panel.years[0], scope)
+    with _named(what):
+        return area_share_table_from_panel(panel, panel.years[0], scope)

@@ -88,7 +88,8 @@ def gross_revenue(panel: CropPanel, year: int) -> float:
 
 
 def _period_values(panel: CropPanel, year: int, mode: str):
-    """Resolve one comparison period to (label, {crop: (area, prod, price)})."""
+    """Resolve one comparison period to ``(label, (crops, area, production,
+    price))``, the crops ascending."""
     if mode == "triennium":
         period = triennium_average(panel, year)
         label = f"TE {year}"
@@ -99,8 +100,33 @@ def _period_values(panel: CropPanel, year: int, mode: str):
         label = str(year)
     else:
         raise ValueError(f"unknown period_mode {mode!r}")
-    crops, area, production, price = period.columns(year)
-    return label, dict(zip(crops, zip(area, production, price)))
+    return label, period.columns(year)
+
+
+def _merged(base, term):
+    """Walk two periods' ascending columns by position: one ``(crop, a0, q0,
+    p0, a1, q1, p1)`` per crop of either period, crops ascending, with
+    zeros for the period a crop is absent from."""
+    base_crops, area0, production0, price0 = base
+    term_crops, area1, production1, price1 = term
+    n0, n1 = len(base_crops), len(term_crops)
+    i = j = 0
+    while i < n0 or j < n1:
+        if j == n1 or (i < n0 and base_crops[i] <= term_crops[j]):
+            crop = base_crops[i]
+        else:
+            crop = term_crops[j]
+        if i < n0 and base_crops[i] == crop:
+            a0, q0, p0 = area0[i], production0[i], price0[i]
+            i += 1
+        else:
+            a0 = q0 = p0 = 0.0
+        if j < n1 and term_crops[j] == crop:
+            a1, q1, p1 = area1[j], production1[j], price1[j]
+            j += 1
+        else:
+            a1 = q1 = p1 = 0.0
+        yield crop, a0, q0, p0, a1, q1, p1
 
 
 def _yield_of(crop: str, area: float, production: float, label: str) -> float:
@@ -134,11 +160,8 @@ def decompose(
     base_label, base = _period_values(panel, base_year, period_mode)
     term_label, term = _period_values(panel, terminal_year, period_mode)
 
-    crops = sorted(set(base) | set(term))
-    zero = (0.0, 0.0, 0.0)
-
-    area_base = sum(base[c][0] for c in base)
-    area_term = sum(term[c][0] for c in term)
+    area_base = sum(base[1])
+    area_term = sum(term[1])
     if area_base <= 0:
         raise DomainError(f"total cropped area in base period {base_label} "
                           "is not positive")
@@ -152,9 +175,7 @@ def decompose(
     price_sum = 0.0           # sum_i a_i Y_i dP_i
     yield_sum = 0.0           # sum_i a_i P_i dY_i
     shares_sum = 0.0          # sum_i Y_i P_i da_i
-    for crop in crops:
-        a0, q0, p0 = base.get(crop, zero)
-        a1, q1, p1 = term.get(crop, zero)
+    for crop, a0, q0, p0, a1, q1, p1 in _merged(base, term):
         y0 = _yield_of(crop, a0, q0, base_label)
         y1 = _yield_of(crop, a1, q1, term_label)
         s0 = a0 / area_base

@@ -8,8 +8,10 @@ File schemas (delimited text, UTF-8, ``.`` decimal separator, header row):
 * land use:     ``year,agricultural_land,non_agricultural_land,total_reported``
 * value/cost:   ``year,output_value,input_cost``
 
-Loading is single-threaded per source; every returned object is immutable
-and safe to share across concurrent readers.
+Every load error names the input kind the caller loads and, when the
+source has one, the file (``crop panel data/crops.csv: ...``). Loading is
+single-threaded per source; every returned object is immutable and safe to
+share across concurrent readers.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from typing import Mapping
 
 from .errors import (
     CoverageError,
+    DataInconsistencyError,
     DomainError,
     DuplicateKeyError,
     NormalizationError,
@@ -42,6 +45,24 @@ from .panel import (
 SHARE_RENORM_BAND = (0.999, 1.001)
 
 
+def _label(source, kind: str) -> str:
+    """KIND, followed by the file SOURCE names: a path, or the name of a
+    file-like object that has one. Every load error starts with it."""
+    name = getattr(source, "name", None) if hasattr(source, "read") else source
+    return f"{kind} {name}" if name else kind
+
+
+@contextmanager
+def _named(what: str):
+    """Start the message of a value error raised inside with WHAT, as the
+    loaders' own messages start: for the checks of the records and tables
+    a loader builds, which do not know their file."""
+    try:
+        yield
+    except (DomainError, DataInconsistencyError) as exc:
+        raise type(exc)(f"{what}: {exc}") from None
+
+
 @contextmanager
 def _open_text(source, what: str):
     """Yield a text stream for a path or pass a file-like object through.
@@ -57,16 +78,13 @@ def _open_text(source, what: str):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise SchemaError(
-            f"{what} {source}: not UTF-8 text ({exc.reason})"
-        ) from None
+        raise SchemaError(f"{what}: not UTF-8 text ({exc.reason})") from None
 
 
 def _rows(stream, expected_header: list[str], what: str):
     """Yield (line_number, row) pairs after validating header and widths.
 
-    A file with a header but no data row raises ``SchemaError`` naming the
-    input kind, and the file when the stream has a name.
+    A file with a header but no data row raises ``SchemaError``.
     """
     reader = csv.reader(stream)
     try:
@@ -91,9 +109,7 @@ def _rows(stream, expected_header: list[str], what: str):
         empty = False
         yield line, row
     if empty:
-        name = getattr(stream, "name", None)
-        raise SchemaError(f"{what}{f' {name}' if name else ''}: header but "
-                          f"no data rows")
+        raise SchemaError(f"{what}: header but no data rows")
 
 
 def _cell(row: list[str], idx: int, col: str, line: int, what: str,
@@ -121,14 +137,18 @@ def _amount(row: list[str], idx: int, col: str, line: int, what: str) -> float:
     return value
 
 
-def load_crop_panel(source, deflator: Mapping[int, float] | None = None) -> CropPanel:
+def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
+                    what: str | None = None) -> CropPanel:
     """Load a crop panel file; optionally deflate prices to real terms.
 
     ``deflator`` maps year to an index (base 100); each price is divided by
     ``deflator[year] / 100``. The deflator must cover every year present.
     No deflator is ever invented: nominal prices pass through unchanged.
+    Errors start with ``what``, by default ``crop panel`` and the file; a
+    caller loading another input in this schema names it there.
     """
-    what = "crop panel"
+    if what is None:
+        what = _label(source, "crop panel")
     columns = _Columns()
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["crop_id", "year", "area_ha",
@@ -217,7 +237,7 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
     return memo[end_year]
 
 
-def _normalize_shares(ids, shares, year: int, kind: str) -> None:
+def _normalize_shares(ids, shares, year: int, kind: str, what: str) -> None:
     """Rescale one year's ``kind`` shares, in place, to sum to 1."""
     total = sum(shares)
     if abs(total - 1.0) <= 1e-9:
@@ -226,14 +246,14 @@ def _normalize_shares(ids, shares, year: int, kind: str) -> None:
         factor = total
     else:
         raise NormalizationError(
-            f"io panel: {kind} shares for {year} sum to {total!r}, outside "
+            f"{what}: {kind} shares for {year} sum to {total!r}, outside "
             f"the renormalization band {SHARE_RENORM_BAND}"
         )
     for i, item_id in enumerate(ids):
         share = shares[i] = shares[i] / factor
         if share > 1:
             raise DomainError(
-                f"io panel: {kind} {item_id!r} in {year} has share {share!r} "
+                f"{what}: {kind} {item_id!r} in {year} has share {share!r} "
                 f"after renormalization; shares must lie in [0, 1]"
             )
 
@@ -245,7 +265,7 @@ def load_io_panel(source) -> InputOutputPanel:
     outside it are rejected. Zero quantities are tolerated here but flagged,
     because they cannot enter a log-ratio later.
     """
-    what = "io panel"
+    what = _label(source, "io panel")
     columns = _IOColumns()
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
@@ -275,13 +295,13 @@ def load_io_panel(source) -> InputOutputPanel:
                 )
     for year in sorted(columns.years):
         for kind, (ids, _, shares) in columns.years[year].items():
-            _normalize_shares(ids, shares, year, kind)
+            _normalize_shares(ids, shares, year, kind, what)
     return InputOutputPanel(columns)
 
 
 def load_price_table(source) -> dict[str, PriceSeries]:
     """Load every commodity in a price-series file, keyed by commodity id."""
-    what = "price series"
+    what = _label(source, "price series")
     values: dict[str, dict[int, float]] = {}
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["commodity_id", "year", "price_per_t"],
@@ -297,12 +317,13 @@ def load_price_table(source) -> dict[str, PriceSeries]:
                     f"{what}: duplicate ({commodity}, {year}) in row {line}"
                 )
             series[year] = price
-    return {c: PriceSeries(c, v) for c, v in sorted(values.items())}
+    with _named(what):
+        return {c: PriceSeries(c, v) for c, v in sorted(values.items())}
 
 
 def load_land_use(source) -> list[LandUseRecord]:
     """Load land-use records, sorted by year."""
-    what = "land use"
+    what = _label(source, "land use")
     records: dict[int, LandUseRecord] = {}
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "agricultural_land",
@@ -311,18 +332,19 @@ def load_land_use(source) -> list[LandUseRecord]:
             year = _cell(row, 0, "year", line, what, cast=int)
             if year in records:
                 raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
-            records[year] = LandUseRecord(
-                year,
-                _cell(row, 1, "agricultural_land", line, what),
-                _cell(row, 2, "non_agricultural_land", line, what),
-                _cell(row, 3, "total_reported", line, what),
-            )
+            agricultural = _cell(row, 1, "agricultural_land", line, what)
+            non_agricultural = _cell(row, 2, "non_agricultural_land", line,
+                                     what)
+            total = _cell(row, 3, "total_reported", line, what)
+            with _named(what):
+                records[year] = LandUseRecord(year, agricultural,
+                                              non_agricultural, total)
     return [records[y] for y in sorted(records)]
 
 
 def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:
     """Load per-year aggregate output value and input cost (currency)."""
-    what = "value/cost series"
+    what = _label(source, "value/cost series")
     value: dict[int, float] = {}
     cost: dict[int, float] = {}
     with _open_text(source, what) as stream:

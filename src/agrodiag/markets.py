@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import CoverageError, DomainError
@@ -128,14 +129,14 @@ def share_table(panel: CropPanel, te_year: int,
         raise ValueError(f"dimension must be 'area' or 'value', got {dimension!r}")
     crops, area, production, price = triennium_average(
         panel, te_year).columns(te_year)
-    if dimension == "area":
-        weights = list(area)
-    else:
-        weights = [q * p for q, p in zip(production, price)]
-    total = sum(weights)
+
+    def weights():  # read twice rather than held in a list
+        return area if dimension == "area" else map(mul, production, price)
+
+    total = sum(weights())
     if total <= 0:
         raise DomainError(f"total {dimension} in TE {te_year} is not positive")
-    return {crop: w / total * 100.0 for crop, w in zip(crops, weights)}
+    return {crop: w / total * 100.0 for crop, w in zip(crops, weights())}
 
 
 def land_use_ratios(records: Sequence[LandUseRecord],

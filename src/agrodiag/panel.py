@@ -10,7 +10,9 @@ each (``_Columns``, ``_IOColumns``), so no per-row object is kept. Their
 (``CropObservation``, ``IOItem``, ``IOYear``) are built on demand.
 
 * A ``CropPanel`` stores each year as ascending crop ids plus three columns
-  (area, production, price).
+  (area, production, price). Its builder gathers each year's ids in a list
+  and finds duplicates through one ``{crop id: bit mask of its years}``
+  dict, not a set or dict of ids per year.
 * An ``InputOutputPanel`` stores each year and side (outputs, inputs) as
   item ids in the order given plus two columns (quantity, share).
 
@@ -77,15 +79,17 @@ class _Columns:
 
     Every ``CropPanel`` is indexed from one of these, which it empties;
     ``ingest.load_crop_panel`` fills one straight from a file, so no
-    per-row object is built.
+    per-row object is built. Duplicates are found through one dict for all
+    years, ``seen``: each year owns one bit, given when its columns are
+    created, and a crop id maps to the bits of the years it is in.
     """
 
-    __slots__ = ("years",)
+    __slots__ = ("years", "seen")
 
     def __init__(self) -> None:
-        # year -> (crop ids as an insertion-ordered dict, area, production,
-        # price)
-        self.years: dict[int, tuple[dict[str, None], array, array, array]] = {}
+        # year -> (its bit, crop ids, area, production, price)
+        self.years: dict[int, tuple[int, list[str], array, array, array]] = {}
+        self.seen: dict[str, int] = {}
 
     def add(self, crop_id: str, year: int, area: float, production: float,
             price: float) -> bool:
@@ -93,12 +97,14 @@ class _Columns:
         (crop_id, year) is already present."""
         columns = self.years.get(year)
         if columns is None:
-            columns = self.years[year] = ({}, array("d"), array("d"),
-                                          array("d"))
-        ids, areas, productions, prices = columns
-        if crop_id in ids:
+            columns = self.years[year] = (1 << len(self.years), [],
+                                          array("d"), array("d"), array("d"))
+        bit, ids, areas, productions, prices = columns
+        seen = self.seen.get(crop_id, 0)
+        if seen & bit:
             return False
-        ids[crop_id] = None
+        self.seen[crop_id] = seen | bit
+        ids.append(crop_id)
         areas.append(area)
         productions.append(production)
         prices.append(price)
@@ -129,19 +135,18 @@ class CropPanel:
                     raise DuplicateKeyError(
                         f"duplicate observation for {(obs.crop_id, obs.year)}"
                     )
+        self._crops = tuple(sorted(columns.seen))
+        columns.seen.clear()
         # sort year by year, so at most one year is held twice
         self._by_year: dict[int, tuple[tuple[str, ...], array, array, array]] = {}
         for year in sorted(columns.years):
-            ids, *values = columns.years.pop(year)
-            ids = list(ids)
+            _, ids, *values = columns.years.pop(year)
             order = sorted(range(len(ids)), key=ids.__getitem__)
             self._by_year[year] = (
-                tuple([ids[i] for i in order]),
+                tuple(map(ids.__getitem__, order)),
                 *(array("d", [column[i] for i in order]) for column in values),
             )
         self._years = tuple(self._by_year)
-        self._crops = tuple(sorted(
-            set().union(*(ids for ids, *_ in self._by_year.values()))))
         self._len = sum(len(ids) for ids, *_ in self._by_year.values())
         self._trienniums: dict[int, CropPanel] = {}
 

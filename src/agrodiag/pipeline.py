@@ -13,6 +13,7 @@ subcommand that runs part of the pipeline loads no layer it does not run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import DuplicateKeyError, SchemaError
@@ -304,19 +305,17 @@ def market_artifacts(config: RunConfig, panel: CropPanel, prices: dict,
                                         sorted(grain_fert.items()),
                                         "figure4.csv")
 
-    # crop shares at the comparison trienniums
-    share_rows = []
-    area_shares = {}
-    for te_year in (config.decomposition_base, config.decomposition_terminal):
-        area = area_shares[te_year] = markets.share_table(panel, te_year,
-                                                          "area")
-        value = markets.share_table(panel, te_year, "value")
-        share_rows.extend(
-            (te_year, crop, area[crop], value[crop]) for crop in sorted(area)
-        )
+    # crop shares at the comparison trienniums; a triennium's value shares
+    # are built only while its rows are written, and the base triennium's
+    # tables are dropped once its rows are
+    base, terminal = config.decomposition_base, config.decomposition_terminal
+    base_rows = _share_rows(panel, base,
+                            markets.share_table(panel, base, "area"))
+    terminal_area = markets.share_table(panel, terminal, "area")
     artifacts["shares.csv"] = csv_text(
         ["te_year", "crop_id", "area_share_pct", "value_share_pct"],
-        share_rows, "shares.csv",
+        chain(base_rows, _share_rows(panel, terminal, terminal_area)),
+        "shares.csv",
     )
 
     # land-use ratios at the first and last resolvable trienniums
@@ -331,10 +330,21 @@ def market_artifacts(config: RunConfig, panel: CropPanel, prices: dict,
     }, "land_ratios.json")
     readings = {
         "break_stats": stats, "land_first": first, "land_last": last,
-        "terminal_area_shares": area_shares[config.decomposition_terminal],
+        "terminal_area_shares": terminal_area,
         "value_cost": value_cost, "grain_fert": grain_fert,
     }
     return artifacts, readings
+
+
+def _share_rows(panel: CropPanel, te_year: int, area: dict):
+    """The shares.csv rows of the triennium ending in TE_YEAR, given its
+    area shares AREA; its value shares are built at the first row."""
+    from . import markets
+
+    value = markets.share_table(panel, te_year, "value")
+    # both tables hold the triennium's crops in ascending order
+    for (crop, area_pct), value_pct in zip(area.items(), value.values()):
+        yield te_year, crop, area_pct, value_pct
 
 
 def assemble_indicators(config: RunConfig, *, tfp_growth: float,

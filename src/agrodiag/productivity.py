@@ -126,6 +126,50 @@ def tornqvist_log_growth(panel: InputOutputPanel, from_year: int,
     )
 
 
+def _index_years(panel: InputOutputPanel,
+                 base_year: int | None) -> tuple[tuple[int, ...], int]:
+    """The panel's years, checked to be contiguous, and the base year
+    (default: the first)."""
+    years = panel.years
+    if not years:
+        raise CoverageError("io panel is empty")
+    if list(years) != list(range(years[0], years[-1] + 1)):
+        raise CoverageError(f"io panel years are not contiguous: {years}")
+    if base_year is None:
+        base_year = years[0]
+    if base_year not in years:
+        raise CoverageError(f"base year {base_year} outside panel years {years}")
+    return years, base_year
+
+
+def _log_changes(panel: InputOutputPanel, years: tuple[int, ...],
+                 side: str) -> list[float]:
+    """One side's log change into each year after the first."""
+    return [_weighted_log_change(panel, y - 1, y, side) for y in years[1:]]
+
+
+def _steps(panel: InputOutputPanel,
+           years: tuple[int, ...]) -> dict[str, list[float]]:
+    """Each series' log change into each year after the first: both sides',
+    the output side computed first, and TFP's as their difference."""
+    output = _log_changes(panel, years, "output")
+    input_ = _log_changes(panel, years, "input")
+    return {"output": output, "input": input_,
+            "tfp": [o - i for o, i in zip(output, input_)]}
+
+
+def _chain(kind: str, years: tuple[int, ...], base_year: int,
+           steps: list[float]) -> IndexSeries:
+    """Chain the log changes STEPS into a level series, 100 at BASE_YEAR."""
+    cumulative = {years[0]: 0.0}
+    for y, step in zip(years[1:], steps):
+        cumulative[y] = cumulative[y - 1] + step
+    anchor = cumulative[base_year]
+    values = {y: 100.0 * math.exp(c - anchor) for y, c in cumulative.items()}
+    values[base_year] = 100.0
+    return IndexSeries(label=kind, base_year=base_year, values=values)
+
+
 def build_index(panel: InputOutputPanel, kind: str,
                 base_year: int | None = None) -> IndexSeries:
     """Chain year-over-year log changes into a level series, base = 100.
@@ -136,36 +180,23 @@ def build_index(panel: InputOutputPanel, kind: str,
     """
     if kind not in INDEX_KINDS:
         raise ValueError(f"kind must be one of {INDEX_KINDS}, got {kind!r}")
-    years = panel.years
-    if not years:
-        raise CoverageError("io panel is empty")
-    if list(years) != list(range(years[0], years[-1] + 1)):
-        raise CoverageError(f"io panel years are not contiguous: {years}")
-    if base_year is None:
-        base_year = years[0]
-    if base_year not in years:
-        raise CoverageError(f"base year {base_year} outside panel years {years}")
-
-    def step(y: int) -> float:
-        if kind == "output":
-            return _weighted_log_change(panel, y - 1, y, "output")
-        if kind == "input":
-            return _weighted_log_change(panel, y - 1, y, "input")
-        return tornqvist_log_growth(panel, y - 1, y)
-
-    cumulative = {years[0]: 0.0}
-    for y in years[1:]:
-        cumulative[y] = cumulative[y - 1] + step(y)
-    anchor = cumulative[base_year]
-    values = {y: 100.0 * math.exp(c - anchor) for y, c in cumulative.items()}
-    values[base_year] = 100.0
-    return IndexSeries(label=kind, base_year=base_year, values=values)
+    years, base_year = _index_years(panel, base_year)
+    if kind == "tfp":
+        steps = _steps(panel, years)["tfp"]
+    else:
+        steps = _log_changes(panel, years, kind)
+    return _chain(kind, years, base_year, steps)
 
 
 def index_series(panel: InputOutputPanel,
                  base_year: int | None = None) -> dict[str, IndexSeries]:
-    """The output, input and TFP series of PANEL on one base year."""
-    return {kind: build_index(panel, kind, base_year) for kind in INDEX_KINDS}
+    """The output, input and TFP series of PANEL on one base year.
+
+    Each side's log changes are computed once."""
+    years, base_year = _index_years(panel, base_year)
+    steps = _steps(panel, years)
+    return {kind: _chain(kind, years, base_year, steps[kind])
+            for kind in INDEX_KINDS}
 
 
 def avg_annual_growth(

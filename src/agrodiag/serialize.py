@@ -17,6 +17,7 @@ from typing import Any, Iterable, Mapping
 from .errors import DomainError, SchemaError
 
 SIG_DIGITS = 6
+CSV_CHUNK_LINES = 1024
 
 
 def round_sig(x: float, digits: int = SIG_DIGITS) -> float:
@@ -82,9 +83,19 @@ def format_cell(value: Any) -> str:
 def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
              name: str = "CSV text") -> str:
     """A header line plus one line per row; a NaN or infinity raises
-    DomainError naming NAME (the artifact) and the column."""
+    DomainError naming NAME (the artifact) and the column.
+
+    Lines are joined into chunks as they come, so at most
+    ``CSV_CHUNK_LINES`` of them are held as separate strings."""
     header = list(header)
+    chunks: list[str] = []
     lines = [",".join(header)]
+
+    def flush() -> None:
+        lines.append("")  # each chunk ends in a newline
+        chunks.append("\n".join(lines))
+        lines.clear()
+
     for row in rows:
         cells = []
         for column, value in enumerate(row):
@@ -93,7 +104,10 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
                                   f"column '{header[column]}'")
             cells.append(format_cell(value))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        if len(lines) == CSV_CHUNK_LINES:
+            flush()
+    flush()
+    return "".join(chunks)
 
 
 def index_csvs(series: Mapping[str, Any]) -> dict[str, str]:

@@ -105,6 +105,25 @@ class TestTables:
         values = cai_table(region, nation)
         assert list(values) == ["fruit", "veg"]
 
+    def test_total_summed_once(self, monkeypatch):
+        # each table's total is taken once, at construction, so a table of
+        # n groups costs n additions, not n per share
+        entries = {f"g{i:03d}": 1.0 + i / 7 for i in range(500)}
+        region = AreaShareTable("region", 2015, entries)
+        nation = AreaShareTable("nation", 2015,
+                                {g: 2.0 * a + 1 for g, a in entries.items()})
+        assert region.total == sum(region.entries.values())
+        calls = []
+        monkeypatch.setattr("builtins.sum",
+                            lambda *args: calls.append(args) or 0.0)
+        values = cai_table(region, nation)
+        monkeypatch.undo()
+        assert calls == []
+        for group, value in values.items():
+            want = (region.entries[group] / sum(region.entries.values())) / (
+                nation.entries[group] / sum(nation.entries.values()))
+            assert value.hex() == want.hex()
+
     def test_from_panel(self):
         panel = CropPanel([
             CropObservation("veg", 2015, 30.0, 0.0, 0.0),

@@ -32,6 +32,13 @@ def report_dir(run_dir):
     return out
 
 
+def set_first_row_cell(lines: list[str], column: int, value: str) -> list[str]:
+    """CSV LINES with COLUMN of the first data row set to VALUE."""
+    cells = lines[1].split(",")
+    cells[column] = value
+    return [lines[0], ",".join(cells), *lines[2:]]
+
+
 def absolute_config(run_dir: Path) -> dict:
     """RUN_DIR's config with its input paths made absolute, so that an
     edited copy may be written anywhere."""
@@ -295,6 +302,57 @@ class TestFailureModes:
         assert "Traceback" not in captured.err
         assert "all inputs valid" not in captured.out
         assert list(out.iterdir()) == []
+
+    # input file -> (the kind its errors name, year column, a value column)
+    CSV_INPUTS = {
+        "crops.csv": ("crop panel", 1, 2),
+        "io_panel.csv": ("io panel", 0, 3),
+        "prices.csv": ("price series", 1, 2),
+        "land_use.csv": ("land use", 0, 1),
+        "value_cost.csv": ("value/cost series", 0, 1),
+        "area_region.csv": ("region area-share table", 1, 2),
+        "area_nation.csv": ("nation area-share table", 1, 2),
+    }
+
+    # message kind -> (how the file is broken, a fragment of the message)
+    BREAKS = {
+        "empty file": (lambda lines, year, value: [],
+                       "empty file, expected header"),
+        "bad header": (lambda lines, year, value: ["nonsense", *lines[1:]],
+                       "bad header"),
+        "row width": (lambda lines, year, value: [*lines, "1,2"],
+                      "has 2 columns"),
+        "non-numeric": (lambda lines, year, value: set_first_row_cell(
+            lines, year, "abc"), "non-numeric value 'abc' in column 'year'"),
+        "negative": (lambda lines, year, value: set_first_row_cell(
+            lines, value, "-1"), "-1"),
+        "duplicate": (lambda lines, year, value: [*lines, lines[1]],
+                      "duplicate"),
+        "header only": (lambda lines, year, value: lines[:1],
+                        "header but no data rows"),
+        "not UTF-8": (None, "not UTF-8 text"),
+    }
+
+    @pytest.mark.parametrize("message", list(BREAKS))
+    @pytest.mark.parametrize("name", list(CSV_INPUTS))
+    def test_csv_error_names_input_kind_and_file(self, tmp_path, capsys,
+                                                 name, message):
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        kind, year, value = self.CSV_INPUTS[name]
+        breaks, fragment = self.BREAKS[message]
+        bad = inputs / name
+        if breaks is None:
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        else:
+            lines = breaks(bad.read_text().splitlines(), year, value)
+            bad.write_text("".join(f"{line}\n" for line in lines))
+        rc = main(["validate", "-c", str(inputs / "config.json")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {kind} {bad}: ")
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("tree", [
         '{"manifest": {}, "roots": ["a"], "nodes": {"a": 5}}',

@@ -123,7 +123,47 @@ class TestDecompose:
         json.dumps(record)  # flat and serializable
 
 
+def dict_decompose(base: dict, term: dict) -> list[float]:
+    """The effects as a per-crop dict walk over the sorted crop union
+    computes them, in the same order of float operations as
+    ``decompose``: the bit-level reference for its merge by position."""
+    zero = (0.0, 0.0, 0.0)
+    area_base = sum(base[c][0] for c in sorted(base))
+    area_term = sum(term[c][0] for c in sorted(term))
+    sums = [0.0] * 6
+    for crop in sorted(set(base) | set(term)):
+        a0, q0, p0 = base.get(crop, zero)
+        a1, q1, p1 = term.get(crop, zero)
+        y0 = q0 / a0 if a0 > 0 else 0.0
+        y1 = q1 / a1 if a1 > 0 else 0.0
+        s0, s1 = a0 / area_base, a1 / area_term
+        for k, term_k in enumerate((q0 * p0, q1 * p1, s0 * y0 * p0,
+                                    s0 * y0 * (p1 - p0), s0 * p0 * (y1 - y0),
+                                    y0 * p0 * (s1 - s0))):
+            sums[k] += term_k
+    revenue_base, revenue_term, intensity, price, yld, shares = sums
+    total = revenue_term - revenue_base
+    effects = [intensity * (area_term - area_base), area_base * price,
+               area_base * yld, area_base * shares]
+    return [total, *effects, total - (effects[0] + effects[1] + effects[2]
+                                      + effects[3])]
+
+
 class TestProperties:
+    def test_bits_equal_dict_walk_with_crops_entering_and_leaving(self):
+        rng = np.random.default_rng(8)
+        names = [f"c{i:02d}" for i in range(12)]
+        for _ in range(100):
+            base = random_period(rng, [c for c in names if rng.random() < 0.7])
+            term = random_period(rng, [c for c in names if rng.random() < 0.7])
+            base.setdefault("c00", (1.0, 1.0, 1.0))
+            term.setdefault("c11", (1.0, 1.0, 1.0))
+            result = decompose(panel_two_periods(base, term), 2000, 2001,
+                               period_mode="endpoint")
+            got = [result.total_dR, *result.effects.values()]
+            assert [v.hex() for v in got] == \
+                [v.hex() for v in dict_decompose(base, term)]
+
     def test_additivity_on_random_panels(self):
         rng = np.random.default_rng(42)
         for _ in range(200):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agrodiag.decomposition import decompose
 from agrodiag.errors import (
     CoverageError,
     DomainError,
@@ -28,6 +29,7 @@ from agrodiag.panel import (
     InputOutputPanel,
     IOItem,
     IOYear,
+    _Columns,
 )
 from agrodiag.productivity import index_series, tornqvist_log_growth
 
@@ -154,6 +156,41 @@ class TestLoadCropPanel:
         assert len(panel) == 20_000
         assert retained / len(panel) < 80
 
+    def test_transient_peak_per_row(self):
+        # the loader's scratch on top of the panel it keeps: per year a list
+        # of ids, and one {crop id: year bit mask} dict for duplicates
+        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
+                       for y in range(2000, 2020) for c in range(1000))
+        stream = io.StringIO(
+            "crop_id,year,area_ha,production_t,price_per_t\n" + rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            panel = load_crop_panel(stream)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 20_000
+        assert peak / len(panel) < 50
+
+    def test_duplicate_found_beyond_64_years(self):
+        # 70 years, so the later years' bits make the masks big ints
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+            f"c{c},{y},1,1,1\n" for y in range(1950, 2020) for c in range(3))
+        panel = load_text(text)
+        assert len(panel) == 210 and panel.crops == ("c0", "c1", "c2")
+        for year in (2019, 1950):
+            with pytest.raises(DuplicateKeyError,
+                               match=rf"^crop panel: duplicate \(c1, {year}\) "
+                                     rf"in row 212$"):
+                load_text(text + f"c1,{year},2,2,2\n")
+        columns = _Columns()
+        for year in range(1950, 2020):
+            assert columns.add("a", year, 1.0, 2.0, 3.0)
+        assert not columns.add("a", 2019, 9.0, 9.0, 9.0)
+        assert CropPanel(columns) == CropPanel(
+            CropObservation("a", y, 1.0, 2.0, 3.0) for y in range(1950, 2020))
+
     @given(st.lists(
         st.tuples(
             st.sampled_from(["paddy", "wheat", "maize", "gram"]),
@@ -175,6 +212,27 @@ class TestLoadCropPanel:
                 for i in range(n_crops)]
         panel = CropPanel(CropObservation(*row) for row in rows)
         assert abs(sum(panel.area_shares(2000).values()) - 1.0) <= 1e-12
+
+
+class TestDecomposeTransientPeak:
+    def test_memoised_decompose_allocates_little_per_crop(self):
+        # the two periods' columns are merged by position: no per-crop dict,
+        # tuple or union set
+        rows = [CropObservation(f"crop{c:04d}", y, c + 1.5, y * 0.25, c + 7.5)
+                for y in range(2000, 2008) for c in range(1000)
+                if (c + y) % 5]    # each year misses a fifth of the crops
+        panel = CropPanel(rows)
+        for end_year in (2002, 2007):
+            triennium_average(panel, end_year)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = decompose(panel, 2002, 2007)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result.base_label == "TE 2002"
+        assert peak / 1000 < 16
 
 
 class TestTriennium:

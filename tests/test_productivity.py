@@ -11,10 +11,12 @@ from agrodiag.errors import (
     DomainError,
     LogDomainError,
 )
+from agrodiag import productivity
 from agrodiag.productivity import (
     IndexSeries,
     avg_annual_growth,
     build_index,
+    index_series,
     tornqvist_log_growth,
 )
 
@@ -190,6 +192,57 @@ class TestBuildIndex:
         panel = two_year_panel(out0, out1, ins, ins)
         assert tornqvist_log_growth(panel, 2000, 2001) == pytest.approx(
             g, rel=1e-9, abs=1e-12)
+
+
+class TestIndexSeriesOfPanel:
+    def random_panel(self, n_years, seed=5):
+        rng = np.random.default_rng(seed)
+        years = {}
+        for t in range(n_years):
+            s, u = rng.uniform(0.2, 0.8, size=2)
+            years[2000 + t] = (
+                {"a": (rng.uniform(1, 50), s), "b": (rng.uniform(1, 50), 1 - s)},
+                {"l": (rng.uniform(1, 50), u), "m": (rng.uniform(1, 50), 1 - u)},
+            )
+        return io_panel(years)
+
+    def test_each_log_change_computed_once(self, monkeypatch):
+        panel = self.random_panel(12)
+        calls = []
+        paired = productivity._paired_items
+
+        def counting(*args):
+            calls.append(args[2])
+            return paired(*args)
+
+        monkeypatch.setattr(productivity, "_paired_items", counting)
+        series = index_series(panel, 2003)
+        # one call per side and year-over-year step, the output side first
+        assert calls == ["output"] * 11 + ["input"] * 11
+        monkeypatch.undo()
+        for kind, got in series.items():
+            want = build_index(panel, kind, 2003)
+            assert got.base_year == want.base_year == 2003
+            assert [v.hex() for v in got.values.values()] == \
+                [v.hex() for v in want.values.values()]
+        # each tfp step is the Tornqvist log growth of its pair of years
+        steps = productivity._steps(panel, panel.years)["tfp"]
+        assert [s.hex() for s in steps] == [
+            tornqvist_log_growth(panel, y - 1, y).hex()
+            for y in panel.years[1:]]
+
+    def test_output_error_raised_before_input_error(self):
+        good = ({"a": (1.0, 1.0)}, {"l": (1.0, 1.0)})
+        panel = io_panel({
+            2000: good,
+            2001: (good[0], {"l": (0.0, 1.0)}),   # input log-domain error
+            2002: good,
+            2003: ({"a": (0.0, 1.0)}, good[1]),   # output log-domain error
+        })
+        with pytest.raises(LogDomainError, match="^output 'a'"):
+            index_series(panel)
+        with pytest.raises(LogDomainError, match="^output 'a'"):
+            build_index(panel, "tfp")
 
 
 class TestIndexSeries:

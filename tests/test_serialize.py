@@ -1,7 +1,7 @@
 import pytest
 
 from agrodiag.errors import DomainError
-from agrodiag.serialize import csv_text, json_text
+from agrodiag.serialize import CSV_CHUNK_LINES, csv_text, json_text
 
 
 class TestNonFiniteNumbers:
@@ -21,3 +21,17 @@ class TestNonFiniteNumbers:
     def test_a_text_cell_reading_nan_is_kept(self):
         assert csv_text(["crop_id", "v"], [("nan", 1.5)], "x.csv") == \
             "crop_id,v\nnan,1.5\n"
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("n_rows", [
+        0, 1, CSV_CHUNK_LINES - 2, CSV_CHUNK_LINES - 1, CSV_CHUNK_LINES,
+        2 * CSV_CHUNK_LINES - 1, 3 * CSV_CHUNK_LINES + 5,
+    ])
+    def test_chunks_join_to_one_line_per_row(self, n_rows):
+        # the header fills the first chunk's first line, so row counts on
+        # either side of each chunk boundary are covered
+        rows = [(i, f"c{i}", i / 7, True) for i in range(n_rows)]
+        want = "a,b,c,d\n" + "".join(
+            f"{i},c{i},{i / 7:.6g},true\n" for i in range(n_rows))
+        assert csv_text(["a", "b", "c", "d"], iter(rows), "x.csv") == want
