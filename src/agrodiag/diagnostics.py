@@ -26,6 +26,7 @@ from .errors import (
     EvaluationError,
     IndicatorTypeError,
     ManifestError,
+    SchemaError,
     TreeConfigError,
 )
 
@@ -35,6 +36,11 @@ _TOLERANCE_COMPARATORS = ("=", "stable")
 VERDICTS = ("binding", "not_binding")
 
 _BUILTIN_TREE_RESOURCE = "bihar_tree.json"
+
+
+def _is_number(value) -> bool:
+    # ``bool`` subclasses ``int``, so JSON ``true`` must be kept out
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class Indicator:
 
     @property
     def is_scalar(self) -> bool:
-        return isinstance(self.value, Real) and not isinstance(self.value, bool)
+        return _is_number(self.value)
 
 
 class IndicatorSet:
@@ -90,13 +96,31 @@ class IndicatorSet:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "IndicatorSet":
+    def from_dict(cls, data, what: str = "indicator set") -> "IndicatorSet":
+        """The inverse of ``to_dict``. Each value must be a number or a
+        list of ``[year, number]`` pairs; anything else raises SchemaError
+        starting with WHAT and naming the indicator."""
+        if not isinstance(data, dict):
+            raise SchemaError(f"{what}: must be an object mapping indicator "
+                              f"names to entries, got {data!r}")
         out = cls()
         for name in sorted(data):
             entry = data[name]
+            if not (isinstance(entry, dict) and "value" in entry):
+                raise SchemaError(f"{what}: indicator {name!r} must be an "
+                                  f"object with a 'value', got {entry!r}")
             value = entry["value"]
             if isinstance(value, list):
-                value = {int(y): float(v) for y, v in value}
+                if not all(isinstance(pair, list) and len(pair) == 2
+                           and type(pair[0]) is int and _is_number(pair[1])
+                           for pair in value):
+                    raise SchemaError(
+                        f"{what}: indicator {name!r}: series {value!r} must "
+                        "be a list of [year, number] pairs")
+                value = {y: float(v) for y, v in value}
+            elif not _is_number(value):
+                raise SchemaError(f"{what}: indicator {name!r}: value "
+                                  f"{value!r} is not a number")
             out.add(name, value, entry.get("units", ""),
                     entry.get("provenance", ""))
         return out
@@ -125,9 +149,8 @@ class Predicate:
             )
         for name in ("threshold", "tolerance"):
             value = getattr(self, name)
-            if value is not None and not (
-                    isinstance(value, Real) and not isinstance(value, bool)
-                    and math.isfinite(value)):
+            if value is not None and not (_is_number(value)
+                                          and math.isfinite(value)):
                 raise TreeConfigError(
                     f"{name} of {self.comparator!r} on {self.indicator!r} "
                     f"must be a finite number, got {value!r}"

@@ -311,14 +311,18 @@ def load_price_table(source) -> dict[str, PriceSeries]:
                 raise SchemaError(f"{what}: empty commodity_id in row {line}")
             year = _cell(row, 1, "year", line, what, cast=int)
             price = _cell(row, 2, "price_per_t", line, what)
+            if not (math.isfinite(price) and price > 0):
+                raise DomainError(
+                    f"{what}: value {price!r} in column 'price_per_t', row "
+                    f"{line} must be finite and > 0"
+                )
             series = values.setdefault(commodity, {})
             if year in series:
                 raise DuplicateKeyError(
                     f"{what}: duplicate ({commodity}, {year}) in row {line}"
                 )
             series[year] = price
-    with _named(what):
-        return {c: PriceSeries(c, v) for c, v in sorted(values.items())}
+    return {c: PriceSeries(c, v) for c, v in sorted(values.items())}
 
 
 def load_land_use(source) -> list[LandUseRecord]:
@@ -332,10 +336,10 @@ def load_land_use(source) -> list[LandUseRecord]:
             year = _cell(row, 0, "year", line, what, cast=int)
             if year in records:
                 raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
-            agricultural = _cell(row, 1, "agricultural_land", line, what)
-            non_agricultural = _cell(row, 2, "non_agricultural_land", line,
-                                     what)
-            total = _cell(row, 3, "total_reported", line, what)
+            agricultural = _amount(row, 1, "agricultural_land", line, what)
+            non_agricultural = _amount(row, 2, "non_agricultural_land", line,
+                                       what)
+            total = _amount(row, 3, "total_reported", line, what)
             with _named(what):
                 records[year] = LandUseRecord(year, agricultural,
                                               non_agricultural, total)

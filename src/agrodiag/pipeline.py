@@ -1,28 +1,36 @@
 """The report pipeline: read a run config, load the inputs it names, run
 every analysis, assemble the indicator set and evaluate the diagnostic
-tree.
+tree: the union of the slices of one ``Run``.
+
+Only ``serialize`` is imported with this module, as every run reads its
+config with it. A ``Run`` method imports the analysis layers it calls in
+its own body, so a subcommand loads no layer it does not run.
 
 Artifacts are deterministic: floats are serialized at 6 significant digits
 and all orderings are fixed, so identical inputs give byte-identical
 output directories. Relative paths inside a config file are resolved
 against the config file's directory.
-
-Each function imports the analysis layers it calls in its own body, so a
-subcommand that runs part of the pipeline loads no layer it does not run.
 """
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 from .errors import DuplicateKeyError, SchemaError
+from .serialize import (
+    cai_csv, csv_text, index_csvs, json_text, read_json, write_artifacts,
+)
 
 # true for type checkers only; saves importing ``typing`` for annotations
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .advantage import AreaShareTable
     from .diagnostics import DiagnosticReport, IndicatorSet
-    from .panel import CropPanel
+    from .panel import CropPanel, PriceSeries
     from .productivity import IndexSeries
 
 REPORT_ARTIFACTS = (
@@ -63,8 +71,6 @@ class RunConfig:
 
 
 def load_run_config(path: Path | str) -> RunConfig:
-    from .serialize import read_json
-
     path = Path(path)
     raw = read_json(path, "config")
     base = path.parent
@@ -72,32 +78,32 @@ def load_run_config(path: Path | str) -> RunConfig:
     def resolve(p) -> Path:
         return base / Path(p)
 
-    def section(key: str) -> dict:
-        value = raw.get(key, {})
-        if not isinstance(value, dict):
-            raise SchemaError(f"config {path}: {key} must be an object, "
+    def check(name: str, value, ok: bool, expected: str):
+        """VALUE if OK, else a SchemaError naming the key NAME."""
+        if not ok:
+            raise SchemaError(f"config {path}: {name} must be {expected}, "
                               f"got {value!r}")
         return value
 
+    def section(key: str) -> dict:
+        value = raw.get(key, {})
+        return check(key, value, isinstance(value, dict), "an object")
+
     def strings(name: str, value) -> list[str]:
-        if not (isinstance(value, list)
-                and all(isinstance(v, str) for v in value)):
-            raise SchemaError(f"config {path}: {name} must be a list of "
-                              f"strings, got {value!r}")
-        return value
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        return check(name, value, ok, "a list of strings")
+
+    def string(name: str, value) -> str:
+        return check(name, value, isinstance(value, str), "a string")
 
     def year(name: str, value) -> int:
         # ``bool`` subclasses ``int``, so JSON ``true`` must be kept out
-        if type(value) is not int:
-            raise SchemaError(f"config {path}: {name} must be an integer "
-                              f"year, got {value!r}")
-        return value
+        return check(name, value, type(value) is int, "an integer year")
 
     def window(label: str, value) -> tuple[int, int]:
         name = f"periods.{label}"
-        if not (isinstance(value, list) and len(value) == 2):
-            raise SchemaError(f"config {path}: {name} must be a "
-                              f"[first_year, last_year] pair, got {value!r}")
+        check(name, value, isinstance(value, list) and len(value) == 2,
+              "a [first_year, last_year] pair")
         return year(name, value[0]), year(name, value[1])
 
     try:
@@ -109,28 +115,28 @@ def load_run_config(path: Path | str) -> RunConfig:
         tfp_base_year = methods.get("tfp_base_year")
         if tfp_base_year is not None:
             year("methods.tfp_base_year", tfp_base_year)
-        for key, value, allowed in (
-            ("growth_method", methods.get("growth_method", "loglinear"),
-             ("loglinear", "cagr")),
-            ("period_mode", methods.get("period_mode", "triennium"),
-             ("triennium", "endpoint")),
-            ("cv_ddof", methods.get("cv_ddof", 1), (0, 1)),
+        options = {}
+        for key, default, allowed in (
+            ("growth_method", "loglinear", ("loglinear", "cagr")),
+            ("period_mode", "triennium", ("triennium", "endpoint")),
+            ("cv_ddof", 1, (0, 1)),
         ):
+            value = options[key] = methods.get(key, default)
             # the type check keeps out 1.0 and true, which equal 1
-            if value not in allowed or type(value) is not type(allowed[0]):
-                raise SchemaError(
-                    f"config {path}: methods.{key} must be one of {allowed}, "
-                    f"got {value!r}"
-                )
+            check(f"methods.{key}", value,
+                  value in allowed and type(value) is type(allowed[0]),
+                  f"one of {allowed}")
+        national = section("benchmarks").get("national_tfp_growth_pct", 0.0)
+        # the type check keeps out true; NaN and the infinities fail the bound
+        check("benchmarks.national_tfp_growth_pct", national,
+              type(national) in (int, float)
+              and abs(national) <= sys.float_info.max, "a finite number")
         return RunConfig(
-            crop_panel=resolve(inputs["crop_panel"]),
-            io_panel=resolve(inputs["io_panel"]),
+            **{key: resolve(inputs[key]) for key in (
+                "crop_panel", "io_panel", "land_use", "cost_series",
+                "area_shares_region", "area_shares_nation")},
             price_series=[resolve(p) for p in strings(
                 "inputs.price_series", inputs["price_series"])],
-            land_use=resolve(inputs["land_use"]),
-            cost_series=resolve(inputs["cost_series"]),
-            area_shares_region=resolve(inputs["area_shares_region"]),
-            area_shares_nation=resolve(inputs["area_shares_nation"]),
             periods=periods,
             decomposition_base=year("decomposition.base_year",
                                     decomp["base_year"]),
@@ -139,19 +145,15 @@ def load_run_config(path: Path | str) -> RunConfig:
             break_year=year("break_year", raw["break_year"]),
             break_commodities=strings("break_commodities",
                                       raw["break_commodities"]),
-            grain_commodity=str(raw["grain_commodity"]),
-            fertilizer_commodity=str(raw["fertilizer_commodity"]),
-            diversification_group=str(raw["diversification_group"]),
-            national_tfp_growth_pct=float(
-                section("benchmarks").get("national_tfp_growth_pct", 0.0)
-            ),
-            tree=str(raw.get("tree", "builtin")),
+            **{key: string(key, raw[key]) for key in (
+                "grain_commodity", "fertilizer_commodity",
+                "diversification_group")},
+            national_tfp_growth_pct=float(national),
+            tree=string("tree", raw.get("tree", "builtin")),
             output_dir=resolve(raw.get("output_dir", "out")),
-            growth_method=methods.get("growth_method", "loglinear"),
-            cv_ddof=methods.get("cv_ddof", 1),
-            period_mode=methods.get("period_mode", "triennium"),
             tfp_base_year=tfp_base_year,
             config_dir=base,
+            **options,
         )
     except KeyError as exc:
         raise SchemaError(f"config {path}: missing key {exc}") from None
@@ -159,181 +161,219 @@ def load_run_config(path: Path | str) -> RunConfig:
         raise SchemaError(f"config {path}: malformed value ({exc})") from None
 
 
+def _input(loader: str, key: str) -> cached_property:
+    """A ``Run`` input: the file of config field KEY, read by LOADER."""
+    def read(run: Run):
+        from . import ingest
+
+        return getattr(ingest, loader)(getattr(run.config, key))
+    return cached_property(read)
+
+
 @dataclass
-class LoadedInputs:
-    panel: object
-    io_panel: object
-    prices: dict
-    land: list
-    output_value: dict
-    input_cost: dict
-    region: object
-    nation: object
+class Run:
+    """The report of one run config, computed on demand.
+
+    Its inputs, and the intermediates several artifacts share, are cached
+    properties: computed on first use and kept. Each ``-c`` subcommand is
+    the method of its name and returns exactly its artifacts, so it reads
+    only the inputs they need; ``compute_artifacts`` reads every input and
+    takes the union of the six.
+    """
+
+    config: RunConfig
+
+    def load(self) -> Run:
+        """Read every input, in a fixed order; returns the run."""
+        for name in ("prices", "value_cost", "panel", "io_panel", "land",
+                     "areas"):
+            getattr(self, name)
+        return self
+
+    @cached_property
+    def prices(self) -> dict[str, PriceSeries]:
+        """Every configured price series, keyed by commodity id."""
+        from . import ingest
+
+        prices = {}
+        for path in self.config.price_series:
+            for commodity, series in ingest.load_price_table(path).items():
+                if commodity in prices:
+                    raise DuplicateKeyError(
+                        f"commodity {commodity!r} appears in more than one "
+                        "price-series file"
+                    )
+                prices[commodity] = series
+        return prices
+
+    value_cost = _input("load_value_cost", "cost_series")
+    panel = _input("load_crop_panel", "crop_panel")
+    io_panel = _input("load_io_panel", "io_panel")
+    land = _input("load_land_use", "land_use")
+
+    @cached_property
+    def areas(self) -> tuple[AreaShareTable, AreaShareTable]:
+        """The region and the nation area-share tables."""
+        from .advantage import load_area_share_table
+
+        return (load_area_share_table(self.config.area_shares_region, "region"),
+                load_area_share_table(self.config.area_shares_nation, "nation"))
+
+    @cached_property
+    def series(self) -> dict[str, IndexSeries]:
+        """The output, input and TFP index series."""
+        from .productivity import index_series
+
+        return index_series(self.io_panel, self.config.tfp_base_year)
+
+    @cached_property
+    def readings(self) -> dict:
+        """The market readings ``assemble_indicators`` takes, which the
+        market artifacts serialize, but for the terminal area shares."""
+        from . import markets
+
+        config, prices, land = self.config, self.prices, self.land
+
+        def price(role: str, commodity: str) -> PriceSeries:
+            if commodity not in prices:
+                raise SchemaError(
+                    f"{role} commodity {commodity!r} has no price series")
+            return prices[commodity]
+
+        return {
+            "break_stats": [markets.break_analysis(
+                price("break", c), config.break_year, ddof=config.cv_ddof)
+                for c in sorted(config.break_commodities)],
+            "value_cost": markets.value_cost_ratio(*self.value_cost),
+            "grain_fert": markets.price_ratio(
+                price("grain", config.grain_commodity),
+                price("fertilizer", config.fertilizer_commodity)),
+            "land_first": markets.land_use_ratios(land, land[0].year + 2),
+            "land_last": markets.land_use_ratios(land, land[-1].year),
+        }
+
+    @cached_property
+    def terminal_area(self) -> dict[str, float]:
+        """Crop area shares at the terminal triennium."""
+        from .markets import share_table
+
+        return share_table(self.panel, self.config.decomposition_terminal,
+                           "area")
+
+    @cached_property
+    def cai_values(self) -> dict[str, float]:
+        from .advantage import cai_table
+
+        return cai_table(*self.areas)
+
+    @cached_property
+    def indicators(self) -> str:
+        """``indicators.json``: the indicator set the tree evaluates."""
+        from .productivity import avg_annual_growth
+
+        tfp_growth = avg_annual_growth(self.series["tfp"],
+                                       method=self.config.growth_method)
+        return json_text(assemble_indicators(
+            self.config, tfp_growth=tfp_growth, **self.readings,
+            terminal_area_shares=self.terminal_area,
+            cai_values=self.cai_values,
+        ).to_dict(), "indicators.json")
+
+    @cached_property
+    def diagnosis(self) -> DiagnosticReport:
+        """The tree's verdicts on ``indicators.json`` as written (rounded),
+        so ``diagnose`` on that file reproduces diagnosis.json exactly."""
+        from . import diagnostics
+
+        indicators = diagnostics.IndicatorSet.from_dict(
+            json.loads(self.indicators))
+        tree = diagnostics.resolve_tree(self.config.tree,
+                                        self.config.config_dir)
+        return diagnostics.evaluate(tree, indicators)
+
+    def decompose(self) -> dict[str, str]:
+        """``decomposition.json``: the revenue-change decomposition."""
+        from . import decomposition
+
+        config = self.config
+        result = decomposition.decompose(
+            self.panel, config.decomposition_base,
+            config.decomposition_terminal, period_mode=config.period_mode)
+        return {"decomposition.json": json_text(result.to_record(),
+                                                "decomposition.json")}
+
+    def tfp(self) -> dict[str, str]:
+        """``tfp_index.csv`` and ``figure2.csv``: the index series."""
+        return index_csvs(self.series)
+
+    def growth(self) -> dict[str, str]:
+        """``growth_rates.json``: TFP growth over each configured period."""
+        from .productivity import avg_annual_growth
+
+        method, tfp = self.config.growth_method, self.series["tfp"]
+        rates = {label: avg_annual_growth(tfp, lo, hi, method=method)
+                 for label, (lo, hi) in sorted(self.config.periods.items())}
+        return {"growth_rates.json": json_text(
+            {"series": "tfp", "method": method, "periods": rates},
+            "growth_rates.json")}
+
+    def markets(self) -> dict[str, str]:
+        """Break stats, figure3/4, crop shares and land-use ratios."""
+        from .markets import share_table
+
+        panel, readings = self.panel, self.readings
+        artifacts = {"break_stats.json": json_text(
+            [s.to_record() for s in readings["break_stats"]],
+            "break_stats.json")}
+        for name, key in (("figure3.csv", "value_cost"),
+                          ("figure4.csv", "grain_fert")):
+            artifacts[name] = csv_text(["year", "value"],
+                                       sorted(readings[key].items()), name)
+
+        # crop shares at the comparison trienniums; a triennium's value
+        # shares are built only while its rows are written, and the base
+        # triennium's tables are dropped once its rows are
+        base = self.config.decomposition_base
+        base_rows = _share_rows(panel, base, share_table(panel, base, "area"))
+        artifacts["shares.csv"] = csv_text(
+            ["te_year", "crop_id", "area_share_pct", "value_share_pct"],
+            chain(base_rows, _share_rows(panel,
+                                         self.config.decomposition_terminal,
+                                         self.terminal_area)),
+            "shares.csv",
+        )
+        first, last = readings["land_first"], readings["land_last"]
+        artifacts["land_ratios.json"] = json_text({
+            "first_te": self.land[0].year + 2, "last_te": self.land[-1].year,
+            "first": first, "last": last,
+            "al_ratio_change": last["al_ratio"] - first["al_ratio"],
+        }, "land_ratios.json")
+        return artifacts
+
+    def cai(self) -> dict[str, str]:
+        """``cai.csv``: the comparative-advantage table."""
+        return {"cai.csv": cai_csv(self.cai_values)}
+
+    def diagnose(self) -> dict[str, str]:
+        """``indicators.json`` and ``diagnosis.json``."""
+        return {"indicators.json": self.indicators,
+                "diagnosis.json": json_text(self.diagnosis.to_dict(),
+                                            "diagnosis.json")}
 
 
-def load_prices(config: RunConfig) -> dict:
-    """Every configured price series, keyed by commodity id."""
-    from . import ingest
-
-    prices = {}
-    for path in config.price_series:
-        for commodity, series in ingest.load_price_table(path).items():
-            if commodity in prices:
-                raise DuplicateKeyError(
-                    f"commodity {commodity!r} appears in more than one "
-                    "price-series file"
-                )
-            prices[commodity] = series
-    return prices
-
-
-def load_inputs(config: RunConfig) -> LoadedInputs:
-    from . import advantage, ingest
-
-    prices = load_prices(config)
-    output_value, input_cost = ingest.load_value_cost(config.cost_series)
-    return LoadedInputs(
-        panel=ingest.load_crop_panel(config.crop_panel),
-        io_panel=ingest.load_io_panel(config.io_panel),
-        prices=prices,
-        land=ingest.load_land_use(config.land_use),
-        output_value=output_value,
-        input_cost=input_cost,
-        region=advantage.load_area_share_table(config.area_shares_region,
-                                               "region"),
-        nation=advantage.load_area_share_table(config.area_shares_nation,
-                                               "nation"),
-    )
-
-
-def growth_rates_json(config: RunConfig, tfp: IndexSeries) -> str:
-    """``growth_rates.json``: TFP growth over each configured period."""
-    from . import productivity
-    from .serialize import json_text
-
-    rates = {
-        label: productivity.avg_annual_growth(tfp, lo, hi,
-                                              method=config.growth_method)
-        for label, (lo, hi) in sorted(config.periods.items())
-    }
-    return json_text(
-        {"series": "tfp", "method": config.growth_method, "periods": rates},
-        "growth_rates.json",
-    )
-
-
-def compute_artifacts(config: RunConfig,
-                      inputs: LoadedInputs | None = None
+def compute_artifacts(config: RunConfig
                       ) -> tuple[dict[str, str], DiagnosticReport]:
     """Run the full pipeline in memory; nothing touches the disk here."""
-    from . import advantage, decomposition, diagnostics, productivity
-    from .serialize import cai_csv, canonical, index_csvs, json_text
+    # every layer is imported before any input is read: without a bytecode
+    # cache, a layer compiled once the inputs are loaded adds to the peak
+    from . import advantage, decomposition, diagnostics, markets, productivity  # noqa: F401
 
-    if inputs is None:
-        inputs = load_inputs(config)
+    run = Run(config).load()
     artifacts: dict[str, str] = {}
-
-    # revenue-change decomposition
-    result = decomposition.decompose(
-        inputs.panel, config.decomposition_base, config.decomposition_terminal,
-        period_mode=config.period_mode,
-    )
-    artifacts["decomposition.json"] = json_text(result.to_record(),
-                                                "decomposition.json")
-
-    # index series and period growth rates
-    series = productivity.index_series(inputs.io_panel, config.tfp_base_year)
-    artifacts.update(index_csvs(series))
-    tfp = series["tfp"]
-    artifacts["growth_rates.json"] = growth_rates_json(config, tfp)
-    tfp_growth = productivity.avg_annual_growth(tfp, method=config.growth_method)
-
-    # market indicators, crop shares and land-use ratios
-    market, readings = market_artifacts(
-        config, inputs.panel, inputs.prices, inputs.land,
-        inputs.output_value, inputs.input_cost)
-    artifacts.update(market)
-
-    # comparative advantage
-    cai_values = advantage.cai_table(inputs.region, inputs.nation)
-    artifacts["cai.csv"] = cai_csv(cai_values)
-
-    indicators = assemble_indicators(
-        config, tfp_growth=tfp_growth, cai_values=cai_values, **readings)
-    artifacts["indicators.json"] = json_text(indicators.to_dict(),
-                                             "indicators.json")
-
-    # evaluate on the serialized (rounded) set so `diagnose` on the emitted
-    # indicators.json reproduces diagnosis.json byte for byte
-    tree = diagnostics.resolve_tree(config.tree, config.config_dir)
-    rounded = diagnostics.IndicatorSet.from_dict(canonical(indicators.to_dict()))
-    report = diagnostics.evaluate(tree, rounded)
-    artifacts["diagnosis.json"] = json_text(report.to_dict(), "diagnosis.json")
-    return artifacts, report
-
-
-def market_artifacts(config: RunConfig, panel: CropPanel, prices: dict,
-                     land: list, output_value: dict, input_cost: dict
-                     ) -> tuple[dict[str, str], dict]:
-    """The market artifacts (break stats, figure3/4, crop shares, land
-    ratios) from the crop panel, prices, land use and value/cost series,
-    plus the readings of them that ``assemble_indicators`` takes."""
-    from . import markets
-    from .serialize import csv_text, json_text
-
-    artifacts: dict[str, str] = {}
-    stats = []
-    for commodity in sorted(config.break_commodities):
-        if commodity not in prices:
-            raise SchemaError(f"break commodity {commodity!r} has no price series")
-        stats.append(markets.break_analysis(
-            prices[commodity], config.break_year, ddof=config.cv_ddof,
-        ))
-    artifacts["break_stats.json"] = json_text([s.to_record() for s in stats],
-                                              "break_stats.json")
-    value_cost = markets.value_cost_ratio(output_value, input_cost)
-    artifacts["figure3.csv"] = csv_text(["year", "value"],
-                                        sorted(value_cost.items()),
-                                        "figure3.csv")
-    for role, commodity in (("grain", config.grain_commodity),
-                            ("fertilizer", config.fertilizer_commodity)):
-        if commodity not in prices:
-            raise SchemaError(f"{role} commodity {commodity!r} has no price series")
-    grain_fert = markets.price_ratio(prices[config.grain_commodity],
-                                     prices[config.fertilizer_commodity])
-    artifacts["figure4.csv"] = csv_text(["year", "value"],
-                                        sorted(grain_fert.items()),
-                                        "figure4.csv")
-
-    # crop shares at the comparison trienniums; a triennium's value shares
-    # are built only while its rows are written, and the base triennium's
-    # tables are dropped once its rows are
-    base, terminal = config.decomposition_base, config.decomposition_terminal
-    base_rows = _share_rows(panel, base,
-                            markets.share_table(panel, base, "area"))
-    terminal_area = markets.share_table(panel, terminal, "area")
-    artifacts["shares.csv"] = csv_text(
-        ["te_year", "crop_id", "area_share_pct", "value_share_pct"],
-        chain(base_rows, _share_rows(panel, terminal, terminal_area)),
-        "shares.csv",
-    )
-
-    # land-use ratios at the first and last resolvable trienniums
-    land_years = [r.year for r in land]
-    first_te, last_te = land_years[0] + 2, land_years[-1]
-    first = markets.land_use_ratios(land, first_te)
-    last = markets.land_use_ratios(land, last_te)
-    artifacts["land_ratios.json"] = json_text({
-        "first_te": first_te, "last_te": last_te,
-        "first": first, "last": last,
-        "al_ratio_change": last["al_ratio"] - first["al_ratio"],
-    }, "land_ratios.json")
-    readings = {
-        "break_stats": stats, "land_first": first, "land_last": last,
-        "terminal_area_shares": terminal_area,
-        "value_cost": value_cost, "grain_fert": grain_fert,
-    }
-    return artifacts, readings
+    for stage in (run.decompose, run.tfp, run.growth, run.markets, run.cai,
+                  run.diagnose):
+        artifacts.update(stage())
+    return artifacts, run.diagnosis
 
 
 def _share_rows(panel: CropPanel, te_year: int, area: dict):
@@ -404,8 +444,6 @@ def assemble_indicators(config: RunConfig, *, tfp_growth: float,
 def run_pipeline(config: RunConfig, outdir: Path | None = None
                  ) -> DiagnosticReport:
     """Compute and write every report artifact; returns the diagnosis."""
-    from .serialize import write_artifacts
-
     artifacts, report = compute_artifacts(config)
     write_artifacts(outdir or config.output_dir, artifacts)
     return report

@@ -51,6 +51,20 @@ def absolute_config(run_dir: Path) -> dict:
     return config
 
 
+def write_config(tmp_path: Path, config: dict) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def with_broken_input(run_dir: Path, tmp_path: Path, key: str) -> dict:
+    """RUN_DIR's config with input KEY pointing at a file that is not CSV."""
+    config = absolute_config(run_dir)
+    config["inputs"][key] = str(tmp_path / "broken.csv")
+    (tmp_path / "broken.csv").write_text("nonsense\n")
+    return config
+
+
 class TestReport:
     def test_full_artifact_set(self, report_dir):
         names = sorted(p.name for p in report_dir.iterdir())
@@ -177,6 +191,41 @@ class TestSubcommands:
         assert main(["markets", "-c", str(path), "-o", str(out)]) == 0
         names = ["break_stats.json", "figure3.csv", "figure4.csv",
                  "land_ratios.json", "shares.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == \
+                (report_dir / name).read_bytes()
+
+    def test_decompose_config_reads_only_the_crop_panel(self, run_dir,
+                                                        report_dir, tmp_path):
+        # a broken io panel breaks the full pipeline, but decompose reads
+        # only the crop panel
+        path = write_config(
+            tmp_path, with_broken_input(run_dir, tmp_path, "io_panel"))
+        assert main(["report", "-c", str(path),
+                     "-o", str(tmp_path / "report_out")]) == 1
+        out = tmp_path / "decompose_out"
+        assert main(["decompose", "-c", str(path), "-o", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["decomposition.json"]
+        assert (out / "decomposition.json").read_bytes() == \
+            (report_dir / "decomposition.json").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["broken crop panel", "growth window"])
+    def test_tfp_config_reads_only_the_io_panel(self, run_dir, report_dir,
+                                                tmp_path, fault):
+        # either fault breaks the full pipeline, but tfp reads only the io
+        # panel and computes no growth rate
+        if fault == "broken crop panel":
+            config = with_broken_input(run_dir, tmp_path, "crop_panel")
+        else:  # a window the io panel does not cover
+            config = absolute_config(run_dir)
+            config["periods"] = {"x": [1990, 1991]}
+        path = write_config(tmp_path, config)
+        assert main(["report", "-c", str(path),
+                     "-o", str(tmp_path / "report_out")]) == 1
+        out = tmp_path / "tfp_out"
+        assert main(["tfp", "-c", str(path), "-o", str(out)]) == 0
+        names = ["figure2.csv", "tfp_index.csv"]
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == \
@@ -330,6 +379,8 @@ class TestFailureModes:
                       "duplicate"),
         "header only": (lambda lines, year, value: lines[:1],
                         "header but no data rows"),
+        "negative, row named": (lambda lines, year, value: set_first_row_cell(
+            lines, value, "-1"), "', row 2 must be finite and "),
         "not UTF-8": (None, "not UTF-8 text"),
     }
 
@@ -368,6 +419,26 @@ class TestFailureModes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("[1, 2]", "must be an object mapping indicator names"),
+        ('"str"', "must be an object mapping indicator names"),
+        ('{"a": 1}', "indicator 'a' must be an object with a 'value'"),
+        ('{"x": {}}', "indicator 'x' must be an object with a 'value'"),
+        ('{"x": {"value": [[1, "a"]]}}', "indicator 'x': series"),
+        ('{"x": {"value": [1]}}', "indicator 'x': series"),
+        ('{"x": {"value": "str"}}', "indicator 'x': value 'str' is not a number"),
+        ('{"x": {"value": true}}', "indicator 'x': value True is not a number"),
+        ('{"x": {"value": null}}', "indicator 'x': value None is not a number"),
+    ])
+    def test_malformed_indicators_exit_1_naming_file_and_indicator(
+            self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "indicators.json"
+        path.write_text(text)
+        assert main(["diagnose", "--indicators", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: indicators file {path}: ")
+        assert fragment in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fail_at", [1, 2, len(REPORT_ARTIFACTS)])
     def test_failed_write_keeps_the_last_report(self, run_dir, tmp_path,
@@ -473,6 +544,15 @@ class TestRunConfig:
         ("periods.x", [2001, 2005, 2009]),
         ("methods.cv_ddof", True),
         ("methods.cv_ddof", 1.0),
+        ("benchmarks.national_tfp_growth_pct", "1.6"),
+        ("benchmarks.national_tfp_growth_pct", True),
+        ("benchmarks.national_tfp_growth_pct", "nan"),
+        ("benchmarks.national_tfp_growth_pct", float("nan")),
+        ("benchmarks.national_tfp_growth_pct", 10 ** 400),
+        ("grain_commodity", 5),
+        ("fertilizer_commodity", None),
+        ("diversification_group", ["horticulture"]),
+        ("tree", 7),
     ])
     def test_malformed_shape_exits_1_naming_the_key(self, tmp_path, capsys,
                                                     key, value):

@@ -469,6 +469,13 @@ class TestLoadPrices:
         assert sorted(table) == ["urea", "wheat"]
         assert table["wheat"].values == {2002: 700.0, 2003: 720.0}
 
+    @pytest.mark.parametrize("price", ["0", "-700", "nan", "inf"])
+    def test_non_positive_or_non_finite_price_names_the_row(self, price):
+        text = PRICE_FILE.replace("wheat,2003,720", f"wheat,2003,{price}")
+        with pytest.raises(DomainError,
+                           match=r"'price_per_t', row 3 must be finite and > 0"):
+            load_price_table(io.StringIO(text))
+
 
 class TestLoadLandUseAndCosts:
     def test_land_use_sorted(self):
@@ -476,6 +483,18 @@ class TestLoadLandUseAndCosts:
                 "2001,67,18,100\n2000,68,18,100\n")
         records = load_land_use(io.StringIO(text))
         assert [r.year for r in records] == [2000, 2001]
+
+    @pytest.mark.parametrize("row,column", [
+        ("2001,-1,18,100", "agricultural_land"),
+        ("2001,67,nan,100", "non_agricultural_land"),
+        ("2001,67,18,inf", "total_reported"),
+    ])
+    def test_land_use_rejects_negative_and_non_finite_naming_the_row(
+            self, row, column):
+        text = ("year,agricultural_land,non_agricultural_land,total_reported\n"
+                f"2000,68,18,100\n{row}\n")
+        with pytest.raises(DomainError, match=f"'{column}', row 3 must be"):
+            load_land_use(io.StringIO(text))
 
     def test_value_cost(self):
         text = "year,output_value,input_cost\n2000,1500,1000\n"

@@ -113,6 +113,28 @@ class TestImportFootprint:
         assert (code, modules) == (0, layers(
             "pipeline", "ingest", "panel", "markets", "serialize"))
 
+    def test_report_imports_every_layer_before_reading_an_input(
+            self, fixture_dir, tmp_path):
+        # without a bytecode cache, a layer compiled once the inputs are
+        # loaded would add its compile scratch to the report's peak memory
+        script = (
+            "import json, sys\n"
+            "first_csv = []\n"
+            "def hook(event, args):\n"
+            "    if (event == 'open' and not first_csv\n"
+            "            and str(args[0]).endswith('.csv')):\n"
+            "        first_csv.append(sorted(sys.modules))\n"
+            "sys.addaudithook(hook)\n"
+            "from agrodiag.cli import main\n"
+            "code = main(['report', '-c', sys.argv[1], '-o', sys.argv[2]])\n"
+            "print(json.dumps([code, first_csv[0]]))\n"
+        )
+        code, modules = loaded_modules(
+            script, str(fixture_dir / "config.json"), str(tmp_path))
+        assert code == 0
+        assert layers("decomposition", "productivity", "markets", "advantage",
+                      "diagnostics") <= modules
+
     def test_import_package_loads_no_layer(self):
         script = ("import json, sys, agrodiag\n"
                   "print(json.dumps([0, [m for m in sys.modules\n"
