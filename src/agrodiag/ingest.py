@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 import warnings
+from array import array
 from contextlib import contextmanager
 from typing import Mapping
 
@@ -37,7 +38,6 @@ from .panel import (
     LandUseRecord,
     PriceSeries,
     _Columns,
-    _IOColumns,
 )
 
 # Shares are accepted and renormalized inside this band, rejected outside it.
@@ -114,10 +114,7 @@ def _rows(stream, expected_header: list[str], what: str):
 
 def _cell(row: list[str], idx: int, col: str, line: int, what: str,
           cast=float):
-    try:
-        raw = row[idx]
-    except IndexError:
-        raise SchemaError(f"{what}: row {line} is missing column '{col}'") from None
+    raw = row[idx]
     try:
         return cast(raw)
     except ValueError:
@@ -172,7 +169,7 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
                         f"got {index!r} (row {line})"
                     )
                 price = price / (index / 100.0)
-            if not columns.add(crop_id, year, area, production, price):
+            if not columns.add(year, crop_id, [area, production, price]):
                 raise DuplicateKeyError(
                     f"{what}: duplicate ({crop_id}, {year}) in row {line}"
                 )
@@ -231,26 +228,25 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
                 price += prices[i]
                 observed += 1
                 at[k] = i + 1
-        averaged.add(crop, end_year, area / 3.0, production / 3.0,
-                     price / observed)
+        averaged.add(end_year, crop,
+                     [area / 3.0, production / 3.0, price / observed])
     memo[end_year] = CropPanel(averaged)
     return memo[end_year]
 
 
-def _normalize_shares(ids, shares, year: int, kind: str, what: str) -> None:
-    """Rescale one year's ``kind`` shares, in place, to sum to 1."""
+def _normalize_shares(ids, rows, year: int, kind: str, what: str) -> None:
+    """Rescale one year's ``kind`` shares, in place, to sum to 1: the
+    second value of each ``(quantity, share)`` row in ``rows``."""
+    shares = rows[1::2]
     total = sum(shares)
-    if abs(total - 1.0) <= 1e-9:
-        factor = 1.0
-    elif SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
-        factor = total
-    else:
-        raise NormalizationError(
-            f"{what}: {kind} shares for {year} sum to {total!r}, outside "
-            f"the renormalization band {SHARE_RENORM_BAND}"
-        )
-    for i, item_id in enumerate(ids):
-        share = shares[i] = shares[i] / factor
+    if abs(total - 1.0) > 1e-9:
+        if not SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
+            raise NormalizationError(
+                f"{what}: {kind} shares for {year} sum to {total!r}, outside "
+                f"the renormalization band {SHARE_RENORM_BAND}"
+            )
+        shares = rows[1::2] = array("d", [share / total for share in shares])
+    for item_id, share in zip(ids, shares):
         if share > 1:
             raise DomainError(
                 f"{what}: {kind} {item_id!r} in {year} has share {share!r} "
@@ -266,7 +262,7 @@ def load_io_panel(source) -> InputOutputPanel:
     because they cannot enter a log-ratio later.
     """
     what = _label(source, "io panel")
-    columns = _IOColumns()
+    columns = _Columns()
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
                                         "share"], what):
@@ -289,13 +285,13 @@ def load_io_panel(source) -> InputOutputPanel:
                     f"log-ratio",
                     stacklevel=2,
                 )
-            if not columns.add(year, kind, item_id, quantity, share):
+            if not columns.add((year, kind), item_id, [quantity, share]):
                 raise DuplicateKeyError(
                     f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}"
                 )
-    for year in sorted(columns.years):
-        for kind, (ids, _, shares) in columns.years[year].items():
-            _normalize_shares(ids, shares, year, kind, what)
+    for year in sorted({year for year, _ in columns.by_key}):
+        for kind in IO_SIDES:
+            _normalize_shares(*columns.rows((year, kind)), year, kind, what)
     return InputOutputPanel(columns)
 
 

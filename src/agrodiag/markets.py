@@ -75,13 +75,24 @@ def break_analysis(series: PriceSeries, break_year: int,
                 f"{name} window for {series.commodity_id!r} around "
                 f"{break_year} has {len(window)} observation(s); need >= 2"
             )
+    stats = []
+    for name, window in (("before", before), ("after", after)):
+        try:
+            stats += (statistics.fmean(window),
+                      coefficient_of_variation(window, ddof=ddof))
+        except OverflowError:
+            raise DomainError(
+                f"{name} window for {series.commodity_id!r} around "
+                f"{break_year}: its price statistics overflow a float"
+            ) from None
+    mean_before, cv_before, mean_after, cv_after = stats
     return BreakStats(
         commodity_id=series.commodity_id,
         break_year=break_year,
-        mean_before=statistics.fmean(before),
-        mean_after=statistics.fmean(after),
-        cv_before=coefficient_of_variation(before, ddof=ddof),
-        cv_after=coefficient_of_variation(after, ddof=ddof),
+        mean_before=mean_before,
+        mean_after=mean_after,
+        cv_before=cv_before,
+        cv_after=cv_after,
     )
 
 

@@ -4,15 +4,16 @@ All types here are immutable once constructed and therefore safe to share
 across threads. Validation happens at construction time; analysis code can
 assume the invariants hold.
 
-Both panels are columnar, and both are filled through one private builder
-each (``_Columns``, ``_IOColumns``), so no per-row object is kept. Their
-``array('d')`` columns hold doubles bit for bit, and the row objects
-(``CropObservation``, ``IOItem``, ``IOYear``) are built on demand.
+Both panels are columnar, and both are filled through one private
+builder, ``_Columns``, so no per-row object is kept. It gathers the rows
+of each key (a year, or a year and side) as a list of ids plus one
+row-major ``array('d')``, and finds duplicates through one
+``{item id: bit mask of its keys}`` dict. The panels' ``array('d')``
+columns hold doubles bit for bit, and the row objects (``CropObservation``,
+``IOItem``, ``IOYear``) are built on demand.
 
 * A ``CropPanel`` stores each year as ascending crop ids plus three columns
-  (area, production, price). Its builder gathers each year's ids in a list
-  and finds duplicates through one ``{crop id: bit mask of its years}``
-  dict, not a set or dict of ids per year.
+  (area, production, price).
 * An ``InputOutputPanel`` stores each year and side (outputs, inputs) as
   item ids in the order given plus two columns (quantity, share).
 
@@ -74,41 +75,46 @@ class CropObservation:
 
 
 class _Columns:
-    """Observations gathered year by year, in arrival order: per year, the
-    crop ids plus an area, a production and a price column.
+    """Rows gathered key by key, in arrival order: per key, the item ids
+    plus the rows' values, row after row, in one column of doubles.
 
-    Every ``CropPanel`` is indexed from one of these, which it empties;
-    ``ingest.load_crop_panel`` fills one straight from a file, so no
-    per-row object is built. Duplicates are found through one dict for all
-    years, ``seen``: each year owns one bit, given when its columns are
-    created, and a crop id maps to the bits of the years it is in.
+    A key is a crop panel's year or an io panel's ``(year, side)``. Every
+    ``CropPanel`` and ``InputOutputPanel`` is built from one of these,
+    which it empties; the loaders in ``ingest`` fill one straight from a
+    file, so no per-row object is built. Duplicates are found through one
+    dict for all keys, ``seen``: each key owns one bit, given when its
+    entry is created, and an item id maps to the bits of the keys it is
+    under.
     """
 
-    __slots__ = ("years", "seen")
+    __slots__ = ("by_key", "seen")
 
     def __init__(self) -> None:
-        # year -> (its bit, crop ids, area, production, price)
-        self.years: dict[int, tuple[int, list[str], array, array, array]] = {}
+        # key -> (its bit, item ids, values row-major)
+        self.by_key: dict[object, tuple[int, list[str], array]] = {}
         self.seen: dict[str, int] = {}
 
-    def add(self, crop_id: str, year: int, area: float, production: float,
-            price: float) -> bool:
-        """Append one observation; False, and nothing appended, if
-        (crop_id, year) is already present."""
-        columns = self.years.get(year)
-        if columns is None:
-            columns = self.years[year] = (1 << len(self.years), [],
-                                          array("d"), array("d"), array("d"))
-        bit, ids, areas, productions, prices = columns
-        seen = self.seen.get(crop_id, 0)
-        if seen & bit:
+    def add(self, key, item_id: str, values: list[float]) -> bool:
+        """Append one row; False, and nothing appended, if ``item_id`` is
+        already under ``key``."""
+        entry = self.by_key.get(key)
+        if entry is None:
+            entry = self.by_key[key] = (1 << len(self.by_key), [], array("d"))
+        bit, ids, flat = entry
+        seen = self.seen.get(item_id, 0)
+        mask = seen | bit
+        if mask == seen:
             return False
-        self.seen[crop_id] = seen | bit
-        ids.append(crop_id)
-        areas.append(area)
-        productions.append(production)
-        prices.append(price)
+        self.seen[item_id] = mask
+        ids.append(item_id)
+        flat.fromlist(values)
         return True
+
+    def rows(self, key) -> tuple[list[str], array]:
+        """The ids and row-major values under ``key``, empty if it has
+        none."""
+        _, ids, flat = self.by_key.get(key) or (0, [], array("d"))
+        return ids, flat
 
 
 class CropPanel:
@@ -130,8 +136,8 @@ class CropPanel:
         else:
             columns = _Columns()
             for obs in observations:
-                if not columns.add(obs.crop_id, obs.year, obs.area,
-                                   obs.production, obs.price):
+                if not columns.add(obs.year, obs.crop_id,
+                                   [obs.area, obs.production, obs.price]):
                     raise DuplicateKeyError(
                         f"duplicate observation for {(obs.crop_id, obs.year)}"
                     )
@@ -139,12 +145,14 @@ class CropPanel:
         columns.seen.clear()
         # sort year by year, so at most one year is held twice
         self._by_year: dict[int, tuple[tuple[str, ...], array, array, array]] = {}
-        for year in sorted(columns.years):
-            _, ids, *values = columns.years.pop(year)
+        for year in sorted(columns.by_key):
+            _, ids, flat = columns.by_key.pop(year)
             order = sorted(range(len(ids)), key=ids.__getitem__)
+            rows = memoryview(flat)  # its strided slices copy nothing
             self._by_year[year] = (
                 tuple(map(ids.__getitem__, order)),
-                *(array("d", [column[i] for i in order]) for column in values),
+                *(array("d", [column[i] for i in order])
+                  for column in (rows[k::3] for k in range(3))),
             )
         self._years = tuple(self._by_year)
         self._len = sum(len(ids) for ids, *_ in self._by_year.values())
@@ -267,41 +275,6 @@ class IOYear:
                 raise DuplicateKeyError(f"duplicate {kind} item in {self.year}")
 
 
-class _IOColumns:
-    """Items gathered year by year and side by side, in arrival order: per
-    year and side (``IO_SIDES``), the item ids plus a quantity and a share
-    column.
-
-    Every ``InputOutputPanel`` is built from one of these, which it empties;
-    ``ingest.load_io_panel`` fills one straight from a file, so no per-row
-    object is built.
-    """
-
-    __slots__ = ("years",)
-
-    def __init__(self) -> None:
-        # year -> side -> (item ids as an insertion-ordered dict, quantity,
-        # share)
-        self.years: dict[int, dict[str, tuple[dict[str, None], array,
-                                              array]]] = {}
-
-    def add(self, year: int, side: str, item_id: str, quantity: float,
-            share: float) -> bool:
-        """Append one item; False, and nothing appended, if ``item_id`` is
-        already on that side of that year."""
-        sides = self.years.get(year)
-        if sides is None:
-            sides = self.years[year] = {
-                s: ({}, array("d"), array("d")) for s in IO_SIDES}
-        ids, quantities, shares = sides[side]
-        if item_id in ids:
-            return False
-        ids[item_id] = None
-        quantities.append(quantity)
-        shares.append(share)
-        return True
-
-
 class InputOutputPanel:
     """Per-year output quantities with revenue shares and input quantities
     with cost shares. Substrate for the productivity index.
@@ -313,29 +286,30 @@ class InputOutputPanel:
     """
 
     def __init__(self, years) -> None:
-        if isinstance(years, _IOColumns):
+        if isinstance(years, _Columns):
             columns = years
         else:
-            columns = _IOColumns()
+            columns = _Columns()
             for ioy in years:
-                if ioy.year in columns.years:
+                if (ioy.year, "output") in columns.by_key:
                     raise DuplicateKeyError(
                         f"duplicate year {ioy.year} in panel")
                 # an IOYear has checked that its ids are unique
                 for side, items in zip(IO_SIDES, (ioy.outputs, ioy.inputs)):
                     for it in items:
-                        columns.add(ioy.year, side, it.item_id, it.quantity,
-                                    it.share)
+                        columns.add((ioy.year, side), it.item_id,
+                                    [it.quantity, it.share])
+        columns.seen.clear()
         self._by_year: dict[int, dict[str, tuple[tuple[str, ...], array,
                                                  array]]] = {}
-        for year in sorted(columns.years):
-            sides = columns.years.pop(year)
-            for side, (_, _, shares) in sides.items():
+        for year in sorted({year for year, _ in columns.by_key}):
+            sides = self._by_year[year] = {}
+            for side in IO_SIDES:
+                ids, flat = columns.rows((year, side))
+                columns.by_key.pop((year, side), None)
+                quantities, shares = flat[0::2], flat[1::2]
                 _check_share_sum(side, year, shares)
-            self._by_year[year] = {
-                side: (tuple(ids), quantities, shares)
-                for side, (ids, quantities, shares) in sides.items()
-            }
+                sides[side] = (tuple(ids), quantities, shares)
         self._years = tuple(self._by_year)
 
     @property

@@ -75,9 +75,6 @@ def load_run_config(path: Path | str) -> RunConfig:
     raw = read_json(path, "config")
     base = path.parent
 
-    def resolve(p) -> Path:
-        return base / Path(p)
-
     def check(name: str, value, ok: bool, expected: str):
         """VALUE if OK, else a SchemaError naming the key NAME."""
         if not ok:
@@ -85,9 +82,11 @@ def load_run_config(path: Path | str) -> RunConfig:
                               f"got {value!r}")
         return value
 
+    def mapping(name: str, value) -> dict:
+        return check(name, value, isinstance(value, dict), "an object")
+
     def section(key: str) -> dict:
-        value = raw.get(key, {})
-        return check(key, value, isinstance(value, dict), "an object")
+        return mapping(key, raw.get(key, {}))
 
     def strings(name: str, value) -> list[str]:
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -95,6 +94,14 @@ def load_run_config(path: Path | str) -> RunConfig:
 
     def string(name: str, value) -> str:
         return check(name, value, isinstance(value, str), "a string")
+
+    def filename(name: str, value) -> str:
+        # ``open`` refuses a NUL character with an error that names no key
+        ok = isinstance(value, str) and "\0" not in value
+        return check(name, value, ok, "a string without NUL characters")
+
+    def resolve(name: str, value) -> Path:
+        return base / filename(name, value)
 
     def year(name: str, value) -> int:
         # ``bool`` subclasses ``int``, so JSON ``true`` must be kept out
@@ -107,11 +114,11 @@ def load_run_config(path: Path | str) -> RunConfig:
         return year(name, value[0]), year(name, value[1])
 
     try:
-        inputs = raw["inputs"]
+        inputs = mapping("inputs", raw["inputs"])
         methods = section("methods")
         periods = {label: window(label, value)
                    for label, value in section("periods").items()}
-        decomp = raw["decomposition"]
+        decomp = mapping("decomposition", raw["decomposition"])
         tfp_base_year = methods.get("tfp_base_year")
         if tfp_base_year is not None:
             year("methods.tfp_base_year", tfp_base_year)
@@ -132,10 +139,10 @@ def load_run_config(path: Path | str) -> RunConfig:
               type(national) in (int, float)
               and abs(national) <= sys.float_info.max, "a finite number")
         return RunConfig(
-            **{key: resolve(inputs[key]) for key in (
+            **{key: resolve(f"inputs.{key}", inputs[key]) for key in (
                 "crop_panel", "io_panel", "land_use", "cost_series",
                 "area_shares_region", "area_shares_nation")},
-            price_series=[resolve(p) for p in strings(
+            price_series=[resolve("inputs.price_series", p) for p in strings(
                 "inputs.price_series", inputs["price_series"])],
             periods=periods,
             decomposition_base=year("decomposition.base_year",
@@ -149,8 +156,8 @@ def load_run_config(path: Path | str) -> RunConfig:
                 "grain_commodity", "fertilizer_commodity",
                 "diversification_group")},
             national_tfp_growth_pct=float(national),
-            tree=string("tree", raw.get("tree", "builtin")),
-            output_dir=resolve(raw.get("output_dir", "out")),
+            tree=filename("tree", raw.get("tree", "builtin")),
+            output_dir=resolve("output_dir", raw.get("output_dir", "out")),
             tfp_base_year=tfp_base_year,
             config_dir=base,
             **options,

@@ -165,7 +165,14 @@ def _chain(kind: str, years: tuple[int, ...], base_year: int,
     for y, step in zip(years[1:], steps):
         cumulative[y] = cumulative[y - 1] + step
     anchor = cumulative[base_year]
-    values = {y: 100.0 * math.exp(c - anchor) for y, c in cumulative.items()}
+    values = {}
+    for y, c in cumulative.items():
+        try:
+            values[y] = 100.0 * math.exp(c - anchor)
+        except OverflowError:
+            raise DomainError(
+                f"index series {kind!r} value for {y} overflows a float"
+            ) from None
     values[base_year] = 100.0
     return IndexSeries(label=kind, base_year=base_year, values=values)
 

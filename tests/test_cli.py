@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,15 @@ class TestReport:
         for name in REPORT_ARTIFACTS:
             assert (out2 / name).read_bytes() == \
                 (report_dir / name).read_bytes(), name
+
+    def test_fixture_bytes_match_the_pinned_digests(self, report_dir):
+        # the digests the benchmark checks its fixture report against
+        pinned = json.loads((Path(__file__).parents[1] / "perfbench"
+                             / "fixture_sha256.json").read_text())
+        assert sorted(pinned) == sorted(REPORT_ARTIFACTS)
+        for name, digest in pinned.items():
+            assert hashlib.sha256((report_dir / name).read_bytes()) \
+                .hexdigest() == digest, name
 
     def test_decomposition_percent_view_present(self, report_dir):
         record = json.loads((report_dir / "decomposition.json").read_text())
@@ -329,6 +339,39 @@ class TestFailureModes:
         assert where in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["markets", "report"])
+    def test_price_overflow_exits_1_naming_commodity_and_window(
+            self, tmp_path, capsys, command):
+        # finite prices whose sum overflows while they are averaged
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        prices = inputs / "prices.csv"
+        prices.write_text("".join(
+            f"maize,{line.split(',')[1]},1.7e308\n"
+            if line.startswith("maize,") else line + "\n"
+            for line in prices.read_text().splitlines()))
+        rc = main([command, "-c", str(inputs / "config.json"),
+                   "-o", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err == ("error: before window for 'maize' around 2007: its "
+                       "price statistics overflow a float\n")
+
+    def test_index_overflow_exits_1_naming_series_and_year(self, tmp_path,
+                                                           capsys):
+        # each log change is finite; their sum is not, as a level
+        panel = tmp_path / "io_panel.csv"
+        panel.write_text("year,kind,item_id,quantity,share\n" + "".join(
+            f"{year},output,grain,{quantity},1.0\n{year},input,labour,1,1.0\n"
+            for year, quantity in ((2000, "1e-300"), (2001, "1e5"),
+                                   (2002, "1e300"))))
+        assert main(["tfp", "--io-panel", str(panel)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == ("error: index series 'output' value for 2002 "
+                       "overflows a float\n")
+
     @pytest.mark.parametrize("command", ["validate", "report"])
     @pytest.mark.parametrize("name", [
         "crops.csv", "io_panel.csv", "prices.csv", "land_use.csv",
@@ -553,6 +596,14 @@ class TestRunConfig:
         ("fertilizer_commodity", None),
         ("diversification_group", ["horticulture"]),
         ("tree", 7),
+        ("inputs", "x"),
+        ("decomposition", 5),
+        ("inputs.crop_panel", 7),
+        ("output_dir", 5),
+        ("inputs.land_use", "land\u0000use.csv"),
+        ("inputs.price_series", ["prices\u0000.csv"]),
+        ("output_dir", "o\u0000ut"),
+        ("tree", "tree\u0000.json"),
     ])
     def test_malformed_shape_exits_1_naming_the_key(self, tmp_path, capsys,
                                                     key, value):

@@ -186,8 +186,8 @@ class TestLoadCropPanel:
                 load_text(text + f"c1,{year},2,2,2\n")
         columns = _Columns()
         for year in range(1950, 2020):
-            assert columns.add("a", year, 1.0, 2.0, 3.0)
-        assert not columns.add("a", 2019, 9.0, 9.0, 9.0)
+            assert columns.add(year, "a", [1.0, 2.0, 3.0])
+        assert not columns.add(2019, "a", [9.0, 9.0, 9.0])
         assert CropPanel(columns) == CropPanel(
             CropObservation("a", y, 1.0, 2.0, 3.0) for y in range(1950, 2020))
 
@@ -386,6 +386,41 @@ class TestLoadIOPanel:
         with pytest.raises(DomainError,
                            match=r"^io panel: input 'labour' in 2000 has share "
                                  r"1\.0000000005 after renormalization"):
+            load_io_panel(io.StringIO(text))
+
+    def test_duplicate_found_beyond_64_keys(self):
+        # 40 years x 2 sides: 80 keys, so the later keys' bits make the
+        # masks big ints
+        text = "year,kind,item_id,quantity,share\n" + "".join(
+            f"{y},{kind},i{j},{j + 1},0.5\n" for y in range(1950, 1990)
+            for kind in ("output", "input") for j in range(2))
+        assert load_io_panel(io.StringIO(text)).years == \
+            tuple(range(1950, 1990))
+        for year, kind in ((1950, "output"), (1989, "input")):
+            with pytest.raises(DuplicateKeyError,
+                               match=rf"^io panel: duplicate {kind} 'i1' for "
+                                     rf"{year} in row 162$"):
+                load_io_panel(io.StringIO(text + f"{year},{kind},i1,1,0\n"))
+
+    @pytest.mark.parametrize("present, missing", [
+        ("output", "input"), ("input", "output")])
+    def test_year_with_one_side_names_the_missing_side(self, present,
+                                                      missing):
+        text = IO_FILE + f"2001,{present},grain,100,1.0\n"
+        with pytest.raises(NormalizationError,
+                           match=rf"^io panel: {missing} shares for 2001 sum "
+                                 rf"to 0, outside the renormalization band "
+                                 rf"\(0\.999, 1\.001\)$"):
+            load_io_panel(io.StringIO(text))
+
+    def test_two_bad_sides_report_the_output_side(self):
+        # the input side comes first in the file, the output side is
+        # checked first
+        text = ("year,kind,item_id,quantity,share\n"
+                "2000,input,labour,10,0.5\n2000,output,grain,100,0.25\n")
+        with pytest.raises(NormalizationError,
+                           match=r"^io panel: output shares for 2000 sum to "
+                                 r"0\.25, outside the renormalization band"):
             load_io_panel(io.StringIO(text))
 
     def test_memory_per_row(self):
