@@ -8,8 +8,8 @@ devotes relatively more of its land to the group than the country does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import (
     DomainError,
     DuplicateKeyError,
@@ -21,8 +21,7 @@ from .ingest import _label, _named, load_crop_panel
 from .panel import CropPanel
 
 
-@dataclass(frozen=True)
-class AreaShareTable:
+class AreaShareTable(Record, frozen=True):
     """Crop-group areas for one scope (region or nation) in one year.
 
     The denominator universe is exactly the set of groups in ``entries``;
@@ -31,9 +30,10 @@ class AreaShareTable:
 
     scope: str
     year: int
-    entries: dict[str, float] = field(compare=True)
-    # the sum of ``entries``, taken once so each share is one division
-    total: float = field(init=False, repr=False, compare=False)
+    entries: dict[str, float]
+    # no field: the sum of ``entries``, taken once so each share is one
+    # division
+    __slots__ = ("total",)
 
     def __post_init__(self) -> None:
         if self.scope not in ("region", "nation"):

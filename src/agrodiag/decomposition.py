@@ -19,8 +19,7 @@ concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import CoverageError, DataInconsistencyError, DomainError
 from .ingest import triennium_average
 from .panel import CropPanel
@@ -34,8 +33,7 @@ EFFECT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record, frozen=True):
     """Total revenue change split into effects, in currency units.
 
     ``percent`` views each effect as a share of the total change (summing
@@ -196,12 +194,5 @@ def decompose(
         area_effect + price_effect + yield_effect + diversification_effect
     )
     return DecompositionResult(
-        base_label=base_label,
-        terminal_label=term_label,
-        total_dR=total_dR,
-        area_effect=area_effect,
-        price_effect=price_effect,
-        yield_effect=yield_effect,
-        diversification_effect=diversification_effect,
-        interaction_effect=interaction_effect,
-    )
+        base_label, term_label, total_dR, area_effect, price_effect,
+        yield_effect, diversification_effect, interaction_effect)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources
 from numbers import Real
+from pathlib import Path
 from typing import Any, Mapping
 
+from ._record import Record
 from .errors import (
     CycleError,
     DanglingReferenceError,
@@ -43,8 +43,7 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Record, frozen=True):
     """A named quantity with a units tag and a note on where it came from."""
 
     name: str
@@ -126,8 +125,7 @@ class IndicatorSet:
         return out
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Record, frozen=True):
     """One comparison against a scalar indicator.
 
     Threshold comparators (``<  <=  >  >=  =``) test the value against
@@ -216,8 +214,7 @@ class Predicate:
         return (self.tolerance - abs(value)) / self.tolerance
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record, frozen=True):
     """Either a pointer to the next node or a terminal verdict."""
 
     node: str | None = None
@@ -235,8 +232,7 @@ class Branch:
             )
 
 
-@dataclass(frozen=True)
-class DiagnosticNode:
+class DiagnosticNode(Record, frozen=True):
     id: str
     question: str
     predicate: Predicate
@@ -432,9 +428,7 @@ def builtin_bihar_tree() -> DiagnosticTree:
     costs. The thresholds are editable defaults, not measured constants;
     copy and adapt the underlying JSON for other regions.
     """
-    data = resources.files(__package__).joinpath("data") \
-        .joinpath(_BUILTIN_TREE_RESOURCE).read_text(encoding="utf-8")
-    return load_tree(data)
+    return load_tree(Path(__file__).with_name("data") / _BUILTIN_TREE_RESOURCE)
 
 
 def resolve_tree(selector: str, config_dir) -> DiagnosticTree:
@@ -447,14 +441,13 @@ def resolve_tree(selector: str, config_dir) -> DiagnosticTree:
 # -- evaluation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(Record, frozen=True):
     """Outcome of evaluating a tree: verdicts plus the evidence trail."""
 
     binding_constraints: tuple[str, ...]
     non_binding: tuple[str, ...]
-    severity: dict[str, float] = field(compare=True)
-    evidence: dict[str, dict] = field(compare=True)
+    severity: dict[str, float]
+    evidence: dict[str, dict]
     trace: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:

@@ -6,11 +6,10 @@ Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .errors import CoverageError, DomainError
 from .ingest import triennium_average
 from .panel import CropPanel, LandUseRecord, PriceSeries
@@ -30,16 +29,44 @@ def coefficient_of_variation(values: Sequence[float], ddof: int = 1) -> float:
         )
     if not all(map(math.isfinite, values)):
         raise DomainError("coefficient of variation needs finite values")
-    mean = statistics.fmean(values)
+    mean = _fmean(values)
     if mean <= 0:
         raise DomainError(f"coefficient of variation needs a positive mean, "
                           f"got {mean!r}")
-    spread = statistics.stdev(values) if ddof else statistics.pstdev(values)
-    return spread / mean * 100.0
+    return _stdev(values, ddof) / mean * 100.0
 
 
-@dataclass(frozen=True)
-class BreakStats:
+def _fmean(values: Sequence[float]) -> float:
+    """``statistics.fmean``: the correctly rounded sum over the count."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise DomainError("the mean overflows a float") from None
+
+
+def _stdev(values: Sequence[float], ddof: int) -> float:
+    """``statistics.stdev`` (DDOF 1) or ``pstdev`` (DDOF 0), bit for bit:
+    the correctly rounded square root of the exact mean sum of squares,
+    taken in integers over one power-of-two denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)  # each d is a power of two
+    xs = [n * (scale // d) for n, d in ratios]
+    count = len(xs)
+    num = count * sum(x * x for x in xs) - sum(xs) ** 2
+    den = count * (count - ddof) * scale * scale
+    # taken to 60 bits or more and rounded to odd, the root of num / den
+    # rounds to the nearest float correctly
+    e = max(0, 60 - (num.bit_length() - den.bit_length()) // 2)
+    num <<= 2 * e
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    try:
+        return root / (1 << e)
+    except OverflowError:
+        raise DomainError("the standard deviation overflows a float") from None
+
+
+class BreakStats(Record, frozen=True):
     """Price level and volatility on each side of a structural break."""
 
     commodity_id: str
@@ -50,14 +77,7 @@ class BreakStats:
     cv_after: float
 
     def to_record(self) -> dict:
-        return {
-            "commodity_id": self.commodity_id,
-            "break_year": self.break_year,
-            "mean_before": self.mean_before,
-            "mean_after": self.mean_after,
-            "cv_before": self.cv_before,
-            "cv_after": self.cv_after,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def break_analysis(series: PriceSeries, break_year: int,
@@ -78,22 +98,16 @@ def break_analysis(series: PriceSeries, break_year: int,
     stats = []
     for name, window in (("before", before), ("after", after)):
         try:
-            stats += (statistics.fmean(window),
+            stats += (_fmean(window),
                       coefficient_of_variation(window, ddof=ddof))
-        except OverflowError:
+        except DomainError:  # finite prices > 0 fail only by overflowing
             raise DomainError(
                 f"{name} window for {series.commodity_id!r} around "
                 f"{break_year}: its price statistics overflow a float"
             ) from None
     mean_before, cv_before, mean_after, cv_after = stats
-    return BreakStats(
-        commodity_id=series.commodity_id,
-        break_year=break_year,
-        mean_before=mean_before,
-        mean_after=mean_after,
-        cv_before=cv_before,
-        cv_after=cv_after,
-    )
+    return BreakStats(series.commodity_id, break_year, mean_before,
+                      mean_after, cv_before, cv_after)
 
 
 def _pointwise_ratio(numerator: Mapping[int, float],

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import repeat
 
+from ._record import Record
 from .errors import (
     CoverageError,
     DataInconsistencyError,
@@ -41,8 +41,7 @@ from .errors import (
 SHARE_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class CropObservation:
+class CropObservation(Record, frozen=True):
     """One crop in one year: area (ha), production (t), price (currency/t).
 
     Yield is derived, never stored: production / area, defined only for
@@ -211,7 +210,10 @@ class CropPanel:
         """One year as ``(crop_ids, area, production, price)``: crop ids
         ascending, each value column a read-only view of doubles in the
         same order."""
-        self._require_year(year)
+        if year not in self._by_year:
+            raise CoverageError(
+                f"year {year} not covered by panel (have {self._years})"
+            )
         ids, *values = self._by_year[year]
         return (ids, *(memoryview(column).toreadonly() for column in values))
 
@@ -226,18 +228,11 @@ class CropPanel:
             raise DomainError(f"total cropped area in {year} is not positive")
         return {crop: a / total for crop, a in zip(ids, area)}
 
-    def _require_year(self, year: int) -> None:
-        if not self.has_year(year):
-            raise CoverageError(
-                f"year {year} not covered by panel (have {self._years})"
-            )
-
 
 IO_SIDES = ("output", "input")
 
 
-@dataclass(frozen=True, slots=True)
-class IOItem:
+class IOItem(Record, frozen=True):
     """One output or input in one year: quantity plus its value share."""
 
     item_id: str
@@ -261,8 +256,7 @@ def _check_share_sum(kind: str, year: int, shares) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class IOYear:
+class IOYear(Record, frozen=True):
     year: int
     outputs: tuple[IOItem, ...]
     inputs: tuple[IOItem, ...]
@@ -344,12 +338,11 @@ class InputOutputPanel:
         return tuple(map(IOItem, *self.columns(year, "input")))
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(Record, frozen=True):
     """Prices (currency per tonne) for one commodity over years."""
 
     commodity_id: str
-    values: dict[int, float] = field(compare=True)
+    values: dict[int, float]
 
     def __post_init__(self) -> None:
         clean: dict[int, float] = {}
@@ -376,8 +369,7 @@ class PriceSeries:
         ]
 
 
-@dataclass(frozen=True)
-class LandUseRecord:
+class LandUseRecord(Record, frozen=True):
     """Agricultural vs non-agricultural land in one year's reported area."""
 
     year: int

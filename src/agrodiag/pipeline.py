@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
+from ._record import Record
 from .errors import DuplicateKeyError, SchemaError
 from .serialize import (
     cai_csv, csv_text, index_csvs, json_text, read_json, write_artifacts,
@@ -41,8 +41,7 @@ REPORT_ARTIFACTS = (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Parsed run configuration; see README for the JSON layout."""
 
     crop_panel: Path
@@ -67,7 +66,7 @@ class RunConfig:
     cv_ddof: int = 1
     period_mode: str = "triennium"
     tfp_base_year: int | None = None
-    config_dir: Path = field(default_factory=Path)
+    config_dir: Path = Path()
 
 
 def load_run_config(path: Path | str) -> RunConfig:
@@ -177,7 +176,6 @@ def _input(loader: str, key: str) -> cached_property:
     return cached_property(read)
 
 
-@dataclass
 class Run:
     """The report of one run config, computed on demand.
 
@@ -188,7 +186,8 @@ class Run:
     takes the union of the six.
     """
 
-    config: RunConfig
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
 
     def load(self) -> Run:
         """Read every input, in a fixed order; returns the run."""

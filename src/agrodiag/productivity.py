@@ -15,10 +15,9 @@ series equals 100 * output / input pointwise when all three share a base.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
 from typing import Mapping
 
+from ._record import Record
 from .errors import (
     CompositionChangeError,
     CoverageError,
@@ -31,13 +30,12 @@ INDEX_KINDS = ("output", "input", "tfp")
 GROWTH_METHODS = ("loglinear", "cagr")
 
 
-@dataclass(frozen=True)
-class IndexSeries:
+class IndexSeries(Record, frozen=True):
     """A chained index over contiguous years, 100 at the base year."""
 
     label: str
     base_year: int
-    values: dict[int, float] = field(compare=True)
+    values: dict[int, float]
 
     def __post_init__(self) -> None:
         years = sorted(self.values)
@@ -75,9 +73,9 @@ class IndexSeries:
 
 def _paired_items(
     old, new, kind: str, from_year: int, to_year: int,
-) -> list[tuple[str, float, float, float]]:
+) -> list[tuple[str, float, float]]:
     """Match items across two years' ``(item_ids, quantity, share)``
-    columns -> (id, mean share, old qty, new qty), by item id."""
+    columns -> (id, mean share, new qty / old qty), by item id."""
     # read each column into a list once, so no access boxes a new float
     old_ids, old_quantity, old_share = old[0], old[1].tolist(), old[2].tolist()
     new_ids, new_quantity, new_share = new[0], new[1].tolist(), new[2].tolist()
@@ -103,7 +101,13 @@ def _paired_items(
                 f"{kind} {item_id!r} has non-positive quantity in "
                 f"{from_year}->{to_year} but share {share!r}"
             )
-        rows.append((item_id, share, q0, q1))
+        ratio = q1 / q0
+        if not 0 < ratio < math.inf:
+            raise DomainError(
+                f"{kind} {item_id!r}: its quantity ratio {from_year}->"
+                f"{to_year} ({q1!r} / {q0!r}) leaves the float range"
+            )
+        rows.append((item_id, share, ratio))
     return rows
 
 
@@ -112,8 +116,8 @@ def _weighted_log_change(panel: InputOutputPanel, from_year: int,
     old = panel.columns(from_year, side)
     new = panel.columns(to_year, side)
     return sum(
-        share * math.log(q1 / q0)
-        for _, share, q0, q1 in _paired_items(old, new, side, from_year, to_year)
+        share * math.log(ratio)
+        for _, share, ratio in _paired_items(old, new, side, from_year, to_year)
     )
 
 
@@ -242,6 +246,14 @@ def avg_annual_growth(
         return ((last / first) ** (1.0 / span) - 1.0) * 100.0
     if min(values) <= 0:
         raise LogDomainError("loglinear growth needs strictly positive values")
-    slope = statistics.linear_regression(
-        years, [math.log(v) for v in values]).slope
+    slope = _slope(years, [math.log(v) for v in values])
     return (math.exp(slope) - 1.0) * 100.0
+
+
+def _slope(x: list[int], y: list[float]) -> float:
+    """``statistics.linear_regression(x, y).slope``, with the ``fsum``
+    arithmetic of Python 3.11, bit for bit."""
+    n = len(x)
+    xbar, ybar = math.fsum(x) / n, math.fsum(y) / n
+    sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+    return sxy / math.fsum((d := xi - xbar) * d for xi in x)

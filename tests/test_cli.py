@@ -372,6 +372,24 @@ class TestFailureModes:
         assert err == ("error: index series 'output' value for 2002 "
                        "overflows a float\n")
 
+    @pytest.mark.parametrize("command", ["growth", "tfp", "report"])
+    def test_io_ratio_overflow_exits_1_naming_side_item_and_years(
+            self, tmp_path, capsys, command):
+        # 1e158 / 1e-152 overflows a float, though each quantity is finite
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        quantities = {2000: "1", 2001: "1e-152"}
+        (inputs / "io_panel.csv").write_text(
+            "year,kind,item_id,quantity,share\n" + "".join(
+                f"{year},output,grain,{quantities.get(year, '1e158')},1.0\n"
+                f"{year},input,labour,1,1.0\n" for year in fixtures.IO_YEARS))
+        rc = main([command, "-c", str(inputs / "config.json"),
+                   "-o", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == ("error: output 'grain': its quantity ratio "
+                       "2001->2002 (1e+158 / 1e-152) leaves the float range\n")
+
     @pytest.mark.parametrize("command", ["validate", "report"])
     @pytest.mark.parametrize("name", [
         "crops.csv", "io_panel.csv", "prices.csv", "land_use.csv",

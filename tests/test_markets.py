@@ -1,12 +1,15 @@
 import statistics
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agrodiag.errors import CoverageError, DomainError
 from agrodiag.markets import (
+    _fmean,
+    _stdev,
     break_analysis,
     coefficient_of_variation,
     land_use_ratios,
@@ -71,6 +74,66 @@ class TestCoefficientOfVariation:
     def test_shift_strictly_decreases_cv(self, values, c):
         assert coefficient_of_variation([v + c for v in values]) < \
             coefficient_of_variation(values)
+
+    @pytest.mark.parametrize("values", [[1.7e308] * 3, [1.7e308, 1e308]])
+    def test_overflow_is_domain_error(self, values):
+        with pytest.raises(DomainError, match="overflows a float"):
+            coefficient_of_variation(values)
+
+
+def same_float_or_domain_error(helper, reference):
+    """HELPER() gives REFERENCE()'s float, bit for bit, or raises
+    DomainError where REFERENCE() overflows."""
+    try:
+        want = reference()
+    except OverflowError:
+        with pytest.raises(DomainError, match="overflows a float"):
+            helper()
+    else:
+        assert helper().hex() == want.hex()
+
+
+# finite floats: subnormals, values near +-1.7e308, repeated values
+# and the shortest lists included
+float_lists = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=2, max_size=8),
+    st.lists(st.floats(-1e-300, 1e-300), min_size=2, max_size=8),
+    st.lists(st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
+                              0.1, 1.0, 3.0, 1e308, 1.7e308, -1.7e308,
+                              1.7976931348623157e308]),
+             min_size=2, max_size=8),
+    st.builds(lambda v, n: [v] * n,
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(2, 5)),
+)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the helpers give the results of Python 3.11's "
+                           "statistics module")
+class TestStatisticsHelpers:
+    @given(float_lists)
+    @settings(max_examples=400, deadline=None)
+    def test_fmean_matches_statistics(self, values):
+        same_float_or_domain_error(lambda: _fmean(values),
+                                   lambda: statistics.fmean(values))
+
+    @given(float_lists)
+    @example([1.7e308, -1.7e308])  # overflows
+    @example([5e-324, 1e-323])  # a subnormal result
+    @settings(max_examples=400, deadline=None)
+    def test_stdev_matches_statistics(self, values):
+        same_float_or_domain_error(lambda: _stdev(values, 1),
+                                   lambda: statistics.stdev(values))
+
+    @given(float_lists)
+    @example([1.7e308, -1.7e308])  # overflows
+    @example([5e-324, 1e-323])  # a subnormal result
+    @settings(max_examples=400, deadline=None)
+    def test_pstdev_matches_statistics(self, values):
+        same_float_or_domain_error(lambda: _stdev(values, 0),
+                                   lambda: statistics.pstdev(values))
 
 
 class TestBreakAnalysis:

@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,22 @@ class TestTornqvistLogGrowth:
         with pytest.raises(LogDomainError,
                            match=r"^output 'grain' has non-positive quantity "
                                  r"in 2000->2001 but share 1\.0$"):
+            tornqvist_log_growth(panel, 2000, 2001)
+
+    @pytest.mark.parametrize("side, q0, q1, ratio", [
+        ("output", 1e-152, 1e158, r"\(1e\+158 / 1e-152\)"),
+        ("input", 1e300, 1e-300, r"\(1e-300 / 1e\+300\)"),
+    ])
+    def test_ratio_outside_float_range_rejected(self, side, q0, q1, ratio):
+        # q1 / q0 is +inf or 0.0, whose log is no log change
+        moving = ({"x": (q0, 1.0)}, {"x": (q1, 1.0)})
+        fixed = ({"x": (1.0, 1.0)}, {"x": (1.0, 1.0)})
+        out, in_ = (moving, fixed) if side == "output" else (fixed, moving)
+        panel = two_year_panel(out[0], out[1], in_[0], in_[1])
+        with pytest.raises(DomainError,
+                           match=rf"^{side} 'x': its quantity ratio "
+                                 rf"2000->2001 {ratio} leaves the float "
+                                 r"range$"):
             tornqvist_log_growth(panel, 2000, 2001)
 
     def test_one_sided_item_with_weight_rejected(self):
@@ -301,3 +319,17 @@ class TestAvgAnnualGrowth:
     def test_accepts_index_series(self):
         series = IndexSeries("tfp", 2000, {2000: 100.0, 2001: 102.0})
         assert avg_annual_growth(series, method="cagr") == pytest.approx(2.0)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the slope is the fsum arithmetic of Python "
+                               "3.11's statistics.linear_regression")
+    @given(st.lists(st.integers(-3000, 3000), min_size=2, max_size=40,
+                    unique=True).flatmap(lambda years: st.tuples(
+                        st.just(years),
+                        st.lists(st.floats(-745.0, 710.0), min_size=len(years),
+                                 max_size=len(years)))))
+    @settings(max_examples=300, deadline=None)
+    def test_slope_matches_statistics(self, years_and_logs):
+        years, logs = years_and_logs
+        want = statistics.linear_regression(years, logs).slope
+        assert productivity._slope(years, logs).hex() == want.hex()

@@ -34,10 +34,12 @@ RUN_CLI = (
 )
 
 
-def loaded_modules(script: str, *args: str) -> tuple[object, set[str]]:
-    """Run SCRIPT in a fresh interpreter; return its exit code and modules."""
+def loaded_modules(script: str, *args: str,
+                   flags: tuple[str, ...] = ()) -> tuple[object, set[str]]:
+    """Run SCRIPT in a fresh interpreter started with FLAGS; return its exit
+    code and modules."""
     result = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
         text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -54,7 +56,8 @@ def indicators(fixture_dir, tmp_path_factory):
 
 
 def layers(*names: str) -> set[str]:
-    return ENTRY | {f"agrodiag.{name}" for name in names}
+    # every layer defines its value classes on ``agrodiag._record``
+    return ENTRY | {f"agrodiag.{name}" for name in ("_record", *names)}
 
 
 class TestImportFootprint:
@@ -96,6 +99,36 @@ class TestImportFootprint:
             "                                     'agrodiag.pipeline')\n"
             "                         if m in sys.modules]]))\n")
         assert loaded_modules(script, "--help") == (0, set())
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "-c", "config.json"] for command in (
+            "validate", "decompose", "tfp", "growth", "markets", "cai",
+            "diagnose", "report")),
+        ["diagnose", "--indicators", "indicators.json"],
+    ])
+    def test_runs_load_neither_dataclasses_nor_statistics(
+            self, fixture_dir, indicators, tmp_path, argv):
+        # nor what these two import: ~1.5 MB of a fresh report's peak
+        paths = {"config.json": str(fixture_dir / "config.json"),
+                 "indicators.json": str(indicators)}
+        script = RUN_CLI + (
+            "print(json.dumps([code, [m for m in ('dataclasses',\n"
+            "                                     'statistics', 'inspect',\n"
+            "                                     'fractions', 'decimal')\n"
+            "                         if m in sys.modules]]))\n")
+        argv = [paths.get(a, a) for a in argv]
+        assert loaded_modules(script, *argv, "-o", str(tmp_path)) == \
+            (0, set())
+
+    def test_report_loads_no_importlib_resources(self, fixture_dir,
+                                                 tmp_path):
+        # -S: the site module may import it itself (a .pth file can)
+        script = RUN_CLI + (
+            "print(json.dumps([code, [m for m in ('importlib.resources',)\n"
+            "                         if m in sys.modules]]))\n")
+        assert loaded_modules(
+            script, "report", "-c", str(fixture_dir / "config.json"),
+            "-o", str(tmp_path), flags=("-S",)) == (0, set())
 
     def test_growth_config_loads_only_the_io_layers(self, fixture_dir,
                                                     tmp_path):
