@@ -80,8 +80,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    run = _run(args).load()
-    panel = run.panel
+    run = _run(args)
+    run.crop_years = None  # the counts below cover every year
+    panel = run.load().panel
     print(f"crop panel: {len(panel)} observations, {len(panel.crops)} crops, "
           f"years {panel.years[0]}-{panel.years[-1]}")
     io_years = run.io_panel.years

@@ -53,14 +53,16 @@ def _label(source, kind: str) -> str:
 
 
 @contextmanager
-def _named(what: str):
+def _named(what: str, line: int | None = None):
     """Start the message of a value error raised inside with WHAT, as the
-    loaders' own messages start: for the checks of the records and tables
-    a loader builds, which do not know their file."""
+    loaders' own messages start, and end it with row LINE if given: for the
+    checks of the records and tables a loader builds, which do not know
+    their file."""
     try:
         yield
     except (DomainError, DataInconsistencyError) as exc:
-        raise type(exc)(f"{what}: {exc}") from None
+        row = "" if line is None else f" in row {line}"
+        raise type(exc)(f"{what}: {exc}{row}") from None
 
 
 @contextmanager
@@ -135,18 +137,19 @@ def _amount(row: list[str], idx: int, col: str, line: int, what: str) -> float:
 
 
 def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
-                    what: str | None = None) -> CropPanel:
+                    what: str | None = None, years=None) -> CropPanel:
     """Load a crop panel file; optionally deflate prices to real terms.
 
     ``deflator`` maps year to an index (base 100); each price is divided by
     ``deflator[year] / 100``. The deflator must cover every year present.
     No deflator is ever invented: nominal prices pass through unchanged.
     Errors start with ``what``, by default ``crop panel`` and the file; a
-    caller loading another input in this schema names it there.
+    caller loading another input in this schema names it there. Every row
+    is checked, but with ``years`` (a set) only the rows of those are kept.
     """
     if what is None:
         what = _label(source, "crop panel")
-    columns = _Columns()
+    columns = _Columns(years)
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["crop_id", "year", "area_ha",
                                         "production_t", "price_per_t"], what):
@@ -336,7 +339,7 @@ def load_land_use(source) -> list[LandUseRecord]:
             non_agricultural = _amount(row, 2, "non_agricultural_land", line,
                                        what)
             total = _amount(row, 3, "total_reported", line, what)
-            with _named(what):
+            with _named(what, line):
                 records[year] = LandUseRecord(year, agricultural,
                                               non_agricultural, total)
     return [records[y] for y in sorted(records)]

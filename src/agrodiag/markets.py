@@ -33,7 +33,10 @@ def coefficient_of_variation(values: Sequence[float], ddof: int = 1) -> float:
     if mean <= 0:
         raise DomainError(f"coefficient of variation needs a positive mean, "
                           f"got {mean!r}")
-    return _stdev(values, ddof) / mean * 100.0
+    cv = _stdev(values, ddof) / mean * 100.0
+    if not math.isfinite(cv):
+        raise DomainError(f"the coefficient overflows a float (mean {mean!r})")
+    return cv
 
 
 def _fmean(values: Sequence[float]) -> float:

@@ -83,30 +83,33 @@ class _Columns:
     file, so no per-row object is built. Duplicates are found through one
     dict for all keys, ``seen``: each key owns one bit, given when its
     entry is created, and an item id maps to the bits of the keys it is
-    under.
+    under. With ``keep``, a key not in it gets its bit but no ids (None).
     """
 
-    __slots__ = ("by_key", "seen")
+    __slots__ = ("by_key", "seen", "keep")
 
-    def __init__(self) -> None:
-        # key -> (its bit, item ids, values row-major)
-        self.by_key: dict[object, tuple[int, list[str], array]] = {}
+    def __init__(self, keep=None) -> None:
+        # key -> (its bit, item ids or None, values row-major)
+        self.by_key: dict[object, tuple[int, list[str] | None, array]] = {}
         self.seen: dict[str, int] = {}
+        self.keep = keep
 
     def add(self, key, item_id: str, values: list[float]) -> bool:
         """Append one row; False, and nothing appended, if ``item_id`` is
         already under ``key``."""
         entry = self.by_key.get(key)
         if entry is None:
-            entry = self.by_key[key] = (1 << len(self.by_key), [], array("d"))
+            ids = [] if self.keep is None or key in self.keep else None
+            entry = self.by_key[key] = (1 << len(self.by_key), ids, array("d"))
         bit, ids, flat = entry
         seen = self.seen.get(item_id, 0)
         mask = seen | bit
         if mask == seen:
             return False
         self.seen[item_id] = mask
-        ids.append(item_id)
-        flat.fromlist(values)
+        if ids is not None:
+            ids.append(item_id)
+            flat.fromlist(values)
         return True
 
     def rows(self, key) -> tuple[list[str], array]:
@@ -140,12 +143,13 @@ class CropPanel:
                     raise DuplicateKeyError(
                         f"duplicate observation for {(obs.crop_id, obs.year)}"
                     )
-        self._crops = tuple(sorted(columns.seen))
         columns.seen.clear()
         # sort year by year, so at most one year is held twice
         self._by_year: dict[int, tuple[tuple[str, ...], array, array, array]] = {}
         for year in sorted(columns.by_key):
             _, ids, flat = columns.by_key.pop(year)
+            if ids is None:
+                continue
             order = sorted(range(len(ids)), key=ids.__getitem__)
             rows = memoryview(flat)  # its strided slices copy nothing
             self._by_year[year] = (
@@ -154,6 +158,8 @@ class CropPanel:
                   for column in (rows[k::3] for k in range(3))),
             )
         self._years = tuple(self._by_year)
+        self._crops = tuple(sorted(set().union(
+            *(ids for ids, *_ in self._by_year.values()))))
         self._len = sum(len(ids) for ids, *_ in self._by_year.values())
         self._trienniums: dict[int, CropPanel] = {}
 

@@ -212,8 +212,21 @@ class Run:
                 prices[commodity] = series
         return prices
 
+    @cached_property
+    def crop_years(self) -> set[int] | None:
+        """The comparison trienniums' years; ``None`` keeps every year."""
+        config = self.config
+        return {end - k for k in range(3) for end in (
+            config.decomposition_base, config.decomposition_terminal)}
+
+    @cached_property
+    def panel(self) -> CropPanel:
+        """The crop panel: every row checked, the ``crop_years`` kept."""
+        from .ingest import load_crop_panel
+
+        return load_crop_panel(self.config.crop_panel, years=self.crop_years)
+
     value_cost = _input("load_value_cost", "cost_series")
-    panel = _input("load_crop_panel", "crop_panel")
     io_panel = _input("load_io_panel", "io_panel")
     land = _input("load_land_use", "land_use")
 

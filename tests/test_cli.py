@@ -11,11 +11,14 @@ import agrodiag
 from agrodiag import fixtures
 from agrodiag.cli import (
     REPORT_ARTIFACTS,
+    _run,
+    build_parser,
     compute_artifacts,
     load_run_config,
     main,
     run_pipeline,
 )
+from agrodiag.pipeline import Run
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +118,17 @@ class TestReport:
 class TestSubcommands:
     def test_validate_ok(self, run_dir, capsys):
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
-        out = capsys.readouterr().out
-        assert "crop panel" in out and "all inputs valid" in out
+        # the crop-panel counts cover every year, not only the comparison
+        # trienniums a report keeps
+        assert capsys.readouterr().out == (
+            "crop panel: 170 observations, 10 crops, years 2000-2016\n"
+            "io panel: 16 years, 2000-2015\n"
+            "price series: 4 commodities (maize, paddy, urea, wheat)\n"
+            "land use: 17 years\n"
+            "value/cost series: 17 years\n"
+            "area tables: 5 region groups, 5 nation groups\n"
+            "all inputs valid\n"
+        )
 
     def test_report_is_union_of_subcommand_outputs(self, run_dir, report_dir):
         cases = {
@@ -390,6 +402,22 @@ class TestFailureModes:
         assert err == ("error: output 'grain': its quantity ratio "
                        "2001->2002 (1e+158 / 1e-152) leaves the float range\n")
 
+    @pytest.mark.parametrize("command", ["validate", "markets", "report"])
+    def test_land_components_over_total_exit_1_naming_the_row(
+            self, tmp_path, capsys, command):
+        config = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        land = config.parent / "land_use.csv"
+        lines = land.read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join([*cells[:3], "1"])
+        land.write_text("".join(f"{line}\n" for line in lines))
+        used = float(cells[1]) + float(cells[2])
+        assert main([command, "-c", str(config),
+                     "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: land use {land}: land components in {cells[0]} exceed "
+            f"total reported area ({used!r} > 1.0) in row 3\n")
+
     @pytest.mark.parametrize("command", ["validate", "report"])
     @pytest.mark.parametrize("name", [
         "crops.csv", "io_panel.csv", "prices.csv", "land_use.csv",
@@ -651,3 +679,76 @@ class TestRunConfig:
         for name in REPORT_ARTIFACTS:
             assert (out / name).read_bytes() == \
                 (report_dir / name).read_bytes(), name
+
+
+class TestCropYearsKept:
+    """``report`` and the ``-c`` subcommands keep only the comparison
+    trienniums' crop years, but every crop-panel row is still read and
+    checked; ``validate`` keeps every year."""
+
+    KEPT = (2000, 2001, 2002, 2014, 2015, 2016)  # the fixture's TE 2002, 2016
+
+    @pytest.mark.parametrize("command",
+                             ["report", "decompose", "markets", "validate"])
+    @pytest.mark.parametrize("fault",
+                             ["non-numeric", "negative area", "duplicate"])
+    def test_bad_row_in_an_unkept_year_still_exits_1(self, tmp_path, capsys,
+                                                     command, fault):
+        config = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        crops = config.parent / "crops.csv"
+        lines = crops.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith("paddy,2008,"))
+        cells = lines[i].split(",")
+        if fault == "duplicate":
+            lines.insert(i + 1, lines[i])
+            message = f"duplicate (paddy, 2008) in row {i + 2}"
+        elif fault == "non-numeric":
+            lines[i] = ",".join([*cells[:2], "abc", *cells[3:]])
+            message = f"non-numeric value 'abc' in column 'area_ha', row {i + 1}"
+        else:
+            lines[i] = ",".join([*cells[:2], "-1", *cells[3:]])
+            message = (f"value -1.0 in column 'area_ha', row {i + 1} must be "
+                       f"finite and >= 0")
+        crops.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "o"
+        assert main([command, "-c", str(config), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: crop panel {crops}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, kept", [
+        ([], KEPT),
+        (["--mode", "endpoint"], KEPT),
+        (["--base", "2005", "--terminal", "2012"],
+         (2003, 2004, 2005, 2010, 2011, 2012)),
+        (["--base", "2004", "--terminal", "2005", "--mode", "endpoint"],
+         (2002, 2003, 2004, 2005)),
+    ])
+    def test_run_keeps_the_comparison_trienniums(self, run_dir, flags, kept):
+        args = build_parser().parse_args(
+            ["decompose", "-c", str(run_dir / "config.json"), *flags])
+        panel = _run(args).panel
+        assert panel.years == kept
+        assert len(panel) == 10 * len(kept)
+        assert len(panel.crops) == 10
+
+    def test_endpoint_mode_in_the_config_keeps_the_trienniums(self, run_dir,
+                                                              tmp_path):
+        config = absolute_config(run_dir)
+        config["methods"]["period_mode"] = "endpoint"
+        run = Run(load_run_config(write_config(tmp_path, config)))
+        assert run.panel.years == self.KEPT
+
+    @pytest.mark.parametrize("mode", ["triennium", "endpoint"])
+    def test_kept_years_decompose_as_the_full_panel(self, run_dir, tmp_path,
+                                                    capsys, mode):
+        # the flag form loads every year; the -c form keeps six
+        years = ["--base", "2005", "--terminal", "2012", "--mode", mode]
+        assert main(["decompose", "--crop-panel", str(run_dir / "crops.csv"),
+                     *years]) == 0
+        full = capsys.readouterr().out
+        assert main(["decompose", "-c", str(run_dir / "config.json"),
+                     *years]) == 0
+        assert capsys.readouterr().out == full

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agrodiag import fixtures
 from agrodiag.decomposition import decompose
 from agrodiag.errors import (
     CoverageError,
@@ -80,6 +81,36 @@ class TestLoadCropPanel:
     def test_deflator_must_cover_all_years(self):
         with pytest.raises(CoverageError):
             load_text(TWO_CROP_FILE, deflator={2005: 100.0})
+
+    def test_deflator_must_cover_unkept_years(self):
+        # the unkept year's rows are checked as every other row
+        with pytest.raises(CoverageError,
+                           match="deflator does not cover year 2006 .row 3."):
+            load_text(TWO_CROP_FILE, deflator={2005: 100.0}, years={2005})
+
+    def test_kept_years_hold_only_their_rows(self):
+        # maize grows only in 2006, which is not kept; 2004 has no rows
+        text = TWO_CROP_FILE + "maize,2006,1,2,3\n"
+        panel = load_text(text, years={2005, 2004})
+        assert panel.years == (2005,)
+        assert panel.crops == ("paddy", "wheat")
+        assert len(panel) == 2
+        assert load_text(text, years=set()).years == ()
+
+    def test_kept_years_columns_equal_a_full_load_bit_for_bit(self, tmp_path):
+        crops = fixtures.write_synthetic_inputs(tmp_path).parent / "crops.csv"
+        full = load_crop_panel(crops)
+        kept = {2000, 2001, 2002, 2014, 2015, 2016}
+        panel = load_crop_panel(crops, years=kept)
+        assert panel.years == tuple(sorted(kept))
+
+        def hexed(columns):
+            ids, *values = columns
+            return ids, [[v.hex() for v in column] for column in values]
+        for year in kept:
+            assert hexed(panel.columns(year)) == hexed(full.columns(year))
+        with pytest.raises(CoverageError):
+            panel.columns(2008)
 
     def test_duplicate_row_cites_row_number(self):
         text = TWO_CROP_FILE + "paddy,2005,1,1,1\n"

@@ -80,6 +80,14 @@ class TestCoefficientOfVariation:
         with pytest.raises(DomainError, match="overflows a float"):
             coefficient_of_variation(values)
 
+    @pytest.mark.parametrize("values", [[1e300, -1e300, 1e-300],
+                                        [-1e308, 1e308, 1e-300]])
+    def test_ratio_overflow_is_domain_error(self, values):
+        # finite, with a tiny positive mean: the standard deviation over
+        # the mean leaves the float range
+        with pytest.raises(DomainError, match="coefficient overflows a float"):
+            coefficient_of_variation(values)
+
 
 def same_float_or_domain_error(helper, reference):
     """HELPER() gives REFERENCE()'s float, bit for bit, or raises
