@@ -81,10 +81,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     run = _run(args)
-    run.crop_years = None  # the counts below cover every year
-    panel = run.load().panel
-    print(f"crop panel: {len(panel)} observations, {len(panel.crops)} crops, "
-          f"years {panel.years[0]}-{panel.years[-1]}")
+    run.crop_years = set()  # count every row, keep none
+    rows, crops, years = run.load().panel.checked
+    print(f"crop panel: {rows} observations, {crops} crops, "
+          f"years {years[0]}-{years[-1]}")
     io_years = run.io_panel.years
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
     print(f"price series: {len(run.prices)} commodities "
@@ -108,9 +108,10 @@ def _cmd_decompose(args) -> int:
     from . import decomposition, ingest
     from .serialize import json_text
 
-    result = decomposition.decompose(ingest.load_crop_panel(args.crop_panel),
-                                     args.base, args.terminal,
-                                     period_mode=args.mode or "triennium")
+    years = ingest.triennium_years(args.base, args.terminal)
+    result = decomposition.decompose(
+        ingest.load_crop_panel(args.crop_panel, years=years),
+        args.base, args.terminal, period_mode=args.mode or "triennium")
     _emit(args, {"decomposition.json": json_text(result.to_record(),
                                                  "decomposition.json")})
     return 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -145,15 +144,17 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
     No deflator is ever invented: nominal prices pass through unchanged.
     Errors start with ``what``, by default ``crop panel`` and the file; a
     caller loading another input in this schema names it there. Every row
-    is checked, but with ``years`` (a set) only the rows of those are kept.
+    is checked, but with ``years`` (a set) only the rows of those are kept;
+    ``CropPanel.checked`` counts them all.
     """
     if what is None:
         what = _label(source, "crop panel")
-    columns = _Columns(years)
+    columns, names = _Columns(years), {}  # names: each id's first string
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["crop_id", "year", "area_ha",
                                         "production_t", "price_per_t"], what):
-            crop_id = sys.intern(row[0].strip())
+            crop_id = row[0].strip()
+            crop_id = names.setdefault(crop_id, crop_id)
             if not crop_id:
                 raise SchemaError(f"{what}: empty crop_id in row {line}")
             year = _cell(row, 1, "year", line, what, cast=int)
@@ -195,6 +196,12 @@ def write_crop_panel(panel: CropPanel, dest) -> None:
             stream.close()
 
 
+def triennium_years(*ends: int) -> set[int]:
+    """The years of the trienniums ending in ENDS: all that ``decompose``
+    and ``markets.share_table`` read of a crop panel, in either mode."""
+    return {end - k for end in ends for k in range(3)}
+
+
 def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
     """Average the three years ending in ``end_year`` into one synthetic year.
 
@@ -217,8 +224,10 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
         )
     years = [panel.columns(year) for year in span]
     at = [0, 0, 0]  # per year, the position of the next crop not yet merged
-    averaged = _Columns()
-    for crop in sorted(set().union(*(ids for ids, *_ in years))):
+    ids_of = [ids for ids, *_ in years]
+    # the widest year's ids are the union's when it has every crop
+    averaged = _Columns(last=max(ids_of, key=len))
+    for crop in sorted(set().union(*ids_of)):
         # each total is a left-to-right ``+`` chain from int 0 in year
         # order, as ``sum()`` adds floats up to CPython 3.11
         area = production = price = 0
@@ -265,7 +274,7 @@ def load_io_panel(source) -> InputOutputPanel:
     because they cannot enter a log-ratio later.
     """
     what = _label(source, "io panel")
-    columns = _Columns()
+    columns, names = _Columns(), {}  # names: each id's first string
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
                                         "share"], what):
@@ -276,7 +285,8 @@ def load_io_panel(source) -> InputOutputPanel:
                     f"{what}: kind must be 'output' or 'input', got {kind!r} "
                     f"in row {line}"
                 )
-            item_id = sys.intern(row[2].strip())
+            item_id = row[2].strip()
+            item_id = names.setdefault(item_id, item_id)
             if not item_id:
                 raise SchemaError(f"{what}: empty item_id in row {line}")
             quantity = _amount(row, 3, "quantity", line, what)

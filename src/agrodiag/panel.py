@@ -84,15 +84,17 @@ class _Columns:
     dict for all keys, ``seen``: each key owns one bit, given when its
     entry is created, and an item id maps to the bits of the keys it is
     under. With ``keep``, a key not in it gets its bit but no ids (None).
+    ``last`` is an id tuple the panel reuses for a key whose ids equal it.
     """
 
-    __slots__ = ("by_key", "seen", "keep")
+    __slots__ = ("by_key", "seen", "keep", "last")
 
-    def __init__(self, keep=None) -> None:
+    def __init__(self, keep=None, last=None) -> None:
         # key -> (its bit, item ids or None, values row-major)
         self.by_key: dict[object, tuple[int, list[str] | None, array]] = {}
         self.seen: dict[str, int] = {}
         self.keep = keep
+        self.last = last
 
     def add(self, key, item_id: str, values: list[float]) -> bool:
         """Append one row; False, and nothing appended, if ``item_id`` is
@@ -119,6 +121,13 @@ class _Columns:
         return ids, flat
 
 
+def _shared(ids, last):
+    """IDS as a tuple, or LAST if that holds the same ids: equal id
+    tuples of a panel's keys are stored once."""
+    ids = tuple(ids)
+    return last if ids == last else ids
+
+
 class CropPanel:
     """A set of crop observations keyed by (crop_id, year).
 
@@ -127,7 +136,9 @@ class CropPanel:
     every downstream aggregate is reproducible bit-for-bit. Each year is
     stored as a tuple of crop ids plus area, production and price columns
     of doubles; ``get`` and ``observations`` build ``CropObservation``
-    objects on demand. ``_trienniums`` maps an end year to the triennium
+    objects on demand, and equal id tuples are shared. ``checked`` counts
+    every row given, kept or not: ``(rows, distinct crops, years)``, the
+    years ascending. ``_trienniums`` maps an end year to the triennium
     averaged from this panel; ``ingest.triennium_average`` fills and reads
     it.
     """
@@ -143,24 +154,28 @@ class CropPanel:
                     raise DuplicateKeyError(
                         f"duplicate observation for {(obs.crop_id, obs.year)}"
                     )
-        columns.seen.clear()
+        seen, years = columns.seen, sorted(columns.by_key)
+        self.checked = (sum(map(int.bit_count, seen.values())), len(seen),
+                        tuple(years))
+        seen.clear()
         # sort year by year, so at most one year is held twice
         self._by_year: dict[int, tuple[tuple[str, ...], array, array, array]] = {}
-        for year in sorted(columns.by_key):
+        last = columns.last
+        for year in years:
             _, ids, flat = columns.by_key.pop(year)
             if ids is None:
                 continue
             order = sorted(range(len(ids)), key=ids.__getitem__)
             rows = memoryview(flat)  # its strided slices copy nothing
-            self._by_year[year] = (
-                tuple(map(ids.__getitem__, order)),
-                *(array("d", [column[i] for i in order])
-                  for column in (rows[k::3] for k in range(3))),
-            )
+            last = _shared(map(ids.__getitem__, order), last)
+            self._by_year[year] = (last, *(
+                array("d", [column[i] for i in order])
+                for column in (rows[k::3] for k in range(3))))
         self._years = tuple(self._by_year)
-        self._crops = tuple(sorted(set().union(
-            *(ids for ids, *_ in self._by_year.values()))))
-        self._len = sum(len(ids) for ids, *_ in self._by_year.values())
+        kept = [ids for ids, *_ in self._by_year.values()]
+        self._crops = _shared(sorted(set().union(*kept)),
+                              max(kept, key=len, default=None))
+        self._len = sum(map(len, kept))
         self._trienniums: dict[int, CropPanel] = {}
 
     @property
@@ -280,7 +295,8 @@ class InputOutputPanel:
     with cost shares. Substrate for the productivity index.
 
     Each year and side is stored as a tuple of item ids, in the order they
-    were given, plus quantity and share columns of doubles; ``year``,
+    were given (the previous year's tuple if equal), plus quantity and
+    share columns of doubles; ``year``,
     ``outputs`` and ``inputs`` build ``IOYear`` and ``IOItem`` objects on
     demand. Every side's shares sum to 1 within ``SHARE_SUM_TOL``.
     """
@@ -302,6 +318,7 @@ class InputOutputPanel:
         columns.seen.clear()
         self._by_year: dict[int, dict[str, tuple[tuple[str, ...], array,
                                                  array]]] = {}
+        last: dict[str, tuple[str, ...]] = {}  # side -> its latest ids
         for year in sorted({year for year, _ in columns.by_key}):
             sides = self._by_year[year] = {}
             for side in IO_SIDES:
@@ -309,7 +326,8 @@ class InputOutputPanel:
                 columns.by_key.pop((year, side), None)
                 quantities, shares = flat[0::2], flat[1::2]
                 _check_share_sum(side, year, shares)
-                sides[side] = (tuple(ids), quantities, shares)
+                ids = last[side] = _shared(ids, last.get(side))
+                sides[side] = (ids, quantities, shares)
         self._years = tuple(self._by_year)
 
     @property

@@ -214,10 +214,12 @@ class Run:
 
     @cached_property
     def crop_years(self) -> set[int] | None:
-        """The comparison trienniums' years; ``None`` keeps every year."""
-        config = self.config
-        return {end - k for k in range(3) for end in (
-            config.decomposition_base, config.decomposition_terminal)}
+        """The comparison trienniums' years; ``None`` keeps every year, and
+        an empty set none."""
+        from .ingest import triennium_years
+
+        return triennium_years(self.config.decomposition_base,
+                               self.config.decomposition_terminal)
 
     @cached_property
     def panel(self) -> CropPanel:

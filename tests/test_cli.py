@@ -682,14 +682,15 @@ class TestRunConfig:
 
 
 class TestCropYearsKept:
-    """``report`` and the ``-c`` subcommands keep only the comparison
-    trienniums' crop years, but every crop-panel row is still read and
-    checked; ``validate`` keeps every year."""
+    """``report``, the ``-c`` subcommands and ``decompose --crop-panel``
+    keep only the comparison trienniums' crop years, but every crop-panel
+    row is still read and checked; ``validate`` keeps no year and counts
+    every row."""
 
     KEPT = (2000, 2001, 2002, 2014, 2015, 2016)  # the fixture's TE 2002, 2016
 
-    @pytest.mark.parametrize("command",
-                             ["report", "decompose", "markets", "validate"])
+    @pytest.mark.parametrize("command", ["report", "decompose", "markets",
+                                         "validate", "decompose --crop-panel"])
     @pytest.mark.parametrize("fault",
                              ["non-numeric", "negative area", "duplicate"])
     def test_bad_row_in_an_unkept_year_still_exits_1(self, tmp_path, capsys,
@@ -712,7 +713,10 @@ class TestCropYearsKept:
                        f"finite and >= 0")
         crops.write_text("".join(f"{line}\n" for line in lines))
         out = tmp_path / "o"
-        assert main([command, "-c", str(config), "-o", str(out)]) == 1
+        argv = ([command, "-c", str(config)] if " " not in command else
+                [*command.split(), str(crops), "--base", "2002",
+                 "--terminal", "2016"])
+        assert main([*argv, "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: crop panel {crops}: {message}\n"
         assert captured.out == ""
@@ -744,7 +748,8 @@ class TestCropYearsKept:
     @pytest.mark.parametrize("mode", ["triennium", "endpoint"])
     def test_kept_years_decompose_as_the_full_panel(self, run_dir, tmp_path,
                                                     capsys, mode):
-        # the flag form loads every year; the -c form keeps six
+        # the flag form and the -c form keep the same six years; the flag
+        # form against a full load is the next test
         years = ["--base", "2005", "--terminal", "2012", "--mode", mode]
         assert main(["decompose", "--crop-panel", str(run_dir / "crops.csv"),
                      *years]) == 0
@@ -752,3 +757,56 @@ class TestCropYearsKept:
         assert main(["decompose", "-c", str(run_dir / "config.json"),
                      *years]) == 0
         assert capsys.readouterr().out == full
+
+    @pytest.mark.parametrize("mode", ["triennium", "endpoint"])
+    def test_flag_form_keeps_six_years_and_decomposes_as_a_full_load(
+            self, run_dir, capsys, monkeypatch, mode):
+        from agrodiag import decomposition, ingest
+        from agrodiag.serialize import json_text
+
+        crops = run_dir / "crops.csv"
+        full = decomposition.decompose(ingest.load_crop_panel(crops), 2005,
+                                       2012, period_mode=mode)
+        loaded = []
+        load = ingest.load_crop_panel
+        monkeypatch.setattr(ingest, "load_crop_panel",
+                            lambda *a, **k: loaded.append(load(*a, **k))
+                            or loaded[-1])
+        assert main(["decompose", "--crop-panel", str(crops), "--base",
+                     "2005", "--terminal", "2012", "--mode", mode]) == 0
+        assert capsys.readouterr().out == json_text(full.to_record(),
+                                                    "decomposition.json")
+        assert loaded[0].years == (2003, 2004, 2005, 2010, 2011, 2012)
+
+    def test_validate_keeps_no_year(self, run_dir, capsys, monkeypatch):
+        import agrodiag.cli
+
+        runs = []
+        monkeypatch.setattr(agrodiag.cli, "_run",
+                            lambda args: runs.append(_run(args)) or runs[-1])
+        assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
+        panel = runs[0].panel
+        assert panel.years == () and len(panel) == 0 and panel.crops == ()
+        assert panel.checked == (170, 10, tuple(range(2000, 2017)))
+        assert capsys.readouterr().out.startswith(
+            "crop panel: 170 observations, 10 crops, years 2000-2016\n")
+
+    def test_validate_counts_crops_of_every_year(self, tmp_path, capsys):
+        # okra grows only in 1999, outside both trienniums and before the
+        # first io year; paddy is missing in 2010
+        config = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        crops = config.parent / "crops.csv"
+        lines = [line for line in crops.read_text().splitlines()
+                 if not line.startswith("paddy,2010,")]
+        crops.write_text("".join(f"{line}\n" for line in [
+            *lines, "okra,1999,5,10,2000"]))
+        assert main(["validate", "-c", str(config)]) == 0
+        assert capsys.readouterr().out == (
+            "crop panel: 170 observations, 11 crops, years 1999-2016\n"
+            "io panel: 16 years, 2000-2015\n"
+            "price series: 4 commodities (maize, paddy, urea, wheat)\n"
+            "land use: 17 years\n"
+            "value/cost series: 17 years\n"
+            "area tables: 5 region groups, 5 nation groups\n"
+            "all inputs valid\n"
+        )

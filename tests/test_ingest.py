@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -46,6 +47,17 @@ wheat,2006,55,95,710
 
 def load_text(text, **kwargs):
     return load_crop_panel(io.StringIO(text), **kwargs)
+
+
+def retained_by(load):
+    """What LOAD() returns, and the traced bytes still held after it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = load()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def panel_text(panel):
@@ -204,6 +216,57 @@ class TestLoadCropPanel:
         assert len(panel) == 20_000
         assert peak / len(panel) < 50
 
+    def test_memory_per_kept_row(self):
+        # 2,000 crops x 17 years, six kept: three doubles a kept row, plus
+        # one string per crop and one id tuple that the six years share.
+        # A row not kept leaves nothing behind, so keeping no year retains
+        # next to nothing, and an id is not left in the interned table.
+        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
+                       for y in range(2000, 2017) for c in range(2000))
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + rows
+        kept = {2000, 2001, 2002, 2014, 2015, 2016}
+        panel, retained = retained_by(lambda: load_text(text, years=kept))
+        assert len(panel) == 12_000
+        assert retained / len(panel) < 40
+        panel, retained = retained_by(lambda: load_text(text, years=set()))
+        assert len(panel) == 0 and panel.checked[:2] == (34_000, 2000)
+        assert retained / 34_000 < 1
+
+    def test_equal_id_tuples_are_shared(self):
+        # c is missing in 2002, so that year and the triennium ending 2004
+        # (a, b, c) each get their own tuple
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+            f"{crop},{year},1,2,3\n" for year in range(2000, 2005)
+            for crop in "cab" if (crop, year) != ("c", 2002))
+        panel = load_text(text)
+        ids = {year: panel.columns(year)[0] for year in panel.years}
+        assert ids[2000] is ids[2001] is panel.crops
+        assert ids[2002] == ("a", "b") and ids[2002] is not ids[2001]
+        assert ids[2004] is ids[2003] == ids[2000]
+        assert triennium_average(panel, 2002).columns(2002)[0] is ids[2000]
+        assert triennium_average(panel, 2004).columns(2004)[0] is ids[2003]
+        # the previous kept year's tuple, across the years not kept
+        kept = load_text(text, years={2000, 2003})
+        assert kept.columns(2003)[0] is kept.columns(2000)[0] is kept.crops
+
+    def test_triennium_wider_than_each_year_has_its_own_tuple(self):
+        text = ("crop_id,year,area_ha,production_t,price_per_t\n"
+                "a,2000,1,1,1\nb,2000,1,1,1\nb,2001,1,1,1\nc,2001,1,1,1\n"
+                "b,2002,1,1,1\n")
+        panel = load_text(text)
+        ids = triennium_average(panel, 2002).columns(2002)[0]
+        assert ids == ("a", "b", "c") == panel.crops
+        assert ids is not panel.crops
+        assert all(ids is not panel.columns(y)[0] for y in panel.years)
+
+    def test_ids_are_not_interned(self):
+        # an id that is no Python identifier is interned only if the
+        # loader interns it
+        panel = load_text(TWO_CROP_FILE.replace("wheat", "wheat (rabi) #1"))
+        loaded = panel.crops[1]
+        assert loaded == "wheat (rabi) #1"
+        assert sys.intern("".join(["wheat (rabi)", " #1"])) is not loaded
+
     def test_duplicate_found_beyond_64_years(self):
         # 70 years, so the later years' bits make the masks big ints
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
@@ -358,6 +421,28 @@ IO_FILE = """year,kind,item_id,quantity,share
 
 
 class TestLoadIOPanel:
+    def test_equal_id_tuples_are_shared(self):
+        # each side reuses the previous year's tuple when equal; the
+        # outputs of 2002 come in another order, so they get their own
+        text = IO_FILE + "".join(
+            f"{year},{kind},{item},1,{share}\n" for year, items in (
+                (2001, ("grain", "veg", "labour")),
+                (2002, ("veg", "grain", "labour")))
+            for item, kind, share in zip(items, (
+                "output", "output", "input"), (0.5, 0.5, 1.0)))
+        panel = load_io_panel(io.StringIO(text))
+        outputs = [panel.columns(year, "output")[0] for year in panel.years]
+        inputs = [panel.columns(year, "input")[0] for year in panel.years]
+        assert outputs[0] is outputs[1]
+        assert outputs[2] == ("veg", "grain") and outputs[2] is not outputs[1]
+        assert inputs[0] is inputs[1] is inputs[2] == ("labour",)
+
+    def test_ids_are_not_interned(self):
+        text = IO_FILE.replace("veg", "veg (leafy) #2")
+        loaded = load_io_panel(io.StringIO(text)).columns(2000, "output")[0][1]
+        assert loaded == "veg (leafy) #2"
+        assert sys.intern("".join(["veg (leafy)", " #2"])) is not loaded
+
     def test_exact_shares_accepted_unchanged(self):
         panel = load_io_panel(io.StringIO(IO_FILE))
         assert [it.share for it in panel.outputs(2000)] == [0.6, 0.4]
