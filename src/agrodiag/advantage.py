@@ -49,8 +49,9 @@ class AreaShareTable(Record, frozen=True):
             clean[group] = area
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "total", sum(clean.values()))
-        if self.total <= 0:
-            raise DomainError(f"{self.scope} table for {self.year} has no area")
+        if not 0 < self.total < math.inf:
+            raise DomainError(f"{self.scope} table for {self.year} has " + (
+                "no area" if self.total <= 0 else "an infinite total area"))
 
     @property
     def groups(self) -> tuple[str, ...]:

@@ -43,14 +43,14 @@ def __getattr__(name: str):
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _emit(args, artifacts: dict[str, str]) -> None:
-    from .serialize import write_artifacts
+def _emit(args, artifacts) -> None:
+    from .serialize import collect, write_artifacts
 
     if args.out is not None:
         write_artifacts(Path(args.out), artifacts)
     else:
-        for name in sorted(artifacts):
-            sys.stdout.write(artifacts[name])
+        for _, text in sorted(collect(artifacts).items()):
+            sys.stdout.write(text)
 
 
 # flag -> the run-config field it overrides in a ``-c`` subcommand
@@ -112,8 +112,8 @@ def _cmd_decompose(args) -> int:
     result = decomposition.decompose(
         ingest.load_crop_panel(args.crop_panel, years=years),
         args.base, args.terminal, period_mode=args.mode or "triennium")
-    _emit(args, {"decomposition.json": json_text(result.to_record(),
-                                                 "decomposition.json")})
+    _emit(args, [("decomposition.json", json_text(result.to_record(),
+                                                  "decomposition.json"))])
     return 0
 
 
@@ -143,7 +143,7 @@ def _cmd_cai(args) -> int:
 
     region = advantage.load_area_share_table(args.region, "region")
     nation = advantage.load_area_share_table(args.nation, "nation")
-    _emit(args, {"cai.csv": cai_csv(advantage.cai_table(region, nation))})
+    _emit(args, [("cai.csv", cai_csv(advantage.cai_table(region, nation)))])
     return 0
 
 
@@ -157,8 +157,8 @@ def _cmd_diagnose(args) -> int:
             read_json(path, "indicators file"), f"indicators file {path}")
         tree = diagnostics.resolve_tree(args.tree or "builtin", Path("."))
         report = diagnostics.evaluate(tree, indicators)
-        artifacts = {"diagnosis.json": json_text(report.to_dict(),
-                                                 "diagnosis.json")}
+        artifacts = [("diagnosis.json", json_text(report.to_dict(),
+                                                  "diagnosis.json"))]
     elif args.config is not None:
         if args.tree not in (None, "builtin"):
             # a CLI-supplied tree path is relative to the caller, not the config

@@ -37,6 +37,7 @@ from .panel import (
     LandUseRecord,
     PriceSeries,
     _Columns,
+    _shared,
 )
 
 # Shares are accepted and renormalized inside this band, rejected outside it.
@@ -198,7 +199,7 @@ def write_crop_panel(panel: CropPanel, dest) -> None:
 
 def triennium_years(*ends: int) -> set[int]:
     """The years of the trienniums ending in ENDS: all that ``decompose``
-    and ``markets.share_table`` read of a crop panel, in either mode."""
+    and ``markets.crop_shares`` read of a crop panel, in either mode."""
     return {end - k for end in ends for k in range(3)}
 
 
@@ -223,11 +224,14 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
             f"triennium ending {end_year} needs years {span}, missing {missing}"
         )
     years = [panel.columns(year) for year in span]
-    at = [0, 0, 0]  # per year, the position of the next crop not yet merged
     ids_of = [ids for ids, *_ in years]
-    # the widest year's ids are the union's when it has every crop
-    averaged = _Columns(last=max(ids_of, key=len))
-    for crop in sorted(set().union(*ids_of)):
+    crops = widest = max(ids_of, key=len)
+    if not ids_of[0] is ids_of[1] is ids_of[2]:  # else no union is needed
+        crops = _shared(sorted(set().union(*ids_of)), widest)
+    at = [0, 0, 0]  # per year, the position of the next crop not yet merged
+    means = mean_area, mean_production, mean_price = (
+        array("d"), array("d"), array("d"))
+    for crop in crops:
         # each total is a left-to-right ``+`` chain from int 0 in year
         # order, as ``sum()`` adds floats up to CPython 3.11
         area = production = price = 0
@@ -240,9 +244,10 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
                 price += prices[i]
                 observed += 1
                 at[k] = i + 1
-        averaged.add(end_year, crop,
-                     [area / 3.0, production / 3.0, price / observed])
-    memo[end_year] = CropPanel(averaged)
+        mean_area.append(area / 3.0)
+        mean_production.append(production / 3.0)
+        mean_price.append(price / observed)
+    memo[end_year] = CropPanel({end_year: (crops, *means)})
     return memo[end_year]
 
 

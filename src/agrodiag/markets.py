@@ -146,13 +146,10 @@ def price_ratio(numerator: PriceSeries,
     )
 
 
-def share_table(panel: CropPanel, te_year: int,
-                dimension: str = "area") -> dict[str, float]:
-    """Per-crop percent share of area or of output value, triennium-averaged.
-
-    Shares are taken over the triennium ending in ``te_year`` and always
-    sum to 100.
-    """
+def crop_shares(panel: CropPanel, te_year: int, dimension: str = "area"):
+    """The crops of the triennium ending ``te_year``, ascending, and an
+    iterator of their percent shares of area or of output value, read from
+    the triennium's columns; a total not positive and finite is refused."""
     if dimension not in ("area", "value"):
         raise ValueError(f"dimension must be 'area' or 'value', got {dimension!r}")
     crops, area, production, price = triennium_average(
@@ -162,9 +159,16 @@ def share_table(panel: CropPanel, te_year: int,
         return area if dimension == "area" else map(mul, production, price)
 
     total = sum(weights())
-    if total <= 0:
-        raise DomainError(f"total {dimension} in TE {te_year} is not positive")
-    return {crop: w / total * 100.0 for crop, w in zip(crops, weights())}
+    if not 0 < total < math.inf:
+        raise DomainError(f"total {dimension} in TE {te_year} is "
+                          f"{'not positive' if total <= 0 else 'not finite'}")
+    return crops, (w / total * 100.0 for w in weights())
+
+
+def share_table(panel: CropPanel, te_year: int,
+                dimension: str = "area") -> dict[str, float]:
+    """``crop_shares`` as ``{crop: percent share}``; shares sum to 100."""
+    return dict(zip(*crop_shares(panel, te_year, dimension)))
 
 
 def land_use_ratios(records: Sequence[LandUseRecord],

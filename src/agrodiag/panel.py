@@ -18,7 +18,8 @@ columns hold doubles bit for bit, and the row objects (``CropObservation``,
   item ids in the order given plus two columns (quantity, share).
 
 A ``CropPanel`` also memoises the trienniums averaged from it
-(``ingest.triennium_average``). That memo is an idempotent cache on an
+(``ingest.triennium_average``), each one year stored as the average fills
+it. That memo is an idempotent cache on an
 immutable panel: it changes no result, and two threads that fill one entry
 at once store equal panels, so it needs no lock.
 """
@@ -84,17 +85,15 @@ class _Columns:
     dict for all keys, ``seen``: each key owns one bit, given when its
     entry is created, and an item id maps to the bits of the keys it is
     under. With ``keep``, a key not in it gets its bit but no ids (None).
-    ``last`` is an id tuple the panel reuses for a key whose ids equal it.
     """
 
-    __slots__ = ("by_key", "seen", "keep", "last")
+    __slots__ = ("by_key", "seen", "keep")
 
-    def __init__(self, keep=None, last=None) -> None:
+    def __init__(self, keep=None) -> None:
         # key -> (its bit, item ids or None, values row-major)
         self.by_key: dict[object, tuple[int, list[str] | None, array]] = {}
         self.seen: dict[str, int] = {}
         self.keep = keep
-        self.last = last
 
     def add(self, key, item_id: str, values: list[float]) -> bool:
         """Append one row; False, and nothing appended, if ``item_id`` is
@@ -144,38 +143,46 @@ class CropPanel:
     """
 
     def __init__(self, observations) -> None:
-        if isinstance(observations, _Columns):
-            columns = observations
+        if isinstance(observations, dict):
+            # years as stored, ``{year: (crop ids ascending, area,
+            # production, price)}``: kept as given, every row counted
+            self._by_year, checked = observations, None
         else:
-            columns = _Columns()
-            for obs in observations:
-                if not columns.add(obs.year, obs.crop_id,
-                                   [obs.area, obs.production, obs.price]):
-                    raise DuplicateKeyError(
-                        f"duplicate observation for {(obs.crop_id, obs.year)}"
-                    )
-        seen, years = columns.seen, sorted(columns.by_key)
-        self.checked = (sum(map(int.bit_count, seen.values())), len(seen),
-                        tuple(years))
-        seen.clear()
-        # sort year by year, so at most one year is held twice
-        self._by_year: dict[int, tuple[tuple[str, ...], array, array, array]] = {}
-        last = columns.last
-        for year in years:
-            _, ids, flat = columns.by_key.pop(year)
-            if ids is None:
-                continue
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            rows = memoryview(flat)  # its strided slices copy nothing
-            last = _shared(map(ids.__getitem__, order), last)
-            self._by_year[year] = (last, *(
-                array("d", [column[i] for i in order])
-                for column in (rows[k::3] for k in range(3))))
+            if isinstance(observations, _Columns):
+                columns = observations
+            else:
+                columns = _Columns()
+                for obs in observations:
+                    if not columns.add(obs.year, obs.crop_id,
+                                       [obs.area, obs.production, obs.price]):
+                        raise DuplicateKeyError(
+                            f"duplicate observation for {(obs.crop_id, obs.year)}"
+                        )
+            seen, years = columns.seen, sorted(columns.by_key)
+            checked = (sum(map(int.bit_count, seen.values())), len(seen),
+                       tuple(years))
+            seen.clear()
+            # sort year by year, so at most one year is held twice
+            self._by_year: dict[int, tuple[tuple[str, ...], array, array,
+                                           array]] = {}
+            last = None
+            for year in years:
+                _, ids, flat = columns.by_key.pop(year)
+                if ids is None:
+                    continue
+                order = sorted(range(len(ids)), key=ids.__getitem__)
+                rows = memoryview(flat)  # its strided slices copy nothing
+                last = _shared(map(ids.__getitem__, order), last)
+                self._by_year[year] = (last, *(
+                    array("d", [column[i] for i in order])
+                    for column in (rows[k::3] for k in range(3))))
         self._years = tuple(self._by_year)
         kept = [ids for ids, *_ in self._by_year.values()]
-        self._crops = _shared(sorted(set().union(*kept)),
-                              max(kept, key=len, default=None))
+        widest = max(kept, key=len, default=())  # no set if every year is it
+        self._crops = widest if all(ids is widest for ids in kept) else (
+            _shared(sorted(set().union(*kept)), widest))
         self._len = sum(map(len, kept))
+        self.checked = checked or (self._len, len(self._crops), self._years)
         self._trienniums: dict[int, CropPanel] = {}
 
     @property
@@ -295,10 +302,10 @@ class InputOutputPanel:
     with cost shares. Substrate for the productivity index.
 
     Each year and side is stored as a tuple of item ids, in the order they
-    were given (the previous year's tuple if equal), plus quantity and
-    share columns of doubles; ``year``,
-    ``outputs`` and ``inputs`` build ``IOYear`` and ``IOItem`` objects on
-    demand. Every side's shares sum to 1 within ``SHARE_SUM_TOL``.
+    were given (an earlier year's tuple if equal), plus quantity and share
+    columns of doubles; ``year``, ``outputs`` and ``inputs`` build
+    ``IOYear`` and ``IOItem`` objects on demand. Every side's shares sum
+    to 1 within ``SHARE_SUM_TOL``.
     """
 
     def __init__(self, years) -> None:
@@ -318,7 +325,7 @@ class InputOutputPanel:
         columns.seen.clear()
         self._by_year: dict[int, dict[str, tuple[tuple[str, ...], array,
                                                  array]]] = {}
-        last: dict[str, tuple[str, ...]] = {}  # side -> its latest ids
+        known: dict[tuple[str, ...], tuple[str, ...]] = {}  # each id order
         for year in sorted({year for year, _ in columns.by_key}):
             sides = self._by_year[year] = {}
             for side in IO_SIDES:
@@ -326,7 +333,8 @@ class InputOutputPanel:
                 columns.by_key.pop((year, side), None)
                 quantities, shares = flat[0::2], flat[1::2]
                 _check_share_sum(side, year, shares)
-                ids = last[side] = _shared(ids, last.get(side))
+                ids = tuple(ids)
+                ids = known.setdefault(ids, ids)
                 sides[side] = (ids, quantities, shares)
         self._years = tuple(self._by_year)
 

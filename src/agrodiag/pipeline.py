@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from ._record import Record
 from .errors import DuplicateKeyError, SchemaError
 from .serialize import (
-    cai_csv, csv_text, index_csvs, json_text, read_json, write_artifacts,
+    cai_csv, collect, csv_chunks, csv_text, index_csvs, json_text, read_json,
+    write_artifacts,
 )
 
 # true for type checkers only; saves importing ``typing`` for annotations
@@ -181,9 +183,9 @@ class Run:
 
     Its inputs, and the intermediates several artifacts share, are cached
     properties: computed on first use and kept. Each ``-c`` subcommand is
-    the method of its name and returns exactly its artifacts, so it reads
-    only the inputs they need; ``compute_artifacts`` reads every input and
-    takes the union of the six.
+    the method of its name and yields exactly its artifacts (as
+    ``serialize.write_artifacts`` takes them), so it reads only the inputs
+    they need; ``report`` reads every input and yields the union of the six.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -274,14 +276,6 @@ class Run:
         }
 
     @cached_property
-    def terminal_area(self) -> dict[str, float]:
-        """Crop area shares at the terminal triennium."""
-        from .markets import share_table
-
-        return share_table(self.panel, self.config.decomposition_terminal,
-                           "area")
-
-    @cached_property
     def cai_values(self) -> dict[str, float]:
         from .advantage import cai_table
 
@@ -290,13 +284,15 @@ class Run:
     @cached_property
     def indicators(self) -> str:
         """``indicators.json``: the indicator set the tree evaluates."""
+        from .markets import crop_shares
         from .productivity import avg_annual_growth
 
         tfp_growth = avg_annual_growth(self.series["tfp"],
                                        method=self.config.growth_method)
         return json_text(assemble_indicators(
             self.config, tfp_growth=tfp_growth, **self.readings,
-            terminal_area_shares=self.terminal_area,
+            terminal_area_shares=crop_shares(
+                self.panel, self.config.decomposition_terminal, "area"),
             cai_values=self.cai_values,
         ).to_dict(), "indicators.json")
 
@@ -312,7 +308,7 @@ class Run:
                                         self.config.config_dir)
         return diagnostics.evaluate(tree, indicators)
 
-    def decompose(self) -> dict[str, str]:
+    def decompose(self):
         """``decomposition.json``: the revenue-change decomposition."""
         from . import decomposition
 
@@ -320,100 +316,93 @@ class Run:
         result = decomposition.decompose(
             self.panel, config.decomposition_base,
             config.decomposition_terminal, period_mode=config.period_mode)
-        return {"decomposition.json": json_text(result.to_record(),
-                                                "decomposition.json")}
+        yield "decomposition.json", json_text(result.to_record(),
+                                              "decomposition.json")
 
-    def tfp(self) -> dict[str, str]:
+    def tfp(self):
         """``tfp_index.csv`` and ``figure2.csv``: the index series."""
         return index_csvs(self.series)
 
-    def growth(self) -> dict[str, str]:
+    def growth(self):
         """``growth_rates.json``: TFP growth over each configured period."""
         from .productivity import avg_annual_growth
 
         method, tfp = self.config.growth_method, self.series["tfp"]
         rates = {label: avg_annual_growth(tfp, lo, hi, method=method)
                  for label, (lo, hi) in sorted(self.config.periods.items())}
-        return {"growth_rates.json": json_text(
+        yield "growth_rates.json", json_text(
             {"series": "tfp", "method": method, "periods": rates},
-            "growth_rates.json")}
+            "growth_rates.json")
 
-    def markets(self) -> dict[str, str]:
+    def markets(self):
         """Break stats, figure3/4, crop shares and land-use ratios."""
-        from .markets import share_table
+        from .markets import crop_shares
 
         panel, readings = self.panel, self.readings
-        artifacts = {"break_stats.json": json_text(
+        yield "break_stats.json", json_text(
             [s.to_record() for s in readings["break_stats"]],
-            "break_stats.json")}
+            "break_stats.json")
         for name, key in (("figure3.csv", "value_cost"),
                           ("figure4.csv", "grain_fert")):
-            artifacts[name] = csv_text(["year", "value"],
-                                       sorted(readings[key].items()), name)
+            yield name, csv_text(["year", "value"],
+                                 sorted(readings[key].items()), name)
 
-        # crop shares at the comparison trienniums; a triennium's value
-        # shares are built only while its rows are written, and the base
-        # triennium's tables are dropped once its rows are
-        base = self.config.decomposition_base
-        base_rows = _share_rows(panel, base, share_table(panel, base, "area"))
-        artifacts["shares.csv"] = csv_text(
+        # crop shares at the comparison trienniums, read from their
+        # columns as the rows are written: both area totals are checked
+        # first, a triennium's value total at its first row
+        trienniums = (self.config.decomposition_base,
+                      self.config.decomposition_terminal)
+        areas = [crop_shares(panel, te, "area") for te in trienniums]
+        yield "shares.csv", csv_chunks(
             ["te_year", "crop_id", "area_share_pct", "value_share_pct"],
-            chain(base_rows, _share_rows(panel,
-                                         self.config.decomposition_terminal,
-                                         self.terminal_area)),
-            "shares.csv",
-        )
+            (row for te, (crops, area) in zip(trienniums, areas)
+             for row in zip(repeat(te), crops, area,
+                            crop_shares(panel, te, "value")[1])),
+            "shares.csv")
         first, last = readings["land_first"], readings["land_last"]
-        artifacts["land_ratios.json"] = json_text({
+        yield "land_ratios.json", json_text({
             "first_te": self.land[0].year + 2, "last_te": self.land[-1].year,
             "first": first, "last": last,
             "al_ratio_change": last["al_ratio"] - first["al_ratio"],
         }, "land_ratios.json")
-        return artifacts
 
-    def cai(self) -> dict[str, str]:
+    def cai(self):
         """``cai.csv``: the comparative-advantage table."""
-        return {"cai.csv": cai_csv(self.cai_values)}
+        yield "cai.csv", cai_csv(self.cai_values)
 
-    def diagnose(self) -> dict[str, str]:
+    def diagnose(self):
         """``indicators.json`` and ``diagnosis.json``."""
-        return {"indicators.json": self.indicators,
-                "diagnosis.json": json_text(self.diagnosis.to_dict(),
-                                            "diagnosis.json")}
+        yield "indicators.json", self.indicators
+        yield "diagnosis.json", json_text(self.diagnosis.to_dict(),
+                                          "diagnosis.json")
+
+    def report(self):
+        """Every input read, in ``load``'s order; then every artifact,
+        stage by stage, as each stage yields it."""
+        # without a bytecode cache, a layer compiled once the inputs are
+        # loaded would add to the peak
+        from . import advantage, decomposition, diagnostics, markets, productivity  # noqa: F401
+
+        self.load()
+        return chain.from_iterable(stage() for stage in (
+            self.decompose, self.tfp, self.growth, self.markets, self.cai,
+            self.diagnose))
 
 
 def compute_artifacts(config: RunConfig
                       ) -> tuple[dict[str, str], DiagnosticReport]:
     """Run the full pipeline in memory; nothing touches the disk here."""
-    # every layer is imported before any input is read: without a bytecode
-    # cache, a layer compiled once the inputs are loaded adds to the peak
-    from . import advantage, decomposition, diagnostics, markets, productivity  # noqa: F401
-
-    run = Run(config).load()
-    artifacts: dict[str, str] = {}
-    for stage in (run.decompose, run.tfp, run.growth, run.markets, run.cai,
-                  run.diagnose):
-        artifacts.update(stage())
-    return artifacts, run.diagnosis
-
-
-def _share_rows(panel: CropPanel, te_year: int, area: dict):
-    """The shares.csv rows of the triennium ending in TE_YEAR, given its
-    area shares AREA; its value shares are built at the first row."""
-    from . import markets
-
-    value = markets.share_table(panel, te_year, "value")
-    # both tables hold the triennium's crops in ascending order
-    for (crop, area_pct), value_pct in zip(area.items(), value.values()):
-        yield te_year, crop, area_pct, value_pct
+    run = Run(config)
+    return collect(run.report()), run.diagnosis
 
 
 def assemble_indicators(config: RunConfig, *, tfp_growth: float,
                         break_stats: list, land_first: dict, land_last: dict,
-                        cai_values: dict, terminal_area_shares: dict,
+                        cai_values: dict, terminal_area_shares: tuple,
                         value_cost: dict, grain_fert: dict
                         ) -> IndicatorSet:
-    """Reduce the module outputs to the scalars the tree predicates read."""
+    """Reduce the module outputs to the scalars the tree predicates read;
+    ``terminal_area_shares`` is as ``markets.crop_shares`` gives it."""
     from .diagnostics import IndicatorSet
 
     ind = IndicatorSet()
@@ -444,12 +433,14 @@ def assemble_indicators(config: RunConfig, *, tfp_growth: float,
     ind.add("cai_max", cai_values[best_group], "ratio",
             f"cai_table, group {best_group}")
     group = config.diversification_group
-    if group not in terminal_area_shares:
+    crops, shares = terminal_area_shares
+    row = bisect_left(crops, group)
+    if crops[row:row + 1] != (group,):
         raise SchemaError(
             f"diversification group {group!r} not in the crop panel "
-            f"(have {sorted(terminal_area_shares)})"
+            f"(have {list(crops)})"
         )
-    ind.add("high_advantage_area_share_pct", terminal_area_shares[group],
+    ind.add("high_advantage_area_share_pct", next(islice(shares, row, None)),
             "percent", f"share_table at terminal triennium, {group} row")
     last_vc_year = max(value_cost)
     ind.add("value_cost_ratio_terminal", value_cost[last_vc_year], "ratio",
@@ -464,7 +455,8 @@ def assemble_indicators(config: RunConfig, *, tfp_growth: float,
 
 def run_pipeline(config: RunConfig, outdir: Path | None = None
                  ) -> DiagnosticReport:
-    """Compute and write every report artifact; returns the diagnosis."""
-    artifacts, report = compute_artifacts(config)
-    write_artifacts(outdir or config.output_dir, artifacts)
-    return report
+    """Compute every report artifact, writing each as its stage yields it;
+    returns the diagnosis."""
+    run = Run(config)
+    write_artifacts(outdir or config.output_dir, run.report())
+    return run.diagnosis

@@ -3,7 +3,7 @@
 Serialized artifacts round floats to 6 significant digits and order keys
 and rows, so two runs on identical inputs are byte-identical. Full
 precision is kept in memory; only the on-disk form is rounded. No
-artifact holds a NaN or an infinity: ``json_text`` and ``csv_text`` raise
+artifact holds a NaN or an infinity: ``json_text`` and ``csv_chunks`` raise
 ``DomainError`` naming the artifact instead.
 """
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import DomainError, SchemaError
 
 SIG_DIGITS = 6
 CSV_CHUNK_LINES = 1024
+WRITE_SLICE = 1 << 16
 
 
 def round_sig(x: float, digits: int = SIG_DIGITS) -> float:
@@ -80,22 +81,13 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
-def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
-             name: str = "CSV text") -> str:
-    """A header line plus one line per row; a NaN or infinity raises
-    DomainError naming NAME (the artifact) and the column.
-
-    Lines are joined into chunks as they come, so at most
-    ``CSV_CHUNK_LINES`` of them are held as separate strings."""
+def csv_chunks(header: Iterable[str], rows: Iterable[Iterable[Any]],
+               name: str = "CSV text"):
+    """A header line plus one line per row, yielded in chunks of at most
+    ``CSV_CHUNK_LINES`` lines as the rows come; a NaN or infinity raises
+    DomainError naming NAME (the artifact) and the column."""
     header = list(header)
-    chunks: list[str] = []
     lines = [",".join(header)]
-
-    def flush() -> None:
-        lines.append("")  # each chunk ends in a newline
-        chunks.append("\n".join(lines))
-        lines.clear()
-
     for row in rows:
         cells = []
         for column, value in enumerate(row):
@@ -105,25 +97,30 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
             cells.append(format_cell(value))
         lines.append(",".join(cells))
         if len(lines) == CSV_CHUNK_LINES:
-            flush()
-    flush()
-    return "".join(chunks)
+            lines.append("")  # each chunk ends in a newline
+            yield "\n".join(lines)
+            lines.clear()
+    lines.append("")
+    yield "\n".join(lines)
 
 
-def index_csvs(series: Mapping[str, Any]) -> dict[str, str]:
-    """``tfp_index.csv`` and ``figure2.csv`` from the output, input and tfp
-    index series (see ``productivity.index_series``)."""
+def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
+             name: str = "CSV text") -> str:
+    """The chunks of ``csv_chunks`` joined into one text."""
+    return "".join(csv_chunks(header, rows, name))
+
+
+def index_csvs(series: Mapping[str, Any]):
+    """``tfp_index.csv`` and ``figure2.csv``, as (name, text) pairs, from
+    the output, input and tfp series of ``productivity.index_series``."""
     output, input_, tfp = series["output"], series["input"], series["tfp"]
-    return {
-        "tfp_index.csv": csv_text(["year", "value"], tfp.to_rows(),
-                                  "tfp_index.csv"),
-        "figure2.csv": csv_text(
-            ["year", "output", "input", "tfp"],
-            [(y, output.values[y], input_.values[y], tfp.values[y])
-             for y in tfp.years],
-            "figure2.csv",
-        ),
-    }
+    yield "tfp_index.csv", csv_text(["year", "value"], tfp.to_rows(),
+                                    "tfp_index.csv")
+    yield "figure2.csv", csv_text(
+        ["year", "output", "input", "tfp"],
+        [(y, output.values[y], input_.values[y], tfp.values[y])
+         for y in tfp.years],
+        "figure2.csv")
 
 
 def cai_csv(cai_values: Mapping[str, float]) -> str:
@@ -144,23 +141,46 @@ def read_json(path: Path, what: str):
         raise SchemaError(f"{what} {path}: not valid JSON: {exc}") from None
 
 
-def write_artifacts(outdir: Path, artifacts: Mapping[str, str]) -> None:
+def collect(artifacts) -> dict[str, str]:
+    """ARTIFACTS (see ``write_artifacts``) as a dict of whole texts."""
+    return {name: text if isinstance(text, str) else "".join(text)
+            for name, text in artifacts}
+
+
+def _stage(path: Path, chunks: Iterable[str]) -> None:
+    """Write CHUNKS to PATH as UTF-8, in slices of at most ``WRITE_SLICE``
+    characters, so no encoded copy of a whole text is made."""
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        for chunk in chunks:
+            for start in range(0, len(chunk), WRITE_SLICE):
+                stream.write(chunk[start:start + WRITE_SLICE])
+
+
+def write_artifacts(outdir: Path, artifacts) -> None:
     """Write every artifact into OUTDIR, or none of them.
 
-    Each artifact goes to a temporary file in OUTDIR first; only once all
-    are written does each replace its target. If anything fails, the
-    temporary files are removed and the files already in OUTDIR, such as
-    the last good report, are left as they were."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    ARTIFACTS yields (name, text) pairs, a text being a string or an
+    iterable of chunks. Each goes to a temporary file in OUTDIR as it
+    comes; only once the last is written does each replace its target. If
+    anything fails, even while an artifact is computed, the temporary files
+    and any directory made for OUTDIR are removed, and the files already
+    in OUTDIR, such as the last good report, are left as they were."""
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     staged: list[tuple[Path, Path]] = []
     try:
-        for name in sorted(artifacts):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts:
             temp = outdir / f".{name}.{os.getpid()}.tmp"
             staged.append((temp, outdir / name))
-            temp.write_text(artifacts[name], encoding="utf-8", newline="\n")
+            _stage(temp, [text] if isinstance(text, str) else text)
         for temp, target in staged:
             os.replace(temp, target)
     except BaseException:
         for temp, _ in staged:
             temp.unlink(missing_ok=True)
+        try:
+            for directory in made:  # deepest first
+                directory.rmdir()
+        except OSError:  # no longer empty, and so neither is its parent
+            pass
         raise

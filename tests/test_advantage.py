@@ -12,6 +12,7 @@ from agrodiag.advantage import (
     load_area_share_table,
 )
 from agrodiag.errors import (
+    DomainError,
     DuplicateKeyError,
     GroupNotFoundError,
     UndefinedIndexError,
@@ -65,6 +66,16 @@ class TestCai:
         region = table("region", veg=55.0)
         nation = table("nation", veg=200.0, fruit=800.0)
         assert cai(region, nation, "veg") == pytest.approx(1.0 / 0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("areas, message", [
+        ({"veg": 1.7e308, "fruit": 1.7e308}, "an infinite total area"),
+        ({"veg": 0.0}, "no area"),
+    ])
+    def test_total_neither_positive_nor_finite_is_domain_error(
+            self, areas, message):
+        with pytest.raises(DomainError,
+                           match=f"^nation table for 2015 has {message}$"):
+            table("nation", **areas)
 
     @given(st.floats(min_value=1e-6, max_value=1e6),
            st.integers(min_value=0, max_value=50))

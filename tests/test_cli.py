@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import agrodiag
-from agrodiag import fixtures
+from agrodiag import fixtures, serialize
 from agrodiag.cli import (
     REPORT_ARTIFACTS,
     _run,
@@ -321,13 +321,20 @@ class TestFailureModes:
         assert rc == 1
         assert "'output_value', row 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, artifact, where", [
-        ("report", "decomposition.json", "at key 'area_effect'"),
-        ("decompose", "decomposition.json", "at key 'area_effect'"),
-        ("markets", "shares.csv", "in column 'value_share_pct'"),
+    @pytest.mark.parametrize("command, error, where", [
+        pytest.param("report", "decomposition.json: non-finite",
+                     "at key 'area_effect'",
+                     id="report-decomposition.json-at key 'area_effect'"),
+        pytest.param("decompose", "decomposition.json: non-finite",
+                     "at key 'area_effect'",
+                     id="decompose-decomposition.json-at key 'area_effect'"),
+        # the overflowing value total is refused before any share is
+        # taken, so no NaN reaches the column the id names
+        pytest.param("markets", "total value in TE 2002 is not finite\n", "",
+                     id="markets-shares.csv-in column 'value_share_pct'"),
     ])
     def test_overflow_to_non_finite_exits_1_writing_nothing(
-            self, tmp_path, capsys, command, artifact, where):
+            self, tmp_path, capsys, command, error, where):
         # finite inputs whose sums overflow to inf, and so to NaN
         inputs = tmp_path / "inputs"
         fixtures.write_synthetic_inputs(inputs)
@@ -347,9 +354,56 @@ class TestFailureModes:
                    "-o", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: {artifact}: non-finite")
+        assert err.startswith(f"error: {error}")
         assert where in err and "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    def test_overflowing_share_total_exits_1_keeping_the_output(
+            self, tmp_path, capsys):
+        # finite cells whose triennium total overflows to inf: four crops'
+        # 2016 areas (an overflowing value total is the markets case above)
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        crops = inputs / "crops.csv"
+        header, *rows = [line.split(",")
+                         for line in crops.read_text().splitlines()]
+        for row in [row for row in rows if row[1] == "2016"][:4]:
+            row[2] = "1.7e308"
+        crops.write_text("".join(f"{','.join(row)}\n"
+                                 for row in [header, *rows]))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "shares.csv").write_text("previous\n")
+        assert main(["markets", "-c", str(inputs / "config.json"),
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: total area in TE 2016 is not finite\n")
+        assert {p.name: p.read_text() for p in out.iterdir()} == {
+            "shares.csv": "previous\n"}
+
+    @pytest.mark.parametrize("command", ["cai -c", "cai --region", "report -c"])
+    @pytest.mark.parametrize("scope", ["region", "nation"])
+    def test_overflowing_area_table_exits_1_naming_it(self, tmp_path, capsys,
+                                                      command, scope):
+        # every group's area is finite, their total is not
+        inputs = tmp_path / "inputs"
+        config = fixtures.write_synthetic_inputs(inputs)
+        table = inputs / f"area_{scope}.csv"
+        header, *rows = [line.split(",")
+                         for line in table.read_text().splitlines()]
+        table.write_text("".join(f"{','.join(row)}\n" for row in [
+            header, *([crop, year, "1.7e308", *rest]
+                      for crop, year, _, *rest in rows)]))
+        out = tmp_path / "o"
+        argv = [*command.split(), str(config)]
+        if command == "cai --region":
+            argv[2:] = [str(inputs / "area_region.csv"), "--nation",
+                        str(inputs / "area_nation.csv")]
+        assert main([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scope} area-share table {table}: {scope} table for "
+            f"2015 has an infinite total area\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["markets", "report"])
     def test_price_overflow_exits_1_naming_commodity_and_window(
@@ -538,18 +592,18 @@ class TestFailureModes:
                     for name in REPORT_ARTIFACTS}
         for name, data in previous.items():
             (out / name).write_bytes(data)
-        write_text = Path.write_text
+        stage = serialize._stage
         calls = []
 
-        def failing_write_text(self, data, *args, **kwargs):
+        def failing_stage(path, chunks):
             # the FAIL_AT-th write stops partway, as on a full disk
-            calls.append(self)
+            calls.append(path)
             if len(calls) == fail_at:
-                write_text(self, data[:10], *args, **kwargs)
+                stage(path, ["".join(chunks)[:10]])
                 raise OSError(28, "No space left on device")
-            return write_text(self, data, *args, **kwargs)
+            return stage(path, chunks)
 
-        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        monkeypatch.setattr(serialize, "_stage", failing_stage)
         rc = main(["report", "-c", str(run_dir / "config.json"),
                    "-o", str(out)])
         monkeypatch.undo()
@@ -558,6 +612,78 @@ class TestFailureModes:
         assert len(calls) == fail_at
         # every old artifact unchanged and no temporary file left behind
         assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+    @staticmethod
+    def previous_report(out: Path) -> dict[str, bytes]:
+        """OUT holding a previous report, unless OUT is under a directory
+        that does not exist; the bytes it holds, by name."""
+        if not out.parent.exists():
+            return {}
+        out.mkdir()
+        previous = {name: f"previous {name}\n".encode()
+                    for name in REPORT_ARTIFACTS}
+        for name, data in previous.items():
+            (out / name).write_bytes(data)
+        return previous
+
+    def assert_left_as_it_was(self, tmp_path, out, previous):
+        """OUT byte-identical to PREVIOUS with no temporary file, or, if
+        the run made it, gone with the directory made above it."""
+        if previous:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("under", [".", "new"])
+    def test_failure_partway_through_shares_csv_keeps_the_last_report(
+            self, run_dir, tmp_path, monkeypatch, capsys, under):
+        # shares.csv is streamed in chunks of 4 lines; the disk fills
+        # after two of them
+        out = tmp_path / under / "o"
+        previous = self.previous_report(out)
+        stage, written = serialize._stage, []
+
+        def filling_stage(path, chunks):
+            def until_full():
+                for chunk in chunks:
+                    if len(written) == 2:
+                        raise OSError(28, "No space left on device")
+                    written.append(chunk)
+                    yield chunk
+
+            shares = path.name.startswith(".shares.csv.")
+            return stage(path, until_full() if shares else chunks)
+
+        monkeypatch.setattr(serialize, "CSV_CHUNK_LINES", 4)
+        monkeypatch.setattr(serialize, "_stage", filling_stage)
+        rc = main(["report", "-c", str(run_dir / "config.json"),
+                   "-o", str(out)])
+        monkeypatch.undo()
+        assert rc == 1
+        assert "No space left" in capsys.readouterr().err
+        assert written[0].startswith("te_year,crop_id,") and len(written) == 2
+        self.assert_left_as_it_was(tmp_path, out, previous)
+
+    @pytest.mark.parametrize("under", [".", "new"])
+    def test_later_stage_failure_keeps_the_last_report(
+            self, run_dir, tmp_path, monkeypatch, capsys, under):
+        # the diversification group is looked up in the last stage, once
+        # the other stages' artifacts are staged
+        config = absolute_config(run_dir)
+        config["diversification_group"] = "no_such_group"
+        path = write_config(tmp_path, config)
+        out = tmp_path / under / "o"
+        previous = self.previous_report(out)
+        stage, staged = serialize._stage, []
+        monkeypatch.setattr(serialize, "_stage", lambda path, chunks: (
+            staged.append(path.name), stage(path, chunks)))
+        assert main(["report", "-c", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: diversification group 'no_such_group' not in the crop "
+            "panel (have [")
+        assert len(staged) == len(REPORT_ARTIFACTS) - 2
+        path.unlink()
+        self.assert_left_as_it_was(tmp_path, out, previous)
 
     @pytest.mark.parametrize("name", ["land_use.csv", "config.json",
                                       "tree.json", "indicators.json"])

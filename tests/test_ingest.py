@@ -407,6 +407,48 @@ class TestTriennium:
             assert [v.hex() for v in (obs.area, obs.production, obs.price)] \
                 == [v.hex() for v in values]
 
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_shared_and_differing_id_sets_bits_equal_oracle(self, data):
+        # each year grows the shared crop set or a set of its own; a year
+        # whose set equals the previous year's shares its id tuple
+        crop_sets = st.sets(st.sampled_from(["gram", "maize", "okra",
+                                             "paddy", "wheat"]), min_size=1)
+        values = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6),
+                           st.floats(1.0, 1e6))
+        shared = data.draw(crop_sets)
+        by_year = {year: {crop: data.draw(values) for crop in sorted(
+                       data.draw(st.one_of(st.just(shared), crop_sets)))}
+                   for year in (2004, 2005, 2006)}
+        panel = self.make_panel(by_year)
+        te = triennium_average(panel, 2006)
+        ids, *columns = te.columns(2006)
+        expected = oracle_triennium(by_year, 2006)
+        assert ids == tuple(expected)
+        for i, want in enumerate(expected.values()):
+            assert [column[i].hex() for column in columns] == \
+                [v.hex() for v in want]
+        widest = max((panel.columns(y)[0] for y in (2004, 2005, 2006)),
+                     key=len)
+        assert (ids is widest) == (ids == widest)
+
+    def test_peak_heap_per_crop_when_the_years_share_ids(self):
+        # 2,000 crops grown in each year: the three columns are filled in
+        # crop order, with no union set, builder or sort
+        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
+                       for y in range(2000, 2003) for c in range(2000))
+        panel = load_text("crop_id,year,area_ha,production_t,price_per_t\n"
+                          + rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            te = triennium_average(panel, 2002)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert te.crops is panel.crops and len(te) == 2000
+        assert peak / 2000 < 40
+
     def test_insufficient_years(self):
         panel = self.make_panel({2006: {"paddy": (1.0, 1.0, 1.0)}})
         with pytest.raises(CoverageError):
@@ -422,12 +464,13 @@ IO_FILE = """year,kind,item_id,quantity,share
 
 class TestLoadIOPanel:
     def test_equal_id_tuples_are_shared(self):
-        # each side reuses the previous year's tuple when equal; the
-        # outputs of 2002 come in another order, so they get their own
+        # each side reuses an earlier year's tuple when equal; the outputs
+        # of 2002 come in another order, so they get their own
         text = IO_FILE + "".join(
             f"{year},{kind},{item},1,{share}\n" for year, items in (
                 (2001, ("grain", "veg", "labour")),
-                (2002, ("veg", "grain", "labour")))
+                (2002, ("veg", "grain", "labour")),
+                (2003, ("grain", "veg", "labour")))
             for item, kind, share in zip(items, (
                 "output", "output", "input"), (0.5, 0.5, 1.0)))
         panel = load_io_panel(io.StringIO(text))
@@ -436,6 +479,8 @@ class TestLoadIOPanel:
         assert outputs[0] is outputs[1]
         assert outputs[2] == ("veg", "grain") and outputs[2] is not outputs[1]
         assert inputs[0] is inputs[1] is inputs[2] == ("labour",)
+        # and any earlier year's, across a year in another order
+        assert outputs[3] is outputs[0] and inputs[3] is inputs[0]
 
     def test_ids_are_not_interned(self):
         text = IO_FILE.replace("veg", "veg (leafy) #2")

@@ -12,6 +12,7 @@ from agrodiag.markets import (
     _stdev,
     break_analysis,
     coefficient_of_variation,
+    crop_shares,
     land_use_ratios,
     price_ratio,
     share_table,
@@ -266,6 +267,30 @@ class TestShareTable:
         for dimension in ("area", "value"):
             shares = share_table(panel, 2006, dimension)
             assert abs(sum(shares.values()) - 100.0) <= 1e-9
+
+
+    @pytest.mark.parametrize("dimension, crops, message", [
+        ("area", {"paddy": (1e308, 1.0, 1.0), "wheat": (1e308, 1.0, 1.0)},
+         "total area in TE 2006 is not finite"),
+        ("value", {"paddy": (1.0, 1e300, 1e300)},
+         "total value in TE 2006 is not finite"),
+        ("area", {"paddy": (0.0, 1.0, 1.0)},
+         "total area in TE 2006 is not positive"),
+    ])
+    def test_total_neither_positive_nor_finite_is_domain_error(
+            self, dimension, crops, message):
+        panel = constant_panel(crops)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            share_table(panel, 2006, dimension)
+
+    def test_table_pairs_the_crop_shares(self):
+        panel = constant_panel({"wheat": (3.0, 10.0, 300.0),
+                                "paddy": (1.0, 10.0, 100.0)})
+        for dimension in ("area", "value"):
+            crops, shares = crop_shares(panel, 2006, dimension)
+            assert crops == ("paddy", "wheat")
+            assert share_table(panel, 2006, dimension) == dict(zip(
+                crops, shares))
 
 
 class TestLandUseRatios:

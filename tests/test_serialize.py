@@ -1,7 +1,15 @@
+import tracemalloc
+
 import pytest
 
 from agrodiag.errors import DomainError
-from agrodiag.serialize import CSV_CHUNK_LINES, csv_text, json_text
+from agrodiag.serialize import (
+    CSV_CHUNK_LINES,
+    csv_chunks,
+    csv_text,
+    json_text,
+    write_artifacts,
+)
 
 
 class TestNonFiniteNumbers:
@@ -35,3 +43,50 @@ class TestCsvText:
         want = "a,b,c,d\n" + "".join(
             f"{i},c{i},{i / 7:.6g},true\n" for i in range(n_rows))
         assert csv_text(["a", "b", "c", "d"], iter(rows), "x.csv") == want
+
+    def test_chunks_are_whole_lines_yielded_as_the_rows_come(self):
+        def rows():
+            yield from ((i,) for i in range(CSV_CHUNK_LINES))
+            yield (float("inf"),)
+
+        chunks = csv_chunks(["a"], rows(), "x.csv")
+        first = next(chunks)
+        assert first.endswith("\n") and first.count("\n") == CSV_CHUNK_LINES
+        with pytest.raises(DomainError, match="^x.csv: non-finite value inf"):
+            next(chunks)
+
+
+class TestWriteArtifacts:
+    @pytest.mark.parametrize("form", ["chunks", "text"])
+    def test_a_large_artifact_is_written_in_slices(self, tmp_path, form):
+        # ~1 MB, as 1,024 chunks or as one text: neither the whole text nor
+        # an encoded copy of it is built while it is written
+        tail = "\u00e9" * 500 + "x" * 515 + "\n"
+        lines = [f"{i:07d},{tail}" for i in range(1024)]
+        want = "".join(lines)
+        text = iter(lines) if form == "chunks" else want
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_artifacts(tmp_path / "o", [("big.csv", text)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / "o" / "big.csv").read_bytes()
+        assert written == want.encode("utf-8") and len(written) > 1 << 20
+        assert peak < len(written) / 4
+
+    def test_texts_and_chunks_are_written_alike(self, tmp_path):
+        write_artifacts(tmp_path, iter([
+            ("y.json", "{}\n"), ("x.csv", iter(["a\n", "", "1\r\n"]))]))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "x.csv": b"a\n1\r\n", "y.json": b"{}\n"}
+
+    def test_a_failed_artifact_leaves_no_directory_it_made(self, tmp_path):
+        def artifacts():
+            yield "x.csv", "a\n"
+            raise DomainError("y.json: failed")
+
+        with pytest.raises(DomainError, match="y.json: failed"):
+            write_artifacts(tmp_path / "new" / "o", artifacts())
+        assert list(tmp_path.iterdir()) == []
