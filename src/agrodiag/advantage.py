@@ -89,7 +89,8 @@ def cai_table(region: AreaShareTable, nation: AreaShareTable) -> dict[str, float
 def area_share_table_from_panel(panel: CropPanel, year: int,
                                 scope: str) -> AreaShareTable:
     """Build a table from one year of a crop panel (areas only)."""
-    entries = {o.crop_id: o.area for o in panel.observations(year)}
+    entries = (dict(zip(*panel.columns(year)[:2])) if panel.has_year(year)
+               else {})
     if not entries:
         raise DomainError(f"panel has no observations for {year}")
     return AreaShareTable(scope=scope, year=year, entries=entries)

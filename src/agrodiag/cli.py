@@ -82,18 +82,22 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     run = _run(args)
     run.crop_years = set()  # count every row, keep none
-    rows, crops, years = run.load().panel.checked
+    # each input read once and reduced to what is printed, in a fixed
+    # order; nothing is printed unless every input is valid
+    commodities = sorted(run.prices)
+    value_cost_years = len(run.value_cost[0])
+    rows, crops, years = run.panel.checked
+    io_years = run.io_panel.years
+    land_years = len(run.land)
+    region, nation = (len(table.groups) for table in run.areas)
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
-    io_years = run.io_panel.years
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
-    print(f"price series: {len(run.prices)} commodities "
-          f"({', '.join(sorted(run.prices))})")
-    print(f"land use: {len(run.land)} years")
-    print(f"value/cost series: {len(run.value_cost[0])} years")
-    region, nation = run.areas
-    print(f"area tables: {len(region.groups)} region groups, "
-          f"{len(nation.groups)} nation groups")
+    print(f"price series: {len(commodities)} commodities "
+          f"({', '.join(commodities)})")
+    print(f"land use: {land_years} years")
+    print(f"value/cost series: {value_cost_years} years")
+    print(f"area tables: {region} region groups, {nation} nation groups")
     print("all inputs valid")
     return 0
 

@@ -178,6 +178,7 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
                 raise DuplicateKeyError(
                     f"{what}: duplicate ({crop_id}, {year}) in row {line}"
                 )
+    del names  # the ids in ``columns`` keep their strings
     return CropPanel(columns)
 
 

@@ -174,7 +174,7 @@ class CropPanel:
                 rows = memoryview(flat)  # its strided slices copy nothing
                 last = _shared(map(ids.__getitem__, order), last)
                 self._by_year[year] = (last, *(
-                    array("d", [column[i] for i in order])
+                    array("d", map(column.__getitem__, order))
                     for column in (rows[k::3] for k in range(3))))
         self._years = tuple(self._by_year)
         kept = [ids for ids, *_ in self._by_year.values()]

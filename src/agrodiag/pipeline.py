@@ -23,8 +23,8 @@ from pathlib import Path
 from ._record import Record
 from .errors import DuplicateKeyError, SchemaError
 from .serialize import (
-    cai_csv, collect, csv_chunks, csv_text, index_csvs, json_text, read_json,
-    write_artifacts,
+    cai_csv, collect, csv_chunks, csv_text, index_csvs, json_chunks, json_text,
+    read_json, write_artifacts,
 )
 
 # true for type checkers only; saves importing ``typing`` for annotations
@@ -169,20 +169,21 @@ def load_run_config(path: Path | str) -> RunConfig:
         raise SchemaError(f"config {path}: malformed value ({exc})") from None
 
 
-def _input(loader: str, key: str) -> cached_property:
+def _input(loader: str, key: str) -> property:
     """A ``Run`` input: the file of config field KEY, read by LOADER."""
     def read(run: Run):
         from . import ingest
 
         return getattr(ingest, loader)(getattr(run.config, key))
-    return cached_property(read)
+    return property(read)
 
 
 class Run:
     """The report of one run config, computed on demand.
 
-    Its inputs, and the intermediates several artifacts share, are cached
-    properties: computed on first use and kept. Each ``-c`` subcommand is
+    An input is a plain property, read on each access and not kept; the
+    readings reduced from it, and the crop panel, are cached properties,
+    each reading the inputs it consumes once. Each ``-c`` subcommand is
     the method of its name and yields exactly its artifacts (as
     ``serialize.write_artifacts`` takes them), so it reads only the inputs
     they need; ``report`` reads every input and yields the union of the six.
@@ -191,14 +192,7 @@ class Run:
     def __init__(self, config: RunConfig) -> None:
         self.config = config
 
-    def load(self) -> Run:
-        """Read every input, in a fixed order; returns the run."""
-        for name in ("prices", "value_cost", "panel", "io_panel", "land",
-                     "areas"):
-            getattr(self, name)
-        return self
-
-    @cached_property
+    @property
     def prices(self) -> dict[str, PriceSeries]:
         """Every configured price series, keyed by commodity id."""
         from . import ingest
@@ -234,7 +228,7 @@ class Run:
     io_panel = _input("load_io_panel", "io_panel")
     land = _input("load_land_use", "land_use")
 
-    @cached_property
+    @property
     def areas(self) -> tuple[AreaShareTable, AreaShareTable]:
         """The region and the nation area-share tables."""
         from .advantage import load_area_share_table
@@ -252,10 +246,11 @@ class Run:
     @cached_property
     def readings(self) -> dict:
         """The market readings ``assemble_indicators`` takes, which the
-        market artifacts serialize, but for the terminal area shares."""
+        market artifacts serialize, but for the terminal area shares;
+        ``land`` is ``land_ratios.json``'s record."""
         from . import markets
 
-        config, prices, land = self.config, self.prices, self.land
+        config, prices = self.config, self.prices
 
         def price(role: str, commodity: str) -> PriceSeries:
             if commodity not in prices:
@@ -263,7 +258,7 @@ class Run:
                     f"{role} commodity {commodity!r} has no price series")
             return prices[commodity]
 
-        return {
+        readings = {
             "break_stats": [markets.break_analysis(
                 price("break", c), config.break_year, ddof=config.cv_ddof)
                 for c in sorted(config.break_commodities)],
@@ -271,9 +266,17 @@ class Run:
             "grain_fert": markets.price_ratio(
                 price("grain", config.grain_commodity),
                 price("fertilizer", config.fertilizer_commodity)),
-            "land_first": markets.land_use_ratios(land, land[0].year + 2),
-            "land_last": markets.land_use_ratios(land, land[-1].year),
         }
+        land = self.land
+        first_te, last_te = land[0].year + 2, land[-1].year
+        first = markets.land_use_ratios(land, first_te)
+        last = markets.land_use_ratios(land, last_te)
+        readings["land"] = {
+            "first_te": first_te, "last_te": last_te,
+            "first": first, "last": last,
+            "al_ratio_change": last["al_ratio"] - first["al_ratio"],
+        }
+        return readings
 
     @cached_property
     def cai_values(self) -> dict[str, float]:
@@ -283,17 +286,18 @@ class Run:
 
     @cached_property
     def indicators(self) -> str:
-        """``indicators.json``: the indicator set the tree evaluates."""
+        """``indicators.json``: the indicator set the tree evaluates, its
+        inputs read in ``report``'s order."""
         from .markets import crop_shares
         from .productivity import avg_annual_growth
 
+        readings = self.readings
         tfp_growth = avg_annual_growth(self.series["tfp"],
                                        method=self.config.growth_method)
         return json_text(assemble_indicators(
-            self.config, tfp_growth=tfp_growth, **self.readings,
-            terminal_area_shares=crop_shares(
+            self.config, tfp_growth=tfp_growth, **readings,
+            cai_values=self.cai_values, terminal_area_shares=crop_shares(
                 self.panel, self.config.decomposition_terminal, "area"),
-            cai_values=self.cai_values,
         ).to_dict(), "indicators.json")
 
     @cached_property
@@ -316,8 +320,8 @@ class Run:
         result = decomposition.decompose(
             self.panel, config.decomposition_base,
             config.decomposition_terminal, period_mode=config.period_mode)
-        yield "decomposition.json", json_text(result.to_record(),
-                                              "decomposition.json")
+        yield "decomposition.json", json_chunks(result.to_record(),
+                                                "decomposition.json")
 
     def tfp(self):
         """``tfp_index.csv`` and ``figure2.csv``: the index series."""
@@ -330,7 +334,7 @@ class Run:
         method, tfp = self.config.growth_method, self.series["tfp"]
         rates = {label: avg_annual_growth(tfp, lo, hi, method=method)
                  for label, (lo, hi) in sorted(self.config.periods.items())}
-        yield "growth_rates.json", json_text(
+        yield "growth_rates.json", json_chunks(
             {"series": "tfp", "method": method, "periods": rates},
             "growth_rates.json")
 
@@ -338,8 +342,8 @@ class Run:
         """Break stats, figure3/4, crop shares and land-use ratios."""
         from .markets import crop_shares
 
-        panel, readings = self.panel, self.readings
-        yield "break_stats.json", json_text(
+        readings = self.readings
+        yield "break_stats.json", json_chunks(
             [s.to_record() for s in readings["break_stats"]],
             "break_stats.json")
         for name, key in (("figure3.csv", "value_cost"),
@@ -350,6 +354,7 @@ class Run:
         # crop shares at the comparison trienniums, read from their
         # columns as the rows are written: both area totals are checked
         # first, a triennium's value total at its first row
+        panel = self.panel
         trienniums = (self.config.decomposition_base,
                       self.config.decomposition_terminal)
         areas = [crop_shares(panel, te, "area") for te in trienniums]
@@ -359,12 +364,8 @@ class Run:
              for row in zip(repeat(te), crops, area,
                             crop_shares(panel, te, "value")[1])),
             "shares.csv")
-        first, last = readings["land_first"], readings["land_last"]
-        yield "land_ratios.json", json_text({
-            "first_te": self.land[0].year + 2, "last_te": self.land[-1].year,
-            "first": first, "last": last,
-            "al_ratio_change": last["al_ratio"] - first["al_ratio"],
-        }, "land_ratios.json")
+        yield "land_ratios.json", json_chunks(readings["land"],
+                                              "land_ratios.json")
 
     def cai(self):
         """``cai.csv``: the comparative-advantage table."""
@@ -373,17 +374,18 @@ class Run:
     def diagnose(self):
         """``indicators.json`` and ``diagnosis.json``."""
         yield "indicators.json", self.indicators
-        yield "diagnosis.json", json_text(self.diagnosis.to_dict(),
-                                          "diagnosis.json")
+        yield "diagnosis.json", json_chunks(self.diagnosis.to_dict(),
+                                            "diagnosis.json")
 
     def report(self):
-        """Every input read, in ``load``'s order; then every artifact,
-        stage by stage, as each stage yields it."""
+        """Every input reduced to its readings, the crop panel last, so a
+        run holds one large input at a time; then every artifact, stage by
+        stage, as each stage yields it."""
         # without a bytecode cache, a layer compiled once the inputs are
         # loaded would add to the peak
         from . import advantage, decomposition, diagnostics, markets, productivity  # noqa: F401
 
-        self.load()
+        self.readings, self.series, self.cai_values, self.panel
         return chain.from_iterable(stage() for stage in (
             self.decompose, self.tfp, self.growth, self.markets, self.cai,
             self.diagnose))
@@ -397,21 +399,21 @@ def compute_artifacts(config: RunConfig
 
 
 def assemble_indicators(config: RunConfig, *, tfp_growth: float,
-                        break_stats: list, land_first: dict, land_last: dict,
-                        cai_values: dict, terminal_area_shares: tuple,
-                        value_cost: dict, grain_fert: dict
+                        break_stats: list, land: dict, cai_values: dict,
+                        terminal_area_shares: tuple, value_cost: dict,
+                        grain_fert: dict
                         ) -> IndicatorSet:
     """Reduce the module outputs to the scalars the tree predicates read;
-    ``terminal_area_shares`` is as ``markets.crop_shares`` gives it."""
+    ``land`` is as ``land_ratios.json`` holds it, ``terminal_area_shares``
+    as ``markets.crop_shares`` gives it."""
     from .diagnostics import IndicatorSet
 
     ind = IndicatorSet()
-    ind.add("agricultural_land_ratio_change",
-            land_last["al_ratio"] - land_first["al_ratio"],
+    ind.add("agricultural_land_ratio_change", land["al_ratio_change"],
             "ratio", "land_use_ratios, first vs last triennium")
-    ind.add("al_ratio_first", land_first["al_ratio"], "ratio",
+    ind.add("al_ratio_first", land["first"]["al_ratio"], "ratio",
             "land_use_ratios")
-    ind.add("al_ratio_last", land_last["al_ratio"], "ratio",
+    ind.add("al_ratio_last", land["last"]["al_ratio"], "ratio",
             "land_use_ratios")
     ind.add("tfp_growth_pct", tfp_growth, "pct/yr",
             f"avg_annual_growth(tfp, method={config.growth_method})")

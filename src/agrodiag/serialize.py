@@ -3,8 +3,8 @@
 Serialized artifacts round floats to 6 significant digits and order keys
 and rows, so two runs on identical inputs are byte-identical. Full
 precision is kept in memory; only the on-disk form is rounded. No
-artifact holds a NaN or an infinity: ``json_text`` and ``csv_chunks`` raise
-``DomainError`` naming the artifact instead.
+artifact holds a NaN or an infinity: ``json_chunks`` and ``csv_chunks``
+raise ``DomainError`` naming the artifact instead.
 """
 from __future__ import annotations
 
@@ -58,19 +58,33 @@ def _non_finite(obj: Any, path: str = "") -> tuple[str, float] | None:
     return None
 
 
-def json_text(obj: Any, name: str = "JSON text") -> str:
-    """OBJ as canonical JSON; a NaN or infinity raises DomainError naming
-    NAME (the artifact) and the key path, as JSON has no such numbers."""
+def json_chunks(obj: Any, name: str = "JSON text"):
+    """OBJ as canonical JSON, yielded in chunks of ``CSV_CHUNK_LINES``
+    encoder parts as the encoder makes them; a NaN or infinity raises
+    DomainError naming NAME (the artifact) and the key path, as JSON has
+    no such numbers."""
     data = canonical(obj)
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False,
+                               allow_nan=False)
+    parts = []
     try:
-        text = json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False,
-                          allow_nan=False)
+        for part in encoder.iterencode(data):
+            parts.append(part)
+            if len(parts) == CSV_CHUNK_LINES:
+                yield "".join(parts)
+                parts.clear()
     except ValueError:
         path, value = _non_finite(data)
         raise DomainError(
             f"{name}: non-finite number {value!r} at key '{path}'"
         ) from None
-    return text + "\n"
+    parts.append("\n")
+    yield "".join(parts)
+
+
+def json_text(obj: Any, name: str = "JSON text") -> str:
+    """The chunks of ``json_chunks`` joined into one text."""
+    return "".join(json_chunks(obj, name))
 
 
 def format_cell(value: Any) -> str:

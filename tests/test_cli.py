@@ -9,6 +9,7 @@ import pytest
 
 import agrodiag
 from agrodiag import fixtures, serialize
+from agrodiag.advantage import AreaShareTable
 from agrodiag.cli import (
     REPORT_ARTIFACTS,
     _run,
@@ -18,6 +19,7 @@ from agrodiag.cli import (
     main,
     run_pipeline,
 )
+from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
 from agrodiag.pipeline import Run
 
 
@@ -704,6 +706,94 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(bad) in err and "not UTF-8" in err
+
+
+INPUTS = ("area_nation.csv", "area_region.csv", "crops.csv", "io_panel.csv",
+          "land_use.csv", "prices.csv", "value_cost.csv")
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """The name of each input file read, one entry per loader call."""
+    from agrodiag import advantage, ingest
+
+    names = []
+
+    def counting(load):
+        def counted(source, *args, **kwargs):
+            names.append(Path(source).name)
+            return load(source, *args, **kwargs)
+        return counted
+
+    for loader in ("load_crop_panel", "load_io_panel", "load_price_table",
+                   "load_land_use", "load_value_cost"):
+        monkeypatch.setattr(ingest, loader, counting(getattr(ingest, loader)))
+    # the area tables load through the name ``advantage`` imported
+    monkeypatch.setattr(advantage, "load_crop_panel", ingest.load_crop_panel)
+    return names
+
+
+def held_objects(value, depth: int = 3):
+    """VALUE and what its dicts, lists and tuples hold, DEPTH levels down."""
+    yield value
+    if depth and isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from held_objects(item, depth - 1)
+
+
+class TestRunHoldings:
+    """A run reads each input file once and keeps only what it reduced
+    the input to, reading the crop panel after the other inputs."""
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("report", INPUTS),
+        ("validate", INPUTS),
+        ("decompose", ("crops.csv",)),
+        ("tfp", ("io_panel.csv",)),
+        ("growth", ("io_panel.csv",)),
+        ("markets", ("crops.csv", "land_use.csv", "prices.csv",
+                     "value_cost.csv")),
+        ("cai", ("area_nation.csv", "area_region.csv")),
+        ("diagnose", INPUTS),
+    ])
+    @pytest.mark.parametrize("to", ["-o", "stdout"])
+    def test_each_input_file_is_read_once(self, run_dir, tmp_path, capsys,
+                                          loaded, command, inputs, to):
+        argv = [command, "-c", str(run_dir / "config.json")]
+        if to == "-o" or command == "report":
+            argv += ["-o", str(tmp_path / "o")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert sorted(loaded) == sorted(inputs)
+
+    def test_a_finished_report_holds_no_input(self, run_dir):
+        run = Run(load_run_config(run_dir / "config.json"))
+        assert sorted(serialize.collect(run.report())) == \
+            sorted(REPORT_ARTIFACTS)
+        assert sorted(vars(run)) == [
+            "cai_values", "config", "crop_years", "diagnosis", "indicators",
+            "panel", "readings", "series"]
+        inputs = (InputOutputPanel, PriceSeries, LandUseRecord,
+                  AreaShareTable)
+        assert not any(isinstance(value, inputs)
+                       for value in held_objects(vars(run)))
+
+    @pytest.mark.parametrize("command", ["report", "markets", "diagnose"])
+    def test_of_two_faults_the_one_read_first_is_named(
+            self, run_dir, tmp_path, capsys, command):
+        # a crops.csv that is not CSV, and a break commodity without prices:
+        # the prices are read, and reduced, before the crop panel
+        config = with_broken_input(run_dir, tmp_path, "crop_panel")
+        config["break_commodities"].append("okra")
+        path = write_config(tmp_path, config)
+        assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            "error: break commodity 'okra' has no price series\n"
+        # validate checks no commodity, so the crop panel fails it
+        assert main(["validate", "-c", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: crop panel {tmp_path / 'broken.csv'}: bad header ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestNoNumpyAtRuntime:

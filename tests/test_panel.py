@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from agrodiag.panel import (
     IOYear,
     LandUseRecord,
     PriceSeries,
+    _Columns,
 )
 
 
@@ -135,6 +137,28 @@ class TestCropPanel:
             # an empty panel writes a header-only file, which loads as none
             with pytest.raises(SchemaError, match="header but no data rows"):
                 load_crop_panel(text)
+
+    def test_build_sorts_without_a_list_per_column(self):
+        # 2,000 crops x 6 years, each year's rows rotated, so every year is
+        # sorted. Beyond what the panel keeps, the build holds one year's
+        # permutation at a time (~9 bytes a panel row); a list of floats
+        # per column, 32 bytes a row of its year, took it to ~11
+        crops = [f"crop{c:04d}" for c in range(2000)]
+        columns = _Columns()
+        for k, year in enumerate(range(2000, 2006)):
+            shift = 331 * (k + 1)
+            for crop in crops[shift:] + crops[:shift]:
+                columns.add(year, crop, [1.5, 2.5, year + 0.25])
+        tracemalloc.start()
+        try:
+            panel = CropPanel(columns)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 12_000 and panel.crops == tuple(crops)
+        assert panel.get("crop1999", 2003) == CropObservation(
+            "crop1999", 2003, 1.5, 2.5, 2003.25)
+        assert (peak - kept) / len(panel) < 10
 
 
 class TestIOYear:
