@@ -150,12 +150,11 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
     """
     if what is None:
         what = _label(source, "crop panel")
-    columns, names = _Columns(years), {}  # names: each id's first string
+    columns = _Columns(years)
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["crop_id", "year", "area_ha",
                                         "production_t", "price_per_t"], what):
             crop_id = row[0].strip()
-            crop_id = names.setdefault(crop_id, crop_id)
             if not crop_id:
                 raise SchemaError(f"{what}: empty crop_id in row {line}")
             year = _cell(row, 1, "year", line, what, cast=int)
@@ -178,7 +177,6 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
                 raise DuplicateKeyError(
                     f"{what}: duplicate ({crop_id}, {year}) in row {line}"
                 )
-    del names  # the ids in ``columns`` keep their strings
     return CropPanel(columns)
 
 
@@ -252,9 +250,10 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
     return memo[end_year]
 
 
-def _normalize_shares(ids, rows, year: int, kind: str, what: str) -> None:
-    """Rescale one year's ``kind`` shares, in place, to sum to 1: the
-    second value of each ``(quantity, share)`` row in ``rows``."""
+def _normalize_shares(columns, year: int, kind: str, what: str) -> None:
+    """Rescale one year's ``kind`` shares in ``columns``, in place, to sum
+    to 1: the second value of each ``(quantity, share)`` row."""
+    _, codes, rows = columns.by_key.get((year, kind), (0, (), ()))
     shares = rows[1::2]
     total = sum(shares)
     if abs(total - 1.0) > 1e-9:
@@ -264,12 +263,12 @@ def _normalize_shares(ids, rows, year: int, kind: str, what: str) -> None:
                 f"the renormalization band {SHARE_RENORM_BAND}"
             )
         shares = rows[1::2] = array("d", [share / total for share in shares])
-    for item_id, share in zip(ids, shares):
+    for code, share in zip(codes, shares):
         if share > 1:
+            item_id = list(columns.codes)[code]
             raise DomainError(
                 f"{what}: {kind} {item_id!r} in {year} has share {share!r} "
-                f"after renormalization; shares must lie in [0, 1]"
-            )
+                f"after renormalization; shares must lie in [0, 1]")
 
 
 def load_io_panel(source) -> InputOutputPanel:
@@ -280,7 +279,7 @@ def load_io_panel(source) -> InputOutputPanel:
     because they cannot enter a log-ratio later.
     """
     what = _label(source, "io panel")
-    columns, names = _Columns(), {}  # names: each id's first string
+    columns = _Columns()
     with _open_text(source, what) as stream:
         for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
                                         "share"], what):
@@ -292,7 +291,6 @@ def load_io_panel(source) -> InputOutputPanel:
                     f"in row {line}"
                 )
             item_id = row[2].strip()
-            item_id = names.setdefault(item_id, item_id)
             if not item_id:
                 raise SchemaError(f"{what}: empty item_id in row {line}")
             quantity = _amount(row, 3, "quantity", line, what)
@@ -310,7 +308,7 @@ def load_io_panel(source) -> InputOutputPanel:
                 )
     for year in sorted({year for year, _ in columns.by_key}):
         for kind in IO_SIDES:
-            _normalize_shares(*columns.rows((year, kind)), year, kind, what)
+            _normalize_shares(columns, year, kind, what)
     return InputOutputPanel(columns)
 
 

@@ -5,10 +5,8 @@ across threads. Validation happens at construction time; analysis code can
 assume the invariants hold.
 
 Both panels are columnar, and both are filled through one private
-builder, ``_Columns``, so no per-row object is kept. It gathers the rows
-of each key (a year, or a year and side) as a list of ids plus one
-row-major ``array('d')``, and finds duplicates through one
-``{item id: bit mask of its keys}`` dict. The panels' ``array('d')``
+builder, ``_Columns``, so no per-row object is kept: one code per item id,
+and per key the rows' codes and values. The panels' ``array('d')``
 columns hold doubles bit for bit, and the row objects (``CropObservation``,
 ``IOItem``, ``IOYear``) are built on demand.
 
@@ -75,49 +73,47 @@ class CropObservation(Record, frozen=True):
 
 
 class _Columns:
-    """Rows gathered key by key, in arrival order: per key, the item ids
-    plus the rows' values, row after row, in one column of doubles.
+    """Rows gathered key by key, in arrival order: per key, the codes of
+    the item ids plus the rows' values, row after row, in one column of
+    doubles.
 
     A key is a crop panel's year or an io panel's ``(year, side)``. Every
     ``CropPanel`` and ``InputOutputPanel`` is built from one of these,
     which it empties; the loaders in ``ingest`` fill one straight from a
-    file, so no per-row object is built. Duplicates are found through one
-    dict for all keys, ``seen``: each key owns one bit, given when its
-    entry is created, and an item id maps to the bits of the keys it is
-    under. With ``keep``, a key not in it gets its bit but no ids (None).
+    file, so no per-row object is built. ``codes`` numbers the item ids as
+    they come, its keys the one string kept of each id, and a key's flags
+    hold one byte per code, set once that id is under the key. With
+    ``keep``, a key not in it gets its flags but no codes (None).
     """
 
-    __slots__ = ("by_key", "seen", "keep")
+    __slots__ = ("by_key", "codes", "keep")
 
     def __init__(self, keep=None) -> None:
-        # key -> (its bit, item ids or None, values row-major)
-        self.by_key: dict[object, tuple[int, list[str] | None, array]] = {}
-        self.seen: dict[str, int] = {}
+        # key -> (its flags, its rows' codes or None, values row-major)
+        self.by_key: dict[object, tuple[bytearray, array | None, array]] = {}
+        self.codes: dict[str, int] = {}
         self.keep = keep
 
     def add(self, key, item_id: str, values: list[float]) -> bool:
         """Append one row; False, and nothing appended, if ``item_id`` is
         already under ``key``."""
+        code = self.codes.get(item_id)
+        if code is None:
+            code = self.codes[item_id] = len(self.codes)
         entry = self.by_key.get(key)
         if entry is None:
-            ids = [] if self.keep is None or key in self.keep else None
-            entry = self.by_key[key] = (1 << len(self.by_key), ids, array("d"))
-        bit, ids, flat = entry
-        seen = self.seen.get(item_id, 0)
-        mask = seen | bit
-        if mask == seen:
+            codes = array("I") if self.keep is None or key in self.keep else None
+            entry = self.by_key[key] = (bytearray(), codes, array("d"))
+        flags, codes, flat = entry
+        if code >= len(flags):
+            flags.extend(bytes(len(self.codes) - len(flags)))
+        elif flags[code]:
             return False
-        self.seen[item_id] = mask
-        if ids is not None:
-            ids.append(item_id)
+        flags[code] = 1
+        if codes is not None:
+            codes.append(code)
             flat.fromlist(values)
         return True
-
-    def rows(self, key) -> tuple[list[str], array]:
-        """The ids and row-major values under ``key``, empty if it has
-        none."""
-        _, ids, flat = self.by_key.get(key) or (0, [], array("d"))
-        return ids, flat
 
 
 def _shared(ids, last):
@@ -158,24 +154,31 @@ class CropPanel:
                         raise DuplicateKeyError(
                             f"duplicate observation for {(obs.crop_id, obs.year)}"
                         )
-            seen, years = columns.seen, sorted(columns.by_key)
-            checked = (sum(map(int.bit_count, seen.values())), len(seen),
-                       tuple(years))
-            seen.clear()
-            # sort year by year, so at most one year is held twice
+            by_key, years, count = columns.by_key, sorted(columns.by_key), 0
+            for flags, _, _ in by_key.values():
+                count += flags.count(1)
+                flags.clear()  # freed before the list of ids is made
+            names = list(columns.codes)  # each code's id
+            columns.codes.clear()
+            checked = (count, len(names), tuple(years))
+            # sort year by year, each year's scratch freed before the next
             self._by_year: dict[int, tuple[tuple[str, ...], array, array,
                                            array]] = {}
             last = None
             for year in years:
-                _, ids, flat = columns.by_key.pop(year)
-                if ids is None:
+                _, codes, flat = by_key.pop(year)
+                if codes is None:
                     continue
-                order = sorted(range(len(ids)), key=ids.__getitem__)
-                rows = memoryview(flat)  # its strided slices copy nothing
+                ids = list(map(names.__getitem__, codes))
+                order = array("I", sorted(range(len(ids)),
+                                          key=ids.__getitem__))
                 last = _shared(map(ids.__getitem__, order), last)
-                self._by_year[year] = (last, *(
-                    array("d", map(column.__getitem__, order))
-                    for column in (rows[k::3] for k in range(3))))
+                del codes, ids
+                rows = array("d")  # the year's rows in crop order, whose
+                for i in order:  # strided slices are allocated at their length
+                    rows.extend(flat[3 * i:3 * i + 3])
+                self._by_year[year] = (last, *(rows[k::3] for k in range(3)))
+                del flat, order, rows
         self._years = tuple(self._by_year)
         kept = [ids for ids, *_ in self._by_year.values()]
         widest = max(kept, key=len, default=())  # no set if every year is it
@@ -322,18 +325,17 @@ class InputOutputPanel:
                     for it in items:
                         columns.add((ioy.year, side), it.item_id,
                                     [it.quantity, it.share])
-        columns.seen.clear()
+        names = list(columns.codes)
         self._by_year: dict[int, dict[str, tuple[tuple[str, ...], array,
                                                  array]]] = {}
         known: dict[tuple[str, ...], tuple[str, ...]] = {}  # each id order
         for year in sorted({year for year, _ in columns.by_key}):
             sides = self._by_year[year] = {}
             for side in IO_SIDES:
-                ids, flat = columns.rows((year, side))
-                columns.by_key.pop((year, side), None)
+                _, codes, flat = columns.by_key.pop((year, side), (0, (), ()))
                 quantities, shares = flat[0::2], flat[1::2]
                 _check_share_sum(side, year, shares)
-                ids = tuple(ids)
+                ids = tuple(map(names.__getitem__, codes))
                 ids = known.setdefault(ids, ids)
                 sides[side] = (ids, quantities, shares)
         self._years = tuple(self._by_year)

@@ -29,7 +29,9 @@ def round_sig(x: float, digits: int = SIG_DIGITS) -> float:
 
 
 def canonical(obj: Any) -> Any:
-    """Recursively round floats; leave ints, strings and bools alone."""
+    """Recursively round floats; leave ints, strings and bools alone.
+
+    ``json_chunks`` writes the JSON of this copy without making it."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
@@ -39,6 +41,22 @@ def canonical(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
     return obj
+
+
+def _rounded(x: float) -> str:
+    """X as JSON, rounded by ``round_sig``; a NaN or an infinity raises
+    ValueError, as JSON has no such numbers."""
+    if not math.isfinite(x):
+        raise ValueError(x)
+    return repr(round_sig(x))
+
+
+# The parts ``json.JSONEncoder(sort_keys=True, indent=2,
+# ensure_ascii=False)`` yields, from the generator it is built on, with
+# each float rounded as it is written; float keys are rounded alike
+_iterencode = json.encoder._make_iterencode(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, 2,
+    _rounded, ": ", ",", True, False, False)
 
 
 def _non_finite(obj: Any, path: str = "") -> tuple[str, float] | None:
@@ -58,23 +76,28 @@ def _non_finite(obj: Any, path: str = "") -> tuple[str, float] | None:
     return None
 
 
+def _drained(parts: list[str]) -> str:
+    """PARTS joined, PARTS emptied: so a chunk's parts are freed before it
+    is written."""
+    text = "".join(parts)
+    parts.clear()
+    return text
+
+
 def json_chunks(obj: Any, name: str = "JSON text"):
     """OBJ as canonical JSON, yielded in chunks of ``CSV_CHUNK_LINES``
-    encoder parts as the encoder makes them; a NaN or infinity raises
+    encoder parts as the encoder makes them, each float rounded as it is
+    written, so no rounded copy of OBJ is made; a NaN or infinity raises
     DomainError naming NAME (the artifact) and the key path, as JSON has
     no such numbers."""
-    data = canonical(obj)
-    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False,
-                               allow_nan=False)
     parts = []
     try:
-        for part in encoder.iterencode(data):
+        for part in _iterencode(obj, 0):
             parts.append(part)
             if len(parts) == CSV_CHUNK_LINES:
-                yield "".join(parts)
-                parts.clear()
+                yield _drained(parts)
     except ValueError:
-        path, value = _non_finite(data)
+        path, value = _non_finite(obj)
         raise DomainError(
             f"{name}: non-finite number {value!r} at key '{path}'"
         ) from None
@@ -168,6 +191,7 @@ def _stage(path: Path, chunks: Iterable[str]) -> None:
         for chunk in chunks:
             for start in range(0, len(chunk), WRITE_SLICE):
                 stream.write(chunk[start:start + WRITE_SLICE])
+            del chunk  # freed before the next one is made
 
 
 def write_artifacts(outdir: Path, artifacts) -> None:

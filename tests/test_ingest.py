@@ -200,8 +200,9 @@ class TestLoadCropPanel:
         assert retained / len(panel) < 80
 
     def test_transient_peak_per_row(self):
-        # the loader's scratch on top of the panel it keeps: per year a list
-        # of ids, and one {crop id: year bit mask} dict for duplicates
+        # the loader's scratch on top of the panel it keeps: one {crop id:
+        # code} table, per year an array of codes and, for duplicates, one
+        # flag byte per crop
         rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
                        for y in range(2000, 2020) for c in range(1000))
         stream = io.StringIO(
@@ -231,6 +232,27 @@ class TestLoadCropPanel:
         panel, retained = retained_by(lambda: load_text(text, years=set()))
         assert len(panel) == 0 and panel.checked[:2] == (34_000, 2000)
         assert retained / 34_000 < 1
+
+    def test_transient_peak_per_kept_row(self):
+        # 2,000 crops x 17 years, six kept. Beyond the panel it keeps, the
+        # load peaks at its loop end: one code per crop in the id table,
+        # one flag byte per crop and year, one code per kept row, ~17 bytes
+        # a kept row. A list of ids per kept year and a {crop id: bit mask}
+        # dict, with one year's sort scratch still held while the next year
+        # sorted, took it to ~24
+        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
+                       for y in range(2000, 2017) for c in range(2000))
+        stream = io.StringIO(
+            "crop_id,year,area_ha,production_t,price_per_t\n" + rows)
+        kept = {2000, 2001, 2002, 2014, 2015, 2016}
+        tracemalloc.start()
+        try:
+            panel = load_crop_panel(stream, years=kept)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 12_000
+        assert (peak - retained) / len(panel) < 20
 
     def test_equal_id_tuples_are_shared(self):
         # c is missing in 2002, so that year and the triennium ending 2004
@@ -268,7 +290,8 @@ class TestLoadCropPanel:
         assert sys.intern("".join(["wheat (rabi)", " #1"])) is not loaded
 
     def test_duplicate_found_beyond_64_years(self):
-        # 70 years, so the later years' bits make the masks big ints
+        # 70 years: more keys than a 64-bit mask has bits, each with its
+        # own flag byte per crop
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
             f"c{c},{y},1,1,1\n" for y in range(1950, 2020) for c in range(3))
         panel = load_text(text)

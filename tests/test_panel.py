@@ -1,6 +1,8 @@
 import io
 import math
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,42 @@ class TestCropPanel:
         assert panel.get("crop1999", 2003) == CropObservation(
             "crop1999", 2003, 1.5, 2.5, 2003.25)
         assert (peak - kept) / len(panel) < 10
+
+    def test_kept_columns_are_allocated_at_their_length(self):
+        # rows in descending crop order, so every kept year is sorted; an
+        # array grown by appends would carry slack beyond its length
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+            f"crop{c:04d},{y},{c + 0.5},{y},1.25\n"
+            for y in range(2000, 2004) for c in reversed(range(1000)))
+        panel = load_crop_panel(io.StringIO(text), years={2000, 2003})
+        assert panel.years == (2000, 2003)
+        for year in panel.years:
+            ids, *columns = panel.columns(year)
+            assert len(ids) == 1000
+            for column in columns:
+                assert sys.getsizeof(column.obj) == sys.getsizeof(
+                    array("d", [0.0] * len(ids)))
+
+    @given(st.lists(st.tuples(st.integers(1900, 2040),
+                              st.sampled_from(["a", "b", "c", "d", "e"])),
+                    max_size=150),
+           st.sets(st.integers(1900, 2040)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_add_finds_repeats_as_a_set_does(self, stream, keep):
+        # 70 keys come first, so every stream spans more keys than a 64-bit
+        # mask has bits; the first row of a (key, id) is the one kept
+        stream = [(year, "z") for year in range(1950, 2020)] + stream
+        columns, first = _Columns(keep), {}
+        for row, (year, item_id) in enumerate(stream):
+            added = columns.add(year, item_id, [row, 0.5, year])
+            assert added == ((year, item_id) not in first)
+            first.setdefault((year, item_id), row)
+        panel = CropPanel(columns)
+        assert panel.checked == (len(first), len({i for _, i in first}),
+                                 tuple(sorted({y for y, _ in first})))
+        assert {(o.year, o.crop_id): o.area
+                for o in panel.observations()} == {
+            key: row for key, row in first.items() if key[0] in keep}
 
 
 class TestIOYear:
