@@ -4,26 +4,28 @@ Builds a toy two-period panel and splits the change in gross revenue into
 area, price, yield and diversification effects plus the interaction
 residual. Play with the numbers and watch the attribution move.
 """
-from agrodiag import CropObservation, CropPanel, decompose, gross_revenue
+import io
 
-# base period: a paddy/wheat/maize state with 17 kha under crops
-base = [
-    CropObservation("paddy", 2002, area=9.0, production=18.0, price=520.0),
-    CropObservation("wheat", 2002, area=6.0, production=13.2, price=760.0),
-    CropObservation("maize", 2002, area=2.0, production=4.4, price=590.0),
-]
+from agrodiag import decompose, load_crop_panel
 
-# terminal period: higher yields and prices, land shifted toward maize
-terminal = [
-    CropObservation("paddy", 2016, area=8.2, production=21.3, price=1150.0),
-    CropObservation("wheat", 2016, area=6.1, production=17.1, price=1280.0),
-    CropObservation("maize", 2016, area=2.9, production=9.6, price=1090.0),
-]
+# base period (2002): a paddy/wheat/maize state with 17 kha under crops;
+# terminal period (2016): higher yields and prices, land shifted toward
+# maize. Area in kha, production in kt, price per tonne.
+csv_text = """crop_id,year,area_ha,production_t,price_per_t
+paddy,2002,9.0,18.0,520.0
+wheat,2002,6.0,13.2,760.0
+maize,2002,2.0,4.4,590.0
+paddy,2016,8.2,21.3,1150.0
+wheat,2016,6.1,17.1,1280.0
+maize,2016,2.9,9.6,1090.0
+"""
+panel = load_crop_panel(io.StringIO(csv_text))
 
-panel = CropPanel(base + terminal)
-
-print(f"gross revenue 2002: {gross_revenue(panel, 2002):12.1f}")
-print(f"gross revenue 2016: {gross_revenue(panel, 2016):12.1f}")
+# gross revenue: production times price, summed over the year's crops
+for year in (2002, 2016):
+    _, _, production, price = panel.columns(year)
+    revenue = sum(q * p for q, p in zip(production, price))
+    print(f"gross revenue {year}: {revenue:12.1f}")
 print()
 
 result = decompose(panel, 2002, 2016, period_mode="endpoint")

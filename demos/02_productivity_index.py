@@ -4,30 +4,31 @@ The year-over-year log changes weight each item's log quantity ratio by
 its value share averaged between the two years, then chain into levels
 with base 100. TFP is the output index over the input index.
 """
+import io
 import math
 
-from agrodiag import IOItem, IOYear, InputOutputPanel, avg_annual_growth, build_index
+from agrodiag import avg_annual_growth, index_series, load_io_panel
 
 # ten years of two outputs and three inputs; output grows faster than
 # input use, so TFP trends up
-years = []
+rows = []
 for t in range(10):
-    outputs = (
-        IOItem("grain", 1000.0 * math.exp(0.025 * t), 0.65),
-        IOItem("horticulture", 300.0 * math.exp(0.045 * t), 0.35),
-    )
-    inputs = (
-        IOItem("labour", 500.0 * math.exp(0.002 * t), 0.50),
-        IOItem("fertiliser", 120.0 * math.exp(0.018 * t), 0.30),
-        IOItem("machinery", 60.0 * math.exp(0.030 * t), 0.20),
-    )
-    years.append(IOYear(2006 + t, outputs, inputs))
+    year = 2006 + t
+    rows += [
+        (year, "output", "grain", 1000.0 * math.exp(0.025 * t), 0.65),
+        (year, "output", "horticulture", 300.0 * math.exp(0.045 * t), 0.35),
+        (year, "input", "labour", 500.0 * math.exp(0.002 * t), 0.50),
+        (year, "input", "fertiliser", 120.0 * math.exp(0.018 * t), 0.30),
+        (year, "input", "machinery", 60.0 * math.exp(0.030 * t), 0.20),
+    ]
+csv_text = "year,kind,item_id,quantity,share\n" + "".join(
+    f"{year},{kind},{item},{quantity!r},{share!r}\n"
+    for year, kind, item, quantity, share in rows)
+panel = load_io_panel(io.StringIO(csv_text))
 
-panel = InputOutputPanel(years)
-
-output_idx = build_index(panel, "output", base_year=2006)
-input_idx = build_index(panel, "input", base_year=2006)
-tfp_idx = build_index(panel, "tfp", base_year=2006)
+series = index_series(panel, base_year=2006)
+output_idx, input_idx, tfp_idx = (series[kind]
+                                  for kind in ("output", "input", "tfp"))
 
 print("year   output    input      tfp")
 for year in tfp_idx.years:

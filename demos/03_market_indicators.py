@@ -8,9 +8,9 @@ import io
 from agrodiag import (
     PriceSeries,
     break_analysis,
+    crop_shares,
     load_crop_panel,
     price_ratio,
-    share_table,
 )
 from agrodiag.fixtures import crop_panel_rows, price_rows
 
@@ -37,8 +37,8 @@ csv = "crop_id,year,area_ha,production_t,price_per_t\n" + "\n".join(
     f"{c},{y},{a!r},{q!r},{p!r}" for c, y, a, q, p in crop_panel_rows()
 )
 panel = load_crop_panel(io.StringIO(csv))
-area = share_table(panel, te_year=2016, dimension="area")
-value = share_table(panel, te_year=2016, dimension="value")
+area = dict(zip(*crop_shares(panel, te_year=2016, dimension="area")))
+value = dict(zip(*crop_shares(panel, te_year=2016, dimension="value")))
 print("\ncrop shares, triennium ending 2016 (% of area / % of value):")
 for crop in sorted(area, key=area.get, reverse=True):
     print(f"  {crop:<14s} {area[crop]:5.1f}   {value[crop]:5.1f}")

@@ -9,7 +9,8 @@ from agrodiag import IndicatorSet, builtin_bihar_tree, evaluate
 from agrodiag.fixtures import bihar_reference_indicators
 
 tree = builtin_bihar_tree()
-print("constraints the tree can flag:", ", ".join(tree.constraint_labels))
+labels = sorted({node.constraint_label for node in tree.nodes.values()} - {None})
+print("constraints the tree can flag:", ", ".join(labels))
 print()
 
 report = evaluate(tree, bihar_reference_indicators())

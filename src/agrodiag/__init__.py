@@ -3,7 +3,8 @@ diagnostics for crop panel data.
 
 The package splits into small pure modules:
 
-* :mod:`agrodiag.panel`, :mod:`agrodiag.ingest` -- data model and loaders
+* :mod:`agrodiag.panel`, :mod:`agrodiag.ingest` -- columnar panels and the
+  loaders that build them
 * :mod:`agrodiag.decomposition` -- revenue-change decomposition
 * :mod:`agrodiag.productivity` -- chained output/input/TFP index series
 * :mod:`agrodiag.markets` -- volatility, ratio and share indicators
@@ -24,7 +25,6 @@ _EXPORTS = {
     "AgrodiagError": "errors",
     "AreaShareTable": "advantage",
     "BreakStats": "markets",
-    "CropObservation": "panel",
     "CropPanel": "panel",
     "DecompositionResult": "decomposition",
     "DiagnosticReport": "diagnostics",
@@ -32,22 +32,20 @@ _EXPORTS = {
     "IndexSeries": "productivity",
     "IndicatorSet": "diagnostics",
     "InputOutputPanel": "panel",
-    "IOItem": "panel",
-    "IOYear": "panel",
     "LandUseRecord": "panel",
     "Predicate": "diagnostics",
     "PriceSeries": "panel",
     "area_share_table_from_panel": "advantage",
     "avg_annual_growth": "productivity",
     "break_analysis": "markets",
-    "build_index": "productivity",
     "builtin_bihar_tree": "diagnostics",
     "cai": "advantage",
     "cai_table": "advantage",
     "coefficient_of_variation": "markets",
+    "crop_shares": "markets",
     "decompose": "decomposition",
     "evaluate": "diagnostics",
-    "gross_revenue": "decomposition",
+    "index_series": "productivity",
     "land_use_ratios": "markets",
     "load_crop_panel": "ingest",
     "load_io_panel": "ingest",
@@ -56,11 +54,9 @@ _EXPORTS = {
     "load_tree": "diagnostics",
     "load_value_cost": "ingest",
     "price_ratio": "markets",
-    "share_table": "markets",
     "tornqvist_log_growth": "productivity",
     "triennium_average": "ingest",
     "value_cost_ratio": "markets",
-    "write_crop_panel": "ingest",
 }
 
 __all__ = list(_EXPORTS)

@@ -77,14 +77,6 @@ class DecompositionResult(Record, frozen=True):
         return record
 
 
-def gross_revenue(panel: CropPanel, year: int) -> float:
-    """Total production times price over all crops in ``year``."""
-    if not panel.has_year(year):
-        raise CoverageError(f"year {year} not covered by panel")
-    _, _, production, price = panel.columns(year)
-    return sum(q * p for q, p in zip(production, price))
-
-
 def _period_values(panel: CropPanel, year: int, mode: str):
     """Resolve one comparison period to ``(label, (crops, area, production,
     price))``, the crops ascending."""

@@ -323,14 +323,6 @@ class DiagnosticTree:
         return (b.node for b in (node.on_true, node.on_false)
                 if b.node is not None)
 
-    @property
-    def constraint_labels(self) -> tuple[str, ...]:
-        return tuple(sorted({
-            n.constraint_label for n in self.nodes.values()
-            if n.constraint_label is not None
-        }))
-
-
 def _parse_branch(raw, name: str) -> Branch:
     if not isinstance(raw, Mapping):
         raise TreeConfigError(f"{name} must be an object with 'node' or 'verdict'")

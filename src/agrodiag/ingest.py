@@ -180,22 +180,6 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
     return CropPanel(columns)
 
 
-def write_crop_panel(panel: CropPanel, dest) -> None:
-    """Write a panel back to the crop-panel schema (round-trips exactly)."""
-    own = not hasattr(dest, "write")
-    stream = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["crop_id", "year", "area_ha", "production_t",
-                         "price_per_t"])
-        for obs in panel.observations():
-            writer.writerow([obs.crop_id, obs.year, repr(obs.area),
-                             repr(obs.production), repr(obs.price)])
-    finally:
-        if own:
-            stream.close()
-
-
 def triennium_years(*ends: int) -> set[int]:
     """The years of the trienniums ending in ENDS: all that ``decompose``
     and ``markets.crop_shares`` read of a crop panel, in either mode."""

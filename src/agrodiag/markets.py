@@ -165,12 +165,6 @@ def crop_shares(panel: CropPanel, te_year: int, dimension: str = "area"):
     return crops, (w / total * 100.0 for w in weights())
 
 
-def share_table(panel: CropPanel, te_year: int,
-                dimension: str = "area") -> dict[str, float]:
-    """``crop_shares`` as ``{crop: percent share}``; shares sum to 100."""
-    return dict(zip(*crop_shares(panel, te_year, dimension)))
-
-
 def land_use_ratios(records: Sequence[LandUseRecord],
                     te_year: int) -> dict[str, float]:
     """Agricultural and non-agricultural land as shares of reported area.

@@ -4,11 +4,11 @@ All types here are immutable once constructed and therefore safe to share
 across threads. Validation happens at construction time; analysis code can
 assume the invariants hold.
 
-Both panels are columnar, and both are filled through one private
-builder, ``_Columns``, so no per-row object is kept: one code per item id,
-and per key the rows' codes and values. The panels' ``array('d')``
-columns hold doubles bit for bit, and the row objects (``CropObservation``,
-``IOItem``, ``IOYear``) are built on demand.
+Both panels are columnar, and both are built one way: from a private
+builder, ``_Columns``, which the loaders in ``ingest`` fill row by row
+(one code per item id, and per key the rows' codes and values), so no
+per-row object is made. Both are read one way, through ``columns``, and
+their ``array('d')`` columns hold doubles bit for bit.
 
 * A ``CropPanel`` stores each year as ascending crop ids plus three columns
   (area, production, price).
@@ -25,51 +25,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
-from itertools import repeat
 
 from ._record import Record
 from .errors import (
     CoverageError,
     DataInconsistencyError,
     DomainError,
-    DuplicateKeyError,
     NormalizationError,
 )
 
 SHARE_SUM_TOL = 1e-9
-
-
-class CropObservation(Record, frozen=True):
-    """One crop in one year: area (ha), production (t), price (currency/t).
-
-    Yield is derived, never stored: production / area, defined only for
-    positive area.
-    """
-
-    crop_id: str
-    year: int
-    area: float
-    production: float
-    price: float
-
-    def __post_init__(self) -> None:
-        for name in ("area", "production", "price"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(
-                    f"{name} must be finite and >= 0 for ({self.crop_id}, "
-                    f"{self.year}), got {v!r}"
-                )
-
-    @property
-    def yield_per_ha(self) -> float:
-        """Production per hectare; requires positive area."""
-        if self.area <= 0:
-            raise DomainError(
-                f"yield undefined for ({self.crop_id}, {self.year}): area is 0"
-            )
-        return self.production / self.area
 
 
 class _Columns:
@@ -124,36 +89,25 @@ def _shared(ids, last):
 
 
 class CropPanel:
-    """A set of crop observations keyed by (crop_id, year).
+    """Crop observations keyed by (crop_id, year), at most one per key.
 
-    At most one observation per key. Observations are indexed by year once,
-    at construction: years ascend and, within a year, crop ids ascend, so
-    every downstream aggregate is reproducible bit-for-bit. Each year is
-    stored as a tuple of crop ids plus area, production and price columns
-    of doubles; ``get`` and ``observations`` build ``CropObservation``
-    objects on demand, and equal id tuples are shared. ``checked`` counts
-    every row given, kept or not: ``(rows, distinct crops, years)``, the
-    years ascending. ``_trienniums`` maps an end year to the triennium
-    averaged from this panel; ``ingest.triennium_average`` fills and reads
-    it.
+    Built from a loader's ``_Columns``, or from years as stored. They are
+    indexed by year once, at construction: years ascend and, within a year,
+    crop ids ascend, so every downstream aggregate is reproducible
+    bit-for-bit. Each year is stored as a tuple of crop ids plus area,
+    production and price columns of doubles, read through ``columns``;
+    equal id tuples are shared. ``checked`` counts every row given, kept
+    or not: ``(rows, distinct crops, years)``, the years ascending.
+    ``_trienniums`` maps an end year to the triennium averaged from this
+    panel; ``ingest.triennium_average`` fills and reads it.
     """
 
-    def __init__(self, observations) -> None:
-        if isinstance(observations, dict):
+    def __init__(self, columns) -> None:
+        if isinstance(columns, dict):
             # years as stored, ``{year: (crop ids ascending, area,
             # production, price)}``: kept as given, every row counted
-            self._by_year, checked = observations, None
+            self._by_year, checked = columns, None
         else:
-            if isinstance(observations, _Columns):
-                columns = observations
-            else:
-                columns = _Columns()
-                for obs in observations:
-                    if not columns.add(obs.year, obs.crop_id,
-                                       [obs.area, obs.production, obs.price]):
-                        raise DuplicateKeyError(
-                            f"duplicate observation for {(obs.crop_id, obs.year)}"
-                        )
             by_key, years, count = columns.by_key, sorted(columns.by_key), 0
             for flags, _, _ in by_key.values():
                 count += flags.count(1)
@@ -213,30 +167,6 @@ class CropPanel:
     def has_year(self, year: int) -> bool:
         return year in self._by_year
 
-    def get(self, crop_id: str, year: int) -> CropObservation | None:
-        columns = self._by_year.get(year)
-        if columns is None:
-            return None
-        ids, area, production, price = columns
-        i = bisect_left(ids, crop_id)
-        if i == len(ids) or ids[i] != crop_id:
-            return None
-        return CropObservation(ids[i], year, area[i], production[i], price[i])
-
-    def observations(self, year: int | None = None):
-        """All observations in (crop_id, year) order, or one year's by crop_id."""
-        if year is not None:
-            if year not in self._by_year:
-                return iter(())
-            ids, *values = self._by_year[year]
-            return map(CropObservation, ids, repeat(year), *values)
-        return (
-            obs
-            for crop in self._crops
-            for year in self._years
-            if (obs := self.get(crop, year)) is not None
-        )
-
     def columns(self, year: int):
         """One year as ``(crop_ids, area, production, price)``: crop ids
         ascending, each value column a read-only view of doubles in the
@@ -248,83 +178,22 @@ class CropPanel:
         ids, *values = self._by_year[year]
         return (ids, *(memoryview(column).toreadonly() for column in values))
 
-    def total_area(self, year: int) -> float:
-        return sum(self.columns(year)[1])
-
-    def area_shares(self, year: int) -> dict[str, float]:
-        """Per-crop share of total cropped area; shares sum to 1."""
-        ids, area, _, _ = self.columns(year)
-        total = sum(area)
-        if total <= 0:
-            raise DomainError(f"total cropped area in {year} is not positive")
-        return {crop: a / total for crop, a in zip(ids, area)}
-
 
 IO_SIDES = ("output", "input")
-
-
-class IOItem(Record, frozen=True):
-    """One output or input in one year: quantity plus its value share."""
-
-    item_id: str
-    quantity: float
-    share: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.quantity) or self.quantity < 0:
-            raise DomainError(f"quantity for {self.item_id} must be >= 0")
-        if not math.isfinite(self.share) or not 0 <= self.share <= 1:
-            raise DomainError(
-                f"share for {self.item_id} must lie in [0, 1], got {self.share!r}"
-            )
-
-
-def _check_share_sum(kind: str, year: int, shares) -> None:
-    total = sum(shares)
-    if abs(total - 1.0) > SHARE_SUM_TOL:
-        raise NormalizationError(
-            f"{kind} shares for {year} sum to {total!r}, not 1"
-        )
-
-
-class IOYear(Record, frozen=True):
-    year: int
-    outputs: tuple[IOItem, ...]
-    inputs: tuple[IOItem, ...]
-
-    def __post_init__(self) -> None:
-        for kind, items in zip(IO_SIDES, (self.outputs, self.inputs)):
-            _check_share_sum(kind, self.year, [it.share for it in items])
-            ids = [it.item_id for it in items]
-            if len(ids) != len(set(ids)):
-                raise DuplicateKeyError(f"duplicate {kind} item in {self.year}")
 
 
 class InputOutputPanel:
     """Per-year output quantities with revenue shares and input quantities
     with cost shares. Substrate for the productivity index.
 
-    Each year and side is stored as a tuple of item ids, in the order they
-    were given (an earlier year's tuple if equal), plus quantity and share
-    columns of doubles; ``year``, ``outputs`` and ``inputs`` build
-    ``IOYear`` and ``IOItem`` objects on demand. Every side's shares sum
-    to 1 within ``SHARE_SUM_TOL``.
+    Built from a loader's ``_Columns``. Each year and side is stored as a
+    tuple of item ids, in the order they were given (an earlier year's
+    tuple if equal), plus quantity and share columns of doubles, read
+    through ``columns``. Every side's shares sum to 1 within
+    ``SHARE_SUM_TOL``.
     """
 
-    def __init__(self, years) -> None:
-        if isinstance(years, _Columns):
-            columns = years
-        else:
-            columns = _Columns()
-            for ioy in years:
-                if (ioy.year, "output") in columns.by_key:
-                    raise DuplicateKeyError(
-                        f"duplicate year {ioy.year} in panel")
-                # an IOYear has checked that its ids are unique
-                for side, items in zip(IO_SIDES, (ioy.outputs, ioy.inputs)):
-                    for it in items:
-                        columns.add((ioy.year, side), it.item_id,
-                                    [it.quantity, it.share])
+    def __init__(self, columns) -> None:
         names = list(columns.codes)
         self._by_year: dict[int, dict[str, tuple[tuple[str, ...], array,
                                                  array]]] = {}
@@ -334,7 +203,9 @@ class InputOutputPanel:
             for side in IO_SIDES:
                 _, codes, flat = columns.by_key.pop((year, side), (0, (), ()))
                 quantities, shares = flat[0::2], flat[1::2]
-                _check_share_sum(side, year, shares)
+                if abs((total := sum(shares)) - 1.0) > SHARE_SUM_TOL:
+                    raise NormalizationError(
+                        f"{side} shares for {year} sum to {total!r}, not 1")
                 ids = tuple(map(names.__getitem__, codes))
                 ids = known.setdefault(ids, ids)
                 sides[side] = (ids, quantities, shares)
@@ -361,15 +232,6 @@ class InputOutputPanel:
             )
         ids, *values = sides[side]
         return (ids, *(memoryview(column).toreadonly() for column in values))
-
-    def year(self, year: int) -> IOYear:
-        return IOYear(year, self.outputs(year), self.inputs(year))
-
-    def outputs(self, year: int) -> tuple[IOItem, ...]:
-        return tuple(map(IOItem, *self.columns(year, "output")))
-
-    def inputs(self, year: int) -> tuple[IOItem, ...]:
-        return tuple(map(IOItem, *self.columns(year, "input")))
 
 
 class PriceSeries(Record, frozen=True):

@@ -181,24 +181,6 @@ def _chain(kind: str, years: tuple[int, ...], base_year: int,
     return IndexSeries(label=kind, base_year=base_year, values=values)
 
 
-def build_index(panel: InputOutputPanel, kind: str,
-                base_year: int | None = None) -> IndexSeries:
-    """Chain year-over-year log changes into a level series, base = 100.
-
-    ``kind`` selects the output term, the input term, or their difference
-    (tfp). The panel's years must be contiguous. ``base_year`` defaults to
-    the panel's first year.
-    """
-    if kind not in INDEX_KINDS:
-        raise ValueError(f"kind must be one of {INDEX_KINDS}, got {kind!r}")
-    years, base_year = _index_years(panel, base_year)
-    if kind == "tfp":
-        steps = _steps(panel, years)["tfp"]
-    else:
-        steps = _log_changes(panel, years, kind)
-    return _chain(kind, years, base_year, steps)
-
-
 def index_series(panel: InputOutputPanel,
                  base_year: int | None = None) -> dict[str, IndexSeries]:
     """The output, input and TFP series of PANEL on one base year.

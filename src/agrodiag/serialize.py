@@ -199,10 +199,11 @@ def write_artifacts(outdir: Path, artifacts) -> None:
 
     ARTIFACTS yields (name, text) pairs, a text being a string or an
     iterable of chunks. Each goes to a temporary file in OUTDIR as it
-    comes; only once the last is written does each replace its target. If
-    anything fails, even while an artifact is computed, the temporary files
-    and any directory made for OUTDIR are removed, and the files already
-    in OUTDIR, such as the last good report, are left as they were."""
+    comes; only once the last is written, and every target is absent or a
+    regular file, does each replace its target. If anything fails, even
+    while an artifact is computed, the temporary files and any directory
+    made for OUTDIR are removed, and the files already in OUTDIR, such as
+    the last good report, are left as they were."""
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     staged: list[tuple[Path, Path]] = []
     try:
@@ -211,6 +212,9 @@ def write_artifacts(outdir: Path, artifacts) -> None:
             temp = outdir / f".{name}.{os.getpid()}.tmp"
             staged.append((temp, outdir / name))
             _stage(temp, [text] if isinstance(text, str) else text)
+        for _, target in staged:  # so no rename fails after the first
+            if target.exists() and not target.is_file():
+                raise OSError(f"{target} is in the way: not a regular file")
         for temp, target in staged:
             os.replace(temp, target)
     except BaseException:

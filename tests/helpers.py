@@ -8,22 +8,55 @@ from __future__ import annotations
 
 import math
 
-from agrodiag.panel import (
-    CropObservation,
-    CropPanel,
-    InputOutputPanel,
-    IOItem,
-    IOYear,
-)
+from agrodiag.panel import IO_SIDES, CropPanel, InputOutputPanel, _Columns
+
+# crop rows are tuples (crop_id, year, area, production, price)
+
+
+def crop_panel(rows) -> CropPanel:
+    """ROWS -> panel, through the ``_Columns`` builder every loader fills;
+    a repeated (crop_id, year) is refused."""
+    columns = _Columns()
+    for crop, year, *values in rows:
+        if not columns.add(year, crop, values):
+            raise ValueError(f"duplicate row for {(crop, year)}")
+    return CropPanel(columns)
+
+
+def crop_rows(panel: CropPanel, year: int | None = None) -> list[tuple]:
+    """The panel's rows, read through ``columns``: one year's by crop_id,
+    or all of them in (crop_id, year) order."""
+    if year is not None:
+        if not panel.has_year(year):
+            return []
+        ids, *values = panel.columns(year)
+        return [(crop, year, *row) for crop, *row in zip(ids, *values)]
+    return sorted((row for y in panel.years for row in crop_rows(panel, y)),
+                  key=lambda row: row[:2])
+
+
+def crop_row(panel: CropPanel, crop: str, year: int) -> tuple | None:
+    """``(area, production, price)`` of one crop and year, or None."""
+    for row in crop_rows(panel, year):
+        if row[0] == crop:
+            return row[2:]
+    return None
+
+
+def crop_csv(panel: CropPanel) -> str:
+    """The panel in the crop-panel schema, every double written exactly."""
+    return "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+        f"{crop},{year},{a!r},{q!r},{p!r}\n"
+        for crop, year, a, q, p in crop_rows(panel))
+
 
 # crop-period values are dicts crop_id -> (area, production, price)
 
 
 def panel_two_periods(base: dict, term: dict, base_year: int = 2000,
                       term_year: int = 2001) -> CropPanel:
-    obs = [CropObservation(c, base_year, *v) for c, v in base.items()]
-    obs += [CropObservation(c, term_year, *v) for c, v in term.items()]
-    return CropPanel(obs)
+    return crop_panel([(c, base_year, *v) for c, v in base.items()] +
+                      [(c, term_year, *v) for c, v in term.items()])
 
 
 def oracle_decompose(base: dict, term: dict) -> dict:
@@ -84,19 +117,15 @@ def oracle_triennium(by_year: dict, end_year: int) -> dict:
 # io years are dicts item_id -> (quantity, share)
 
 
-def io_year(year: int, outputs: dict, inputs: dict) -> IOYear:
-    return IOYear(
-        year,
-        tuple(IOItem(i, q, s) for i, (q, s) in sorted(outputs.items())),
-        tuple(IOItem(i, q, s) for i, (q, s) in sorted(inputs.items())),
-    )
-
-
 def io_panel(years: dict) -> InputOutputPanel:
-    """``{year: (outputs, inputs)}`` -> panel."""
-    return InputOutputPanel(
-        io_year(y, outs, ins) for y, (outs, ins) in years.items()
-    )
+    """``{year: (outputs, inputs)}`` -> panel, each side's items in the
+    order given, through the ``_Columns`` builder every loader fills."""
+    columns = _Columns()
+    for year, sides in years.items():
+        for side, items in zip(IO_SIDES, sides):
+            for item_id, values in items.items():
+                columns.add((year, side), item_id, list(values))
+    return InputOutputPanel(columns)
 
 
 def oracle_tornqvist(out0: dict, out1: dict, in0: dict, in1: dict) -> float:

@@ -16,7 +16,7 @@ from agrodiag.cli import load_run_config, run_pipeline
 from agrodiag.decomposition import decompose
 from agrodiag.diagnostics import builtin_bihar_tree, evaluate
 from agrodiag.markets import coefficient_of_variation
-from agrodiag.productivity import avg_annual_growth, build_index, tornqvist_log_growth
+from agrodiag.productivity import avg_annual_growth, index_series, tornqvist_log_growth
 
 from helpers import io_panel, panel_two_periods
 
@@ -102,7 +102,7 @@ def test_criterion_3_tornqvist_recovery(fixture_dir):
         from agrodiag.ingest import load_io_panel
         panel = load_io_panel(fixture_dir / "io_panel.csv")
         assert len(panel.years) == 16
-        tfp = build_index(panel, "tfp", panel.years[0])
+        tfp = index_series(panel, panel.years[0])["tfp"]
         for method in ("loglinear", "cagr"):
             rate = avg_annual_growth(tfp, method=method)
             assert abs(rate - 1.71) <= 0.01, (method, rate)
@@ -128,9 +128,8 @@ def test_criterion_4_index_identities():
                 forward = tornqvist_log_growth(panel, 2000 + t, 2001 + t)
                 backward = tornqvist_log_growth(panel, 2001 + t, 2000 + t)
                 assert abs(forward + backward) <= 1e-9 * max(1.0, abs(forward))
-            out = build_index(panel, "output", 2000)
-            inp = build_index(panel, "input", 2000)
-            tfp = build_index(panel, "tfp", 2000)
+            series = index_series(panel, 2000)
+            out, inp, tfp = series["output"], series["input"], series["tfp"]
             for year in tfp.years:
                 expected = 100.0 * out.values[year] / inp.values[year]
                 assert abs(tfp.values[year] - expected) <= 1e-9 * abs(expected)

@@ -17,7 +17,8 @@ from agrodiag.errors import (
     GroupNotFoundError,
     UndefinedIndexError,
 )
-from agrodiag.panel import CropObservation, CropPanel
+
+from helpers import crop_panel
 
 
 def table(scope, **entries):
@@ -136,9 +137,9 @@ class TestTables:
             assert value.hex() == want.hex()
 
     def test_from_panel(self):
-        panel = CropPanel([
-            CropObservation("veg", 2015, 30.0, 0.0, 0.0),
-            CropObservation("fruit", 2015, 70.0, 0.0, 0.0),
+        panel = crop_panel([
+            ("veg", 2015, 30.0, 0.0, 0.0),
+            ("fruit", 2015, 70.0, 0.0, 0.0),
         ])
         t = area_share_table_from_panel(panel, 2015, "region")
         assert t.share("veg") == pytest.approx(0.3)

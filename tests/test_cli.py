@@ -162,6 +162,67 @@ class TestSubcommands:
         assert record["base"] == "TE 2002"
         assert record["total_pct"] == 100.0
 
+    @pytest.mark.parametrize("flags, config_form", [
+        *((["decompose", "--crop-panel", "{inputs}/crops.csv", "--base", "2002",
+            "--terminal", "2016", "--mode", mode], ["decompose", "--mode", mode])
+          for mode in ("triennium", "endpoint")),
+        (["decompose", "--crop-panel", "{inputs}/crops.csv", "--base", "2002",
+          "--terminal", "2016"], ["decompose"]),
+        (["tfp", "--io-panel", "{inputs}/io_panel.csv"], ["tfp"]),
+        (["tfp", "--io-panel", "{inputs}/io_panel.csv", "--base-year", "2005"],
+         ["tfp", "--base-year", "2005"]),
+        (["cai", "--region", "{inputs}/area_region.csv",
+          "--nation", "{inputs}/area_nation.csv"], ["cai"]),
+        (["diagnose", "--indicators", "{report}/indicators.json"], ["diagnose"]),
+    ], ids=["decompose-triennium", "decompose-endpoint", "decompose-default",
+            "tfp", "tfp-base-year", "cai", "diagnose"])
+    def test_flag_form_equals_its_config_form(self, run_dir, report_dir,
+                                              tmp_path, capsys, flags,
+                                              config_form):
+        command, *extra = config_form
+        config_form = [command, "-c", str(run_dir / "config.json"), *extra]
+
+        def run(argv, out=None):
+            argv = [a.format(inputs=run_dir, report=report_dir) for a in argv]
+            if out is not None:
+                argv += ["-o", str(out)]
+            assert main(argv) == 0, argv
+            return capsys.readouterr().out
+
+        assert run(flags) == run(config_form)
+        assert run(flags, tmp_path / "flags") == \
+            run(config_form, tmp_path / "config")
+        got, want = ({p.name: p.read_bytes() for p in out.iterdir()}
+                     for out in (tmp_path / "flags", tmp_path / "config"))
+        if command == "diagnose":  # the config form also writes its input
+            assert want.pop("indicators.json") == \
+                (report_dir / "indicators.json").read_bytes()
+        assert got == want
+
+    @pytest.mark.parametrize("flags, config_form", [
+        (["decompose", "--crop-panel", "{inputs}/crops.csv", "--base", "1990",
+          "--terminal", "2016"], ["decompose", "--base", "1990",
+                                  "--terminal", "2016"]),
+        (["decompose", "--crop-panel", "{inputs}/crops.csv", "--base", "2002",
+          "--terminal", "2030", "--mode", "endpoint"],
+         ["decompose", "--terminal", "2030", "--mode", "endpoint"]),
+        (["tfp", "--io-panel", "{inputs}/io_panel.csv", "--base-year", "1990"],
+         ["tfp", "--base-year", "1990"]),
+    ], ids=["decompose-triennium", "decompose-endpoint", "tfp-base-year"])
+    def test_flag_form_fails_as_its_config_form(self, run_dir, tmp_path,
+                                                capsys, flags, config_form):
+        command, *extra = config_form
+        config_form = [command, "-c", str(run_dir / "config.json"), *extra]
+        errors = []
+        for argv, out in ((flags, tmp_path / "flags"),
+                          (config_form, tmp_path / "config")):
+            argv = [a.format(inputs=run_dir) for a in argv]
+            assert main([*argv, "-o", str(out)]) == 1, argv
+            assert not out.exists()
+            errors.append(capsys.readouterr())
+        assert errors[0] == errors[1]
+        assert errors[0].err.startswith("error: ")
+
     def test_diagnose_reproduces_report_diagnosis(self, run_dir, report_dir):
         out = run_dir / "diagnose_out"
         rc = main(["diagnose", "--tree", "builtin",
@@ -614,6 +675,33 @@ class TestFailureModes:
         assert len(calls) == fail_at
         # every old artifact unchanged and no temporary file left behind
         assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
+    def test_target_in_the_way_keeps_the_last_report(self, run_dir, tmp_path,
+                                                      capsys):
+        # a directory where figure4.csv was fails its rename; no artifact
+        # is replaced, though the growth rates of the new run differ
+        out = tmp_path / "o"
+        assert main(["report", "-c", str(run_dir / "config.json"),
+                     "-o", str(out)]) == 0
+        previous = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "figure4.csv").unlink()
+        (out / "figure4.csv").mkdir()
+        (out / "figure4.csv" / "kept").write_text("in the way\n")
+        config = absolute_config(run_dir)
+        config["methods"]["growth_method"] = "cagr"
+        path = write_config(tmp_path, config)
+        assert main(["growth", "-c", str(path), "-o",
+                     str(tmp_path / "cagr")]) == 0
+        assert (tmp_path / "cagr" / "growth_rates.json").read_bytes() != \
+            previous["growth_rates.json"]
+        capsys.readouterr()
+        assert main(["report", "-c", str(path), "-o", str(out)]) == 1
+        assert "figure4.csv" in capsys.readouterr().err
+        # no temporary file left, and every other file is the old report's
+        assert sorted(p.name for p in out.iterdir()) == sorted(previous)
+        del previous["figure4.csv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.is_file()} == previous
 
     @staticmethod
     def previous_report(out: Path) -> dict[str, bytes]:

@@ -3,11 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from agrodiag.decomposition import decompose, gross_revenue
+from agrodiag.decomposition import decompose
 from agrodiag.errors import CoverageError, DataInconsistencyError, DomainError
-from agrodiag.panel import CropObservation, CropPanel
 
-from helpers import oracle_decompose, panel_two_periods, relative_error
+from helpers import (
+    crop_panel,
+    crop_rows,
+    oracle_decompose,
+    panel_two_periods,
+    relative_error,
+)
 
 
 def random_period(rng, crops):
@@ -20,23 +25,27 @@ def random_period(rng, crops):
 
 
 class TestGrossRevenue:
+    # the total change is terminal minus base gross revenue, each the sum
+    # of production times price over the year's crops
     def test_single_crop(self):
         panel = panel_two_periods({"paddy": (2.0, 10.0, 500.0)},
-                                  {"paddy": (2.0, 10.0, 500.0)})
-        assert gross_revenue(panel, 2000) == 5000.0
+                                  {"paddy": (2.0, 20.0, 500.0)})
+        assert decompose(panel, 2000, 2001,
+                         period_mode="endpoint").total_dR == 5000.0
 
     def test_two_crops_sum(self):
         panel = panel_two_periods(
             {"paddy": (2.0, 10.0, 500.0), "gram": (1.0, 4.0, 250.0)},
-            {"paddy": (2.0, 10.0, 500.0)},
+            {"paddy": (2.0, 24.0, 500.0)},
         )
-        assert gross_revenue(panel, 2000) == 6000.0
+        assert decompose(panel, 2000, 2001,
+                         period_mode="endpoint").total_dR == 6000.0
 
     def test_empty_year_is_coverage_error(self):
         panel = panel_two_periods({"paddy": (1.0, 1.0, 1.0)},
                                   {"paddy": (1.0, 1.0, 1.0)})
         with pytest.raises(CoverageError):
-            gross_revenue(panel, 1999)
+            decompose(panel, 1999, 2001, period_mode="endpoint")
 
 
 class TestDecompose:
@@ -81,18 +90,17 @@ class TestDecompose:
 
     def test_triennium_mode_matches_pre_averaged_endpoint(self):
         rng = np.random.default_rng(7)
-        obs = []
+        rows = []
         for year in range(2000, 2007):
             for crop in ("paddy", "wheat", "maize"):
-                obs.append(CropObservation(
+                rows.append((
                     crop, year, rng.uniform(5, 50), rng.uniform(5, 200),
                     rng.uniform(100, 900)))
-        panel = CropPanel(obs)
+        panel = crop_panel(rows)
         from agrodiag.ingest import triennium_average
         te_base = triennium_average(panel, 2002)
         te_term = triennium_average(panel, 2006)
-        merged = CropPanel(list(te_base.observations()) +
-                           list(te_term.observations()))
+        merged = crop_panel(crop_rows(te_base) + crop_rows(te_term))
         via_te = decompose(panel, 2002, 2006, period_mode="triennium")
         via_endpoint = decompose(merged, 2002, 2006, period_mode="endpoint")
         for name in via_te.effects:

@@ -23,19 +23,18 @@ from agrodiag.ingest import (
     load_price_table,
     load_value_cost,
     triennium_average,
-    write_crop_panel,
 )
-from agrodiag.panel import (
-    CropObservation,
-    CropPanel,
-    InputOutputPanel,
-    IOItem,
-    IOYear,
-    _Columns,
-)
+from agrodiag.markets import crop_shares
+from agrodiag.panel import CropPanel, InputOutputPanel, _Columns
 from agrodiag.productivity import index_series, tornqvist_log_growth
 
-from helpers import oracle_tornqvist, oracle_triennium
+from helpers import (
+    crop_csv,
+    crop_panel,
+    crop_row,
+    oracle_tornqvist,
+    oracle_triennium,
+)
 
 TWO_CROP_FILE = """crop_id,year,area_ha,production_t,price_per_t
 paddy,2005,100,250,500
@@ -60,24 +59,18 @@ def retained_by(load):
         tracemalloc.stop()
 
 
-def panel_text(panel):
-    buf = io.StringIO()
-    write_crop_panel(panel, buf)
-    return buf.getvalue()
-
-
 class TestLoadCropPanel:
     def test_well_formed_file(self):
         panel = load_text(TWO_CROP_FILE)
         assert len(panel) == 4
         assert panel.crops == ("paddy", "wheat")
-        assert panel.get("paddy", 2005).production == 250.0
+        assert crop_row(panel, "paddy", 2005)[1] == 250.0
 
     def test_deflator_scales_prices(self):
         # index 125 in the second year deflates prices by a factor 0.8
         panel = load_text(TWO_CROP_FILE, deflator={2005: 100.0, 2006: 125.0})
-        assert panel.get("paddy", 2005).price == 500.0
-        assert panel.get("paddy", 2006).price == pytest.approx(520.0 * 0.8)
+        assert crop_row(panel, "paddy", 2005)[2] == 500.0
+        assert crop_row(panel, "paddy", 2006)[2] == pytest.approx(520.0 * 0.8)
 
     def test_constant_deflator_of_100_is_identity(self):
         plain = load_text(TWO_CROP_FILE)
@@ -169,7 +162,7 @@ class TestLoadCropPanel:
 
     def test_round_trip_is_identity(self):
         panel = load_text(TWO_CROP_FILE)
-        again = load_text(panel_text(panel))
+        again = load_text(crop_csv(panel))
         assert panel == again
 
     def test_signed_zero_and_subnormals_round_trip(self):
@@ -177,11 +170,11 @@ class TestLoadCropPanel:
                 "paddy,2000,-0.0,5e-324,2.2250738585072014e-308\n"
                 "wheat,2000,1e-310,0.0,1.7976931348623157e+308\n")
         panel = load_text(text)
-        paddy = panel.get("paddy", 2000)
-        assert math.copysign(1.0, paddy.area) == -1.0
-        assert paddy.production.hex() == (5e-324).hex()
-        assert panel.get("wheat", 2000).area.hex() == (1e-310).hex()
-        assert panel_text(panel) == text
+        area, production, _ = crop_row(panel, "paddy", 2000)
+        assert math.copysign(1.0, area) == -1.0
+        assert production.hex() == (5e-324).hex()
+        assert crop_row(panel, "wheat", 2000)[0].hex() == (1e-310).hex()
+        assert crop_csv(panel) == text
 
     def test_memory_per_row(self):
         # 1,000 crops x 20 years; the panel keeps ids and three columns of
@@ -305,8 +298,8 @@ class TestLoadCropPanel:
         for year in range(1950, 2020):
             assert columns.add(year, "a", [1.0, 2.0, 3.0])
         assert not columns.add(2019, "a", [9.0, 9.0, 9.0])
-        assert CropPanel(columns) == CropPanel(
-            CropObservation("a", y, 1.0, 2.0, 3.0) for y in range(1950, 2020))
+        assert CropPanel(columns) == crop_panel(
+            ("a", y, 1.0, 2.0, 3.0) for y in range(1950, 2020))
 
     @given(st.lists(
         st.tuples(
@@ -319,26 +312,26 @@ class TestLoadCropPanel:
     ))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, rows):
-        panel = CropPanel(CropObservation(*row) for row in rows)
-        assert load_text(panel_text(panel)) == panel
+        panel = crop_panel(rows)
+        assert load_text(crop_csv(panel)) == panel
 
     @given(st.integers(min_value=2, max_value=9))
     @settings(max_examples=25, deadline=None)
     def test_share_closure(self, n_crops):
-        rows = [(f"c{i}", 2000, float(i + 1) * 1.37, 1.0, 1.0)
-                for i in range(n_crops)]
-        panel = CropPanel(CropObservation(*row) for row in rows)
-        assert abs(sum(panel.area_shares(2000).values()) - 1.0) <= 1e-12
+        # the same areas in each year of the triennium ending 2000
+        panel = crop_panel((f"c{i}", year, float(i + 1) * 1.37, 1.0, 1.0)
+                           for i in range(n_crops) for year in (1998, 1999, 2000))
+        assert abs(sum(crop_shares(panel, 2000)[1]) - 100.0) <= 1e-10
 
 
 class TestDecomposeTransientPeak:
     def test_memoised_decompose_allocates_little_per_crop(self):
         # the two periods' columns are merged by position: no per-crop dict,
         # tuple or union set
-        rows = [CropObservation(f"crop{c:04d}", y, c + 1.5, y * 0.25, c + 7.5)
-                for y in range(2000, 2008) for c in range(1000)
-                if (c + y) % 5]    # each year misses a fifth of the crops
-        panel = CropPanel(rows)
+        panel = crop_panel(
+            (f"crop{c:04d}", y, c + 1.5, y * 0.25, c + 7.5)
+            for y in range(2000, 2008) for c in range(1000)
+            if (c + y) % 5)    # each year misses a fifth of the crops
         for end_year in (2002, 2007):
             triennium_average(panel, end_year)
         tracemalloc.start()
@@ -354,18 +347,15 @@ class TestDecomposeTransientPeak:
 
 class TestTriennium:
     def make_panel(self, by_year):
-        obs = []
-        for year, crops in by_year.items():
-            for crop, (a, q, p) in crops.items():
-                obs.append(CropObservation(crop, year, a, q, p))
-        return CropPanel(obs)
+        return crop_panel((crop, year, *values)
+                          for year, crops in by_year.items()
+                          for crop, values in crops.items())
 
     def test_constant_panel_unchanged(self):
         values = {"paddy": (10.0, 25.0, 500.0)}
         panel = self.make_panel({y: values for y in (2004, 2005, 2006)})
         te = triennium_average(panel, 2006)
-        obs = te.get("paddy", 2006)
-        assert (obs.area, obs.production, obs.price) == (10.0, 25.0, 500.0)
+        assert crop_row(te, "paddy", 2006) == (10.0, 25.0, 500.0)
 
     def test_arithmetic_mean_of_areas(self):
         panel = self.make_panel({
@@ -373,7 +363,7 @@ class TestTriennium:
             2005: {"paddy": (20.0, 20.0, 500.0)},
             2006: {"paddy": (30.0, 30.0, 500.0)},
         })
-        assert triennium_average(panel, 2006).get("paddy", 2006).area == 20.0
+        assert crop_row(triennium_average(panel, 2006), "paddy", 2006)[0] == 20.0
 
     def test_absent_years_count_as_zero(self):
         # oracle: (0 + 0 + 30) / 3 = 10 for area; price averaged over the
@@ -384,10 +374,10 @@ class TestTriennium:
             2006: {"wheat": (5.0, 5.0, 700.0), "maize": (30.0, 60.0, 550.0)},
         })
         te = triennium_average(panel, 2006)
-        maize = te.get("maize", 2006)
-        assert maize.area == pytest.approx(10.0)
-        assert maize.production == pytest.approx(20.0)
-        assert maize.price == 550.0
+        area, production, price = crop_row(te, "maize", 2006)
+        assert area == pytest.approx(10.0)
+        assert production == pytest.approx(20.0)
+        assert price == 550.0
 
     @given(st.dictionaries(
         st.sampled_from(range(2003, 2008)),
@@ -407,8 +397,7 @@ class TestTriennium:
             assert te.years == (end_year,)
             assert te.crops == tuple(expected)
             for crop, values in expected.items():
-                obs = te.get(crop, end_year)
-                assert (obs.area, obs.production, obs.price) == values
+                assert crop_row(te, crop, end_year) == values
 
     @pytest.mark.parametrize("by_year", [
         # maize grown in the middle year only
@@ -426,8 +415,7 @@ class TestTriennium:
         expected = oracle_triennium(by_year, 2006)
         assert te.crops == tuple(expected)
         for crop, values in expected.items():
-            obs = te.get(crop, 2006)
-            assert [v.hex() for v in (obs.area, obs.production, obs.price)] \
+            assert [v.hex() for v in crop_row(te, crop, 2006)] \
                 == [v.hex() for v in values]
 
     @given(st.data())
@@ -513,12 +501,13 @@ class TestLoadIOPanel:
 
     def test_exact_shares_accepted_unchanged(self):
         panel = load_io_panel(io.StringIO(IO_FILE))
-        assert [it.share for it in panel.outputs(2000)] == [0.6, 0.4]
+        assert list(panel.columns(2000, "output")[2]) == [0.6, 0.4]
 
     def test_shares_inside_band_renormalized(self):
         text = IO_FILE.replace("0.6\n", "0.6005\n")
         panel = load_io_panel(io.StringIO(text))
-        assert sum(it.share for it in panel.outputs(2000)) == pytest.approx(1.0, abs=1e-12)
+        assert sum(panel.columns(2000, "output")[2]) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_shares_outside_band_rejected(self):
         text = IO_FILE.replace("0.6\n", "0.7\n")
@@ -622,7 +611,7 @@ class TestLoadIOPanel:
         finally:
             tracemalloc.stop()
         assert len(panel.years) == 20
-        assert len(panel.inputs(2019)) == 100
+        assert len(panel.columns(2019, "input")[0]) == 100
         assert retained / 4000 < 80
 
     @given(st.data())
@@ -644,17 +633,20 @@ class TestLoadIOPanel:
         rows = data.draw(st.permutations(rows))
         text = "year,kind,item_id,quantity,share\n" + "".join(
             f"{y},{k},{i},{q!r},{s!r}\n" for y, k, i, q, s in rows)
-        # IOYears holding each side's items in file order
-        built = InputOutputPanel(
-            IOYear(year, *(tuple(IOItem(i, q, s) for y, k, i, q, s in rows
-                                 if (y, k) == (year, kind))
-                           for kind in ("output", "input")))
-            for year in years
-        )
+        # each side's items in file order
+        columns = _Columns()
+        for y, k, i, q, s in rows:
+            columns.add((y, k), i, [q, s])
+        built = InputOutputPanel(columns)
         loaded = load_io_panel(io.StringIO(text))
         assert loaded == built
         for year in years:
-            assert loaded.year(year) == built.year(year)
+            for kind in ("output", "input"):
+                ids, *values = loaded.columns(year, kind)
+                want_ids, *want = built.columns(year, kind)
+                assert ids == want_ids
+                assert [[v.hex() for v in c] for c in values] == \
+                    [[v.hex() for v in c] for c in want]
         got, want = index_series(loaded), index_series(built)
         for kind in got:
             assert [v.hex() for v in got[kind].values.values()] == \

@@ -15,10 +15,11 @@ from agrodiag.markets import (
     crop_shares,
     land_use_ratios,
     price_ratio,
-    share_table,
     value_cost_ratio,
 )
-from agrodiag.panel import CropObservation, CropPanel, LandUseRecord, PriceSeries
+from agrodiag.panel import LandUseRecord, PriceSeries
+
+from helpers import crop_panel
 
 positive_values = st.lists(st.floats(min_value=0.1, max_value=1e4),
                            min_size=3, max_size=12)
@@ -232,26 +233,30 @@ class TestRatios:
 
 
 def constant_panel(crops, years=(2004, 2005, 2006)):
-    obs = [CropObservation(c, y, a, q, p)
-           for y in years for c, (a, q, p) in crops.items()]
-    return CropPanel(obs)
+    return crop_panel((c, y, *values)
+                      for y in years for c, values in crops.items())
 
 
-class TestShareTable:
+def share_dict(panel, te_year, dimension):
+    """``crop_shares`` as ``{crop: percent share}``."""
+    return dict(zip(*crop_shares(panel, te_year, dimension)))
+
+
+class TestCropShares:
     def test_single_crop_is_100(self):
         panel = constant_panel({"paddy": (10.0, 20.0, 500.0)})
-        assert share_table(panel, 2006, "area") == {"paddy": 100.0}
+        assert share_dict(panel, 2006, "area") == {"paddy": 100.0}
 
     def test_equal_areas_split_evenly(self):
         panel = constant_panel({"paddy": (10.0, 20.0, 500.0),
                                 "wheat": (10.0, 15.0, 700.0)})
-        shares = share_table(panel, 2006, "area")
+        shares = share_dict(panel, 2006, "area")
         assert shares == {"paddy": 50.0, "wheat": 50.0}
 
     def test_value_dimension_weights_by_revenue(self):
         panel = constant_panel({"paddy": (10.0, 10.0, 100.0),   # value 1000
                                 "wheat": (10.0, 10.0, 300.0)})  # value 3000
-        shares = share_table(panel, 2006, "value")
+        shares = share_dict(panel, 2006, "value")
         assert shares["paddy"] == pytest.approx(25.0)
         assert shares["wheat"] == pytest.approx(75.0)
 
@@ -265,7 +270,7 @@ class TestShareTable:
                  for i in range(int(rng.integers(1, 8)))}
         panel = constant_panel(crops)
         for dimension in ("area", "value"):
-            shares = share_table(panel, 2006, dimension)
+            shares = share_dict(panel, 2006, dimension)
             assert abs(sum(shares.values()) - 100.0) <= 1e-9
 
 
@@ -281,16 +286,15 @@ class TestShareTable:
             self, dimension, crops, message):
         panel = constant_panel(crops)
         with pytest.raises(DomainError, match=f"^{message}$"):
-            share_table(panel, 2006, dimension)
+            share_dict(panel, 2006, dimension)
 
-    def test_table_pairs_the_crop_shares(self):
+    def test_crops_ascend_with_their_shares(self):
         panel = constant_panel({"wheat": (3.0, 10.0, 300.0),
                                 "paddy": (1.0, 10.0, 100.0)})
         for dimension in ("area", "value"):
             crops, shares = crop_shares(panel, 2006, dimension)
             assert crops == ("paddy", "wheat")
-            assert share_table(panel, 2006, dimension) == dict(zip(
-                crops, shares))
+            assert list(shares) == pytest.approx([25.0, 75.0], rel=1e-12)
 
 
 class TestLandUseRatios:

@@ -16,48 +16,21 @@ from agrodiag.errors import (
     NormalizationError,
     SchemaError,
 )
-from agrodiag.ingest import load_crop_panel, write_crop_panel
+from agrodiag.ingest import load_crop_panel
 from agrodiag.panel import (
-    CropObservation,
     CropPanel,
-    InputOutputPanel,
-    IOItem,
-    IOYear,
     LandUseRecord,
     PriceSeries,
     _Columns,
 )
 
-
-class TestCropObservation:
-    def test_yield_is_derived(self):
-        obs = CropObservation("paddy", 2005, area=4.0, production=10.0, price=500.0)
-        assert obs.yield_per_ha == 2.5
-
-    def test_yield_undefined_for_zero_area(self):
-        obs = CropObservation("paddy", 2005, 0.0, 0.0, 500.0)
-        with pytest.raises(DomainError):
-            obs.yield_per_ha
-
-    @pytest.mark.parametrize("field", ["area", "production", "price"])
-    def test_negative_values_rejected(self, field):
-        kwargs = dict(area=1.0, production=1.0, price=1.0)
-        kwargs[field] = -0.5
-        with pytest.raises(DomainError):
-            CropObservation("paddy", 2005, **kwargs)
-
-    def test_slotted_and_frozen(self):
-        obs = CropObservation("paddy", 2005, 1.0, 1.0, 1.0)
-        assert not hasattr(obs, "__dict__")
-        with pytest.raises(AttributeError,
-                           match="^cannot assign to field 'area'$"):
-            obs.area = 2.0
+from helpers import crop_csv, crop_panel, crop_row, crop_rows, io_panel
 
 
-def bits(obs: CropObservation) -> tuple:
-    """An observation's key and the exact bits of its three values."""
-    return (obs.crop_id, obs.year, obs.area.hex(), obs.production.hex(),
-            obs.price.hex())
+def bits(row: tuple) -> tuple:
+    """A row's key and the exact bits of its three values."""
+    crop, year, *values = row
+    return (crop, year, *(v.hex() for v in values))
 
 
 CROPS = ["gram", "maize", "paddy", "wheat"]
@@ -68,71 +41,70 @@ observation_lists = st.dictionaries(
     st.tuples(st.sampled_from(CROPS), st.sampled_from(YEARS)),
     st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
     max_size=len(CROPS) * len(YEARS),
-).map(lambda d: [CropObservation(c, y, *v) for (c, y), v in d.items()])
+).map(lambda d: [(c, y, *v) for (c, y), v in d.items()])
 
 
 class TestCropPanel:
     def test_duplicate_key_rejected(self):
-        obs = CropObservation("paddy", 2005, 1.0, 1.0, 1.0)
+        text = ("crop_id,year,area_ha,production_t,price_per_t\n"
+                "paddy,2005,1,1,1\npaddy,2005,2,2,2\n")
         with pytest.raises(DuplicateKeyError):
-            CropPanel([obs, CropObservation("paddy", 2005, 2.0, 2.0, 2.0)])
+            load_crop_panel(io.StringIO(text))
+
+    @pytest.mark.parametrize("column, field", [
+        (2, "area_ha"), (3, "production_t"), (4, "price_per_t"),
+    ], ids=["area", "production", "price"])
+    def test_negative_values_rejected(self, column, field):
+        cells = ["paddy", "2005", "1.0", "1.0", "1.0"]
+        cells[column] = "-0.5"
+        text = ("crop_id,year,area_ha,production_t,price_per_t\n"
+                + ",".join(cells) + "\n")
+        with pytest.raises(DomainError, match=field):
+            load_crop_panel(io.StringIO(text))
 
     def test_years_and_crops_sorted(self):
-        panel = CropPanel([
-            CropObservation("wheat", 2006, 1.0, 1.0, 1.0),
-            CropObservation("paddy", 2005, 1.0, 1.0, 1.0),
+        panel = crop_panel([
+            ("wheat", 2006, 1.0, 1.0, 1.0),
+            ("paddy", 2005, 1.0, 1.0, 1.0),
         ])
         assert panel.years == (2005, 2006)
         assert panel.crops == ("paddy", "wheat")
 
-    def test_area_shares_sum_to_one(self):
-        panel = CropPanel([
-            CropObservation("a", 2000, 3.7, 1.0, 1.0),
-            CropObservation("b", 2000, 9.1, 1.0, 1.0),
-            CropObservation("c", 2000, 0.2, 1.0, 1.0),
-        ])
-        shares = panel.area_shares(2000)
-        assert abs(sum(shares.values()) - 1.0) < 1e-12
-
-    def test_area_shares_need_positive_total(self):
-        panel = CropPanel([CropObservation("a", 2000, 0.0, 0.0, 1.0)])
-        with pytest.raises(DomainError):
-            panel.area_shares(2000)
-
     def test_missing_year_is_coverage_error(self):
-        panel = CropPanel([CropObservation("a", 2000, 1.0, 1.0, 1.0)])
+        panel = crop_panel([("a", 2000, 1.0, 1.0, 1.0)])
         with pytest.raises(CoverageError):
-            panel.total_area(1999)
+            panel.columns(1999)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_year_index_agrees_with_sorted_key_model(self, data):
         observations = data.draw(observation_lists)
         shuffled = data.draw(st.permutations(observations))
-        model = dict(sorted(((o.crop_id, o.year), o) for o in observations))
-        panel = CropPanel(shuffled)
+        model = dict(sorted(((c, y), (c, y, *v)) for c, y, *v in observations))
+        panel = crop_panel(shuffled)
 
-        assert list(panel.observations()) == list(model.values())
+        assert [bits(row) for row in crop_rows(panel)] == \
+            [bits(row) for row in model.values()]
         assert panel.years == tuple(sorted({y for _, y in model}))
         assert panel.crops == tuple(sorted({c for c, _ in model}))
         assert len(panel) == len(model)
         for year in (YEARS.start - 1, *YEARS):
-            assert list(panel.observations(year)) == \
-                [o for (_, y), o in model.items() if y == year]
-            assert panel.has_year(year) == any(y == year for _, y in model)
-            for crop in CROPS + ["absent"]:
-                got, want = panel.get(crop, year), model.get((crop, year))
-                if want is None:
-                    assert got is None
-                else:
-                    assert bits(got) == bits(want)
-        assert panel == CropPanel(observations)
+            want = [row for (_, y), row in model.items() if y == year]
+            assert panel.has_year(year) == bool(want)
+            if not want:
+                with pytest.raises(CoverageError):
+                    panel.columns(year)
+                continue
+            ids, *columns = panel.columns(year)
+            assert ids == tuple(crop for crop, *_ in want)
+            for k, column in enumerate(columns):
+                assert [v.hex() for v in column] == \
+                    [row[2 + k].hex() for row in want]
+        assert panel == crop_panel(observations)
         if observations:
-            assert panel != CropPanel(shuffled[1:])
+            assert panel != crop_panel(shuffled[1:])
 
-        text = io.StringIO()
-        write_crop_panel(panel, text)
-        text.seek(0)
+        text = io.StringIO(crop_csv(panel))
         if observations:
             assert load_crop_panel(text) == panel
         else:
@@ -158,8 +130,7 @@ class TestCropPanel:
         finally:
             tracemalloc.stop()
         assert len(panel) == 12_000 and panel.crops == tuple(crops)
-        assert panel.get("crop1999", 2003) == CropObservation(
-            "crop1999", 2003, 1.5, 2.5, 2003.25)
+        assert crop_row(panel, "crop1999", 2003) == (1.5, 2.5, 2003.25)
         assert (peak - kept) / len(panel) < 10
 
     def test_kept_columns_are_allocated_at_their_length(self):
@@ -194,66 +165,47 @@ class TestCropPanel:
         panel = CropPanel(columns)
         assert panel.checked == (len(first), len({i for _, i in first}),
                                  tuple(sorted({y for y, _ in first})))
-        assert {(o.year, o.crop_id): o.area
-                for o in panel.observations()} == {
+        assert {(year, crop): area
+                for crop, year, area, *_ in crop_rows(panel)} == {
             key: row for key, row in first.items() if key[0] in keep}
 
 
-class TestIOYear:
-    @pytest.mark.parametrize("obj, field", [
-        (IOItem("x", 1.0, 1.0), "quantity"),
-        (IOYear(2000, (IOItem("x", 1.0, 1.0),), (IOItem("l", 1.0, 1.0),)),
-         "year"),
-    ])
-    def test_slotted_and_frozen(self, obj, field):
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises(AttributeError,
-                           match=f"^cannot assign to field '{field}'$"):
-            setattr(obj, field, 2)
+class TestInputOutputPanel:
+    YEARS = {
+        2001: ({"y": (2, 0.5), "x": (1.0, 0.5)}, {"l": (3.0, 1.0)}),
+        2000: ({"x": (1.0, 1.0)}, {"l": (3.0, 1.0)}),
+    }
 
     def test_share_sum_enforced(self):
         with pytest.raises(NormalizationError):
-            IOYear(2000, (IOItem("x", 1.0, 0.7),), (IOItem("l", 1.0, 1.0),))
+            io_panel({2000: ({"x": (1.0, 0.7)}, {"l": (1.0, 1.0)})})
 
     def test_exact_shares_accepted(self):
-        year = IOYear(2000, (IOItem("x", 1.0, 0.6), IOItem("y", 1.0, 0.4)),
-                      (IOItem("l", 1.0, 1.0),))
-        assert [it.share for it in year.outputs] == [0.6, 0.4]
+        panel = io_panel({2000: ({"x": (1.0, 0.6), "y": (1.0, 0.4)},
+                                 {"l": (1.0, 1.0)})})
+        assert list(panel.columns(2000, "output")[2]) == [0.6, 0.4]
 
-
-class TestInputOutputPanel:
-    YEARS = (
-        IOYear(2001, (IOItem("y", 2, 0.5), IOItem("x", 1.0, 0.5)),
-               (IOItem("l", 3.0, 1.0),)),
-        IOYear(2000, (IOItem("x", 1.0, 1.0),), (IOItem("l", 3.0, 1.0),)),
-    )
-
-    def test_years_built_on_demand_equal_the_given_ones(self):
-        panel = InputOutputPanel(self.YEARS)
+    def test_panels_of_the_same_years_are_equal(self):
+        panel = io_panel(self.YEARS)
         assert panel.years == (2000, 2001)
-        assert [panel.year(y.year) for y in self.YEARS] == list(self.YEARS)
-        assert [it.item_id for it in panel.outputs(2001)] == ["y", "x"]
-        assert panel.inputs(2000) == (IOItem("l", 3.0, 1.0),)
-        assert panel == InputOutputPanel(reversed(self.YEARS))
-        assert panel != InputOutputPanel(self.YEARS[1:])
+        assert panel.columns(2001, "output")[0] == ("y", "x")
+        assert panel.columns(2000, "input")[0] == ("l",)
+        assert panel == io_panel(dict(reversed(self.YEARS.items())))
+        assert panel != io_panel({2000: self.YEARS[2000]})
 
     def test_columns_are_read_only_views_in_given_order(self):
-        ids, quantity, share = InputOutputPanel(self.YEARS).columns(2001,
-                                                                    "output")
+        ids, quantity, share = io_panel(self.YEARS).columns(2001, "output")
         assert (ids, list(quantity), list(share)) == \
             (("y", "x"), [2.0, 1.0], [0.5, 0.5])
         with pytest.raises(TypeError):
             quantity[0] = 5.0
 
-    def test_duplicate_and_uncovered_years(self):
-        with pytest.raises(DuplicateKeyError,
-                           match="^duplicate year 2000 in panel$"):
-            InputOutputPanel(self.YEARS + self.YEARS[1:])
-        panel = InputOutputPanel(self.YEARS)
-        for call in (panel.year, panel.outputs, panel.inputs):
+    def test_uncovered_year_is_coverage_error(self):
+        panel = io_panel(self.YEARS)
+        for side in ("output", "input"):
             with pytest.raises(CoverageError, match=r"^year 1999 not covered "
                                r"by panel \(have \(2000, 2001\)\)$"):
-                call(1999)
+                panel.columns(1999, side)
 
 
 class TestPriceSeries:

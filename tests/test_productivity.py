@@ -17,7 +17,6 @@ from agrodiag import productivity
 from agrodiag.productivity import (
     IndexSeries,
     avg_annual_growth,
-    build_index,
     index_series,
     tornqvist_log_growth,
 )
@@ -117,14 +116,14 @@ class TestTornqvistLogGrowth:
         assert forward == pytest.approx(-backward, rel=1e-12, abs=1e-15)
 
 
-class TestBuildIndex:
+class TestChainedIndex:
     def constant_panel(self, n_years=5):
         outs = {"grain": (100.0, 0.7), "veg": (40.0, 0.3)}
         ins = {"labour": (10.0, 0.5), "seed": (5.0, 0.5)}
         return io_panel({2000 + t: (outs, ins) for t in range(n_years)})
 
     def test_constant_panel_is_flat_100(self):
-        series = build_index(self.constant_panel(), "tfp", 2000)
+        series = index_series(self.constant_panel(), 2000)["tfp"]
         assert all(v == 100.0 for v in series.values.values())
 
     def test_common_growth_rates_collapse(self):
@@ -136,7 +135,7 @@ class TestBuildIndex:
             ins = {"labour": (10.0 * math.exp(h * t), 0.5),
                    "seed": (5.0 * math.exp(h * t), 0.5)}
             years[2000 + t] = (outs, ins)
-        series = build_index(io_panel(years), "tfp", 2000)
+        series = index_series(io_panel(years), 2000)["tfp"]
         for t in range(6):
             assert series.values[2000 + t] == pytest.approx(
                 100.0 * math.exp((g - h) * t), rel=1e-12)
@@ -151,9 +150,8 @@ class TestBuildIndex:
             ins = {"l": (rng.uniform(1, 50), u), "m": (rng.uniform(1, 50), 1 - u)}
             years[2000 + t] = (outs, ins)
         panel = io_panel(years)
-        out = build_index(panel, "output", 2000)
-        inp = build_index(panel, "input", 2000)
-        tfp = build_index(panel, "tfp", 2000)
+        series = index_series(panel, 2000)
+        out, inp, tfp = series["output"], series["input"], series["tfp"]
         for year in tfp.years:
             expected = 100.0 * out.values[year] / inp.values[year]
             assert abs(tfp.values[year] - expected) <= 1e-9 * abs(expected)
@@ -170,7 +168,7 @@ class TestBuildIndex:
         ) + "\n"
         panel = load_io_panel(_io.StringIO(text))
         assert len(panel.years) == 16
-        tfp = build_index(panel, "tfp", panel.years[0])
+        tfp = index_series(panel, panel.years[0])["tfp"]
         for method in ("loglinear", "cagr"):
             rate = avg_annual_growth(tfp, method=method)
             assert abs(rate - 1.71) <= 0.01, (method, rate)
@@ -180,7 +178,7 @@ class TestBuildIndex:
         ins = {"labour": (10.0, 1.0)}
         panel = io_panel({2000: (outs, ins), 2002: (outs, ins)})
         with pytest.raises(CoverageError):
-            build_index(panel, "tfp", 2000)
+            index_series(panel, 2000)
 
     def test_proportional_output_scaling(self):
         outs = {"grain": (100.0, 0.6), "veg": (40.0, 0.4)}
@@ -190,7 +188,7 @@ class TestBuildIndex:
         panel = two_year_panel(outs, scaled, ins, ins)
         assert tornqvist_log_growth(panel, 2000, 2001) == pytest.approx(
             math.log(k), rel=1e-12)
-        assert build_index(panel, "input", 2000).values[2001] == pytest.approx(
+        assert index_series(panel, 2000)["input"].values[2001] == pytest.approx(
             100.0)
 
     @given(st.integers(min_value=0, max_value=50))
@@ -238,14 +236,18 @@ class TestIndexSeriesOfPanel:
         # one call per side and year-over-year step, the output side first
         assert calls == ["output"] * 11 + ["input"] * 11
         monkeypatch.undo()
+        # each series chains its log changes, 100 at the base year
+        steps = productivity._steps(panel, panel.years)
         for kind, got in series.items():
-            want = build_index(panel, kind, 2003)
-            assert got.base_year == want.base_year == 2003
-            assert [v.hex() for v in got.values.values()] == \
-                [v.hex() for v in want.values.values()]
+            level = {2000: 0.0}
+            for y, step in zip(panel.years[1:], steps[kind]):
+                level[y] = level[y - 1] + step
+            assert got.base_year == 2003
+            assert [v.hex() for v in got.values.values()] == [
+                (100.0 * math.exp(c - level[2003])).hex()
+                for c in level.values()]
         # each tfp step is the Tornqvist log growth of its pair of years
-        steps = productivity._steps(panel, panel.years)["tfp"]
-        assert [s.hex() for s in steps] == [
+        assert [s.hex() for s in steps["tfp"]] == [
             tornqvist_log_growth(panel, y - 1, y).hex()
             for y in panel.years[1:]]
 
@@ -259,8 +261,6 @@ class TestIndexSeriesOfPanel:
         })
         with pytest.raises(LogDomainError, match="^output 'a'"):
             index_series(panel)
-        with pytest.raises(LogDomainError, match="^output 'a'"):
-            build_index(panel, "tfp")
 
 
 class TestIndexSeries:

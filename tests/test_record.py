@@ -1,5 +1,7 @@
 """The value classes' shared base: construction, equality, hashing, repr,
 immutability and pickling."""
+from __future__ import annotations
+
 import copy
 import pickle
 
@@ -8,20 +10,29 @@ import pytest
 from agrodiag._record import Record
 from agrodiag.advantage import AreaShareTable
 from agrodiag.diagnostics import Predicate
-from agrodiag.panel import CropObservation, PriceSeries
+from agrodiag.panel import PriceSeries
 from agrodiag.pipeline import Run, RunConfig, load_run_config
+
+
+class Row(Record, frozen=True):
+    """Five fields and no defaults; pickled by reference, so module-level."""
+
+    crop_id: str
+    year: int
+    area: float
+    production: float
+    price: float
 
 
 def obs(**changes):
     fields = dict(crop_id="paddy", year=2005, area=1.0, production=2.0,
                   price=3.0)
-    return CropObservation(**{**fields, **changes})
+    return Row(**{**fields, **changes})
 
 
 class TestRecord:
     def test_positional_and_keyword_fields_agree(self):
-        assert CropObservation("paddy", 2005, 1.0, production=2.0,
-                               price=3.0) == obs()
+        assert Row("paddy", 2005, 1.0, production=2.0, price=3.0) == obs()
 
     def test_defaults_fill_missing_fields(self):
         predicate = Predicate("x", ">", threshold=1.0)
@@ -34,8 +45,8 @@ class TestRecord:
         (("paddy", 2005, 1.0, 2.0, 3.0), {"colour": 1}),  # unknown
     ])
     def test_bad_arguments_are_type_errors(self, args, kwargs):
-        with pytest.raises(TypeError, match=r"^CropObservation\(\) takes"):
-            CropObservation(*args, **kwargs)
+        with pytest.raises(TypeError, match=r"^Row\(\) takes"):
+            Row(*args, **kwargs)
 
     def test_equality_and_hash_follow_the_fields(self):
         assert obs() == obs() and hash(obs()) == hash(obs())
@@ -43,11 +54,13 @@ class TestRecord:
         assert obs().__eq__(("paddy", 2005, 1.0, 2.0, 3.0)) is NotImplemented
 
     def test_repr_names_every_field(self):
-        assert repr(obs()) == ("CropObservation(crop_id='paddy', year=2005, "
+        assert repr(obs()) == ("Row(crop_id='paddy', year=2005, "
                                "area=1.0, production=2.0, price=3.0)")
 
     def test_frozen_refuses_assignment_and_deletion(self):
         record = obs()
+        for slotted in (record, PriceSeries("wheat", {2001: 650.0})):
+            assert not hasattr(slotted, "__dict__")
         with pytest.raises(AttributeError,
                            match="^cannot assign to field 'price'$"):
             record.price = 4.0
