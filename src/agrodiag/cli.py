@@ -1,11 +1,12 @@
 """Command line: parse arguments, run one subcommand, map errors to exit
 codes.
 
-A ``-c`` form writes its subcommand's slice of the report: the
-``pipeline.Run`` method of that name, on the config with the fields its
-flags override set. The flag forms call the analysis layers directly.
-Each handler imports what it runs in its own body, so ``--help`` compiles
-only the parser and a subcommand loads no layer it does not run.
+Every subcommand but ``report`` and ``validate`` writes its slice of the
+report: the ``pipeline.Run`` method of its name, on the run config of
+``-c`` with the fields its flags set. A flag overrides its field of the
+config; without ``-c``, the flags must name every input the slice reads.
+Each handler imports what it runs in its own body, so ``--help`` and a
+usage error compile only the parser.
 """
 from __future__ import annotations
 
@@ -15,14 +16,13 @@ from pathlib import Path
 
 from .errors import AgrodiagError
 
-# names defined elsewhere that stay reachable as ``agrodiag.cli.<name>``;
-# each is imported from its submodule on first access (PEP 562)
+# names defined elsewhere that stay reachable as ``agrodiag.cli.<name>``,
+# each imported from its submodule on first access (PEP 562): the span
+# tracer in ``perfbench/spans.py`` looks these three up here to find the
+# functions it times
 _FORWARDED = {
-    "REPORT_ARTIFACTS": "pipeline",
-    "load_run_config": "pipeline",
     "compute_artifacts": "pipeline",
     "assemble_indicators": "pipeline",
-    "run_pipeline": "pipeline",
     "write_artifacts": "serialize",
 }
 
@@ -43,29 +43,43 @@ def __getattr__(name: str):
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _emit(args, artifacts) -> None:
-    from .serialize import collect, write_artifacts
-
-    if args.out is not None:
-        write_artifacts(Path(args.out), artifacts)
-    else:
-        for _, text in sorted(collect(artifacts).items()):
-            sys.stdout.write(text)
-
-
-# flag -> the run-config field it overrides in a ``-c`` subcommand
+# flag -> the run-config field it sets; a path is relative to the working
+# directory, also with ``-c``, and kept as typed, since errors name it
 _OVERRIDES = {
+    "crop_panel": "crop_panel", "io_panel": "io_panel",
+    "region": "area_shares_region", "nation": "area_shares_nation",
+    "indicators": "indicators", "tree": "tree",
     "base": "decomposition_base", "terminal": "decomposition_terminal",
     "mode": "period_mode", "base_year": "tfp_base_year",
-    "method": "growth_method", "tree": "tree",
+    "method": "growth_method",
+}
+
+# subcommand -> the flags it needs without ``-c``, and the usage error
+# when one of them is missing
+_NEEDS = {
+    "decompose": (("crop_panel", "base", "terminal"), "decompose needs "
+                  "--config or --crop-panel with --base and --terminal"),
+    "tfp": (("io_panel",), "tfp needs --config or --io-panel"),
+    "cai": (("region", "nation"),
+            "cai needs --config or both --region and --nation"),
+    "diagnose": (("indicators",), "diagnose needs --indicators or --config"),
 }
 
 
 def _run(args):
-    """The ``pipeline.Run`` of ARGS's config, with its flags' overrides."""
-    from .pipeline import Run, load_run_config
+    """The ``pipeline.Run`` of ARGS's config, each flag given setting its
+    field; without ``-c``, every field with no default is ``None``."""
+    from .pipeline import Run, RunConfig, load_run_config
 
-    config = load_run_config(args.config)
+    if args.config is None:
+        config = RunConfig(**dict.fromkeys(
+            RunConfig._fields - RunConfig._defaults.keys()))
+    else:
+        config = load_run_config(args.config)
+        if getattr(args, "tree", None) not in (None, "builtin"):
+            # a tree is resolved against ``config_dir``, the config's
+            # directory, but a flag is relative to the working directory
+            args.tree = str(Path(args.tree).absolute())
     for flag, key in _OVERRIDES.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -74,8 +88,27 @@ def _run(args):
 
 
 def _cmd_run(args) -> int:
-    """A ``-c`` subcommand: emit the artifacts of its ``Run`` method."""
-    _emit(args, getattr(_run(args), args.command)())
+    """Emit the artifacts of the subcommand's ``Run`` method; ``diagnose``
+    prints its verdicts instead, and writes its artifacts only to ``-o``."""
+    needs, usage = _NEEDS.get(args.command, ((), ""))
+    if args.config is None and None in (getattr(args, f) for f in needs):
+        print(f"error: {usage}", file=sys.stderr)
+        return 2
+    from .serialize import collect, write_artifacts
+
+    run = _run(args)
+    artifacts = getattr(run, args.command)()
+    if args.out is not None:
+        if args.config is None:
+            # a flag form computes before it makes the directory, so it
+            # names a bad input before an unusable -o
+            artifacts = collect(artifacts).items()
+        write_artifacts(Path(args.out), artifacts)
+    elif args.command != "diagnose":
+        for _, text in sorted(collect(artifacts).items()):
+            sys.stdout.write(text)
+    if args.command == "diagnose":
+        sys.stdout.write(run.diagnosis.to_text())
     return 0
 
 
@@ -102,83 +135,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    if args.config is not None:
-        return _cmd_run(args)
-    if args.crop_panel is None or args.base is None or args.terminal is None:
-        print("error: decompose needs --config or --crop-panel with "
-              "--base and --terminal", file=sys.stderr)
-        return 2
-    from . import decomposition, ingest
-    from .serialize import json_text
-
-    years = ingest.triennium_years(args.base, args.terminal)
-    result = decomposition.decompose(
-        ingest.load_crop_panel(args.crop_panel, years=years),
-        args.base, args.terminal, period_mode=args.mode or "triennium")
-    _emit(args, [("decomposition.json", json_text(result.to_record(),
-                                                  "decomposition.json"))])
-    return 0
-
-
-def _cmd_tfp(args) -> int:
-    if args.config is not None:
-        return _cmd_run(args)
-    if args.io_panel is None:
-        print("error: tfp needs --config or --io-panel", file=sys.stderr)
-        return 2
-    from . import ingest, productivity
-    from .serialize import index_csvs
-
-    io_panel = ingest.load_io_panel(args.io_panel)
-    _emit(args, index_csvs(productivity.index_series(io_panel, args.base_year)))
-    return 0
-
-
-def _cmd_cai(args) -> int:
-    if args.region is None or args.nation is None:
-        if args.config is not None:
-            return _cmd_run(args)
-        print("error: cai needs --config or both --region and --nation",
-              file=sys.stderr)
-        return 2
-    from . import advantage
-    from .serialize import cai_csv
-
-    region = advantage.load_area_share_table(args.region, "region")
-    nation = advantage.load_area_share_table(args.nation, "nation")
-    _emit(args, [("cai.csv", cai_csv(advantage.cai_table(region, nation)))])
-    return 0
-
-
-def _cmd_diagnose(args) -> int:
-    if args.indicators is not None:
-        from . import diagnostics
-        from .serialize import json_text, read_json
-
-        path = Path(args.indicators)
-        indicators = diagnostics.IndicatorSet.from_dict(
-            read_json(path, "indicators file"), f"indicators file {path}")
-        tree = diagnostics.resolve_tree(args.tree or "builtin", Path("."))
-        report = diagnostics.evaluate(tree, indicators)
-        artifacts = [("diagnosis.json", json_text(report.to_dict(),
-                                                  "diagnosis.json"))]
-    elif args.config is not None:
-        if args.tree not in (None, "builtin"):
-            # a CLI-supplied tree path is relative to the caller, not the config
-            args.tree = str(Path(args.tree).absolute())
-        run = _run(args)
-        artifacts, report = run.diagnose(), run.diagnosis
-    else:
-        print("error: diagnose needs --indicators or --config",
-              file=sys.stderr)
-        return 2
-    if args.out is not None:
-        _emit(args, artifacts)
-    sys.stdout.write(report.to_text())
-    return 0
-
-
 def _cmd_report(args) -> int:
     from .pipeline import load_run_config, run_pipeline
 
@@ -198,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_: str, config_required: bool = False):
+    def add(name: str, help_: str, handler=_cmd_run,
+            config_required: bool = False):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--config", "-c", required=config_required,
@@ -207,39 +164,39 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: print to stdout)")
         return p
 
-    add("validate", _cmd_validate, "load and validate all configured inputs",
+    add("validate", "load and validate all configured inputs", _cmd_validate,
         config_required=True)
 
-    p = add("decompose", _cmd_decompose, "revenue-change decomposition")
-    p.add_argument("--crop-panel", help="crop panel CSV (instead of --config)")
+    p = add("decompose", "revenue-change decomposition")
+    p.add_argument("--crop-panel", help="crop panel CSV (overrides --config's)")
     p.add_argument("--base", type=int, help="base year (or TE end year)")
     p.add_argument("--terminal", type=int, help="terminal year (or TE end year)")
     p.add_argument("--mode", choices=("triennium", "endpoint"),
                    help="period mode (default: triennium)")
 
-    p = add("tfp", _cmd_tfp, "output/input/TFP index series")
-    p.add_argument("--io-panel", help="io panel CSV (instead of --config)")
+    p = add("tfp", "output/input/TFP index series")
+    p.add_argument("--io-panel", help="io panel CSV (overrides --config's)")
     p.add_argument("--base-year", type=int, help="index base year (=100)")
 
-    p = add("growth", _cmd_run, "average annual TFP growth per period",
+    p = add("growth", "average annual TFP growth per period",
             config_required=True)
     p.add_argument("--method", choices=("loglinear", "cagr"))
 
-    add("markets", _cmd_run, "price break stats and ratio series",
-        config_required=True)
+    add("markets", "price break stats and ratio series", config_required=True)
 
-    p = add("cai", _cmd_cai, "comparative-advantage table")
+    p = add("cai", "comparative-advantage table")
     p.add_argument("--region", help="region area table (crop-panel schema)")
     p.add_argument("--nation", help="nation area table (crop-panel schema)")
 
-    p = add("diagnose", _cmd_diagnose, "evaluate a diagnostic tree")
+    p = add("diagnose", "evaluate a diagnostic tree")
     p.add_argument("--tree", default=None,
-                   help="'builtin' (default) or a tree-config JSON path")
+                   help="'builtin' or a tree-config JSON path (default: "
+                        "--config's tree, else 'builtin')")
     p.add_argument("--indicators", default=None,
-                   help="indicators.json to evaluate; with --config instead, "
-                        "the indicators are assembled from the inputs")
+                   help="indicators.json to evaluate (default, with --config: "
+                        "the indicators assembled from its inputs)")
 
-    add("report", _cmd_report, "full pipeline: all artifacts + diagnosis",
+    add("report", "full pipeline: all artifacts + diagnosis", _cmd_report,
         config_required=True)
     return parser
 

@@ -62,13 +62,14 @@ class RunConfig(Record):
     fertilizer_commodity: str
     diversification_group: str
     national_tfp_growth_pct: float
-    tree: str
+    tree: str = "builtin"
     output_dir: Path
     growth_method: str = "loglinear"
     cv_ddof: int = 1
     period_mode: str = "triennium"
     tfp_base_year: int | None = None
     config_dir: Path = Path()
+    indicators: Path | None = None  # evaluated in place of the assembled set
 
 
 def load_run_config(path: Path | str) -> RunConfig:
@@ -302,12 +303,19 @@ class Run:
 
     @cached_property
     def diagnosis(self) -> DiagnosticReport:
-        """The tree's verdicts on ``indicators.json`` as written (rounded),
-        so ``diagnose`` on that file reproduces diagnosis.json exactly."""
+        """The tree's verdicts on the config's ``indicators`` file, or else
+        on ``indicators.json`` as written (rounded), so ``diagnose`` on that
+        file reproduces diagnosis.json exactly."""
         from . import diagnostics
 
-        indicators = diagnostics.IndicatorSet.from_dict(
-            json.loads(self.indicators))
+        path = self.config.indicators
+        if path is None:
+            indicators = diagnostics.IndicatorSet.from_dict(
+                json.loads(self.indicators))
+        else:
+            path = Path(path)
+            indicators = diagnostics.IndicatorSet.from_dict(
+                read_json(path, "indicators file"), f"indicators file {path}")
         tree = diagnostics.resolve_tree(self.config.tree,
                                         self.config.config_dir)
         return diagnostics.evaluate(tree, indicators)
@@ -372,8 +380,12 @@ class Run:
         yield "cai.csv", cai_csv(self.cai_values)
 
     def diagnose(self):
-        """``indicators.json`` and ``diagnosis.json``."""
-        yield "indicators.json", self.indicators
+        """``indicators.json``, unless the config names an indicators file,
+        and ``diagnosis.json``."""
+        from . import diagnostics  # noqa: F401  (before the inputs: see report)
+
+        if self.config.indicators is None:
+            yield "indicators.json", self.indicators
         yield "diagnosis.json", json_chunks(self.diagnosis.to_dict(),
                                             "diagnosis.json")
 

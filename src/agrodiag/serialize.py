@@ -121,10 +121,11 @@ def format_cell(value: Any) -> str:
 def csv_chunks(header: Iterable[str], rows: Iterable[Iterable[Any]],
                name: str = "CSV text"):
     """A header line plus one line per row, yielded in chunks of at most
-    ``CSV_CHUNK_LINES`` lines as the rows come; a NaN or infinity raises
-    DomainError naming NAME (the artifact) and the column."""
+    ``CSV_CHUNK_LINES`` lines as the rows come, each chunk's lines freed
+    before it is written; a NaN or infinity raises DomainError naming NAME
+    (the artifact) and the column."""
     header = list(header)
-    lines = [",".join(header)]
+    lines = [",".join(header) + "\n"]
     for row in rows:
         cells = []
         for column, value in enumerate(row):
@@ -132,13 +133,10 @@ def csv_chunks(header: Iterable[str], rows: Iterable[Iterable[Any]],
                 raise DomainError(f"{name}: non-finite value {value!r} in "
                                   f"column '{header[column]}'")
             cells.append(format_cell(value))
-        lines.append(",".join(cells))
+        lines.append(",".join(cells) + "\n")
         if len(lines) == CSV_CHUNK_LINES:
-            lines.append("")  # each chunk ends in a newline
-            yield "\n".join(lines)
-            lines.clear()
-    lines.append("")
-    yield "\n".join(lines)
+            yield _drained(lines)
+    yield "".join(lines)
 
 
 def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],

@@ -12,10 +12,10 @@ import pytest
 
 from agrodiag import fixtures
 from agrodiag.advantage import AreaShareTable, cai
-from agrodiag.cli import load_run_config, run_pipeline
 from agrodiag.decomposition import decompose
 from agrodiag.diagnostics import builtin_bihar_tree, evaluate
 from agrodiag.markets import coefficient_of_variation
+from agrodiag.pipeline import load_run_config, run_pipeline
 from agrodiag.productivity import avg_annual_growth, index_series, tornqvist_log_growth
 
 from helpers import io_panel, panel_two_periods

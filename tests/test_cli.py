@@ -10,17 +10,13 @@ import pytest
 import agrodiag
 from agrodiag import fixtures, serialize
 from agrodiag.advantage import AreaShareTable
-from agrodiag.cli import (
-    REPORT_ARTIFACTS,
-    _run,
-    build_parser,
-    compute_artifacts,
-    load_run_config,
-    main,
-    run_pipeline,
-)
+from agrodiag.cli import _run, build_parser, main
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
-from agrodiag.pipeline import Run
+from agrodiag.pipeline import (
+    REPORT_ARTIFACTS, Run, compute_artifacts, load_run_config, run_pipeline,
+)
+
+from test_startup import ENTRY, RUN_CLI, loaded_modules
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +218,87 @@ class TestSubcommands:
             errors.append(capsys.readouterr())
         assert errors[0] == errors[1]
         assert errors[0].err.startswith("error: ")
+
+    @pytest.mark.parametrize("mixed, flags", [
+        (["decompose", "--crop-panel", "{edited}"],
+         ["decompose", "--crop-panel", "{edited}", "--base", "2002",
+          "--terminal", "2016"]),
+        (["tfp", "--io-panel", "{inputs}/crops.csv"],
+         ["tfp", "--io-panel", "{inputs}/crops.csv"]),
+        (["cai", "--region", "{inputs}/area_nation.csv"],
+         ["cai", "--region", "{inputs}/area_nation.csv",
+          "--nation", "{inputs}/area_nation.csv"]),
+    ], ids=["decompose", "tfp", "cai"])
+    def test_a_flag_overrides_its_config_field(self, run_dir, tmp_path,
+                                               capsys, mixed, flags):
+        # each flag names a file the config's own input is not: a crop
+        # panel with every price doubled, a file that is no io panel, and
+        # the nation table as the region's
+        lines = (run_dir / "crops.csv").read_text().splitlines()
+        edited = tmp_path / "crops.csv"
+        edited.write_text("\n".join([lines[0], *(
+            f"{line.rsplit(',', 1)[0]},{2 * float(line.rsplit(',', 1)[1])}"
+            for line in lines[1:])]) + "\n")
+        command, *extra = mixed
+        results = []
+        for argv, out in (([command, "-c", str(run_dir / "config.json"),
+                            *extra], tmp_path / "mixed"),
+                          (flags, tmp_path / "flags")):
+            argv = [a.format(inputs=run_dir, edited=edited) for a in argv]
+            code = main([*argv, "-o", str(out)])
+            results.append((code, capsys.readouterr(), out.exists() and {
+                p.name: p.read_bytes() for p in out.iterdir()}))
+        assert results[0] == results[1]
+
+    def test_diagnose_indicators_with_config_uses_its_tree(
+            self, run_dir, report_dir, tmp_path, capsys):
+        # the config's tree, relative to its directory, marks the land
+        # ratio binding; the indicators file marks technology binding
+        tree = json.loads((Path(agrodiag.__file__).parent / "data"
+                           / "bihar_tree.json").read_text())
+        tree["nodes"]["land"]["predicate"]["threshold"] = 0.0
+        (tmp_path / "tree.json").write_text(json.dumps(tree))
+        config = absolute_config(run_dir)
+        config["tree"] = "tree.json"
+        path = write_config(tmp_path, config)
+        indicators = json.loads((report_dir / "indicators.json").read_text())
+        indicators["tfp_growth_gap_pp"]["value"] = -1.0
+        (tmp_path / "indicators.json").write_text(json.dumps(indicators))
+        results = []
+        for argv, out in ((["-c", str(path)], tmp_path / "mixed"),
+                          (["--tree", str(tmp_path / "tree.json")],
+                           tmp_path / "flags")):
+            assert main(["diagnose", *argv, "--indicators",
+                         str(tmp_path / "indicators.json"),
+                         "-o", str(out)]) == 0
+            results.append((capsys.readouterr(), {
+                p.name: p.read_bytes() for p in out.iterdir()}))
+        assert results[0] == results[1]
+        assert list(results[0][1]) == ["diagnosis.json"]
+        diagnosis = json.loads(results[0][1]["diagnosis.json"])
+        assert {"agricultural_land", "technology"} <= \
+            set(diagnosis["binding_constraints"])
+
+    @pytest.mark.parametrize("argv, usage", [
+        *((argv, "decompose needs --config or --crop-panel with --base and "
+                 "--terminal")
+          for argv in (["decompose"], ["decompose", "--crop-panel",
+                                       "crops.csv", "--base", "2002"])),
+        *((argv, "tfp needs --config or --io-panel")
+          for argv in (["tfp"], ["tfp", "--base-year", "2005"])),
+        *((argv, "cai needs --config or both --region and --nation")
+          for argv in (["cai"], ["cai", "--region", "area_region.csv"])),
+        *((argv, "diagnose needs --indicators or --config")
+          for argv in (["diagnose"], ["diagnose", "--tree", "builtin"])),
+    ], ids=["decompose", "decompose-partial", "tfp", "tfp-base-year", "cai",
+            "cai-region", "diagnose", "diagnose-tree"])
+    def test_usage_error_exits_2_loading_no_layer(self, tmp_path, capsys,
+                                                  argv, usage):
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {usage}\n")
+        assert loaded_modules(RUN_CLI, *argv, "-o", str(out)) == (2, ENTRY)
+        assert not out.exists()
 
     def test_diagnose_reproduces_report_diagnosis(self, run_dir, report_dir):
         out = run_dir / "diagnose_out"

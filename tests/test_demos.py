@@ -1,6 +1,7 @@
 """The narrative demo scripts and the README quick start must stay
 runnable."""
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +13,16 @@ DEMO_DIR = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMO_DIR.glob("*.py")))
-def test_demo_runs_clean(script):
+def test_demo_runs_clean(script, tmp_path):
+    # a demo's scratch files go to the system temp dir, and are removed
     proc = subprocess.run(
         [sys.executable, str(DEMO_DIR / script)],
         capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), "demo should narrate something"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_quick_start_prints_effects_summing_to_100():

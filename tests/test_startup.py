@@ -34,6 +34,23 @@ RUN_CLI = (
 )
 
 
+# runs ``main([COMMAND, '-c', CONFIG, '-o', OUT])``, then prints its exit
+# code and the modules loaded when it opened its first CSV file
+FIRST_CSV_MODULES = (
+    "import json, sys\n"
+    "first_csv = []\n"
+    "def hook(event, args):\n"
+    "    if (event == 'open' and not first_csv\n"
+    "            and str(args[0]).endswith('.csv')):\n"
+    "        first_csv.append(sorted(sys.modules))\n"
+    "sys.addaudithook(hook)\n"
+    "from agrodiag.cli import main\n"
+    "command, config, out = sys.argv[1:]\n"
+    "code = main([command, '-c', config, '-o', out])\n"
+    "print(json.dumps([code, first_csv[0]]))\n"
+)
+
+
 def loaded_modules(script: str, *args: str,
                    flags: tuple[str, ...] = ()) -> tuple[object, set[str]]:
     """Run SCRIPT in a fresh interpreter started with FLAGS; return its exit
@@ -72,12 +89,13 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, expected", [
         (["cai", "--region", "area_region.csv",
           "--nation", "area_nation.csv"],
-         layers("advantage", "ingest", "panel", "serialize")),
+         layers("pipeline", "advantage", "ingest", "panel", "serialize")),
         (["tfp", "--io-panel", "io_panel.csv"],
-         layers("ingest", "panel", "productivity", "serialize")),
+         layers("pipeline", "ingest", "panel", "productivity", "serialize")),
         (["decompose", "--crop-panel", "crops.csv", "--base", "2002",
           "--terminal", "2016"],
-         layers("ingest", "panel", "decomposition", "serialize")),
+         layers("pipeline", "ingest", "panel", "decomposition",
+                "serialize")),
     ])
     def test_subcommand_loads_only_its_layers(self, fixture_dir, tmp_path,
                                               argv, expected):
@@ -91,7 +109,8 @@ class TestImportFootprint:
         code, modules = loaded_modules(
             RUN_CLI, "diagnose", "--indicators", str(indicators),
             "-o", str(tmp_path))
-        assert (code, modules) == (0, layers("diagnostics", "serialize"))
+        assert (code, modules) == \
+            (0, layers("pipeline", "diagnostics", "serialize"))
 
     def test_help_loads_neither_dataclasses_nor_the_pipeline(self):
         script = RUN_CLI + (
@@ -150,23 +169,21 @@ class TestImportFootprint:
             self, fixture_dir, tmp_path):
         # without a bytecode cache, a layer compiled once the inputs are
         # loaded would add its compile scratch to the report's peak memory
-        script = (
-            "import json, sys\n"
-            "first_csv = []\n"
-            "def hook(event, args):\n"
-            "    if (event == 'open' and not first_csv\n"
-            "            and str(args[0]).endswith('.csv')):\n"
-            "        first_csv.append(sorted(sys.modules))\n"
-            "sys.addaudithook(hook)\n"
-            "from agrodiag.cli import main\n"
-            "code = main(['report', '-c', sys.argv[1], '-o', sys.argv[2]])\n"
-            "print(json.dumps([code, first_csv[0]]))\n"
-        )
         code, modules = loaded_modules(
-            script, str(fixture_dir / "config.json"), str(tmp_path))
+            FIRST_CSV_MODULES, "report", str(fixture_dir / "config.json"),
+            str(tmp_path))
         assert code == 0
         assert layers("decomposition", "productivity", "markets", "advantage",
                       "diagnostics") <= modules
+
+    def test_diagnose_config_imports_the_tree_before_reading_an_input(
+            self, fixture_dir, tmp_path):
+        # ~0.7 MB of a scaled diagnose's peak, if compiled after the inputs
+        code, modules = loaded_modules(
+            FIRST_CSV_MODULES, "diagnose", str(fixture_dir / "config.json"),
+            str(tmp_path))
+        assert code == 0
+        assert "agrodiag.diagnostics" in modules
 
     def test_import_package_loads_no_layer(self):
         script = ("import json, sys, agrodiag\n"
