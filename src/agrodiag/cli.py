@@ -76,10 +76,6 @@ def _run(args):
             RunConfig._fields - RunConfig._defaults.keys()))
     else:
         config = load_run_config(args.config)
-        if getattr(args, "tree", None) not in (None, "builtin"):
-            # a tree is resolved against ``config_dir``, the config's
-            # directory, but a flag is relative to the working directory
-            args.tree = str(Path(args.tree).absolute())
     for flag, key in _OVERRIDES.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -87,28 +83,28 @@ def _run(args):
     return Run(config)
 
 
-def _cmd_run(args) -> int:
-    """Emit the artifacts of the subcommand's ``Run`` method; ``diagnose``
-    prints its verdicts instead, and writes its artifacts only to ``-o``."""
-    needs, usage = _NEEDS.get(args.command, ((), ""))
-    if args.config is None and None in (getattr(args, f) for f in needs):
-        print(f"error: {usage}", file=sys.stderr)
-        return 2
+def _cmd_run(args, run=None) -> int:
+    """Write the artifacts of the subcommand's method of RUN (by default
+    ARGS's) to ``-o`` as they are computed, or print them."""
     from .serialize import collect, write_artifacts
 
-    run = _run(args)
-    artifacts = getattr(run, args.command)()
+    artifacts = getattr(run or _run(args), args.command)()
     if args.out is not None:
-        if args.config is None:
-            # a flag form computes before it makes the directory, so it
-            # names a bad input before an unusable -o
-            artifacts = collect(artifacts).items()
         write_artifacts(Path(args.out), artifacts)
-    elif args.command != "diagnose":
+    else:
         for _, text in sorted(collect(artifacts).items()):
             sys.stdout.write(text)
-    if args.command == "diagnose":
-        sys.stdout.write(run.diagnosis.to_text())
+    return 0
+
+
+def _cmd_diagnose(args) -> int:
+    """Print the tree's verdicts; with ``-o``, once they are reached, first
+    write the artifacts through ``_cmd_run``."""
+    run = _run(args)
+    verdicts = run.diagnosis.to_text()
+    if args.out is not None:
+        _cmd_run(args, run)
+    sys.stdout.write(verdicts)
     return 0
 
 
@@ -188,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", help="region area table (crop-panel schema)")
     p.add_argument("--nation", help="nation area table (crop-panel schema)")
 
-    p = add("diagnose", "evaluate a diagnostic tree")
+    p = add("diagnose", "evaluate a diagnostic tree", _cmd_diagnose)
     p.add_argument("--tree", default=None,
                    help="'builtin' or a tree-config JSON path (default: "
                         "--config's tree, else 'builtin')")
@@ -203,6 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    needs, usage = _NEEDS.get(args.command, ((), ""))
+    if args.config is None and None in (getattr(args, f) for f in needs):
+        print(f"error: {usage}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except FileNotFoundError as exc:

@@ -423,11 +423,11 @@ def builtin_bihar_tree() -> DiagnosticTree:
     return load_tree(Path(__file__).with_name("data") / _BUILTIN_TREE_RESOURCE)
 
 
-def resolve_tree(selector: str, config_dir) -> DiagnosticTree:
-    """``"builtin"`` or a tree JSON path, relative to ``config_dir``."""
+def resolve_tree(selector) -> DiagnosticTree:
+    """``"builtin"`` or a tree JSON path."""
     if selector == "builtin":
         return builtin_bihar_tree()
-    return load_tree(config_dir / selector)
+    return load_tree(Path(selector))
 
 
 # -- evaluation ----------------------------------------------------------

@@ -62,13 +62,12 @@ class RunConfig(Record):
     fertilizer_commodity: str
     diversification_group: str
     national_tfp_growth_pct: float
-    tree: str = "builtin"
+    tree: str | Path = "builtin"  # or a tree JSON path
     output_dir: Path
     growth_method: str = "loglinear"
     cv_ddof: int = 1
     period_mode: str = "triennium"
     tfp_base_year: int | None = None
-    config_dir: Path = Path()
     indicators: Path | None = None  # evaluated in place of the assembled set
 
 
@@ -158,10 +157,10 @@ def load_run_config(path: Path | str) -> RunConfig:
                 "grain_commodity", "fertilizer_commodity",
                 "diversification_group")},
             national_tfp_growth_pct=float(national),
-            tree=filename("tree", raw.get("tree", "builtin")),
+            tree=("builtin" if raw.get("tree", "builtin") == "builtin"
+                  else resolve("tree", raw["tree"])),
             output_dir=resolve("output_dir", raw.get("output_dir", "out")),
             tfp_base_year=tfp_base_year,
-            config_dir=base,
             **options,
         )
     except KeyError as exc:
@@ -316,9 +315,8 @@ class Run:
             path = Path(path)
             indicators = diagnostics.IndicatorSet.from_dict(
                 read_json(path, "indicators file"), f"indicators file {path}")
-        tree = diagnostics.resolve_tree(self.config.tree,
-                                        self.config.config_dir)
-        return diagnostics.evaluate(tree, indicators)
+        return diagnostics.evaluate(
+            diagnostics.resolve_tree(self.config.tree), indicators)
 
     def decompose(self):
         """``decomposition.json``: the revenue-change decomposition."""
@@ -382,8 +380,6 @@ class Run:
     def diagnose(self):
         """``indicators.json``, unless the config names an indicators file,
         and ``diagnosis.json``."""
-        from . import diagnostics  # noqa: F401  (before the inputs: see report)
-
         if self.config.indicators is None:
             yield "indicators.json", self.indicators
         yield "diagnosis.json", json_chunks(self.diagnosis.to_dict(),

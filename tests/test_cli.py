@@ -960,6 +960,32 @@ class TestRunHoldings:
             f"error: crop panel {tmp_path / 'broken.csv'}: bad header ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, streams", [
+        (["decompose", "--crop-panel", "{missing}", "--base", "2002",
+          "--terminal", "2016"], True),
+        (["decompose", "-c", "{config}"], True),
+        (["cai", "--region", "{missing}", "--nation", "{missing}"], True),
+        (["diagnose", "--indicators", "{missing}"], False),
+        (["diagnose", "-c", "{config}"], False),
+    ], ids=["decompose", "decompose-config", "cai", "diagnose",
+            "diagnose-config"])
+    def test_of_a_bad_input_and_an_unusable_out(self, run_dir, tmp_path,
+                                                capsys, argv, streams):
+        # a slice streamed into -o makes it before it reads an input;
+        # diagnose reaches its verdicts before it writes anything
+        missing = tmp_path / "missing"
+        config = absolute_config(run_dir)
+        config["inputs"]["crop_panel"] = str(missing)
+        path = write_config(tmp_path, config)
+        (tmp_path / "afile").write_text("a file where a directory should go")
+        argv = [a.format(missing=missing, config=path) for a in argv]
+        assert main([*argv, "-o", str(tmp_path / "afile" / "o")]) == 1
+        err = capsys.readouterr().err
+        if streams:
+            assert err.startswith("error: I/O failure: ")
+        else:
+            assert err == f"error: no inputs: {missing}\n"
+
 
 class TestNoNumpyAtRuntime:
     """The package runs on the standard library alone."""
@@ -991,6 +1017,33 @@ class TestRunConfig:
         config = load_run_config(run_dir / "config.json")
         assert config.crop_panel == run_dir / "crops.csv"
         assert config.output_dir == run_dir / "out"
+
+    def test_a_tree_flag_is_relative_to_the_working_directory(
+            self, run_dir, tmp_path, monkeypatch, capsys):
+        # the config's tree is the builtin one, next to the config; the
+        # working directory's marks the land ratio binding
+        builtin = json.loads((Path(agrodiag.__file__).parent / "data"
+                              / "bihar_tree.json").read_text())
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "tree.json").write_text(json.dumps(builtin))
+        builtin["nodes"]["land"]["predicate"]["threshold"] = 0.0
+        (tmp_path / "tree.json").write_text(json.dumps(builtin))
+        config = absolute_config(run_dir)
+        config["tree"] = "tree.json"
+        path = write_config(tmp_path / "cfg", config)
+        monkeypatch.chdir(tmp_path)
+        binding = []
+        for extra in ([], ["--tree", "tree.json"]):
+            out = tmp_path / f"out{len(extra)}"
+            assert main(["diagnose", "-c", str(path), *extra,
+                         "-o", str(out)]) == 0
+            binding.append("agricultural_land" in json.loads(
+                (out / "diagnosis.json").read_text())["binding_constraints"])
+        assert binding == [False, True]
+        # an error names the flag's path as typed
+        capsys.readouterr()
+        assert main(["diagnose", "-c", str(path), "--tree", "missing.json"]) == 1
+        assert capsys.readouterr().err == "error: no inputs: missing.json\n"
 
     def test_compute_artifacts_is_pure(self, run_dir):
         config = load_run_config(run_dir / "config.json")
