@@ -9,8 +9,9 @@ import json
 import tempfile
 from pathlib import Path
 
+from agrodiag.config import load_run_config
 from agrodiag.fixtures import write_synthetic_inputs
-from agrodiag.pipeline import load_run_config, run_pipeline
+from agrodiag.pipeline import run_pipeline
 
 with tempfile.TemporaryDirectory(prefix="agrodiag_demo_") as workdir:
     config_path = write_synthetic_inputs(Path(workdir))

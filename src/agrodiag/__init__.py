@@ -3,14 +3,17 @@ diagnostics for crop panel data.
 
 The package splits into small pure modules:
 
-* :mod:`agrodiag.panel`, :mod:`agrodiag.ingest` -- columnar panels and the
-  loaders that build them
+* :mod:`agrodiag.panel`, :mod:`agrodiag.ingest`, :mod:`agrodiag.csvread`
+  -- columnar panels, the loaders that build them and the CSV reading
+  the loaders share
 * :mod:`agrodiag.decomposition` -- revenue-change decomposition
 * :mod:`agrodiag.productivity` -- chained output/input/TFP index series
 * :mod:`agrodiag.markets` -- volatility, ratio and share indicators
 * :mod:`agrodiag.advantage` -- area-based comparative advantage
-* :mod:`agrodiag.diagnostics` -- declarative constraint-tree evaluation
-* :mod:`agrodiag.pipeline` -- file-in/file-out report pipeline
+* :mod:`agrodiag.tree` -- the declarative constraint tree and its validation
+* :mod:`agrodiag.diagnostics` -- indicator sets, tree loading and evaluation
+* :mod:`agrodiag.config`, :mod:`agrodiag.pipeline` -- the run config and
+  the file-in/file-out report pipeline
 * :mod:`agrodiag.cli` -- command-line parsing and exit codes
 
 Every public name below is imported from its submodule on first access
@@ -28,12 +31,12 @@ _EXPORTS = {
     "CropPanel": "panel",
     "DecompositionResult": "decomposition",
     "DiagnosticReport": "diagnostics",
-    "DiagnosticTree": "diagnostics",
+    "DiagnosticTree": "tree",
     "IndexSeries": "productivity",
     "IndicatorSet": "diagnostics",
     "InputOutputPanel": "panel",
     "LandUseRecord": "panel",
-    "Predicate": "diagnostics",
+    "Predicate": "tree",
     "PriceSeries": "panel",
     "area_share_table_from_panel": "advantage",
     "avg_annual_growth": "productivity",

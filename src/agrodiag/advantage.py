@@ -17,7 +17,8 @@ from .errors import (
     SchemaError,
     UndefinedIndexError,
 )
-from .ingest import _label, _named, load_crop_panel
+from .csvread import _label, _named
+from .ingest import load_crop_panel
 from .panel import CropPanel
 
 

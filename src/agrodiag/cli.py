@@ -69,7 +69,8 @@ _NEEDS = {
 def _run(args):
     """The ``pipeline.Run`` of ARGS's config, each flag given setting its
     field; without ``-c``, every field with no default is ``None``."""
-    from .pipeline import Run, RunConfig, load_run_config
+    from .config import RunConfig, load_run_config
+    from .pipeline import Run
 
     if args.config is None:
         config = RunConfig(**dict.fromkeys(
@@ -132,7 +133,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .pipeline import load_run_config, run_pipeline
+    from .config import load_run_config
+    from .pipeline import run_pipeline
 
     config = load_run_config(args.config)
     outdir = Path(args.out) if args.out is not None else config.output_dir

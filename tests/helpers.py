@@ -10,6 +10,14 @@ import math
 
 from agrodiag.panel import IO_SIDES, CropPanel, InputOutputPanel, _Columns
 
+# the files ``report`` writes, as the README documents them
+REPORT_ARTIFACTS = (
+    "decomposition.json", "tfp_index.csv", "growth_rates.json",
+    "break_stats.json", "cai.csv", "shares.csv", "land_ratios.json",
+    "indicators.json", "diagnosis.json", "figure2.csv", "figure3.csv",
+    "figure4.csv",
+)
+
 # crop rows are tuples (crop_id, year, area, production, price)
 
 

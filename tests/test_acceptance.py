@@ -12,10 +12,11 @@ import pytest
 
 from agrodiag import fixtures
 from agrodiag.advantage import AreaShareTable, cai
+from agrodiag.config import load_run_config
 from agrodiag.decomposition import decompose
 from agrodiag.diagnostics import builtin_bihar_tree, evaluate
 from agrodiag.markets import coefficient_of_variation
-from agrodiag.pipeline import load_run_config, run_pipeline
+from agrodiag.pipeline import run_pipeline
 from agrodiag.productivity import avg_annual_growth, index_series, tornqvist_log_growth
 
 from helpers import io_panel, panel_two_periods

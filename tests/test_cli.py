@@ -11,11 +11,11 @@ import agrodiag
 from agrodiag import fixtures, serialize
 from agrodiag.advantage import AreaShareTable
 from agrodiag.cli import _run, build_parser, main
+from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
-from agrodiag.pipeline import (
-    REPORT_ARTIFACTS, Run, compute_artifacts, load_run_config, run_pipeline,
-)
+from agrodiag.pipeline import Run, compute_artifacts, run_pipeline
 
+from helpers import REPORT_ARTIFACTS
 from test_startup import ENTRY, RUN_CLI, loaded_modules
 
 
@@ -692,6 +692,7 @@ class TestFailureModes:
         '{"manifest": {}, "roots": ["a"], "nodes": {"a": 5}}',
         '{"manifest": {}, "roots": ["a"], "nodes": ["a"]}',
         '7',
+        '{"roots":\n',
     ])
     def test_malformed_tree_exits_1(self, report_dir, tmp_path, capsys,
                                     tree):
@@ -700,7 +701,20 @@ class TestFailureModes:
         rc = main(["diagnose", "--tree", str(path),
                    "--indicators", str(report_dir / "indicators.json")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: tree config {path}: ")
+
+    def test_a_tree_path_is_read_as_a_file_whatever_its_name(
+            self, report_dir, tmp_path, monkeypatch, capsys):
+        builtin = Path(agrodiag.__file__).parent / "data" / "bihar_tree.json"
+        (tmp_path / "{t}.json").write_bytes(builtin.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        verdicts = []
+        for tree in ("builtin", "{t}.json"):
+            assert main(["diagnose", "--tree", tree, "--indicators",
+                         str(report_dir / "indicators.json")]) == 0
+            verdicts.append(capsys.readouterr().out)
+        assert verdicts[0] == verdicts[1]
 
 
     @pytest.mark.parametrize("text, fragment", [
@@ -964,11 +978,13 @@ class TestRunHoldings:
         (["decompose", "--crop-panel", "{missing}", "--base", "2002",
           "--terminal", "2016"], True),
         (["decompose", "-c", "{config}"], True),
+        (["tfp", "--io-panel", "{missing}"], True),
+        (["tfp", "-c", "{config}"], True),
         (["cai", "--region", "{missing}", "--nation", "{missing}"], True),
         (["diagnose", "--indicators", "{missing}"], False),
         (["diagnose", "-c", "{config}"], False),
-    ], ids=["decompose", "decompose-config", "cai", "diagnose",
-            "diagnose-config"])
+    ], ids=["decompose", "decompose-config", "tfp", "tfp-config", "cai",
+            "diagnose", "diagnose-config"])
     def test_of_a_bad_input_and_an_unusable_out(self, run_dir, tmp_path,
                                                 capsys, argv, streams):
         # a slice streamed into -o makes it before it reads an input;
@@ -976,6 +992,7 @@ class TestRunHoldings:
         missing = tmp_path / "missing"
         config = absolute_config(run_dir)
         config["inputs"]["crop_panel"] = str(missing)
+        config["inputs"]["io_panel"] = str(missing)
         path = write_config(tmp_path, config)
         (tmp_path / "afile").write_text("a file where a directory should go")
         argv = [a.format(missing=missing, config=path) for a in argv]

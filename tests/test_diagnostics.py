@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from agrodiag.diagnostics import (
     IndicatorSet,
-    Predicate,
     builtin_bihar_tree,
     evaluate,
     load_tree,
-    tree_from_dict,
 )
 from agrodiag.errors import (
     CycleError,
@@ -24,6 +22,7 @@ from agrodiag.errors import (
 )
 from agrodiag.fixtures import bihar_reference_indicators
 from agrodiag.serialize import json_text
+from agrodiag.tree import Predicate, tree_from_dict
 
 
 def single_node_config(**overrides):

@@ -9,9 +9,10 @@ import pytest
 
 from agrodiag._record import Record
 from agrodiag.advantage import AreaShareTable
-from agrodiag.diagnostics import Predicate
+from agrodiag.config import RunConfig, load_run_config
 from agrodiag.panel import PriceSeries
-from agrodiag.pipeline import Run, RunConfig, load_run_config
+from agrodiag.pipeline import Run
+from agrodiag.tree import Predicate
 
 
 class Row(Record, frozen=True):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,16 @@ from agrodiag import cli
 from agrodiag.cli import main
 
 SRC = str(Path(agrodiag.__file__).resolve().parents[1])
+
+# Without a bytecode cache (a read-only install, or
+# PYTHONDONTWRITEBYTECODE=1) each process parses every module it imports
+# from source, and CPython 3.11's parser holds ~0.5 KB of scratch per token
+# of the module it is parsing, which stays in the process's peak memory:
+# the largest module a command parses sets a floor under its peak
+MAX_MODULE_TOKENS = 1750
+LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                 tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+                 tokenize.ENDMARKER}
 
 # `python -m agrodiag` runs __main__.py as `__main__`, so the package's
 # __main__ module is never registered under its own name
@@ -89,13 +100,15 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, expected", [
         (["cai", "--region", "area_region.csv",
           "--nation", "area_nation.csv"],
-         layers("pipeline", "advantage", "ingest", "panel", "serialize")),
+         layers("config", "pipeline", "advantage", "ingest", "csvread",
+                "panel", "serialize")),
         (["tfp", "--io-panel", "io_panel.csv"],
-         layers("pipeline", "ingest", "panel", "productivity", "serialize")),
+         layers("config", "pipeline", "ingest", "csvread", "panel",
+                "productivity", "serialize")),
         (["decompose", "--crop-panel", "crops.csv", "--base", "2002",
           "--terminal", "2016"],
-         layers("pipeline", "ingest", "panel", "decomposition",
-                "serialize")),
+         layers("config", "pipeline", "ingest", "csvread", "panel",
+                "decomposition", "serialize")),
     ])
     def test_subcommand_loads_only_its_layers(self, fixture_dir, tmp_path,
                                               argv, expected):
@@ -110,7 +123,8 @@ class TestImportFootprint:
             RUN_CLI, "diagnose", "--indicators", str(indicators),
             "-o", str(tmp_path))
         assert (code, modules) == \
-            (0, layers("pipeline", "diagnostics", "serialize"))
+            (0, layers("config", "pipeline", "diagnostics", "tree",
+                       "serialize"))
 
     def test_help_loads_neither_dataclasses_nor_the_pipeline(self):
         script = RUN_CLI + (
@@ -155,7 +169,8 @@ class TestImportFootprint:
             RUN_CLI, "growth", "-c", str(fixture_dir / "config.json"),
             "-o", str(tmp_path))
         assert (code, modules) == (0, layers(
-            "pipeline", "ingest", "panel", "productivity", "serialize"))
+            "config", "pipeline", "ingest", "csvread", "panel",
+            "productivity", "serialize"))
 
     def test_markets_config_loads_neither_productivity_nor_advantage(
             self, fixture_dir, tmp_path):
@@ -163,7 +178,8 @@ class TestImportFootprint:
             RUN_CLI, "markets", "-c", str(fixture_dir / "config.json"),
             "-o", str(tmp_path))
         assert (code, modules) == (0, layers(
-            "pipeline", "ingest", "panel", "markets", "serialize"))
+            "config", "pipeline", "ingest", "csvread", "panel", "markets",
+            "serialize"))
 
     def test_report_imports_every_layer_before_reading_an_input(
             self, fixture_dir, tmp_path):
@@ -174,7 +190,7 @@ class TestImportFootprint:
             str(tmp_path))
         assert code == 0
         assert layers("decomposition", "productivity", "markets", "advantage",
-                      "diagnostics") <= modules
+                      "diagnostics", "config", "tree", "csvread") <= modules
 
     def test_diagnose_config_imports_the_tree_before_reading_an_input(
             self, fixture_dir, tmp_path):
@@ -183,7 +199,24 @@ class TestImportFootprint:
             FIRST_CSV_MODULES, "diagnose", str(fixture_dir / "config.json"),
             str(tmp_path))
         assert code == 0
-        assert "agrodiag.diagnostics" in modules
+        assert {f"agrodiag.{name}" for name in (
+            "diagnostics", "config", "tree", "csvread")} <= modules
+
+    def test_report_parses_no_module_over_the_token_bound(self, fixture_dir,
+                                                          tmp_path):
+        code, modules = loaded_modules(
+            RUN_CLI, "report", "-c", str(fixture_dir / "config.json"),
+            "-o", str(tmp_path))
+        assert code == 0
+        sizes = {}
+        for name in modules:
+            with open(importlib.import_module(name).__file__, "rb") as fh:
+                sizes[name] = sum(
+                    1 for token in tokenize.tokenize(fh.readline)
+                    if token.type not in LAYOUT_TOKENS)
+        assert {name: size for name, size in sizes.items()
+                if size > MAX_MODULE_TOKENS} == {}
+        assert "agrodiag.pipeline" in sizes
 
     def test_import_package_loads_no_layer(self):
         script = ("import json, sys, agrodiag\n"
