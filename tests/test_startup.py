@@ -199,8 +199,7 @@ class TestImportFootprint:
             FIRST_CSV_MODULES, "diagnose", str(fixture_dir / "config.json"),
             str(tmp_path))
         assert code == 0
-        assert {f"agrodiag.{name}" for name in (
-            "diagnostics", "config", "tree", "csvread")} <= modules
+        assert layers("diagnostics", "config", "tree", "csvread") <= modules
 
     def test_report_parses_no_module_over_the_token_bound(self, fixture_dir,
                                                           tmp_path):
