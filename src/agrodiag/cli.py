@@ -18,10 +18,9 @@ from .errors import AgrodiagError
 
 # names defined elsewhere that stay reachable as ``agrodiag.cli.<name>``,
 # each imported from its submodule on first access (PEP 562): the span
-# tracer in ``perfbench/spans.py`` looks these three up here to find the
+# tracer in ``perfbench/spans.py`` looks these two up here to find the
 # functions it times
 _FORWARDED = {
-    "compute_artifacts": "pipeline",
     "assemble_indicators": "pipeline",
     "write_artifacts": "serialize",
 }

@@ -1,12 +1,13 @@
-"""The CSV reading every loader shares: open a path or pass a stream
-through, check the header and the width of each row, and turn a cell into
-a number; each error starts with the input kind and the file.
+"""The CSV reading every loader shares: ``records`` opens a path or passes
+a stream through, checks the header and the width of each row, and
+decodes each row by a table of column decoders; each error starts with
+the input kind and the file.
 """
 from __future__ import annotations
 
 import csv
-import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from math import inf
 
 from .errors import DataInconsistencyError, DomainError, SchemaError
 
@@ -31,72 +32,102 @@ def _named(what: str, line: int | None = None):
         raise type(exc)(f"{what}: {exc}{row}") from None
 
 
-@contextmanager
-def _open_text(source, what: str):
-    """Yield a text stream for a path or pass a file-like object through.
+# The column decoders beside ``int`` and ``str.strip``: each refuses a
+# cell with ValueError, and ``_fault`` turns that into the message.
 
-    A leading UTF-8 byte-order mark, as spreadsheet programs write it, is
-    dropped. A file that is not UTF-8 raises ``SchemaError`` naming it,
-    also when the bad bytes are only decoded while the caller iterates.
-    """
-    if hasattr(source, "read"):
-        yield source
-        return
+def _text(raw: str) -> str:
+    """An id: the cell stripped, which must leave something."""
+    text = raw.strip()
+    if text:
+        return text
+    raise ValueError(raw)
+
+
+def _amount(raw: str) -> float:
+    """A number that must be finite and >= 0 (a NaN fails both tests)."""
+    value = float(raw)
+    if 0 <= value < inf:
+        return value
+    raise ValueError(raw)
+
+
+def _price(raw: str) -> float:
+    """A number that must be finite and > 0."""
+    value = float(raw)
+    if 0 < value < inf:
+        return value
+    raise ValueError(raw)
+
+
+# a decoder with a range -> the range its message states
+_BOUNDS = {_amount: ">= 0", _price: "> 0"}
+
+
+def _fault(what: str, line: int, row: list[str], columns: dict):
+    """The error for the first cell of ROW, left to right, that its
+    column's decoder refuses."""
+    for (column, decode), raw in zip(columns.items(), row):
+        try:
+            decode(raw)
+        except ValueError:
+            break
+    if decode is _text:
+        return SchemaError(f"{what}: empty {column} in row {line}")
     try:
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            yield fh
+        value = float(raw) if decode in _BOUNDS else decode(raw)
+    except ValueError:
+        return SchemaError(f"{what}: non-numeric value {raw!r} in column "
+                           f"'{column}', row {line}")
+    return DomainError(f"{what}: value {value!r} in column '{column}', row "
+                       f"{line} must be finite and {_BOUNDS[decode]}")
+
+
+def records(source, what: str, columns: dict):
+    """Yield (row number, decoded cells) for each data row of SOURCE, a
+    path or a text stream.
+
+    COLUMNS maps each column the header must name, in order, to the
+    decoder of its cells. A row is decoded in one pass; if that fails,
+    the first cell refused, left to right, is named. A row of blank cells
+    is skipped: every table has a column (a year or an id) that refuses a
+    blank cell, so such a row never decodes. A leading UTF-8 byte-order
+    mark is dropped. Errors start with WHAT; text that is not UTF-8 or
+    not CSV, a bad header, a row of another width and a header with no
+    data row each raise ``SchemaError``.
+    """
+    decoders = tuple(columns.values())
+    width = len(decoders)
+    empty = True
+    try:
+        with (nullcontext(source) if hasattr(source, "read") else
+              open(source, "r", encoding="utf-8-sig", newline="")) as stream:
+            reader = csv.reader(stream)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{what}: empty file, expected header "
+                                  f"{','.join(columns)}")
+            header = [h.strip() for h in header]
+            if header != list(columns):
+                raise SchemaError(f"{what}: bad header {header!r}, expected "
+                                  f"{list(columns)!r}")
+            for line, row in enumerate(reader, start=2):
+                try:
+                    values = [decode(cell)
+                              for decode, cell in zip(decoders, row)]
+                except ValueError:
+                    values = None
+                if values is not None and len(row) == width:
+                    empty = False
+                    yield line, values
+                elif any(cell.strip() for cell in row):
+                    if len(row) != width:
+                        raise SchemaError(f"{what}: row {line} has {len(row)} "
+                                          f"columns, expected {width}")
+                    raise _fault(what, line, row, columns)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what}: not UTF-8 text ({exc.reason})") from None
-
-
-def _rows(stream, expected_header: list[str], what: str):
-    """Yield (line_number, row) pairs after validating header and widths.
-
-    A file with a header but no data row raises ``SchemaError``.
-    """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{what}: empty file, expected header "
-                          f"{','.join(expected_header)}") from None
-    header = [h.strip() for h in header]
-    if header != expected_header:
-        raise SchemaError(
-            f"{what}: bad header {header!r}, expected {expected_header!r}"
-        )
-    empty = True
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(expected_header):
-            raise SchemaError(
-                f"{what}: row {line} has {len(row)} columns, "
-                f"expected {len(expected_header)}"
-            )
-        empty = False
-        yield line, row
+    except csv.Error as exc:
+        raise SchemaError(f"{what}: row {reader.line_num} is not valid CSV: "
+                          f"{exc}") from None
     if empty:
         raise SchemaError(f"{what}: header but no data rows")
-
-
-def _cell(row: list[str], idx: int, col: str, line: int, what: str,
-          cast=float):
-    raw = row[idx]
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SchemaError(
-            f"{what}: non-numeric value {raw!r} in column '{col}', row {line}"
-        ) from None
-
-
-def _amount(row: list[str], idx: int, col: str, line: int, what: str) -> float:
-    """A numeric cell that must be finite and non-negative."""
-    value = _cell(row, idx, col, line, what)
-    if not (math.isfinite(value) and value >= 0):
-        raise DomainError(
-            f"{what}: value {value!r} in column '{col}', row {line} must be "
-            f"finite and >= 0"
-        )
-    return value

@@ -7,7 +7,6 @@ byte for byte once serialized.
 """
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -20,6 +19,7 @@ from .errors import (
     SchemaError,
     TreeConfigError,
 )
+from .serialize import read_json
 from .tree import _is_number, tree_from_dict
 
 if TYPE_CHECKING:
@@ -110,32 +110,18 @@ class IndicatorSet:
         return out
 
 
-def load_tree(source) -> DiagnosticTree:
-    """Load a tree from JSON text (a ``str`` that starts with ``{``), an
-    open stream, or else a path, read as UTF-8 with or without a
-    byte-order mark. Every error in a tree read from a path starts with
-    ``tree config <path>:``."""
-    if hasattr(source, "read"):
-        source = source.read()
-    elif not (isinstance(source, str) and source.lstrip().startswith("{")):
-        where = f"tree config {source}"
-        try:
-            with open(source, "r", encoding="utf-8-sig") as fh:
-                config = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise TreeConfigError(f"{where}: not UTF-8 text ({exc.reason})") from None
-        except json.JSONDecodeError as exc:
-            raise TreeConfigError(f"{where}: not valid JSON: {exc}") from None
-        try:
-            return tree_from_dict(config)
-        except TreeConfigError as exc:
-            raise type(exc)(
-                f"{where}: {str(exc).removeprefix('tree config ')}") from None
+def load_tree(path) -> DiagnosticTree:
+    """Load a tree from a JSON file at PATH, read as UTF-8 with or without
+    a byte-order mark. Every error starts with ``tree config <path>:``."""
     try:
-        config = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise TreeConfigError(f"tree config is not valid JSON: {exc}") from None
-    return tree_from_dict(config)
+        config = read_json(Path(path), "tree config")
+    except SchemaError as exc:  # bad bytes or syntax, the file named
+        raise TreeConfigError(str(exc)) from None
+    try:
+        return tree_from_dict(config)
+    except TreeConfigError as exc:
+        raise type(exc)(f"tree config {path}: "
+                        f"{str(exc).removeprefix('tree config ')}") from None
 
 
 def builtin_bihar_tree() -> DiagnosticTree:

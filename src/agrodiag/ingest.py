@@ -20,7 +20,7 @@ import warnings
 from array import array
 from typing import Mapping
 
-from .csvread import _amount, _cell, _label, _named, _open_text, _rows
+from .csvread import _amount, _label, _named, _price, _text, records
 from .errors import (
     CoverageError,
     DomainError,
@@ -58,32 +58,25 @@ def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
     if what is None:
         what = _label(source, "crop panel")
     columns = _Columns(years)
-    with _open_text(source, what) as stream:
-        for line, row in _rows(stream, ["crop_id", "year", "area_ha",
-                                        "production_t", "price_per_t"], what):
-            crop_id = row[0].strip()
-            if not crop_id:
-                raise SchemaError(f"{what}: empty crop_id in row {line}")
-            year = _cell(row, 1, "year", line, what, cast=int)
-            area = _amount(row, 2, "area_ha", line, what)
-            production = _amount(row, 3, "production_t", line, what)
-            price = _amount(row, 4, "price_per_t", line, what)
-            if deflator is not None:
-                if year not in deflator:
-                    raise CoverageError(
-                        f"{what}: deflator does not cover year {year} (row {line})"
-                    )
-                index = deflator[year]
-                if not (math.isfinite(index) and index > 0):
-                    raise DomainError(
-                        f"{what}: deflator for {year} must be finite and > 0, "
-                        f"got {index!r} (row {line})"
-                    )
-                price = price / (index / 100.0)
-            if not columns.add(year, crop_id, [area, production, price]):
-                raise DuplicateKeyError(
-                    f"{what}: duplicate ({crop_id}, {year}) in row {line}"
+    for line, (crop_id, year, *values) in records(source, what, {
+            "crop_id": _text, "year": int, "area_ha": _amount,
+            "production_t": _amount, "price_per_t": _amount}):
+        if deflator is not None:
+            if year not in deflator:
+                raise CoverageError(
+                    f"{what}: deflator does not cover year {year} (row {line})"
                 )
+            index = deflator[year]
+            if not (math.isfinite(index) and index > 0):
+                raise DomainError(
+                    f"{what}: deflator for {year} must be finite and > 0, "
+                    f"got {index!r} (row {line})"
+                )
+            values[2] /= index / 100.0
+        if not columns.add(year, crop_id, values):
+            raise DuplicateKeyError(
+                f"{what}: duplicate ({crop_id}, {year}) in row {line}"
+            )
     return CropPanel(columns)
 
 
@@ -171,32 +164,25 @@ def load_io_panel(source) -> InputOutputPanel:
     """
     what = _label(source, "io panel")
     columns = _Columns()
-    with _open_text(source, what) as stream:
-        for line, row in _rows(stream, ["year", "kind", "item_id", "quantity",
-                                        "share"], what):
-            year = _cell(row, 0, "year", line, what, cast=int)
-            kind = row[1].strip()
-            if kind not in IO_SIDES:
-                raise SchemaError(
-                    f"{what}: kind must be 'output' or 'input', got {kind!r} "
-                    f"in row {line}"
-                )
-            item_id = row[2].strip()
-            if not item_id:
-                raise SchemaError(f"{what}: empty item_id in row {line}")
-            quantity = _amount(row, 3, "quantity", line, what)
-            share = _amount(row, 4, "share", line, what)
-            if quantity <= 0 and share > 0:
-                warnings.warn(
-                    f"{what}: non-positive quantity for {kind} {item_id!r} in "
-                    f"{year} (row {line}); it will be rejected if it enters a "
-                    f"log-ratio",
-                    stacklevel=2,
-                )
-            if not columns.add((year, kind), item_id, [quantity, share]):
-                raise DuplicateKeyError(
-                    f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}"
-                )
+    for line, (year, kind, item_id, quantity, share) in records(source, what, {
+            "year": int, "kind": str.strip, "item_id": _text,
+            "quantity": _amount, "share": _amount}):
+        if kind not in IO_SIDES:
+            raise SchemaError(
+                f"{what}: kind must be 'output' or 'input', got {kind!r} "
+                f"in row {line}"
+            )
+        if quantity <= 0 and share > 0:
+            warnings.warn(
+                f"{what}: non-positive quantity for {kind} {item_id!r} in "
+                f"{year} (row {line}); it will be rejected if it enters a "
+                f"log-ratio",
+                stacklevel=2,
+            )
+        if not columns.add((year, kind), item_id, [quantity, share]):
+            raise DuplicateKeyError(
+                f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}"
+            )
     for year in sorted({year for year, _ in columns.by_key}):
         for kind in IO_SIDES:
             _normalize_shares(columns, year, kind, what)
@@ -207,47 +193,29 @@ def load_price_table(source) -> dict[str, PriceSeries]:
     """Load every commodity in a price-series file, keyed by commodity id."""
     what = _label(source, "price series")
     values: dict[str, dict[int, float]] = {}
-    with _open_text(source, what) as stream:
-        for line, row in _rows(stream, ["commodity_id", "year", "price_per_t"],
-                               what):
-            commodity = row[0].strip()
-            if not commodity:
-                raise SchemaError(f"{what}: empty commodity_id in row {line}")
-            year = _cell(row, 1, "year", line, what, cast=int)
-            price = _cell(row, 2, "price_per_t", line, what)
-            if not (math.isfinite(price) and price > 0):
-                raise DomainError(
-                    f"{what}: value {price!r} in column 'price_per_t', row "
-                    f"{line} must be finite and > 0"
-                )
-            series = values.setdefault(commodity, {})
-            if year in series:
-                raise DuplicateKeyError(
-                    f"{what}: duplicate ({commodity}, {year}) in row {line}"
-                )
-            series[year] = price
+    for line, (commodity, year, price) in records(source, what, {
+            "commodity_id": _text, "year": int, "price_per_t": _price}):
+        series = values.setdefault(commodity, {})
+        if year in series:
+            raise DuplicateKeyError(
+                f"{what}: duplicate ({commodity}, {year}) in row {line}"
+            )
+        series[year] = price
     return {c: PriceSeries(c, v) for c, v in sorted(values.items())}
 
 
 def load_land_use(source) -> list[LandUseRecord]:
     """Load land-use records, sorted by year."""
     what = _label(source, "land use")
-    records: dict[int, LandUseRecord] = {}
-    with _open_text(source, what) as stream:
-        for line, row in _rows(stream, ["year", "agricultural_land",
-                                        "non_agricultural_land",
-                                        "total_reported"], what):
-            year = _cell(row, 0, "year", line, what, cast=int)
-            if year in records:
-                raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
-            agricultural = _amount(row, 1, "agricultural_land", line, what)
-            non_agricultural = _amount(row, 2, "non_agricultural_land", line,
-                                       what)
-            total = _amount(row, 3, "total_reported", line, what)
-            with _named(what, line):
-                records[year] = LandUseRecord(year, agricultural,
-                                              non_agricultural, total)
-    return [records[y] for y in sorted(records)]
+    by_year: dict[int, LandUseRecord] = {}
+    for line, (year, *land) in records(source, what, {
+            "year": int, "agricultural_land": _amount,
+            "non_agricultural_land": _amount, "total_reported": _amount}):
+        if year in by_year:
+            raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
+        with _named(what, line):
+            by_year[year] = LandUseRecord(year, *land)
+    return [by_year[y] for y in sorted(by_year)]
 
 
 def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:
@@ -255,12 +223,10 @@ def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:
     what = _label(source, "value/cost series")
     value: dict[int, float] = {}
     cost: dict[int, float] = {}
-    with _open_text(source, what) as stream:
-        for line, row in _rows(stream, ["year", "output_value", "input_cost"],
-                               what):
-            year = _cell(row, 0, "year", line, what, cast=int)
-            if year in value:
-                raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
-            value[year] = _amount(row, 1, "output_value", line, what)
-            cost[year] = _amount(row, 2, "input_cost", line, what)
+    for line, (year, output_value, input_cost) in records(source, what, {
+            "year": int, "output_value": _amount, "input_cost": _amount}):
+        if year in value:
+            raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
+        value[year] = output_value
+        cost[year] = input_cost
     return value, cost

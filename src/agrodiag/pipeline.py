@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import DuplicateKeyError, SchemaError
 from .serialize import (
-    cai_csv, collect, csv_chunks, csv_text, index_csvs, json_chunks, json_text,
+    cai_csv, csv_chunks, csv_text, index_csvs, json_chunks, json_text,
     read_json, write_artifacts,
 )
 
@@ -264,13 +264,6 @@ class Run:
         return chain.from_iterable(stage() for stage in (
             self.decompose, self.tfp, self.growth, self.markets, self.cai,
             self.diagnose))
-
-
-def compute_artifacts(config: RunConfig
-                      ) -> tuple[dict[str, str], DiagnosticReport]:
-    """Run the full pipeline in memory; nothing touches the disk here."""
-    run = Run(config)
-    return collect(run.report()), run.diagnosis
 
 
 def assemble_indicators(config: RunConfig, *, tfp_growth: float,

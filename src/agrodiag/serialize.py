@@ -53,9 +53,11 @@ def _rounded(x: float) -> str:
 
 # The parts ``json.JSONEncoder(sort_keys=True, indent=2,
 # ensure_ascii=False)`` yields, from the generator it is built on, with
-# each float rounded as it is written; float keys are rounded alike
+# each float rounded as it is written; float keys are rounded alike. The
+# indent is given as the two spaces ``indent=2`` stands for, since from
+# CPython 3.13 on the generator takes only a string
 _iterencode = json.encoder._make_iterencode(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring, 2,
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, "  ",
     _rounded, ": ", ",", True, False, False)
 
 
@@ -165,7 +167,8 @@ def cai_csv(cai_values: Mapping[str, float]) -> str:
 
 def read_json(path: Path, what: str):
     """Parse a UTF-8 JSON file (a leading byte-order mark is dropped); bad
-    bytes or syntax raise SchemaError naming WHAT and the path."""
+    bytes, bad syntax or nesting too deep for the parser's recursion raise
+    SchemaError naming WHAT and the path."""
     try:
         return json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
@@ -174,6 +177,9 @@ def read_json(path: Path, what: str):
         ) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} {path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(
+            f"{what} {path}: not valid JSON: nested too deeply") from None
 
 
 def collect(artifacts) -> dict[str, str]:

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,33 @@ from agrodiag.advantage import AreaShareTable
 from agrodiag.cli import _run, build_parser, main
 from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
-from agrodiag.pipeline import Run, compute_artifacts, run_pipeline
+from agrodiag.pipeline import Run, run_pipeline
 
 from helpers import REPORT_ARTIFACTS
-from test_startup import ENTRY, RUN_CLI, loaded_modules
+from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
+
+# the digests of the fixture report, which the benchmark checks too
+PINNED = json.loads((Path(__file__).parents[1] / "perfbench"
+                     / "fixture_sha256.json").read_text())
+
+
+def other_interpreters() -> list[str]:
+    """Each ``python3.10`` ... ``python3.13`` on PATH but this
+    interpreter's version that starts; a pyenv shim of a version not
+    selected exits 127, and counts as not found."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        try:
+            started = subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                     timeout=60).returncode == 0
+        except OSError:
+            started = False
+        if started:
+            found.append(exe)
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +112,26 @@ class TestReport:
 
     def test_fixture_bytes_match_the_pinned_digests(self, report_dir):
         # the digests the benchmark checks its fixture report against
-        pinned = json.loads((Path(__file__).parents[1] / "perfbench"
-                             / "fixture_sha256.json").read_text())
-        assert sorted(pinned) == sorted(REPORT_ARTIFACTS)
-        for name, digest in pinned.items():
+        assert sorted(PINNED) == sorted(REPORT_ARTIFACTS)
+        for name, digest in PINNED.items():
             assert hashlib.sha256((report_dir / name).read_bytes()) \
                 .hexdigest() == digest, name
+
+    def test_other_interpreters_write_the_pinned_bytes(self, run_dir,
+                                                       tmp_path):
+        found = other_interpreters()
+        if not found:
+            pytest.skip("no other python3.10 ... python3.13 on PATH starts")
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+        for exe in found:
+            out = tmp_path / Path(exe).name
+            result = subprocess.run(
+                [exe, "-m", "agrodiag", "report", "-c",
+                 str(run_dir / "config.json"), "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (result.returncode, result.stderr) == (0, ""), exe
+            assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in PINNED} == PINNED, exe
 
     def test_decomposition_percent_view_present(self, report_dir):
         record = json.loads((report_dir / "decomposition.json").read_text())
@@ -665,6 +704,9 @@ class TestFailureModes:
         "negative, row named": (lambda lines, year, value: set_first_row_cell(
             lines, value, "-1"), "', row 2 must be finite and "),
         "not UTF-8": (None, "not UTF-8 text"),
+        "field over the limit": (lambda lines, year, value: [
+            *lines, "x" * (csv.field_size_limit() + 1)],
+            "is not valid CSV: field larger than field limit"),
     }
 
     @pytest.mark.parametrize("message", list(BREAKS))
@@ -886,6 +928,21 @@ class TestFailureModes:
         assert err.startswith("error: ")
         assert str(bad) in err and "not UTF-8" in err
 
+    @pytest.mark.parametrize("kind, argv", [
+        ("config", ["validate", "-c", "{bad}"]),
+        ("tree config", ["diagnose", "--tree", "{bad}", "--indicators",
+                         "{indicators}"]),
+        ("indicators file", ["diagnose", "--indicators", "{bad}"]),
+    ])
+    def test_json_nested_too_deeply_exits_1_naming_it(
+            self, report_dir, tmp_path, capsys, kind, argv):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 1000 + "]" * 1000)
+        indicators = report_dir / "indicators.json"
+        assert main([a.format(bad=bad, indicators=indicators)
+                     for a in argv]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {kind} {bad}: not valid JSON: nested too deeply\n"
 
 INPUTS = ("area_nation.csv", "area_region.csv", "crops.csv", "io_panel.csv",
           "land_use.csv", "prices.csv", "value_cost.csv")
@@ -1062,11 +1119,11 @@ class TestRunConfig:
         assert main(["diagnose", "-c", str(path), "--tree", "missing.json"]) == 1
         assert capsys.readouterr().err == "error: no inputs: missing.json\n"
 
-    def test_compute_artifacts_is_pure(self, run_dir):
-        config = load_run_config(run_dir / "config.json")
-        artifacts, report = compute_artifacts(config)
+    def test_a_report_collected_in_memory_is_pure(self, run_dir):
+        run = Run(load_run_config(run_dir / "config.json"))
+        artifacts = serialize.collect(run.report())
         assert sorted(artifacts) == sorted(REPORT_ARTIFACTS)
-        assert report.binding_constraints
+        assert run.diagnosis.binding_constraints
 
     @pytest.mark.parametrize("key, value", [
         ("methods", []),

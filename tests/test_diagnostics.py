@@ -58,8 +58,10 @@ def indicators(**values):
 
 
 class TestLoadTree:
-    def test_single_node_tree_loads(self):
-        tree = load_tree(json.dumps(single_node_config()))
+    def test_single_node_tree_loads(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(single_node_config()))
+        tree = load_tree(path)
         assert tree.roots == ["only"]
         assert labels(tree) == ("bigness",)
 
@@ -142,15 +144,18 @@ class TestLoadTree:
         with pytest.raises(TreeConfigError, match="two roots"):
             tree_from_dict(config)
 
-    def test_bad_json(self):
+    def test_bad_json(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text("{not json")
         with pytest.raises(TreeConfigError, match="JSON"):
-            load_tree("{not json")
+            load_tree(path)
 
     def test_byte_order_mark_in_file_is_dropped(self, tmp_path):
-        path = tmp_path / "tree.json"
+        path, plain = tmp_path / "tree.json", tmp_path / "plain.json"
         text = json.dumps(single_node_config())
         path.write_bytes(text.encode("utf-8-sig"))
-        with_bom, without = load_tree(path), load_tree(text)
+        plain.write_text(text)
+        with_bom, without = load_tree(path), load_tree(plain)
         assert (with_bom.nodes, with_bom.roots, with_bom.manifest) == \
             (without.nodes, without.roots, without.manifest)
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import sys
@@ -11,6 +12,7 @@ from agrodiag import fixtures
 from agrodiag.decomposition import decompose
 from agrodiag.errors import (
     CoverageError,
+    DataInconsistencyError,
     DomainError,
     DuplicateKeyError,
     NormalizationError,
@@ -723,3 +725,225 @@ class TestLoadLandUseAndCosts:
         text = f"year,output_value,input_cost\n1999,1,1\n{row}\n"
         with pytest.raises(DomainError, match=f"'{column}', row 3"):
             load_value_cost(io.StringIO(text))
+
+
+# input kind -> (its loader, its header, a valid data row); a stream has no
+# name, so each message starts with the kind alone
+LOADERS = {
+    "crop panel": (load_crop_panel,
+                   "crop_id,year,area_ha,production_t,price_per_t",
+                   "paddy,2005,100,250,500"),
+    "io panel": (load_io_panel, "year,kind,item_id,quantity,share",
+                 "2000,output,grain,100,1"),
+    "price series": (load_price_table, "commodity_id,year,price_per_t",
+                     "wheat,2002,700"),
+    "land use": (load_land_use,
+                 "year,agricultural_land,non_agricultural_land,total_reported",
+                 "2000,68,18,100"),
+    "value/cost series": (load_value_cost, "year,output_value,input_cost",
+                          "2000,1500,1000"),
+}
+
+# (input kind, its data rows, the error type, the message after the kind);
+# each input has one fault
+CELL_FAULTS = [
+    ("crop panel", ["paddy,x,100,250,500"], SchemaError,
+     "non-numeric value 'x' in column 'year', row 2"),
+    ("crop panel", ["paddy,2005.0,100,250,500"], SchemaError,
+     "non-numeric value '2005.0' in column 'year', row 2"),
+    ("crop panel", ["paddy,2005,x,250,500"], SchemaError,
+     "non-numeric value 'x' in column 'area_ha', row 2"),
+    ("crop panel", ["paddy,2005,100,,500"], SchemaError,
+     "non-numeric value '' in column 'production_t', row 2"),
+    ("crop panel", ["paddy,2005,100,250,5 00"], SchemaError,
+     "non-numeric value '5 00' in column 'price_per_t', row 2"),
+    ("crop panel", ["paddy,2005,-1,250,500"], DomainError,
+     "value -1.0 in column 'area_ha', row 2 must be finite and >= 0"),
+    ("crop panel", ["paddy,2005,100,inf,500"], DomainError,
+     "value inf in column 'production_t', row 2 must be finite and >= 0"),
+    ("crop panel", ["paddy,2005,100,250,nan"], DomainError,
+     "value nan in column 'price_per_t', row 2 must be finite and >= 0"),
+    ("crop panel", [" ,2005,100,250,500"], SchemaError,
+     "empty crop_id in row 2"),
+    ("crop panel", ["paddy,2005,100,250,500", "paddy,2005,1,1,1"],
+     DuplicateKeyError, "duplicate (paddy, 2005) in row 3"),
+    ("io panel", ["x,output,grain,100,1"], SchemaError,
+     "non-numeric value 'x' in column 'year', row 2"),
+    ("io panel", ["2000,output,grain,x,1"], SchemaError,
+     "non-numeric value 'x' in column 'quantity', row 2"),
+    ("io panel", ["2000,output,grain,100,x"], SchemaError,
+     "non-numeric value 'x' in column 'share', row 2"),
+    ("io panel", ["2000,output,grain,-inf,1"], DomainError,
+     "value -inf in column 'quantity', row 2 must be finite and >= 0"),
+    ("io panel", ["2000,output,grain,100,-0.5"], DomainError,
+     "value -0.5 in column 'share', row 2 must be finite and >= 0"),
+    ("io panel", ["2000,output,,100,1"], SchemaError,
+     "empty item_id in row 2"),
+    ("io panel", ["2000,midput,grain,100,1"], SchemaError,
+     "kind must be 'output' or 'input', got 'midput' in row 2"),
+    ("io panel", ["2000,output,grain,100,1", "2000,output,grain,1,0"],
+     DuplicateKeyError, "duplicate output 'grain' for 2000 in row 3"),
+    ("price series", ["wheat,x,700"], SchemaError,
+     "non-numeric value 'x' in column 'year', row 2"),
+    ("price series", ["wheat,2002,x"], SchemaError,
+     "non-numeric value 'x' in column 'price_per_t', row 2"),
+    ("price series", ["wheat,2002,0"], DomainError,
+     "value 0.0 in column 'price_per_t', row 2 must be finite and > 0"),
+    ("price series", ["wheat,2002,inf"], DomainError,
+     "value inf in column 'price_per_t', row 2 must be finite and > 0"),
+    ("price series", [",2002,700"], SchemaError,
+     "empty commodity_id in row 2"),
+    ("price series", ["wheat,2002,700", "wheat,2002,710"],
+     DuplicateKeyError, "duplicate (wheat, 2002) in row 3"),
+    ("land use", ["x,68,18,100"], SchemaError,
+     "non-numeric value 'x' in column 'year', row 2"),
+    ("land use", ["2000,x,18,100"], SchemaError,
+     "non-numeric value 'x' in column 'agricultural_land', row 2"),
+    ("land use", ["2000,68,x,100"], SchemaError,
+     "non-numeric value 'x' in column 'non_agricultural_land', row 2"),
+    ("land use", ["2000,68,18,x"], SchemaError,
+     "non-numeric value 'x' in column 'total_reported', row 2"),
+    ("land use", ["2000,-68,18,100"], DomainError,
+     "value -68.0 in column 'agricultural_land', row 2 must be finite "
+     "and >= 0"),
+    ("land use", ["2000,68,18,100", "2000,68,18,100"], DuplicateKeyError,
+     "duplicate year 2000 in row 3"),
+    ("land use", ["2000,68,48,100"], DataInconsistencyError,
+     "land components in 2000 exceed total reported area (116.0 > 100.0) "
+     "in row 2"),
+    ("value/cost series", ["x,1500,1000"], SchemaError,
+     "non-numeric value 'x' in column 'year', row 2"),
+    ("value/cost series", ["2000,x,1000"], SchemaError,
+     "non-numeric value 'x' in column 'output_value', row 2"),
+    ("value/cost series", ["2000,1500,x"], SchemaError,
+     "non-numeric value 'x' in column 'input_cost', row 2"),
+    ("value/cost series", ["2000,1500,-1e400"], DomainError,
+     "value -inf in column 'input_cost', row 2 must be finite and >= 0"),
+    ("value/cost series", ["2000,1500,1000", "2000,1,1"], DuplicateKeyError,
+     "duplicate year 2000 in row 3"),
+]
+
+# whole-file fault -> (the input text, the message after the kind), each
+# made from a loader's header and valid row
+FILE_FAULTS = {
+    "bad header": (lambda header, row: f"nonsense\n{row}\n",
+                   lambda header: f"bad header ['nonsense'], expected "
+                                  f"{header.split(',')!r}"),
+    "blank first line": (lambda header, row: f"\n{header}\n{row}\n",
+                         lambda header: f"bad header [], expected "
+                                        f"{header.split(',')!r}"),
+    "wrong width": (lambda header, row: f"{header}\n{row},1\n",
+                    lambda header: f"row 2 has {header.count(',') + 2} "
+                                   f"columns, expected "
+                                   f"{header.count(',') + 1}"),
+    "empty file": (lambda header, row: "",
+                   lambda header: f"empty file, expected header {header}"),
+    "header only": (lambda header, row: f"{header}\n",
+                    lambda header: "header but no data rows"),
+}
+
+
+def assert_loader_message(kind, rows, error, message):
+    """Loading ROWS under the header of KIND raises exactly ERROR, with
+    MESSAGE after the kind."""
+    load, header, _ = LOADERS[kind]
+    text = "".join(f"{line}\n" for line in (header, *rows))
+    with pytest.raises(error) as caught:
+        load(io.StringIO(text))
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{kind}: {message}"
+
+
+class TestLoaderMessages:
+    """Every loader message, in full, each from an input with one fault."""
+
+    @pytest.mark.parametrize("kind, rows, error, message", CELL_FAULTS)
+    def test_cell_and_row_faults(self, kind, rows, error, message):
+        assert_loader_message(kind, rows, error, message)
+
+    @pytest.mark.parametrize("fault", list(FILE_FAULTS))
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_file_faults(self, kind, fault):
+        load, header, row = LOADERS[kind]
+        text, message = FILE_FAULTS[fault]
+        with pytest.raises(SchemaError) as caught:
+            load(io.StringIO(text(header, row)))
+        assert type(caught.value) is SchemaError
+        assert str(caught.value) == f"{kind}: {message(header)}"
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, kind):
+        load, header, row = LOADERS[kind]
+        path = tmp_path / "input.csv"
+        path.write_bytes(f"{header}\n{row}\n".encode() + b"\xff\n")
+        with pytest.raises(SchemaError) as caught:
+            load(path)
+        assert type(caught.value) is SchemaError
+        assert str(caught.value) == \
+            f"{kind} {path}: not UTF-8 text (invalid start byte)"
+
+    def test_the_file_is_named_after_the_kind(self, tmp_path):
+        path = tmp_path / "crops.csv"
+        path.write_text("crop_id,year,area_ha,production_t,price_per_t\n"
+                        "paddy,x,1,1,1\n")
+        with pytest.raises(SchemaError) as caught:
+            load_crop_panel(path)
+        assert str(caught.value) == (
+            f"crop panel {path}: non-numeric value 'x' in column 'year', "
+            f"row 2")
+
+    @pytest.mark.parametrize("deflator, error, message", [
+        ({2006: 100.0}, CoverageError,
+         "deflator does not cover year 2005 (row 2)"),
+        ({2005: 0.0}, DomainError,
+         "deflator for 2005 must be finite and > 0, got 0.0 (row 2)"),
+    ])
+    def test_deflator_faults(self, deflator, error, message):
+        text = ("crop_id,year,area_ha,production_t,price_per_t\n"
+                "paddy,2005,100,250,500\n")
+        with pytest.raises(error) as caught:
+            load_text(text, deflator=deflator)
+        assert type(caught.value) is error
+        assert str(caught.value) == f"crop panel: {message}"
+
+    # of two faults in one row, the cells are decoded left to right first,
+    # then the row's own checks run: the first four cases changed to this
+    # order from one where the duplicate year or the kind came first
+    @pytest.mark.parametrize("kind, rows, error, message", [
+        ("land use", ["2000,68,18,100", "2000,-1,18,100"], DomainError,
+         "value -1.0 in column 'agricultural_land', row 3 must be finite "
+         "and >= 0"),
+        ("value/cost series", ["2000,1500,1000", "2000,nan,1"], DomainError,
+         "value nan in column 'output_value', row 3 must be finite and >= 0"),
+        ("io panel", ["2000,midput,grain,x,1"], SchemaError,
+         "non-numeric value 'x' in column 'quantity', row 2"),
+        ("io panel", ["2000,midput,,100,1"], SchemaError,
+         "empty item_id in row 2"),
+        ("crop panel", [",x,100,250,500"], SchemaError,
+         "empty crop_id in row 2"),
+        ("crop panel", ["paddy,2005,1,1,1", "paddy,2005,1,-1,1"], DomainError,
+         "value -1.0 in column 'production_t', row 3 must be finite "
+         "and >= 0"),
+        ("price series", ["wheat,2002,700", "wheat,2002,0"], DomainError,
+         "value 0.0 in column 'price_per_t', row 3 must be finite and > 0"),
+    ])
+    def test_of_two_faults_the_cells_come_first(self, kind, rows, error,
+                                               message):
+        assert_loader_message(kind, rows, error, message)
+
+    def test_a_field_over_the_csv_limit_names_the_row(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("commodity_id,year,price_per_t\nwheat,2002,700\n"
+                        f"{'w' * (csv.field_size_limit() + 1)},2003,700\n")
+        with pytest.raises(SchemaError) as caught:
+            load_price_table(path)
+        assert str(caught.value) == (
+            f"price series {path}: row 3 is not valid CSV: field larger "
+            f"than field limit ({csv.field_size_limit()})")
+
+    def test_a_header_over_the_csv_limit_names_row_1(self):
+        text = f"{'c' * (csv.field_size_limit() + 1)}\n"
+        with pytest.raises(SchemaError) as caught:
+            load_value_cost(io.StringIO(text))
+        assert str(caught.value).startswith(
+            "value/cost series: row 1 is not valid CSV: ")

@@ -1,6 +1,7 @@
 """Start-up footprint: the package and the CLI load only the layers a
 command runs, and the lazy public names of the package and of the CLI
 behave like eager ones."""
+import ast
 import importlib
 import json
 import os
@@ -253,3 +254,48 @@ class TestCliForwardedNames:
     def test_unknown_name_is_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cli.no_such_name
+
+
+def _module_imports(tree: ast.Module):
+    """The (name bound, line) of every import at module level, also under
+    an ``if`` (such as ``if TYPE_CHECKING:``); ``__future__`` excluded."""
+    body = list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, ast.If):
+            body += node.body + node.orelse
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, also inside a quoted annotation."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= _names_used(ast.parse(note.value, mode="eval"))
+    return used
+
+
+class TestModuleImports:
+    @pytest.mark.parametrize("path", sorted(
+        Path(agrodiag.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+    def test_every_module_level_import_is_used(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _names_used(tree)
+        assert [f"{name} (line {line})" for name, line in _module_imports(tree)
+                if name not in used] == []
