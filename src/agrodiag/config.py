@@ -6,12 +6,20 @@ file's directory; every error names the file and the key at fault.
 """
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 from ._record import Record
 from .errors import SchemaError
-from .serialize import read_json
+from .serialize import (
+    Refused, decoder, finite, integer, json_object, one_of, read_json, string,
+    strings,
+)
+
+# ``open`` refuses a NUL character with an error that names no key
+_FILE_NAME = decoder(lambda value: type(value) is str and "\0" not in value,
+                     "a string without NUL characters")
+_PAIR = decoder(lambda value: type(value) is list and len(value) == 2,
+                "a [first_year, last_year] pair")
 
 
 class RunConfig(Record):
@@ -44,97 +52,46 @@ class RunConfig(Record):
 
 def load_run_config(path: Path | str) -> RunConfig:
     path = Path(path)
-    raw = read_json(path, "config")
     base = path.parent
 
-    def check(name: str, value, ok: bool, expected: str):
-        """VALUE if OK, else a SchemaError naming the key NAME."""
-        if not ok:
-            raise SchemaError(f"config {path}: {name} must be {expected}, "
-                              f"got {value!r}")
-        return value
+    def file(value) -> Path:
+        return base / _FILE_NAME(value)
 
-    def mapping(name: str, value) -> dict:
-        return check(name, value, isinstance(value, dict), "an object")
-
-    def section(key: str) -> dict:
-        return mapping(key, raw.get(key, {}))
-
-    def strings(name: str, value) -> list[str]:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-        return check(name, value, ok, "a list of strings")
-
-    def string(name: str, value) -> str:
-        return check(name, value, isinstance(value, str), "a string")
-
-    def filename(name: str, value) -> str:
-        # ``open`` refuses a NUL character with an error that names no key
-        ok = isinstance(value, str) and "\0" not in value
-        return check(name, value, ok, "a string without NUL characters")
-
-    def resolve(name: str, value) -> Path:
-        return base / filename(name, value)
-
-    def year(name: str, value) -> int:
-        # ``bool`` subclasses ``int``, so JSON ``true`` must be kept out
-        return check(name, value, type(value) is int, "an integer year")
-
-    def window(label: str, value) -> tuple[int, int]:
-        name = f"periods.{label}"
-        check(name, value, isinstance(value, list) and len(value) == 2,
-              "a [first_year, last_year] pair")
-        return year(name, value[0]), year(name, value[1])
-
+    decode = json_object({
+        "inputs": json_object({
+            **dict.fromkeys(("crop_panel", "io_panel", "land_use",
+                             "cost_series", "area_shares_region",
+                             "area_shares_nation"), file),
+            "price_series": lambda value: [file(p) for p in strings(value)],
+        }),
+        "periods": (json_object(
+            lambda value: tuple(map(integer, _PAIR(value)))), {}),
+        "decomposition": json_object({"base_year": integer,
+                                      "terminal_year": integer}),
+        "break_year": integer,
+        "break_commodities": strings,
+        "grain_commodity": string,
+        "fertilizer_commodity": string,
+        "diversification_group": string,
+        "benchmarks": (json_object({
+            "national_tfp_growth_pct": (finite, 0.0)}), {}),
+        "tree": (lambda value: value if value == "builtin" else file(value),
+                 "builtin"),
+        "output_dir": (file, "out"),
+        "methods": (json_object({
+            "growth_method": (one_of("loglinear", "cagr"), "loglinear"),
+            "cv_ddof": (one_of(0, 1), 1),
+            "period_mode": (one_of("triennium", "endpoint"), "triennium"),
+            "tfp_base_year": (integer, None),
+        }), {}),
+    })
     try:
-        inputs = mapping("inputs", raw["inputs"])
-        methods = section("methods")
-        periods = {label: window(label, value)
-                   for label, value in section("periods").items()}
-        decomp = mapping("decomposition", raw["decomposition"])
-        tfp_base_year = methods.get("tfp_base_year")
-        if tfp_base_year is not None:
-            year("methods.tfp_base_year", tfp_base_year)
-        options = {}
-        for key, default, allowed in (
-            ("growth_method", "loglinear", ("loglinear", "cagr")),
-            ("period_mode", "triennium", ("triennium", "endpoint")),
-            ("cv_ddof", 1, (0, 1)),
-        ):
-            value = options[key] = methods.get(key, default)
-            # the type check keeps out 1.0 and true, which equal 1
-            check(f"methods.{key}", value,
-                  value in allowed and type(value) is type(allowed[0]),
-                  f"one of {allowed}")
-        national = section("benchmarks").get("national_tfp_growth_pct", 0.0)
-        # the type check keeps out true; NaN and the infinities fail the bound
-        check("benchmarks.national_tfp_growth_pct", national,
-              type(national) in (int, float)
-              and abs(national) <= sys.float_info.max, "a finite number")
-        return RunConfig(
-            **{key: resolve(f"inputs.{key}", inputs[key]) for key in (
-                "crop_panel", "io_panel", "land_use", "cost_series",
-                "area_shares_region", "area_shares_nation")},
-            price_series=[resolve("inputs.price_series", p) for p in strings(
-                "inputs.price_series", inputs["price_series"])],
-            periods=periods,
-            decomposition_base=year("decomposition.base_year",
-                                    decomp["base_year"]),
-            decomposition_terminal=year("decomposition.terminal_year",
-                                        decomp["terminal_year"]),
-            break_year=year("break_year", raw["break_year"]),
-            break_commodities=strings("break_commodities",
-                                      raw["break_commodities"]),
-            **{key: string(key, raw[key]) for key in (
-                "grain_commodity", "fertilizer_commodity",
-                "diversification_group")},
-            national_tfp_growth_pct=float(national),
-            tree=("builtin" if raw.get("tree", "builtin") == "builtin"
-                  else resolve("tree", raw["tree"])),
-            output_dir=resolve("output_dir", raw.get("output_dir", "out")),
-            tfp_base_year=tfp_base_year,
-            **options,
-        )
-    except KeyError as exc:
-        raise SchemaError(f"config {path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"config {path}: malformed value ({exc})") from None
+        raw = decode(read_json(path, "config"))
+    except Refused as exc:
+        raise SchemaError(f"config {path}: {exc}") from None
+    decomposition, benchmarks = raw.pop("decomposition"), raw.pop("benchmarks")
+    return RunConfig(
+        **raw.pop("inputs"), **raw.pop("methods"), **raw,
+        decomposition_base=decomposition["base_year"],
+        decomposition_terminal=decomposition["terminal_year"],
+        national_tfp_growth_pct=float(benchmarks["national_tfp_growth_pct"]))

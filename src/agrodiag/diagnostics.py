@@ -8,6 +8,7 @@ byte for byte once serialized.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -19,8 +20,8 @@ from .errors import (
     SchemaError,
     TreeConfigError,
 )
-from .serialize import read_json
-from .tree import _is_number, tree_from_dict
+from .serialize import Refused, finite, integer, json_object, read_json, string
+from .tree import tree_from_dict
 
 if TYPE_CHECKING:
     from .tree import DiagnosticTree
@@ -38,7 +39,8 @@ class Indicator(Record, frozen=True):
 
     @property
     def is_scalar(self) -> bool:
-        return _is_number(self.value)
+        # ``bool`` subclasses ``int``, so ``True`` must be kept out
+        return isinstance(self.value, Real) and not isinstance(self.value, bool)
 
 
 class IndicatorSet:
@@ -81,47 +83,51 @@ class IndicatorSet:
 
     @classmethod
     def from_dict(cls, data, what: str = "indicator set") -> "IndicatorSet":
-        """The inverse of ``to_dict``. Each value must be a number or a
-        list of ``[year, number]`` pairs; anything else raises SchemaError
-        starting with WHAT and naming the indicator."""
-        if not isinstance(data, dict):
+        """The inverse of ``to_dict``: a value is a finite number or a list
+        of ``[year, number]`` pairs, units and provenance are strings, and
+        anything else raises SchemaError naming WHAT and the indicator."""
+        if type(data) is not dict:
             raise SchemaError(f"{what}: must be an object mapping indicator "
                               f"names to entries, got {data!r}")
         out = cls()
         for name in sorted(data):
             entry = data[name]
-            if not (isinstance(entry, dict) and "value" in entry):
+            if type(entry) is not dict or "value" not in entry:
                 raise SchemaError(f"{what}: indicator {name!r} must be an "
                                   f"object with a 'value', got {entry!r}")
-            value = entry["value"]
-            if isinstance(value, list):
-                if not all(isinstance(pair, list) and len(pair) == 2
-                           and type(pair[0]) is int and _is_number(pair[1])
-                           for pair in value):
-                    raise SchemaError(
-                        f"{what}: indicator {name!r}: series {value!r} must "
-                        "be a list of [year, number] pairs")
-                value = {y: float(v) for y, v in value}
-            elif not _is_number(value):
-                raise SchemaError(f"{what}: indicator {name!r}: value "
-                                  f"{value!r} is not a number")
-            out.add(name, value, entry.get("units", ""),
-                    entry.get("provenance", ""))
+            try:
+                out.add(name, _value(entry["value"]), **_ENTRY(entry))
+            except Refused as exc:
+                raise SchemaError(
+                    f"{what}: indicator {name!r}: {exc}") from None
         return out
+
+
+_ENTRY = json_object({"units": (string, ""), "provenance": (string, "")})
+
+
+def _value(value):
+    """An indicator file's value: a finite number, or a list of
+    [year, number] pairs, read as {year: number}."""
+    series = type(value) is list
+    try:
+        return ({integer(year): float(finite(number)) for year, number in value}
+                if series else finite(value))
+    except (TypeError, ValueError):  # a number refused, or not a pair
+        raise Refused(
+            f"series {value!r} must be a list of [year, number] pairs"
+            if series else f"value {value!r} is not a number") from None
 
 
 def load_tree(path) -> DiagnosticTree:
     """Load a tree from a JSON file at PATH, read as UTF-8 with or without
     a byte-order mark. Every error starts with ``tree config <path>:``."""
     try:
-        config = read_json(Path(path), "tree config")
+        return tree_from_dict(read_json(Path(path), "tree config"))
+    except TreeConfigError as exc:
+        raise type(exc)(f"tree config {path}: {exc}") from None
     except SchemaError as exc:  # bad bytes or syntax, the file named
         raise TreeConfigError(str(exc)) from None
-    try:
-        return tree_from_dict(config)
-    except TreeConfigError as exc:
-        raise type(exc)(f"tree config {path}: "
-                        f"{str(exc).removeprefix('tree config ')}") from None
 
 
 def builtin_bihar_tree() -> DiagnosticTree:

@@ -1,4 +1,5 @@
-"""Deterministic artifact text, in and out.
+"""Deterministic artifact text, in and out, and the decoders that check
+the JSON inputs ``read_json`` parses.
 
 Serialized artifacts round floats to 6 significant digits and order keys
 and rows, so two runs on identical inputs are byte-identical. Full
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -175,11 +177,81 @@ def read_json(path: Path, what: str):
         raise SchemaError(
             f"{what} {path}: not UTF-8 text ({exc.reason})"
         ) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer of too many digits
         raise SchemaError(f"{what} {path}: not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(
             f"{what} {path}: not valid JSON: nested too deeply") from None
+
+
+# The JSON decoders: each input declares its keys once, as a
+# {key: decoder} table for ``json_object``.
+
+class Refused(ValueError):
+    """A JSON value a decoder refuses; ``str`` is its dotted path, then why."""
+
+    keys: tuple[str, ...] = ()  # json_object puts each key in front
+
+    def __str__(self) -> str:
+        return f"{'.'.join(self.keys)} {self.args[0]}".lstrip()
+
+
+def decoder(test, expected: str):
+    """The decoder that returns a value TEST holds for and refuses any
+    other, saying it must be EXPECTED."""
+    def decode(value):
+        if not test(value):
+            raise Refused(f"must be {expected}, got {value!r}")
+        return value
+    return decode
+
+
+string = decoder(lambda value: type(value) is str, "a string")
+strings = decoder(lambda value: type(value) is list and all(
+    type(v) is str for v in value), "a list of strings")
+# ``bool`` subclasses ``int``, so JSON ``true`` must be kept out
+integer = decoder(lambda value: type(value) is int, "an integer")
+# NaN, the infinities and an integer too large for a float fail the bound
+finite = decoder(lambda value: type(value) in (int, float)
+                 and abs(value) <= sys.float_info.max, "a finite number")
+
+
+def one_of(*allowed):
+    # the type check keeps out 1.0 and true, which equal 1
+    return decoder(lambda value: value in allowed
+                   and type(value) is type(allowed[0]), f"one of {allowed}")
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def json_object(fields, closed: bool = False):
+    """The decoder of an object, which returns {key: decoded value}. FIELDS
+    maps each key to a decoder, or to a (decoder, default) pair if the key
+    may be absent (the default is decoded, but for None, which a JSON null
+    also reads as), or is one decoder for every key. A key not in FIELDS
+    is ignored, or refused if CLOSED."""
+    def decode(value) -> dict:
+        if type(value) is not dict:
+            raise Refused(f"must be an object, got {value!r}")
+        table = fields if type(fields) is dict else dict.fromkeys(value, fields)
+        unknown = closed and sorted(value.keys() - table.keys())
+        if unknown:
+            raise Refused(f"has unknown keys {unknown}")
+        out = {}
+        for key, field in table.items():
+            check, default = field if type(field) is tuple else (field, _REQUIRED)
+            raw = value.get(key, default)
+            if raw is _REQUIRED:
+                raise Refused(f"missing key {key!r}")
+            try:
+                out[key] = (None if raw is None and default is None
+                            else check(raw))
+            except Refused as exc:
+                exc.keys = (key, *exc.keys)
+                raise
+        return out
+    return decode
 
 
 def collect(artifacts) -> dict[str, str]:

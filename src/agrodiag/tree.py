@@ -11,8 +11,6 @@ JSON and evaluating a tree are ``diagnostics``' part.
 """
 from __future__ import annotations
 
-import math
-from numbers import Real
 from typing import Mapping
 
 from ._record import Record
@@ -22,16 +20,12 @@ from .errors import (
     ManifestError,
     TreeConfigError,
 )
+from .serialize import Refused, finite, json_object, string, strings
 
 COMPARATORS = ("<", "<=", ">", ">=", "=", "trend_up", "trend_down", "stable")
 _THRESHOLD_COMPARATORS = ("<", "<=", ">", ">=", "=")
 _TOLERANCE_COMPARATORS = ("=", "stable")
 VERDICTS = ("binding", "not_binding")
-
-
-def _is_number(value) -> bool:
-    # ``bool`` subclasses ``int``, so JSON ``true`` must be kept out
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class Predicate(Record, frozen=True):
@@ -54,14 +48,6 @@ class Predicate(Record, frozen=True):
                 f"unknown comparator {self.comparator!r}; "
                 f"expected one of {COMPARATORS}"
             )
-        for name in ("threshold", "tolerance"):
-            value = getattr(self, name)
-            if value is not None and not (_is_number(value)
-                                          and math.isfinite(value)):
-                raise TreeConfigError(
-                    f"{name} of {self.comparator!r} on {self.indicator!r} "
-                    f"must be a finite number, got {value!r}"
-                )
         needs_threshold = self.comparator in _THRESHOLD_COMPARATORS
         if needs_threshold and self.threshold is None:
             raise TreeConfigError(
@@ -165,6 +151,9 @@ class DiagnosticTree:
     def _validate(self) -> None:
         if not self.roots:
             raise TreeConfigError("tree has no roots")
+        if len(set(self.roots)) < len(self.roots):
+            twice = next(r for r in self.roots if self.roots.count(r) > 1)
+            raise TreeConfigError(f"root {twice!r} is listed twice")
         for root in self.roots:
             if root not in self.nodes:
                 raise DanglingReferenceError(f"root {root!r} is not a node")
@@ -232,68 +221,42 @@ class DiagnosticTree:
         return (b.node for b in (node.on_true, node.on_false)
                 if b.node is not None)
 
-def _parse_branch(raw, name: str) -> Branch:
-    if not isinstance(raw, Mapping):
-        raise TreeConfigError(f"{name} must be an object with 'node' or 'verdict'")
-    unknown = set(raw) - {"node", "verdict"}
-    if unknown:
-        raise TreeConfigError(f"{name} has unknown keys {sorted(unknown)}")
-    child = raw.get("node")
-    if child is not None and not isinstance(child, str):
-        raise TreeConfigError(f"{name} node id must be a string, got {child!r}")
-    return Branch(node=child, verdict=raw.get("verdict"))
 
-
-def _parse_node(node_id: str, raw) -> DiagnosticNode:
-    if not isinstance(raw, Mapping):
-        raise TreeConfigError(f"must be an object, got {raw!r}")
-    pred_raw = raw.get("predicate")
-    if not isinstance(pred_raw, Mapping) or "indicator" not in pred_raw:
-        raise TreeConfigError("needs a predicate with an indicator")
-    comparator = str(pred_raw.get("comparator", ""))
-    if comparator == "==":
-        comparator = "="
-    label = raw.get("constraint_label")
-    if label is not None and not isinstance(label, str):
-        raise TreeConfigError(f"constraint_label must be a string, got {label!r}")
-    return DiagnosticNode(
-        id=node_id,
-        question=str(raw.get("question", "")),
-        predicate=Predicate(
-            indicator=str(pred_raw["indicator"]),
-            comparator=comparator,
-            threshold=pred_raw.get("threshold"),
-            tolerance=pred_raw.get("tolerance"),
-        ),
-        on_true=_parse_branch(raw.get("on_true"), "on_true"),
-        on_false=_parse_branch(raw.get("on_false"), "on_false"),
-        constraint_label=label,
-    )
+_BRANCH = json_object({"node": (string, None), "verdict": (string, None)},
+                      closed=True)
+_NODE = json_object({
+    "question": (string, ""),
+    "predicate": json_object({
+        "indicator": string,
+        "comparator": string,
+        "threshold": (finite, None),
+        "tolerance": (finite, None),
+    }),
+    "constraint_label": (string, None),
+    "on_true": _BRANCH,
+    "on_false": _BRANCH,
+})
+# each node is decoded in turn, so that its errors name it
+_TREE = json_object({"roots": strings, "nodes": json_object(lambda node: node),
+                     "manifest": json_object(string)})
 
 
 def tree_from_dict(config: Mapping) -> DiagnosticTree:
     """Build and validate a tree from parsed config data."""
-    if not isinstance(config, Mapping):
-        raise TreeConfigError("tree config must be a JSON object")
-    for key in ("roots", "nodes", "manifest"):
-        if key not in config:
-            raise TreeConfigError(f"tree config is missing top-level {key!r}")
-    manifest_raw, nodes_raw = config["manifest"], config["nodes"]
-    if isinstance(manifest_raw, Mapping):
-        manifest = {str(k): str(v) for k, v in manifest_raw.items()}
-    elif isinstance(manifest_raw, (list, tuple)):
-        manifest = {str(name): "" for name in manifest_raw}
-    else:
-        raise TreeConfigError(
-            "tree config 'manifest' must be an object or a list of names")
-    if not isinstance(nodes_raw, Mapping):
-        raise TreeConfigError("tree config 'nodes' must be an object of nodes")
-    if not isinstance(config["roots"], (list, tuple)):
-        raise TreeConfigError("tree config 'roots' must be a list of node ids")
+    try:
+        tree = _TREE(config)
+    except Refused as exc:
+        if exc.keys:  # a top-level key is quoted, as the ids in errors are
+            exc.keys = (repr(exc.keys[0]), *exc.keys[1:])
+        raise TreeConfigError(str(exc)) from None
     nodes: dict[str, DiagnosticNode] = {}
-    for node_id, raw in nodes_raw.items():
+    for node_id, raw in tree["nodes"].items():
         try:
-            nodes[str(node_id)] = _parse_node(str(node_id), raw)
-        except TreeConfigError as exc:
+            node = _NODE(raw)
+            nodes[node_id] = DiagnosticNode(
+                node_id, predicate=Predicate(**node.pop("predicate")),
+                on_true=Branch(**node.pop("on_true")),
+                on_false=Branch(**node.pop("on_false")), **node)
+        except (Refused, TreeConfigError) as exc:
             raise TreeConfigError(f"node {node_id!r}: {exc}") from None
-    return DiagnosticTree(nodes, [str(r) for r in config["roots"]], manifest)
+    return DiagnosticTree(nodes, tree["roots"], tree["manifest"])

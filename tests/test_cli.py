@@ -769,6 +769,17 @@ class TestFailureModes:
         ('{"x": {"value": "str"}}', "indicator 'x': value 'str' is not a number"),
         ('{"x": {"value": true}}', "indicator 'x': value True is not a number"),
         ('{"x": {"value": null}}', "indicator 'x': value None is not a number"),
+        ('{"x": {"value": NaN}}', "indicator 'x': value nan is not a number"),
+        pytest.param('{"x": {"value": 1%s}}' % ("0" * 400),
+                     "indicator 'x': value 1000", id="huge integer value"),
+        pytest.param('{"x": {"value": [[2000, 1%s]]}}' % ("0" * 400),
+                     "indicator 'x': series", id="huge integer in a series"),
+        ('{"x": {"value": 1, "units": ["a"]}}',
+         "indicator 'x': units must be a string, got ['a']"),
+        ('{"x": {"value": 1, "provenance": ["a"]}}',
+         "indicator 'x': provenance must be a string, got ['a']"),
+        pytest.param('{"x": {"value": 1%s}}' % ("0" * 5000), "not valid JSON",
+                     id="integer of too many digits"),
     ])
     def test_malformed_indicators_exit_1_naming_file_and_indicator(
             self, tmp_path, capsys, text, fragment):

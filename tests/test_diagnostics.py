@@ -144,6 +144,12 @@ class TestLoadTree:
         with pytest.raises(TreeConfigError, match="two roots"):
             tree_from_dict(config)
 
+    def test_root_listed_twice_rejected(self):
+        config = single_node_config()
+        config["roots"] = ["only", "only"]
+        with pytest.raises(TreeConfigError, match="root 'only' is listed twice"):
+            tree_from_dict(config)
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text("{not json")
@@ -165,6 +171,9 @@ class TestLoadTree:
         ("roots", "only"),
         ("roots", 7),
         ("manifest", 7),
+        ("manifest", ["x"]),
+        ("manifest", {"x": ["unit"]}),
+        ("roots", ["only", 5]),
     ])
     def test_malformed_top_level_value(self, key, value):
         with pytest.raises(TreeConfigError, match=repr(key)):
@@ -188,6 +197,15 @@ class TestLoadTree:
             comparator="=", threshold=1.0, tolerance=float("nan")),
         lambda node: node.update(constraint_label=["a"]),
         lambda node: node.update(on_true={"node": ["x"]}),
+        lambda node: node["predicate"].update(threshold=10 ** 400),
+        lambda node: node["predicate"].update(
+            comparator="=", threshold=1.0, tolerance=10 ** 400),
+        lambda node: node["predicate"].update(
+            comparator="==", threshold=1.0, tolerance=0.1),
+        lambda node: node["predicate"].update(indicator=5),
+        lambda node: node.update(question=5),
+        lambda node: node.update(question=None),
+        lambda node: node.update(question=["a", "list"]),
     ])
     def test_malformed_node_names_the_node(self, mutate):
         config = single_node_config()
