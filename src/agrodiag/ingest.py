@@ -205,9 +205,12 @@ def load_price_table(source) -> dict[str, PriceSeries]:
 
 
 def load_land_use(source) -> list[LandUseRecord]:
-    """Load land-use records, sorted by year."""
+    """Load land-use records, sorted by year. The first three years and
+    the last three must each run without a gap: a report compares their
+    averages (``markets.land_use_ratios``)."""
     what = _label(source, "land use")
     by_year: dict[int, LandUseRecord] = {}
+    rows: dict[int, int] = {}
     for line, (year, *land) in records(source, what, {
             "year": int, "agricultural_land": _amount,
             "non_agricultural_land": _amount, "total_reported": _amount}):
@@ -215,7 +218,15 @@ def load_land_use(source) -> list[LandUseRecord]:
             raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
         with _named(what, line):
             by_year[year] = LandUseRecord(year, *land)
-    return [by_year[y] for y in sorted(by_year)]
+        rows[year] = line
+    years = sorted(by_year)
+    for year, end in ((years[0], years[0] + 2), (years[-1], years[-1])):
+        missing = [y for y in range(end - 2, end + 1) if y not in by_year]
+        if missing:
+            raise CoverageError(
+                f"{what}: triennium ending {end} is missing years {missing} "
+                f"(year {year} is in row {rows[year]})")
+    return [by_year[y] for y in years]
 
 
 def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:

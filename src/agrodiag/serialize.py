@@ -169,10 +169,19 @@ def cai_csv(cai_values: Mapping[str, float]) -> str:
 
 def read_json(path: Path, what: str):
     """Parse a UTF-8 JSON file (a leading byte-order mark is dropped); bad
-    bytes, bad syntax or nesting too deep for the parser's recursion raise
-    SchemaError naming WHAT and the path."""
+    bytes, bad syntax, a key twice in one object or nesting too deep for
+    the parser's recursion raise SchemaError naming WHAT and the path."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise SchemaError(f"{what} {path}: duplicate key {key!r}")
+        return obj
+
     try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
+        return json.loads(path.read_text(encoding="utf-8-sig"),
+                          object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise SchemaError(
             f"{what} {path}: not UTF-8 text ({exc.reason})"

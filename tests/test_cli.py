@@ -10,15 +10,19 @@ from pathlib import Path
 import pytest
 
 import agrodiag
-from agrodiag import fixtures, serialize
+from agrodiag import cli, fixtures, serialize
 from agrodiag.advantage import AreaShareTable
-from agrodiag.cli import _run, build_parser, main
+from agrodiag.cli import _run, main, parse_args
 from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
 from agrodiag.pipeline import Run, run_pipeline
 
 from helpers import REPORT_ARTIFACTS
 from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
+
+# every command, as a usage error lists them
+COMMANDS = ("validate, decompose, tfp, growth, markets, cai, diagnose, "
+            "report")
 
 # the digests of the fixture report, which the benchmark checks too
 PINNED = json.loads((Path(__file__).parents[1] / "perfbench"
@@ -339,6 +343,91 @@ class TestSubcommands:
         assert loaded_modules(RUN_CLI, *argv, "-o", str(out)) == (2, ENTRY)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], f"no command; choose one of {COMMANDS}"),
+        (["foo"], f"unknown command 'foo'; choose one of {COMMANDS}"),
+        (["-c", "config.json"], f"unknown command '-c'; choose one of "
+                                f"{COMMANDS}"),
+        (["decompose", "--conf", "config.json"],
+         "decompose: unknown flag --conf"),
+        (["tfp", "--base", "2005"], "tfp: unknown flag --base"),
+        (["report", "--mode=endpoint"], "report: unknown flag --mode"),
+        (["validate", "-cconfig.json"], "validate: unknown flag -cconfig.json"),
+        (["decompose", "crops.csv"],
+         "decompose: unexpected argument 'crops.csv'"),
+        (["report", "-c", "config.json", "extra"],
+         "report: unexpected argument 'extra'"),
+        (["decompose", "--base"], "decompose: --base needs a value"),
+        (["cai", "--region", "--nation", "n.csv"],
+         "cai: --region needs a value"),
+        (["report", "-c"], "report: --config needs a value"),
+        (["decompose", "--base", "x"],
+         "decompose: --base must be an integer, got 'x'"),
+        (["decompose", "--base=2002.0"],
+         "decompose: --base must be an integer, got '2002.0'"),
+        (["decompose", "--mode", "foo"],
+         "decompose: --mode must be one of triennium, endpoint, got 'foo'"),
+        (["growth", "--method", "CAGR"],
+         "growth: --method must be one of loglinear, cagr, got 'CAGR'"),
+        (["report"], "report needs --config"),
+        (["validate", "-o", "out"], "validate needs --config"),
+    ], ids=["no-command", "unknown-command", "flag-first", "prefix",
+            "other-commands-flag", "report-flag", "attached-short-value",
+            "positional", "positional-after-flags", "no-value",
+            "flag-as-value", "config-no-value", "base-x", "base-float",
+            "mode-foo", "method-case", "report-no-config",
+            "validate-no-config"])
+    def test_usage_error_is_one_line_exit_2_loading_no_layer(
+            self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert loaded_modules(RUN_CLI, *argv) == (2, ENTRY)
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["decompose", "--crop-panel", "{inputs}/crops.csv", "--base",
+          "2002", "--terminal", "2016", "--mode", "endpoint"],
+         ["decompose", "--crop-panel={inputs}/crops.csv", "--base=2002",
+          "--terminal=2016", "--mode=endpoint"]),
+        (["tfp", "-c", "{inputs}/config.json", "--base-year", "2005"],
+         ["tfp", "--config={inputs}/config.json", "--base-year=2005"]),
+    ], ids=["decompose", "tfp"])
+    def test_flag_equals_value_is_flag_then_value(self, run_dir, capsys,
+                                                  spaced, joined):
+        spaced, joined = ([a.format(inputs=run_dir) for a in argv]
+                          for argv in (spaced, joined))
+        assert parse_args(spaced) == parse_args(joined)
+        assert main(spaced) == 0
+        want = capsys.readouterr()
+        assert main(joined) == 0
+        assert capsys.readouterr() == want
+
+    def test_the_last_of_a_repeated_flag_wins(self, run_dir, capsys):
+        crops = str(run_dir / "crops.csv")
+        last = ["decompose", "--crop-panel", crops, "--base", "2002",
+                "--terminal", "2016"]
+        repeated = ["decompose", "--crop-panel", "missing.csv", "--base",
+                    "1990", "--terminal", "2016", "--crop-panel", crops,
+                    "--base=2002"]
+        assert parse_args(repeated) == parse_args(last)
+        assert main(repeated) == 0
+        want = capsys.readouterr()
+        assert main(last) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_exits_0_naming_every_flag(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if command is None:
+            names = list(cli._COMMANDS)
+        else:
+            names = ["-c, --config", "-o, --out", *cli._COMMANDS[command][2]]
+            assert main([command, "-c", "config.json", "-h"]) == 0
+            assert capsys.readouterr() == (out, "")
+        assert [name for name in names if f"  {name} " not in out] == []
+
     def test_diagnose_reproduces_report_diagnosis(self, run_dir, report_dir):
         out = run_dir / "diagnose_out"
         rc = main(["diagnose", "--tree", "builtin",
@@ -651,6 +740,25 @@ class TestFailureModes:
             f"error: land use {land}: land components in {cells[0]} exceed "
             f"total reported area ({used!r} > 1.0) in row 3\n")
 
+    @pytest.mark.parametrize("command", ["validate", "markets", "report"])
+    @pytest.mark.parametrize("row, year, message", [
+        (1, "0", "triennium ending 2 is missing years [1, 2] "
+                 "(year 0 is in row 2)"),
+        (-1, "9999", "triennium ending 9999 is missing years [9997, 9998] "
+                     "(year 9999 is in row 18)"),
+    ], ids=["first", "last"])
+    def test_land_use_year_gap_exits_1_naming_file_and_row(
+            self, tmp_path, capsys, command, row, year, message):
+        config = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        land = config.parent / "land_use.csv"
+        lines = land.read_text().splitlines()
+        lines[row] = ",".join([year, *lines[row].split(",")[1:]])
+        land.write_text("".join(f"{line}\n" for line in lines))
+        assert main([command, "-c", str(config),
+                     "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == \
+            ("", f"error: land use {land}: {message}\n")
+
     @pytest.mark.parametrize("command", ["validate", "report"])
     @pytest.mark.parametrize("name", [
         "crops.csv", "io_panel.csv", "prices.csv", "land_use.csv",
@@ -955,6 +1063,38 @@ class TestFailureModes:
         assert capsys.readouterr().err == \
             f"error: {kind} {bad}: not valid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("kind, argv, key", [
+        ("config", ["validate", "-c", "{bad}"], "break_year"),
+        ("tree config", ["diagnose", "--tree", "{bad}", "--indicators",
+                         "{indicators}"], "land"),
+        ("indicators file", ["diagnose", "--indicators", "{bad}"],
+         "tfp_growth_gap_pp"),
+    ])
+    def test_duplicate_json_key_exits_1_naming_it(
+            self, run_dir, report_dir, tmp_path, capsys, kind, argv, key):
+        # each key is written twice, the first time with a value that a
+        # parse keeping the last one would silently drop
+        indicators = report_dir / "indicators.json"
+        tree = (Path(agrodiag.__file__).parent / "data"
+                / "bihar_tree.json").read_text()
+        land = json.loads(tree)["nodes"]["land"]
+        land["predicate"]["threshold"] = -100.0
+        text = {
+            "config": '{"break_year": 1990, '
+                      + json.dumps(absolute_config(run_dir))[1:],
+            "tree config": tree.replace(
+                '"nodes": {', '"nodes": {"land": %s, ' % json.dumps(land), 1),
+            "indicators file": '{"tfp_growth_gap_pp": {"value": -1.0}, '
+                               + indicators.read_text()[1:],
+        }[kind]
+        assert text.count(f'"{key}":') == 2
+        bad = tmp_path / "dup.json"
+        bad.write_text(text)
+        assert main([a.format(bad=bad, indicators=indicators)
+                     for a in argv]) == 1
+        assert capsys.readouterr() == \
+            ("", f"error: {kind} {bad}: duplicate key {key!r}\n")
+
 INPUTS = ("area_nation.csv", "area_region.csv", "crops.csv", "io_panel.csv",
           "land_use.csv", "prices.csv", "value_cost.csv")
 
@@ -1250,7 +1390,7 @@ class TestCropYearsKept:
          (2002, 2003, 2004, 2005)),
     ])
     def test_run_keeps_the_comparison_trienniums(self, run_dir, flags, kept):
-        args = build_parser().parse_args(
+        args = parse_args(
             ["decompose", "-c", str(run_dir / "config.json"), *flags])
         panel = _run(args).panel
         assert panel.years == kept

@@ -693,9 +693,9 @@ class TestLoadPrices:
 class TestLoadLandUseAndCosts:
     def test_land_use_sorted(self):
         text = ("year,agricultural_land,non_agricultural_land,total_reported\n"
-                "2001,67,18,100\n2000,68,18,100\n")
+                "2001,67,18,100\n2000,68,18,100\n2002,66,18,100\n")
         records = load_land_use(io.StringIO(text))
-        assert [r.year for r in records] == [2000, 2001]
+        assert [r.year for r in records] == [2000, 2001, 2002]
 
     @pytest.mark.parametrize("row,column", [
         ("2001,-1,18,100", "agricultural_land"),
@@ -811,6 +811,12 @@ CELL_FAULTS = [
     ("land use", ["2000,68,48,100"], DataInconsistencyError,
      "land components in 2000 exceed total reported area (116.0 > 100.0) "
      "in row 2"),
+    ("land use", ["2001,68,18,100", "2000,68,18,100"], CoverageError,
+     "triennium ending 2002 is missing years [2002] (year 2000 is in row 3)"),
+    ("land use", ["2000,68,18,100", "2001,68,18,100", "2002,68,18,100",
+                  "2005,68,18,100"], CoverageError,
+     "triennium ending 2005 is missing years [2003, 2004] (year 2005 is in "
+     "row 5)"),
     ("value/cost series", ["x,1500,1000"], SchemaError,
      "non-numeric value 'x' in column 'year', row 2"),
     ("value/cost series", ["2000,x,1000"], SchemaError,

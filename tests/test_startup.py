@@ -127,12 +127,22 @@ class TestImportFootprint:
             (0, layers("config", "pipeline", "diagnostics", "tree",
                        "serialize"))
 
-    def test_help_loads_neither_dataclasses_nor_the_pipeline(self):
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["cai", "--help"], 0),
+        (["decompose", "--base", "x"], 2),
+    ])
+    def test_help_loads_neither_dataclasses_nor_the_pipeline(self, argv,
+                                                             code):
+        # nor a command-line parser: argparse and the gettext and locale it
+        # imports cost a fresh process ~0.6 MB of peak memory
         script = RUN_CLI + (
             "print(json.dumps([code, [m for m in ('dataclasses',\n"
-            "                                     'agrodiag.pipeline')\n"
+            "                                     'agrodiag.pipeline',\n"
+            "                                     'argparse', 'gettext',\n"
+            "                                     'locale')\n"
             "                         if m in sys.modules]]))\n")
-        assert loaded_modules(script, "--help") == (0, set())
+        assert loaded_modules(script, *argv) == (code, set())
 
     @pytest.mark.parametrize("argv", [
         *([command, "-c", "config.json"] for command in (
@@ -142,13 +152,16 @@ class TestImportFootprint:
     ])
     def test_runs_load_neither_dataclasses_nor_statistics(
             self, fixture_dir, indicators, tmp_path, argv):
-        # nor what these two import: ~1.5 MB of a fresh report's peak
+        # nor what these two import: ~1.5 MB of a fresh report's peak; nor
+        # argparse, gettext and locale: ~0.6 MB more
         paths = {"config.json": str(fixture_dir / "config.json"),
                  "indicators.json": str(indicators)}
         script = RUN_CLI + (
             "print(json.dumps([code, [m for m in ('dataclasses',\n"
             "                                     'statistics', 'inspect',\n"
-            "                                     'fractions', 'decimal')\n"
+            "                                     'fractions', 'decimal',\n"
+            "                                     'argparse', 'gettext',\n"
+            "                                     'locale')\n"
             "                         if m in sys.modules]]))\n")
         argv = [paths.get(a, a) for a in argv]
         assert loaded_modules(script, *argv, "-o", str(tmp_path)) == \
