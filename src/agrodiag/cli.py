@@ -122,12 +122,12 @@ def _cmd_report(args) -> int:
 
 # command -> (help, handler, its flags, the flags it needs without -c, the
 # usage error if one is missing); a flag -> (the run-config field it
-# overrides, its type: str, int or a tuple of choices, its help). A path is
-# relative to the working directory, also with -c, and kept as typed, since
-# errors name it
+# overrides, its type: str, int or a tuple of choices, its help), or None
+# for a common flag the command refuses. A path is relative to the working
+# directory, also with -c, and kept as typed, since errors name it
 _COMMANDS = {
     "validate": ("load and validate all configured inputs", _cmd_validate,
-                 {}, ("--config",), "validate needs --config"),
+                 {"--out": None}, ("--config",), "validate needs --config"),
     "decompose": ("revenue-change decomposition", _cmd_run, {
         "--crop-panel": ("crop_panel", str, "crop panel CSV"),
         "--base": ("decomposition_base", int, "base year (or TE end year)"),
@@ -170,6 +170,13 @@ class UsageError(Exception):
     """A command line the table refuses: ``main`` prints it, returns 2."""
 
 
+def _flags(command: str) -> dict:
+    """The flags COMMAND takes: the common ones it does not refuse, then
+    its own."""
+    flags = {**_COMMON, **_COMMANDS[command][2]}
+    return {flag: spec for flag, spec in flags.items() if spec is not None}
+
+
 def _help(command: str | None) -> str:
     """The ``--help`` text of COMMAND, or the top level's if it is None."""
     if command is None:
@@ -179,10 +186,10 @@ def _help(command: str | None) -> str:
         rows = {name: row[0] for name, row in _COMMANDS.items()}
         rows["COMMAND --help"] = "the flags of COMMAND"
     else:
-        summary, _, flags, needs, _ = _COMMANDS[command]
+        summary, _, _, needs, _ = _COMMANDS[command]
         usage = command + " -c CONFIG" * (needs == ("--config",))
         rows = {}
-        for flag, (_, kind, text) in {**_COMMON, **flags}.items():
+        for flag, (_, kind, text) in _flags(command).items():
             short = f"{flag[1:3]}, " if flag in _COMMON else ""
             value = ("{%s}" % ",".join(kind) if type(kind) is tuple
                      else flag[2:].upper())
@@ -204,7 +211,7 @@ def parse_args(argv: list[str]) -> dict:
                           "no command") + "; choose one of "
                          + ", ".join(_COMMANDS))
     command, *rest = argv
-    flags = {**_COMMON, **_COMMANDS[command][2]}
+    flags = _flags(command)
     args = {"command": command}
     rest = iter(rest)
     for arg in rest:

@@ -9,7 +9,8 @@ import csv
 from contextlib import contextmanager, nullcontext
 from math import inf
 
-from .errors import DataInconsistencyError, DomainError, SchemaError
+from .errors import (DataInconsistencyError, DomainError, NormalizationError,
+                     SchemaError)
 
 
 def _label(source, kind: str) -> str:
@@ -27,7 +28,7 @@ def _named(what: str, line: int | None = None):
     their file."""
     try:
         yield
-    except (DomainError, DataInconsistencyError) as exc:
+    except (DomainError, DataInconsistencyError, NormalizationError) as exc:
         row = "" if line is None else f" in row {line}"
         raise type(exc)(f"{what}: {exc}{row}") from None
 

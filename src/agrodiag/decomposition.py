@@ -20,7 +20,7 @@ concurrently.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import CoverageError, DataInconsistencyError, DomainError
+from .errors import DataInconsistencyError, DomainError
 from .ingest import triennium_average
 from .panel import CropPanel
 
@@ -84,8 +84,6 @@ def _period_values(panel: CropPanel, year: int, mode: str):
         period = triennium_average(panel, year)
         label = f"TE {year}"
     elif mode == "endpoint":
-        if not panel.has_year(year):
-            raise CoverageError(f"year {year} not covered by panel")
         period = panel
         label = str(year)
     else:

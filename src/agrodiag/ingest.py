@@ -25,7 +25,6 @@ from .errors import (
     CoverageError,
     DomainError,
     DuplicateKeyError,
-    NormalizationError,
     SchemaError,
 )
 from .panel import (
@@ -37,10 +36,6 @@ from .panel import (
     _Columns,
     _shared,
 )
-
-# Shares are accepted and renormalized inside this band, rejected outside it.
-# Published share tables round to one decimal, hence +/- 0.001.
-SHARE_RENORM_BAND = (0.999, 1.001)
 
 
 def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
@@ -134,33 +129,13 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
     return memo[end_year]
 
 
-def _normalize_shares(columns, year: int, kind: str, what: str) -> None:
-    """Rescale one year's ``kind`` shares in ``columns``, in place, to sum
-    to 1: the second value of each ``(quantity, share)`` row."""
-    _, codes, rows = columns.by_key.get((year, kind), (0, (), ()))
-    shares = rows[1::2]
-    total = sum(shares)
-    if abs(total - 1.0) > 1e-9:
-        if not SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
-            raise NormalizationError(
-                f"{what}: {kind} shares for {year} sum to {total!r}, outside "
-                f"the renormalization band {SHARE_RENORM_BAND}"
-            )
-        shares = rows[1::2] = array("d", [share / total for share in shares])
-    for code, share in zip(codes, shares):
-        if share > 1:
-            item_id = list(columns.codes)[code]
-            raise DomainError(
-                f"{what}: {kind} {item_id!r} in {year} has share {share!r} "
-                f"after renormalization; shares must lie in [0, 1]")
-
-
 def load_io_panel(source) -> InputOutputPanel:
     """Load an input-output panel (quantities plus revenue/cost shares).
 
     Share sums inside the renormalization band are rescaled to 1, sums
-    outside it are rejected. Zero quantities are tolerated here but flagged,
-    because they cannot enter a log-ratio later.
+    outside it are rejected (by ``InputOutputPanel``, its errors naming the
+    file). Zero quantities are tolerated here but flagged, because they
+    cannot enter a log-ratio later.
     """
     what = _label(source, "io panel")
     columns = _Columns()
@@ -170,23 +145,17 @@ def load_io_panel(source) -> InputOutputPanel:
         if kind not in IO_SIDES:
             raise SchemaError(
                 f"{what}: kind must be 'output' or 'input', got {kind!r} "
-                f"in row {line}"
-            )
+                f"in row {line}")
         if quantity <= 0 and share > 0:
             warnings.warn(
                 f"{what}: non-positive quantity for {kind} {item_id!r} in "
                 f"{year} (row {line}); it will be rejected if it enters a "
-                f"log-ratio",
-                stacklevel=2,
-            )
+                f"log-ratio", stacklevel=2)
         if not columns.add((year, kind), item_id, [quantity, share]):
             raise DuplicateKeyError(
-                f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}"
-            )
-    for year in sorted({year for year, _ in columns.by_key}):
-        for kind in IO_SIDES:
-            _normalize_shares(columns, year, kind, what)
-    return InputOutputPanel(columns)
+                f"{what}: duplicate {kind} {item_id!r} for {year} in row {line}")
+    with _named(what):
+        return InputOutputPanel(columns)
 
 
 def load_price_table(source) -> dict[str, PriceSeries]:
@@ -213,7 +182,7 @@ def load_land_use(source) -> list[LandUseRecord]:
     rows: dict[int, int] = {}
     for line, (year, *land) in records(source, what, {
             "year": int, "agricultural_land": _amount,
-            "non_agricultural_land": _amount, "total_reported": _amount}):
+            "non_agricultural_land": _amount, "total_reported": _price}):
         if year in by_year:
             raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
         with _named(what, line):
@@ -235,7 +204,7 @@ def load_value_cost(source) -> tuple[dict[int, float], dict[int, float]]:
     value: dict[int, float] = {}
     cost: dict[int, float] = {}
     for line, (year, output_value, input_cost) in records(source, what, {
-            "year": int, "output_value": _amount, "input_cost": _amount}):
+            "year": int, "output_value": _amount, "input_cost": _price}):
         if year in value:
             raise DuplicateKeyError(f"{what}: duplicate year {year} in row {line}")
         value[year] = output_value

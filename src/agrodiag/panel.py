@@ -1,8 +1,8 @@
 """Core data model for crop and input-output panels.
 
 All types here are immutable once constructed and therefore safe to share
-across threads. Validation happens at construction time; analysis code can
-assume the invariants hold.
+across threads. Validation happens at construction time (where an io
+panel's shares are rescaled); analysis code can assume the invariants hold.
 
 Both panels are columnar, and both are built one way: from a private
 builder, ``_Columns``, which the loaders in ``ingest`` fill row by row
@@ -34,7 +34,9 @@ from .errors import (
     NormalizationError,
 )
 
-SHARE_SUM_TOL = 1e-9
+# An io panel's shares are accepted and rescaled inside this band, refused
+# outside it. Published share tables round to one decimal, hence +/- 0.001.
+SHARE_RENORM_BAND = (0.999, 1.001)
 
 
 class _Columns:
@@ -189,8 +191,9 @@ class InputOutputPanel:
     Built from a loader's ``_Columns``. Each year and side is stored as a
     tuple of item ids, in the order they were given (an earlier year's
     tuple if equal), plus quantity and share columns of doubles, read
-    through ``columns``. Every side's shares sum to 1 within
-    ``SHARE_SUM_TOL``.
+    through ``columns``. Each side's shares are checked here: a sum outside
+    ``SHARE_RENORM_BAND`` is refused, one inside it but not within 1e-9 of 1
+    is rescaled to 1, and a share still above 1 is refused.
     """
 
     def __init__(self, columns) -> None:
@@ -203,10 +206,19 @@ class InputOutputPanel:
             for side in IO_SIDES:
                 _, codes, flat = columns.by_key.pop((year, side), (0, (), ()))
                 quantities, shares = flat[0::2], flat[1::2]
-                if abs((total := sum(shares)) - 1.0) > SHARE_SUM_TOL:
+                total = sum(shares)
+                if not SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
                     raise NormalizationError(
-                        f"{side} shares for {year} sum to {total!r}, not 1")
+                        f"{side} shares for {year} sum to {total!r}, outside "
+                        f"the renormalization band {SHARE_RENORM_BAND}")
+                if abs(total - 1.0) > 1e-9:
+                    shares = array("d", [share / total for share in shares])
                 ids = tuple(map(names.__getitem__, codes))
+                for item_id, share in zip(ids, shares):
+                    if share > 1:
+                        raise DomainError(
+                            f"{side} {item_id!r} in {year} has share {share!r} "
+                            f"after renormalization; shares must lie in [0, 1]")
                 ids = known.setdefault(ids, ids)
                 sides[side] = (ids, quantities, shares)
         self._years = tuple(self._by_year)

@@ -18,6 +18,14 @@ REPORT_ARTIFACTS = (
     "figure4.csv",
 )
 
+
+
+def out_flag(command: str, out) -> list[str]:
+    """``-o OUT`` for COMMAND, or nothing for ``validate``, which writes
+    nothing and refuses the flag."""
+    return [] if command == "validate" else ["-o", str(out)]
+
+
 # crop rows are tuples (crop_id, year, area, production, price)
 
 

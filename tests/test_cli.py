@@ -17,7 +17,7 @@ from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
 from agrodiag.pipeline import Run, run_pipeline
 
-from helpers import REPORT_ARTIFACTS
+from helpers import REPORT_ARTIFACTS, out_flag
 from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
 
 # every command, as a usage error lists them
@@ -370,13 +370,18 @@ class TestSubcommands:
         (["growth", "--method", "CAGR"],
          "growth: --method must be one of loglinear, cagr, got 'CAGR'"),
         (["report"], "report needs --config"),
-        (["validate", "-o", "out"], "validate needs --config"),
+        (["validate"], "validate needs --config"),
+        # validate writes nothing, so it refuses an output directory
+        (["validate", "-c", "config.json", "-o", "out"],
+         "validate: unknown flag --out"),
+        (["validate", "--out=out", "-c", "config.json"],
+         "validate: unknown flag --out"),
     ], ids=["no-command", "unknown-command", "flag-first", "prefix",
             "other-commands-flag", "report-flag", "attached-short-value",
             "positional", "positional-after-flags", "no-value",
             "flag-as-value", "config-no-value", "base-x", "base-float",
             "mode-foo", "method-case", "report-no-config",
-            "validate-no-config"])
+            "validate-no-config", "validate-o", "validate-out"])
     def test_usage_error_is_one_line_exit_2_loading_no_layer(
             self, capsys, argv, message):
         assert main(argv) == 2
@@ -423,7 +428,11 @@ class TestSubcommands:
         if command is None:
             names = list(cli._COMMANDS)
         else:
-            names = ["-c, --config", "-o, --out", *cli._COMMANDS[command][2]]
+            writes = command != "validate"
+            names = ["-c, --config", *["-o, --out"] * writes, *(
+                flag for flag, spec in cli._COMMANDS[command][2].items()
+                if spec is not None)]
+            assert ("--out" in out) is writes
             assert main([command, "-c", "config.json", "-h"]) == 0
             assert capsys.readouterr() == (out, "")
         assert [name for name in names if f"  {name} " not in out] == []
@@ -735,7 +744,7 @@ class TestFailureModes:
         land.write_text("".join(f"{line}\n" for line in lines))
         used = float(cells[1]) + float(cells[2])
         assert main([command, "-c", str(config),
-                     "-o", str(tmp_path / "o")]) == 1
+                     *out_flag(command, tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"error: land use {land}: land components in {cells[0]} exceed "
             f"total reported area ({used!r} > 1.0) in row 3\n")
@@ -755,9 +764,34 @@ class TestFailureModes:
         lines[row] = ",".join([year, *lines[row].split(",")[1:]])
         land.write_text("".join(f"{line}\n" for line in lines))
         assert main([command, "-c", str(config),
-                     "-o", str(tmp_path / "o")]) == 1
+                     *out_flag(command, tmp_path / "o")]) == 1
         assert capsys.readouterr() == \
             ("", f"error: land use {land}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    @pytest.mark.parametrize("kind, name, column", [
+        ("value/cost series", "value_cost.csv", "input_cost"),
+        ("land use", "land_use.csv", "total_reported"),
+    ])
+    def test_zero_denominator_exits_1_naming_file_and_row(
+            self, tmp_path, capsys, command, kind, name, column):
+        # the value/cost ratio divides by input_cost, the land-use ratios by
+        # the first triennium's total_reported: validate refuses what a
+        # report could not use
+        config = fixtures.write_synthetic_inputs(tmp_path / "inputs")
+        bad = config.parent / name
+        lines = bad.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = "0"
+        lines[1] = ",".join(cells)
+        bad.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "o"
+        assert main([command, "-c", str(config),
+                     *out_flag(command, out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {kind} {bad}: value 0.0 in column '{column}', row 2 "
+            f"must be finite and > 0\n"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "report"])
     @pytest.mark.parametrize("name", [
@@ -773,7 +807,7 @@ class TestFailureModes:
         out = tmp_path / "o"
         out.mkdir()
         rc = main([command, "-c", str(inputs / "config.json"),
-                   "-o", str(out)])
+                   *out_flag(command, out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: ")
@@ -1042,7 +1076,7 @@ class TestFailureModes:
                           str(report_dir / "indicators.json")],
             "indicators.json": ["diagnose", "--indicators", str(bad)],
         }[name]
-        assert main(argv + ["-o", str(tmp_path / "o")]) == 1
+        assert main(argv + out_flag(argv[0], tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(bad) in err and "not UTF-8" in err
@@ -1148,7 +1182,7 @@ class TestRunHoldings:
                                           loaded, command, inputs, to):
         argv = [command, "-c", str(run_dir / "config.json")]
         if to == "-o" or command == "report":
-            argv += ["-o", str(tmp_path / "o")]
+            argv += out_flag(command, tmp_path / "o")
         assert main(argv) == 0
         capsys.readouterr()
         assert sorted(loaded) == sorted(inputs)
@@ -1375,7 +1409,7 @@ class TestCropYearsKept:
         argv = ([command, "-c", str(config)] if " " not in command else
                 [*command.split(), str(crops), "--base", "2002",
                  "--terminal", "2016"])
-        assert main([*argv, "-o", str(out)]) == 1
+        assert main([*argv, *out_flag(command, out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: crop panel {crops}: {message}\n"
         assert captured.out == ""

@@ -806,6 +806,8 @@ CELL_FAULTS = [
     ("land use", ["2000,-68,18,100"], DomainError,
      "value -68.0 in column 'agricultural_land', row 2 must be finite "
      "and >= 0"),
+    ("land use", ["2000,0,0,0"], DomainError,
+     "value 0.0 in column 'total_reported', row 2 must be finite and > 0"),
     ("land use", ["2000,68,18,100", "2000,68,18,100"], DuplicateKeyError,
      "duplicate year 2000 in row 3"),
     ("land use", ["2000,68,48,100"], DataInconsistencyError,
@@ -824,7 +826,9 @@ CELL_FAULTS = [
     ("value/cost series", ["2000,1500,x"], SchemaError,
      "non-numeric value 'x' in column 'input_cost', row 2"),
     ("value/cost series", ["2000,1500,-1e400"], DomainError,
-     "value -inf in column 'input_cost', row 2 must be finite and >= 0"),
+     "value -inf in column 'input_cost', row 2 must be finite and > 0"),
+    ("value/cost series", ["2000,1500,0"], DomainError,
+     "value 0.0 in column 'input_cost', row 2 must be finite and > 0"),
     ("value/cost series", ["2000,1500,1000", "2000,1,1"], DuplicateKeyError,
      "duplicate year 2000 in row 3"),
 ]

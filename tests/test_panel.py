@@ -16,7 +16,7 @@ from agrodiag.errors import (
     NormalizationError,
     SchemaError,
 )
-from agrodiag.ingest import load_crop_panel
+from agrodiag.ingest import load_crop_panel, load_io_panel
 from agrodiag.panel import (
     CropPanel,
     LandUseRecord,
@@ -176,9 +176,21 @@ class TestInputOutputPanel:
         2000: ({"x": (1.0, 1.0)}, {"l": (3.0, 1.0)}),
     }
 
-    def test_share_sum_enforced(self):
-        with pytest.raises(NormalizationError):
-            io_panel({2000: ({"x": (1.0, 0.7)}, {"l": (1.0, 1.0)})})
+    # a panel built straight from ``_Columns`` is held to the loader's rule
+    @pytest.mark.parametrize("share, error, message", [
+        (0.7, NormalizationError, "output shares for 2000 sum to 0.7, "
+         "outside the renormalization band (0.999, 1.001)"),
+        (1.0015, NormalizationError, "output shares for 2000 sum to 1.0015, "
+         "outside the renormalization band (0.999, 1.001)"),
+        # within 1e-9 of 1 a share is kept as given, so it stays above 1
+        (1.0000000005, DomainError, "output 'x' in 2000 has share "
+         "1.0000000005 after renormalization; shares must lie in [0, 1]"),
+    ])
+    def test_share_sum_enforced(self, share, error, message):
+        with pytest.raises(error) as caught:
+            io_panel({2000: ({"x": (1.0, share)}, {"l": (1.0, 1.0)})})
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     def test_exact_shares_accepted(self):
         panel = io_panel({2000: ({"x": (1.0, 0.6), "y": (1.0, 0.4)},
@@ -192,6 +204,21 @@ class TestInputOutputPanel:
         assert panel.columns(2000, "input")[0] == ("l",)
         assert panel == io_panel(dict(reversed(self.YEARS.items())))
         assert panel != io_panel({2000: self.YEARS[2000]})
+        # outputs summing to 0.9995 are rescaled, whoever fills the builder
+        built = io_panel({2000: ({"x": (1.0, 0.6), "y": (2.0, 0.3995)},
+                                 {"l": (3.0, 1.0)})})
+        loaded = load_io_panel(io.StringIO(
+            "year,kind,item_id,quantity,share\n2000,output,x,1.0,0.6\n"
+            "2000,output,y,2.0,0.3995\n2000,input,l,3.0,1.0\n"))
+        assert built == loaded
+        for side in ("output", "input"):
+            ids, *values = built.columns(2000, side)
+            want_ids, *want = loaded.columns(2000, side)
+            assert ids == want_ids
+            assert [[v.hex() for v in c] for c in values] == \
+                [[v.hex() for v in c] for c in want]
+        assert sum(built.columns(2000, "output")[2]) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_columns_are_read_only_views_in_given_order(self):
         ids, quantity, share = io_panel(self.YEARS).columns(2001, "output")

@@ -16,6 +16,8 @@ import agrodiag
 from agrodiag import cli
 from agrodiag.cli import main
 
+from helpers import out_flag
+
 SRC = str(Path(agrodiag.__file__).resolve().parents[1])
 
 # Without a bytecode cache (a read-only install, or
@@ -164,8 +166,8 @@ class TestImportFootprint:
             "                                     'locale')\n"
             "                         if m in sys.modules]]))\n")
         argv = [paths.get(a, a) for a in argv]
-        assert loaded_modules(script, *argv, "-o", str(tmp_path)) == \
-            (0, set())
+        assert loaded_modules(script, *argv,
+                              *out_flag(argv[0], tmp_path)) == (0, set())
 
     def test_report_loads_no_importlib_resources(self, fixture_dir,
                                                  tmp_path):
