@@ -14,7 +14,8 @@ The package splits into small pure modules:
 * :mod:`agrodiag.diagnostics` -- indicator sets, tree loading and evaluation
 * :mod:`agrodiag.config`, :mod:`agrodiag.pipeline` -- the run config and
   the file-in/file-out report pipeline
-* :mod:`agrodiag.cli` -- command-line parsing and exit codes
+* :mod:`agrodiag.cli`, :mod:`agrodiag.commands` -- command-line parsing
+  and help, and the subcommand handlers; each maps errors to exit codes
 
 Every public name below is imported from its submodule on first access
 (PEP 562), so ``import agrodiag`` and the CLI's start-up load only the
@@ -66,13 +67,10 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    try:
-        submodule = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f".{submodule}", __name__), name)
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
     globals()[name] = value
     return value

@@ -1,20 +1,17 @@
-"""Command line: parse arguments, run one subcommand, map errors to exit
-codes.
+"""Command line: parse arguments, print help and usage errors, and hand a
+parsed command to ``commands``, which runs it.
 
-Every subcommand but ``report`` and ``validate`` writes its slice of the
-report: the ``pipeline.Run`` method of its name, on the run config of
-``-c`` with the fields its flags set. A flag overrides its field of the
-config; without ``-c``, the flags must name every input the slice reads.
-One table, ``_COMMANDS``, declares each subcommand; the parser, both help
-texts and the overrides read it. Each handler imports what it runs in its
-own body, so ``--help`` and a usage error load nothing else.
+One table, ``_COMMANDS``, declares each subcommand: its help, its flags
+and the flags it needs without ``-c``. The parser, both help texts, the
+no-``-c`` check and the overrides in ``commands`` read it. A flag
+overrides its field of the run config; without ``-c``, the flags must
+name every input the command reads. ``main`` imports ``commands`` only
+once a command line has parsed, so ``--help`` and a usage error load no
+other module of the package. ``main`` maps a missing input and any other
+I/O failure to exit code 1, and ``commands`` an ``AgrodiagError``.
 """
-from __future__ import annotations
-
+import os
 import sys
-from pathlib import Path
-
-from .errors import AgrodiagError
 
 # names defined elsewhere that stay reachable as ``agrodiag.cli.<name>``,
 # each imported from its submodule on first access (PEP 562): the span
@@ -27,108 +24,24 @@ _FORWARDED = {
 
 
 def __getattr__(name: str):
-    try:
-        submodule = _FORWARDED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f".{submodule}", __package__), name)
+    value = getattr(import_module(f".{_FORWARDED[name]}", __package__), name)
     globals()[name] = value
     return value
 
 
-# -- subcommand handlers ---------------------------------------------------
-
-
-def _run(args: dict):
-    """The ``pipeline.Run`` of ARGS's config, each flag given setting its
-    field; without ``-c``, every field with no default is ``None``."""
-    from .config import RunConfig, load_run_config
-    from .pipeline import Run
-
-    if "--config" not in args:
-        config = RunConfig(**dict.fromkeys(
-            RunConfig._fields - RunConfig._defaults.keys()))
-    else:
-        config = load_run_config(args["--config"])
-    flags = _COMMANDS[args["command"]][2]
-    for flag, value in args.items():
-        if flag in flags:
-            setattr(config, flags[flag][0], value)
-    return Run(config)
-
-
-def _cmd_run(args, run=None) -> int:
-    """Write the artifacts of the subcommand's method of RUN (by default
-    ARGS's) to ``-o`` as they are computed, or print them."""
-    from .serialize import collect, write_artifacts
-
-    artifacts = getattr(run or _run(args), args["command"])()
-    if "--out" in args:
-        write_artifacts(Path(args["--out"]), artifacts)
-    else:
-        for _, text in sorted(collect(artifacts).items()):
-            sys.stdout.write(text)
-    return 0
-
-
-def _cmd_diagnose(args) -> int:
-    """Print the tree's verdicts; with ``-o``, once they are reached, first
-    write the artifacts through ``_cmd_run``."""
-    run = _run(args)
-    verdicts = run.diagnosis.to_text()
-    if "--out" in args:
-        _cmd_run(args, run)
-    sys.stdout.write(verdicts)
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    run = _run(args)
-    run.crop_years = set()  # count every row, keep none
-    # each input read once and reduced to what is printed, in a fixed
-    # order; nothing is printed unless every input is valid
-    commodities = sorted(run.prices)
-    value_cost_years = len(run.value_cost[0])
-    rows, crops, years = run.panel.checked
-    io_years = run.io_panel.years
-    land_years = len(run.land)
-    region, nation = (len(table.groups) for table in run.areas)
-    print(f"crop panel: {rows} observations, {crops} crops, "
-          f"years {years[0]}-{years[-1]}")
-    print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
-    print(f"price series: {len(commodities)} commodities "
-          f"({', '.join(commodities)})")
-    print(f"land use: {land_years} years")
-    print(f"value/cost series: {value_cost_years} years")
-    print(f"area tables: {region} region groups, {nation} nation groups")
-    print("all inputs valid")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from .config import load_run_config
-    from .pipeline import run_pipeline
-
-    config = load_run_config(args["--config"])
-    outdir = Path(args["--out"]) if "--out" in args else config.output_dir
-    report = run_pipeline(config, outdir)
-    sys.stdout.write(report.to_text())
-    print(f"artifacts written to {outdir}")
-    return 0
-
-
-# command -> (help, handler, its flags, the flags it needs without -c, the
-# usage error if one is missing); a flag -> (the run-config field it
-# overrides, its type: str, int or a tuple of choices, its help), or None
-# for a common flag the command refuses. A path is relative to the working
+# command -> (help, its flags, the flags it needs without -c, the usage
+# error if one is missing); a flag -> (the run-config field it overrides,
+# its type: str, int or a tuple of choices, its help), or None for a
+# common flag the command refuses. A path is relative to the working
 # directory, also with -c, and kept as typed, since errors name it
 _COMMANDS = {
-    "validate": ("load and validate all configured inputs", _cmd_validate,
+    "validate": ("load and validate all configured inputs",
                  {"--out": None}, ("--config",), "validate needs --config"),
-    "decompose": ("revenue-change decomposition", _cmd_run, {
+    "decompose": ("revenue-change decomposition", {
         "--crop-panel": ("crop_panel", str, "crop panel CSV"),
         "--base": ("decomposition_base", int, "base year (or TE end year)"),
         "--terminal": ("decomposition_terminal", int,
@@ -137,27 +50,27 @@ _COMMANDS = {
                    "period mode (default: triennium)"),
     }, ("--crop-panel", "--base", "--terminal"),
         "decompose needs --config or --crop-panel with --base and --terminal"),
-    "tfp": ("output/input/TFP index series", _cmd_run, {
+    "tfp": ("output/input/TFP index series", {
         "--io-panel": ("io_panel", str, "io panel CSV"),
         "--base-year": ("tfp_base_year", int, "index base year (=100)"),
     }, ("--io-panel",), "tfp needs --config or --io-panel"),
-    "growth": ("average annual TFP growth per period", _cmd_run, {
+    "growth": ("average annual TFP growth per period", {
         "--method": ("growth_method", ("loglinear", "cagr"),
                      "growth-rate method (default: loglinear)"),
     }, ("--config",), "growth needs --config"),
-    "markets": ("price break stats and ratio series", _cmd_run,
+    "markets": ("price break stats and ratio series",
                 {}, ("--config",), "markets needs --config"),
-    "cai": ("comparative-advantage table", _cmd_run, {
+    "cai": ("comparative-advantage table", {
         "--region": ("area_shares_region", str, "region area table CSV"),
         "--nation": ("area_shares_nation", str, "nation area table CSV"),
     }, ("--region", "--nation"),
         "cai needs --config or both --region and --nation"),
-    "diagnose": ("evaluate a diagnostic tree", _cmd_diagnose, {
+    "diagnose": ("evaluate a diagnostic tree", {
         "--tree": ("tree", str, "'builtin' or a tree-config JSON file"),
         "--indicators": ("indicators", str,
                          "an indicators.json in place of the assembled set"),
     }, ("--indicators",), "diagnose needs --indicators or --config"),
-    "report": ("full pipeline: all artifacts + diagnosis", _cmd_report,
+    "report": ("full pipeline: all artifacts + diagnosis",
                {}, ("--config",), "report needs --config"),
 }
 # the flags every command takes, each also by its initial: -c, -o
@@ -173,7 +86,7 @@ class UsageError(Exception):
 def _flags(command: str) -> dict:
     """The flags COMMAND takes: the common ones it does not refuse, then
     its own."""
-    flags = {**_COMMON, **_COMMANDS[command][2]}
+    flags = {**_COMMON, **_COMMANDS[command][1]}
     return {flag: spec for flag, spec in flags.items() if spec is not None}
 
 
@@ -186,7 +99,7 @@ def _help(command: str | None) -> str:
         rows = {name: row[0] for name, row in _COMMANDS.items()}
         rows["COMMAND --help"] = "the flags of COMMAND"
     else:
-        summary, _, _, needs, _ = _COMMANDS[command]
+        summary, _, needs, _ = _COMMANDS[command]
         usage = command + " -c CONFIG" * (needs == ("--config",))
         rows = {}
         for flag, (_, kind, text) in _flags(command).items():
@@ -204,7 +117,7 @@ def parse_args(argv: list[str]) -> dict:
     """ARGV as ``{"command": name, flag: value}``, each flag by its long
     name, typed, the last of a repeated one kept; with ``-h``/``--help``,
     ``{"command": name or None, "--help": True}``. Raises UsageError."""
-    if argv[:1] in (["-h"], ["--help"]):
+    if argv and argv[0] in ("-h", "--help"):
         return {"command": None, "--help": True}
     if not argv or argv[0] not in _COMMANDS:
         raise UsageError((f"unknown command {argv[0]!r}" if argv else
@@ -245,26 +158,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if "--help" in args:
-            print(_help(args["command"]))
+            print(_help(args["command"]), flush=True)
             return 0
-        _, handler, _, needs, usage = _COMMANDS[args["command"]]
+        _, _, needs, usage = _COMMANDS[args["command"]]
         if "--config" not in args and not all(f in args for f in needs):
             raise UsageError(usage)
+        from .commands import run
+
+        return run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return handler(args)
     except FileNotFoundError as exc:
         print(f"error: no inputs: {exc.filename or exc}", file=sys.stderr)
-        return 1
-    except AgrodiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader is gone, so the interpreter's flush at exit
+            # would fail again on what is left in the buffer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1

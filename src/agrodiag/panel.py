@@ -193,7 +193,7 @@ class InputOutputPanel:
     tuple if equal), plus quantity and share columns of doubles, read
     through ``columns``. Each side's shares are checked here: a sum outside
     ``SHARE_RENORM_BAND`` is refused, one inside it but not within 1e-9 of 1
-    is rescaled to 1, and a share still above 1 is refused.
+    is rescaled to 1, and a share still outside [0, 1] is refused.
     """
 
     def __init__(self, columns) -> None:
@@ -215,7 +215,7 @@ class InputOutputPanel:
                     shares = array("d", [share / total for share in shares])
                 ids = tuple(map(names.__getitem__, codes))
                 for item_id, share in zip(ids, shares):
-                    if share > 1:
+                    if not 0 <= share <= 1:
                         raise DomainError(
                             f"{side} {item_id!r} in {year} has share {share!r} "
                             f"after renormalization; shares must lie in [0, 1]")

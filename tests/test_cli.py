@@ -12,7 +12,8 @@ import pytest
 import agrodiag
 from agrodiag import cli, fixtures, serialize
 from agrodiag.advantage import AreaShareTable
-from agrodiag.cli import _run, main, parse_args
+from agrodiag.cli import main, parse_args
+from agrodiag.commands import _run
 from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
 from agrodiag.pipeline import Run, run_pipeline
@@ -430,12 +431,22 @@ class TestSubcommands:
         else:
             writes = command != "validate"
             names = ["-c, --config", *["-o, --out"] * writes, *(
-                flag for flag, spec in cli._COMMANDS[command][2].items()
+                flag for flag, spec in cli._COMMANDS[command][1].items()
                 if spec is not None)]
             assert ("--out" in out) is writes
             assert main([command, "-c", "config.json", "-h"]) == 0
             assert capsys.readouterr() == (out, "")
         assert [name for name in names if f"  {name} " not in out] == []
+
+    def test_every_command_dispatches(self):
+        # the table lives in cli, the handlers in commands: a command with
+        # no handler of its own runs the Run method of its name
+        from agrodiag import commands
+
+        assert commands._HANDLERS.keys() <= cli._COMMANDS.keys()
+        assert [command for command in cli._COMMANDS
+                if command not in commands._HANDLERS
+                and not callable(getattr(Run, command, None))] == []
 
     def test_diagnose_reproduces_report_diagnosis(self, run_dir, report_dir):
         out = run_dir / "diagnose_out"
@@ -540,6 +551,30 @@ class TestSubcommands:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("flags", [(), ("-u",)],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["decompose", "-c", "{inputs}/config.json"]],
+        ids=["help", "decompose"])
+    def test_closed_stdout_is_an_io_failure(self, run_dir, flags, argv):
+        # the reader's end is closed before the process starts, so every
+        # write to stdout fails: inside main, not in the interpreter's
+        # flush at exit (exit 120) or as a traceback
+        argv = [a.format(inputs=run_dir) for a in argv]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, *flags, "-m", "agrodiag", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=60)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == \
+            (1, "error: I/O failure: [Errno 32] Broken pipe\n")
+
     def test_missing_inputs_is_nonzero(self, tmp_path, capsys):
         config = {
             "inputs": {
@@ -1472,10 +1507,10 @@ class TestCropYearsKept:
         assert loaded[0].years == (2003, 2004, 2005, 2010, 2011, 2012)
 
     def test_validate_keeps_no_year(self, run_dir, capsys, monkeypatch):
-        import agrodiag.cli
+        import agrodiag.commands
 
         runs = []
-        monkeypatch.setattr(agrodiag.cli, "_run",
+        monkeypatch.setattr(agrodiag.commands, "_run",
                             lambda args: runs.append(_run(args)) or runs[-1])
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
         panel = runs[0].panel

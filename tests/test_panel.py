@@ -177,18 +177,22 @@ class TestInputOutputPanel:
     }
 
     # a panel built straight from ``_Columns`` is held to the loader's rule
-    @pytest.mark.parametrize("share, error, message", [
-        (0.7, NormalizationError, "output shares for 2000 sum to 0.7, "
+    @pytest.mark.parametrize("shares, error, message", [
+        ((0.7,), NormalizationError, "output shares for 2000 sum to 0.7, "
          "outside the renormalization band (0.999, 1.001)"),
-        (1.0015, NormalizationError, "output shares for 2000 sum to 1.0015, "
-         "outside the renormalization band (0.999, 1.001)"),
+        ((1.0015,), NormalizationError, "output shares for 2000 sum to "
+         "1.0015, outside the renormalization band (0.999, 1.001)"),
         # within 1e-9 of 1 a share is kept as given, so it stays above 1
-        (1.0000000005, DomainError, "output 'x' in 2000 has share "
+        ((1.0000000005,), DomainError, "output 'x' in 2000 has share "
          "1.0000000005 after renormalization; shares must lie in [0, 1]"),
+        # the sum is 1, but one share is negative
+        ((1.0, 0.25, -0.25), DomainError, "output 'z' in 2000 has share "
+         "-0.25 after renormalization; shares must lie in [0, 1]"),
     ])
-    def test_share_sum_enforced(self, share, error, message):
+    def test_share_sum_enforced(self, shares, error, message):
+        outputs = {item: (1.0, share) for item, share in zip("xyz", shares)}
         with pytest.raises(error) as caught:
-            io_panel({2000: ({"x": (1.0, share)}, {"l": (1.0, 1.0)})})
+            io_panel({2000: (outputs, {"l": (1.0, 1.0)})})
         assert type(caught.value) is error
         assert str(caught.value) == message
 
