@@ -39,7 +39,6 @@ _EXPORTS = {
     "LandUseRecord": "panel",
     "Predicate": "tree",
     "PriceSeries": "panel",
-    "area_share_table_from_panel": "advantage",
     "avg_annual_growth": "productivity",
     "break_analysis": "markets",
     "builtin_bihar_tree": "diagnostics",

@@ -17,9 +17,7 @@ from .errors import (
     SchemaError,
     UndefinedIndexError,
 )
-from .csvread import _label, _named
-from .ingest import load_crop_panel
-from .panel import CropPanel
+from .csvread import CROP_COLUMNS, _label, _named, records
 
 
 class AreaShareTable(Record, frozen=True):
@@ -87,26 +85,27 @@ def cai_table(region: AreaShareTable, nation: AreaShareTable) -> dict[str, float
     return {group: cai(region, nation, group) for group in region.groups}
 
 
-def area_share_table_from_panel(panel: CropPanel, year: int,
-                                scope: str) -> AreaShareTable:
-    """Build a table from one year of a crop panel (areas only)."""
-    entries = (dict(zip(*panel.columns(year)[:2])) if panel.has_year(year)
-               else {})
-    if not entries:
-        raise DomainError(f"panel has no observations for {year}")
-    return AreaShareTable(scope=scope, year=year, entries=entries)
-
-
 def load_area_share_table(source, scope: str) -> AreaShareTable:
-    """Load a table from a crop-panel file restricted to a single year.
+    """Load a table from a file in the crop-panel schema that covers a
+    single year: each crop's area (production and price are checked, not
+    kept).
 
     Errors name the table (``region area-share table`` or ``nation
-    area-share table``) and its file."""
+    area-share table``) and its file, and a row's fault names the row."""
     what = _label(source, f"{scope} area-share table")
-    panel = load_crop_panel(source, what=what)
-    if len(panel.years) != 1:
-        raise DuplicateKeyError(
-            f"{what}: must cover exactly one year, got {panel.years}"
-        )
+    entries: dict[str, float] = {}
+    year = None
+    for line, (group, row_year, area, _, _) in records(source, what,
+                                                       CROP_COLUMNS):
+        if year is None:
+            year = row_year
+        elif row_year != year:
+            raise DuplicateKeyError(
+                f"{what}: must cover exactly one year, got {row_year} in "
+                f"row {line} after {year}")
+        if group in entries:
+            raise DuplicateKeyError(
+                f"{what}: duplicate ({group}, {year}) in row {line}")
+        entries[group] = area
     with _named(what):
-        return area_share_table_from_panel(panel, panel.years[0], scope)
+        return AreaShareTable(scope=scope, year=year, entries=entries)

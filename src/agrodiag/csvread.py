@@ -63,6 +63,10 @@ def _price(raw: str) -> float:
 # a decoder with a range -> the range its message states
 _BOUNDS = {_amount: ">= 0", _price: "> 0"}
 
+# the crop panel's columns, which the area-share tables share
+CROP_COLUMNS = {"crop_id": _text, "year": int, "area_ha": _amount,
+                "production_t": _amount, "price_per_t": _amount}
+
 
 def _fault(what: str, line: int, row: list[str], columns: dict):
     """The error for the first cell of ROW, left to right, that its

@@ -20,7 +20,8 @@ import warnings
 from array import array
 from typing import Mapping
 
-from .csvread import _amount, _label, _named, _price, _text, records
+from .csvread import (CROP_COLUMNS, _amount, _label, _named, _price, _text,
+                      records)
 from .errors import (
     CoverageError,
     DomainError,
@@ -39,23 +40,18 @@ from .panel import (
 
 
 def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
-                    what: str | None = None, years=None) -> CropPanel:
+                    years=None) -> CropPanel:
     """Load a crop panel file; optionally deflate prices to real terms.
 
     ``deflator`` maps year to an index (base 100); each price is divided by
     ``deflator[year] / 100``. The deflator must cover every year present.
     No deflator is ever invented: nominal prices pass through unchanged.
-    Errors start with ``what``, by default ``crop panel`` and the file; a
-    caller loading another input in this schema names it there. Every row
-    is checked, but with ``years`` (a set) only the rows of those are kept;
-    ``CropPanel.checked`` counts them all.
+    Every row is checked, but with ``years`` (a set) only the rows of
+    those are kept; ``CropPanel.checked`` counts them all.
     """
-    if what is None:
-        what = _label(source, "crop panel")
+    what = _label(source, "crop panel")
     columns = _Columns(years)
-    for line, (crop_id, year, *values) in records(source, what, {
-            "crop_id": _text, "year": int, "area_ha": _amount,
-            "production_t": _amount, "price_per_t": _amount}):
+    for line, (crop_id, year, *values) in records(source, what, CROP_COLUMNS):
         if deflator is not None:
             if year not in deflator:
                 raise CoverageError(

@@ -203,7 +203,8 @@ def avg_annual_growth(
     ``loglinear`` (default) fits ln(value) against year by least squares
     over the window and converts the slope; it is robust to single-year
     shocks. ``cagr`` compounds between the window's endpoint values. Both
-    agree exactly on a pure geometric series.
+    agree exactly on a pure geometric series. A rate past the float range
+    raises ``DomainError`` naming the window.
     """
     if isinstance(series, IndexSeries):
         series = series.values
@@ -224,12 +225,21 @@ def avg_annual_growth(
         first, last = values[0], values[-1]
         if first <= 0 or last <= 0:
             raise LogDomainError("cagr endpoints must be positive")
-        span = years[-1] - years[0]
-        return ((last / first) ** (1.0 / span) - 1.0) * 100.0
-    if min(values) <= 0:
-        raise LogDomainError("loglinear growth needs strictly positive values")
-    slope = _slope(years, [math.log(v) for v in values])
-    return (math.exp(slope) - 1.0) * 100.0
+        factor = (last / first) ** (1.0 / (years[-1] - years[0]))
+    else:
+        if min(values) <= 0:
+            raise LogDomainError(
+                "loglinear growth needs strictly positive values")
+        slope = _slope(years, [math.log(v) for v in values])
+        try:
+            factor = math.exp(slope)
+        except OverflowError:
+            factor = math.inf
+    rate = (factor - 1.0) * 100.0
+    if not math.isfinite(rate):
+        raise DomainError(f"the growth rate over [{years[0]}, {years[-1]}] "
+                          f"overflows a float")
+    return rate
 
 
 def _slope(x: list[int], y: list[float]) -> float:

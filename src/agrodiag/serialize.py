@@ -23,26 +23,12 @@ CSV_CHUNK_LINES = 1024
 WRITE_SLICE = 1 << 16
 
 
-def round_sig(x: float, digits: int = SIG_DIGITS) -> float:
-    """Round to ``digits`` significant digits (exact for ints and zeros)."""
+def round_sig(x: float) -> float:
+    """Round to ``SIG_DIGITS`` significant digits (exact for ints and
+    zeros)."""
     if x == 0:
         return 0.0
-    return float(f"{x:.{digits}g}")
-
-
-def canonical(obj: Any) -> Any:
-    """Recursively round floats; leave ints, strings and bools alone.
-
-    ``json_chunks`` writes the JSON of this copy without making it."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return round_sig(obj)
-    if isinstance(obj, dict):
-        return {k: canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    return obj
+    return float(f"{x:.{SIG_DIGITS}g}")
 
 
 def _rounded(x: float) -> str:

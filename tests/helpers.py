@@ -7,8 +7,12 @@ tests freeze or compare against their output.
 from __future__ import annotations
 
 import math
+import shutil
+import subprocess
+import sys
 
 from agrodiag.panel import IO_SIDES, CropPanel, InputOutputPanel, _Columns
+from agrodiag.serialize import round_sig
 
 # the files ``report`` writes, as the README documents them
 REPORT_ARTIFACTS = (
@@ -18,6 +22,24 @@ REPORT_ARTIFACTS = (
     "figure4.csv",
 )
 
+
+def other_interpreters() -> list[str]:
+    """Each ``python3.10`` ... ``python3.13`` on PATH but this
+    interpreter's version that starts; a pyenv shim of a version not
+    selected exits 127, and counts as not found."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        try:
+            started = subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                     timeout=60).returncode == 0
+        except OSError:
+            started = False
+        if started:
+            found.append(exe)
+    return found
 
 
 def out_flag(command: str, out) -> list[str]:
@@ -159,3 +181,18 @@ def oracle_tornqvist(out0: dict, out1: dict, in0: dict, in1: dict) -> float:
 
 def relative_error(actual: float, expected: float) -> float:
     return abs(actual - expected) / max(1.0, abs(expected))
+
+
+def canonical(obj):
+    """OBJ with every float rounded by ``round_sig``, and ints, strings,
+    bools and None left alone: the copy whose ``json.dumps`` form
+    ``serialize.json_chunks`` writes without making it."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return round_sig(obj)
+    if isinstance(obj, dict):
+        return {k: canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    return obj

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from agrodiag.advantage import (
     AreaShareTable,
-    area_share_table_from_panel,
     cai,
     cai_table,
     load_area_share_table,
@@ -17,8 +16,6 @@ from agrodiag.errors import (
     GroupNotFoundError,
     UndefinedIndexError,
 )
-
-from helpers import crop_panel
 
 
 def table(scope, **entries):
@@ -136,14 +133,6 @@ class TestTables:
                 nation.entries[group] / sum(nation.entries.values()))
             assert value.hex() == want.hex()
 
-    def test_from_panel(self):
-        panel = crop_panel([
-            ("veg", 2015, 30.0, 0.0, 0.0),
-            ("fruit", 2015, 70.0, 0.0, 0.0),
-        ])
-        t = area_share_table_from_panel(panel, 2015, "region")
-        assert t.share("veg") == pytest.approx(0.3)
-
     def test_loader_rejects_multi_year_files(self):
         text = ("crop_id,year,area_ha,production_t,price_per_t\n"
                 "veg,2014,10,0,0\nveg,2015,10,0,0\n")
@@ -156,3 +145,4 @@ class TestTables:
         t = load_area_share_table(io.StringIO(text), "region")
         assert t.year == 2015
         assert t.groups == ("fruit", "veg")
+        assert t.share("veg") == pytest.approx(0.3)

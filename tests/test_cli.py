@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
 from agrodiag.pipeline import Run, run_pipeline
 
-from helpers import REPORT_ARTIFACTS, out_flag
+from helpers import REPORT_ARTIFACTS, other_interpreters, out_flag
 from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
 
 # every command, as a usage error lists them
@@ -28,25 +27,6 @@ COMMANDS = ("validate, decompose, tfp, growth, markets, cai, diagnose, "
 # the digests of the fixture report, which the benchmark checks too
 PINNED = json.loads((Path(__file__).parents[1] / "perfbench"
                      / "fixture_sha256.json").read_text())
-
-
-def other_interpreters() -> list[str]:
-    """Each ``python3.10`` ... ``python3.13`` on PATH but this
-    interpreter's version that starts; a pyenv shim of a version not
-    selected exits 127, and counts as not found."""
-    found = []
-    for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None or minor == sys.version_info.minor:
-            continue
-        try:
-            started = subprocess.run([exe, "-c", "pass"], capture_output=True,
-                                     timeout=60).returncode == 0
-        except OSError:
-            started = False
-        if started:
-            found.append(exe)
-    return found
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +673,26 @@ class TestFailureModes:
         assert {p.name: p.read_text() for p in out.iterdir()} == {
             "shares.csv": "previous\n"}
 
+    def test_overflowing_growth_rate_exits_1_naming_the_window(
+            self, tmp_path, capsys):
+        # the TFP index jumps by a factor 1e312 from 2000 to its base year
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        config = absolute_config(inputs)
+        config["periods"] = {"jump": [2000, 2001]}
+        config["methods"]["tfp_base_year"] = 2001
+        (inputs / "io_panel.csv").write_text(
+            "year,kind,item_id,quantity,share\n"
+            "2000,output,o,1e-78,1\n2001,output,o,1e78,1\n"
+            "2002,output,o,1e78,1\n2000,input,i,1e78,1\n"
+            "2001,input,i,1e-78,1\n2002,input,i,1e-78,1\n")
+        out = tmp_path / "o"
+        assert main(["growth", "-c", str(write_config(tmp_path, config)),
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the growth rate over [2000, 2001] overflows a float\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["cai -c", "cai --region", "report -c"])
     @pytest.mark.parametrize("scope", ["region", "nation"])
     def test_overflowing_area_table_exits_1_naming_it(self, tmp_path, capsys,
@@ -715,6 +715,37 @@ class TestFailureModes:
         assert capsys.readouterr().err == (
             f"error: {scope} area-share table {table}: {scope} table for "
             f"2015 has an infinite total area\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("second year", "must cover exactly one year, got 2016 in row 3 "
+                        "after 2015"),
+        ("repeated group", "duplicate (aromatic_medicinal, 2015) in row 3"),
+    ])
+    @pytest.mark.parametrize("command", ["validate -c", "cai -c",
+                                         "cai --region", "report -c"])
+    @pytest.mark.parametrize("scope", ["region", "nation"])
+    def test_area_table_row_fault_exits_1_naming_the_row(
+            self, tmp_path, capsys, scope, command, fault, message):
+        inputs = tmp_path / "inputs"
+        config = fixtures.write_synthetic_inputs(inputs)
+        table = inputs / f"area_{scope}.csv"
+        header, first, *rows = table.read_text().splitlines()
+        crop, _, *rest = first.split(",")
+        added = (",".join([crop, "2016", *rest]) if fault == "second year"
+                 else first)
+        table.write_text("".join(f"{line}\n"
+                                 for line in (header, first, added, *rows)))
+        out = tmp_path / "o"
+        argv = [*command.split(), str(config)]
+        if command == "cai --region":
+            argv[2:] = [str(inputs / "area_region.csv"), "--nation",
+                        str(inputs / "area_nation.csv")]
+        if command != "validate -c":
+            argv += ["-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scope} area-share table {table}: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["markets", "report"])
@@ -1181,11 +1212,13 @@ def loaded(monkeypatch):
             return load(source, *args, **kwargs)
         return counted
 
-    for loader in ("load_crop_panel", "load_io_panel", "load_price_table",
-                   "load_land_use", "load_value_cost"):
-        monkeypatch.setattr(ingest, loader, counting(getattr(ingest, loader)))
-    # the area tables load through the name ``advantage`` imported
-    monkeypatch.setattr(advantage, "load_crop_panel", ingest.load_crop_panel)
+    for module, loader in [(ingest, "load_crop_panel"),
+                           (ingest, "load_io_panel"),
+                           (ingest, "load_price_table"),
+                           (ingest, "load_land_use"),
+                           (ingest, "load_value_cost"),
+                           (advantage, "load_area_share_table")]:
+        monkeypatch.setattr(module, loader, counting(getattr(module, loader)))
     return names
 
 

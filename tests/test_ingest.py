@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrodiag import fixtures
+from agrodiag.advantage import load_area_share_table
 from agrodiag.decomposition import decompose
 from agrodiag.errors import (
     CoverageError,
@@ -742,6 +743,10 @@ LOADERS = {
                  "2000,68,18,100"),
     "value/cost series": (load_value_cost, "year,output_value,input_cost",
                           "2000,1500,1000"),
+    "region area-share table": (
+        lambda s: load_area_share_table(s, "region"),
+        "crop_id,year,area_ha,production_t,price_per_t",
+        "paddy,2005,100,250,500"),
 }
 
 # (input kind, its data rows, the error type, the message after the kind);
@@ -831,6 +836,16 @@ CELL_FAULTS = [
      "value 0.0 in column 'input_cost', row 2 must be finite and > 0"),
     ("value/cost series", ["2000,1500,1000", "2000,1,1"], DuplicateKeyError,
      "duplicate year 2000 in row 3"),
+    ("region area-share table", ["paddy,2005,100,250,500",
+                                 "wheat,2006,50,90,700"], DuplicateKeyError,
+     "must cover exactly one year, got 2006 in row 3 after 2005"),
+    ("region area-share table", ["paddy,2005,100,250,500", "paddy,2005,1,1,1"],
+     DuplicateKeyError, "duplicate (paddy, 2005) in row 3"),
+    ("region area-share table", ["paddy,2005,0,250,500", "wheat,2005,0,0,0"],
+     DomainError, "region table for 2005 has no area"),
+    ("region area-share table", ["paddy,2005,1.7e308,0,0",
+                                 "wheat,2005,1.7e308,0,0"], DomainError,
+     "region table for 2005 has an infinite total area"),
 ]
 
 # whole-file fault -> (the input text, the message after the kind), each
@@ -940,6 +955,14 @@ class TestLoaderMessages:
     def test_of_two_faults_the_cells_come_first(self, kind, rows, error,
                                                message):
         assert_loader_message(kind, rows, error, message)
+
+    def test_a_second_area_year_is_named_before_a_later_bad_cell(self):
+        assert_loader_message(
+            "region area-share table", ["paddy,2005,100,250,500",
+                                        "wheat,2006,50,90,700",
+                                        "maize,2005,-1,0,0"],
+            DuplicateKeyError,
+            "must cover exactly one year, got 2006 in row 3 after 2005")
 
     def test_a_field_over_the_csv_limit_names_the_row(self, tmp_path):
         path = tmp_path / "prices.csv"

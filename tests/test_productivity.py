@@ -316,6 +316,14 @@ class TestAvgAnnualGrowth:
         with pytest.raises(LogDomainError):
             avg_annual_growth(series, method="loglinear")
 
+    @pytest.mark.parametrize("method", ["loglinear", "cagr"])
+    def test_overflowing_rate_is_domain_error_naming_the_window(self,
+                                                                method):
+        with pytest.raises(DomainError, match=r"^the growth rate over "
+                                              r"\[2000, 2001\] overflows a "
+                                              r"float$"):
+            avg_annual_growth({2000: 1e-300, 2001: 1e10}, method=method)
+
     def test_accepts_index_series(self):
         series = IndexSeries("tfp", 2000, {2000: 100.0, 2001: 102.0})
         assert avg_annual_growth(series, method="cagr") == pytest.approx(2.0)

@@ -9,13 +9,14 @@ from agrodiag import serialize
 from agrodiag.errors import DomainError
 from agrodiag.serialize import (
     CSV_CHUNK_LINES,
-    canonical,
     csv_chunks,
     csv_text,
     json_chunks,
     json_text,
     write_artifacts,
 )
+
+from helpers import canonical
 
 # JSON documents as artifacts hold them: nested objects and arrays of
 # finite floats (extremes and signed zeros included), ints and text

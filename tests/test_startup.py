@@ -3,6 +3,7 @@ command runs, and the lazy public names of the package and of the CLI
 behave like eager ones."""
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import agrodiag
 from agrodiag import cli
 from agrodiag.cli import main
 
-from helpers import out_flag
+from helpers import other_interpreters, out_flag
 
 SRC = str(Path(agrodiag.__file__).resolve().parents[1])
 
@@ -26,9 +27,6 @@ SRC = str(Path(agrodiag.__file__).resolve().parents[1])
 # of the module it is parsing, which stays in the process's peak memory:
 # the largest module a command parses sets a floor under its peak
 MAX_MODULE_TOKENS = 1750
-LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
-                 tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
-                 tokenize.ENDMARKER}
 
 # `python -m agrodiag` runs __main__.py as `__main__`, so the package's
 # __main__ module is never registered under its own name
@@ -98,10 +96,27 @@ def layers(*names: str) -> set[str]:
 
 
 def tokens(path: str) -> int:
-    """The tokens of the module at PATH, layout not counted."""
+    """The tokens of the module at PATH, layout not counted. An f-string
+    counts as one token, as CPython 3.11 reads it: from 3.12 on,
+    ``tokenize`` splits it into its parts, from ``FSTRING_START`` to the
+    matching ``FSTRING_END``. Needs only ``tokenize``, so that other
+    interpreters can run it as a script."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+              tokenize.ENDMARKER}
+    start = getattr(tokenize, "FSTRING_START", None)
+    end = getattr(tokenize, "FSTRING_END", None)
+    count = depth = 0  # depth: the f-strings open around the token
     with open(path, "rb") as fh:
-        return sum(1 for token in tokenize.tokenize(fh.readline)
-                   if token.type not in LAYOUT_TOKENS)
+        for token in tokenize.tokenize(fh.readline):
+            if token.type == start:
+                count += not depth
+                depth += 1
+            elif token.type == end:
+                depth -= 1
+            elif not depth and token.type not in layout:
+                count += 1
+    return count
 
 
 class TestImportFootprint:
@@ -126,10 +141,11 @@ class TestImportFootprint:
         assert sum(map(tokens, paths)) <= MAX_PARSE_PATH_TOKENS
 
     @pytest.mark.parametrize("argv, expected", [
+        (["cai", "-c", "config.json"],
+         layers("config", "pipeline", "advantage", "csvread", "serialize")),
         (["cai", "--region", "area_region.csv",
           "--nation", "area_nation.csv"],
-         layers("config", "pipeline", "advantage", "ingest", "csvread",
-                "panel", "serialize")),
+         layers("config", "pipeline", "advantage", "csvread", "serialize")),
         (["tfp", "--io-panel", "io_panel.csv"],
          layers("config", "pipeline", "ingest", "csvread", "panel",
                 "productivity", "serialize")),
@@ -140,7 +156,7 @@ class TestImportFootprint:
     ])
     def test_subcommand_loads_only_its_layers(self, fixture_dir, tmp_path,
                                               argv, expected):
-        argv = [str(fixture_dir / a) if a.endswith(".csv") else a
+        argv = [str(fixture_dir / a) if a.endswith((".csv", ".json")) else a
                 for a in argv]
         code, modules = loaded_modules(RUN_CLI, *argv, "-o", str(tmp_path))
         assert (code, modules) == (0, expected)
@@ -253,6 +269,21 @@ class TestImportFootprint:
         assert {name: size for name, size in sizes.items()
                 if size > MAX_MODULE_TOKENS} == {}
         assert "agrodiag.pipeline" in sizes
+
+    def test_other_interpreters_count_the_same_tokens(self):
+        # the bounds above hold under every interpreter, not only this one
+        found = other_interpreters()
+        if not found:
+            pytest.skip("no other python3.10 ... python3.13 on PATH starts")
+        paths = sorted(map(str, Path(agrodiag.__file__).parent.glob("*.py")))
+        script = ("import json, sys, tokenize\n" + inspect.getsource(tokens)
+                  + "print(json.dumps([tokens(p) for p in sys.argv[1:]]))\n")
+        for exe in found:
+            result = subprocess.run([exe, "-c", script, *paths],
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert dict(zip(paths, json.loads(result.stdout))) == \
+                {path: tokens(path) for path in paths}, exe
 
     def test_import_package_loads_no_layer(self):
         script = ("import json, sys, agrodiag\n"
