@@ -18,6 +18,9 @@ from .serialize import (
 # ``open`` refuses a NUL character with an error that names no key
 _FILE_NAME = decoder(lambda value: type(value) is str and "\0" not in value,
                      "a string without NUL characters")
+# a repeated commodity would add its price-CV indicators twice
+_DISTINCT = decoder(lambda value: len(set(strings(value))) == len(value),
+                    "a list of distinct strings")
 _PAIR = decoder(lambda value: type(value) is list and len(value) == 2,
                 "a [first_year, last_year] pair")
 
@@ -69,7 +72,7 @@ def load_run_config(path: Path | str) -> RunConfig:
         "decomposition": json_object({"base_year": integer,
                                       "terminal_year": integer}),
         "break_year": integer,
-        "break_commodities": strings,
+        "break_commodities": _DISTINCT,
         "grain_commodity": string,
         "fertilizer_commodity": string,
         "diversification_group": string,

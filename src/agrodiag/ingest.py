@@ -15,19 +15,12 @@ share across concurrent readers.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from array import array
-from typing import Mapping
 
 from .csvread import (CROP_COLUMNS, _amount, _label, _named, _price, _text,
                       records)
-from .errors import (
-    CoverageError,
-    DomainError,
-    DuplicateKeyError,
-    SchemaError,
-)
+from .errors import CoverageError, DuplicateKeyError, SchemaError
 from .panel import (
     IO_SIDES,
     CropPanel,
@@ -39,31 +32,15 @@ from .panel import (
 )
 
 
-def load_crop_panel(source, deflator: Mapping[int, float] | None = None, *,
-                    years=None) -> CropPanel:
-    """Load a crop panel file; optionally deflate prices to real terms.
+def load_crop_panel(source, *, years=None) -> CropPanel:
+    """Load a crop panel file; prices are kept as loaded (nominal).
 
-    ``deflator`` maps year to an index (base 100); each price is divided by
-    ``deflator[year] / 100``. The deflator must cover every year present.
-    No deflator is ever invented: nominal prices pass through unchanged.
     Every row is checked, but with ``years`` (a set) only the rows of
     those are kept; ``CropPanel.checked`` counts them all.
     """
     what = _label(source, "crop panel")
     columns = _Columns(years)
     for line, (crop_id, year, *values) in records(source, what, CROP_COLUMNS):
-        if deflator is not None:
-            if year not in deflator:
-                raise CoverageError(
-                    f"{what}: deflator does not cover year {year} (row {line})"
-                )
-            index = deflator[year]
-            if not (math.isfinite(index) and index > 0):
-                raise DomainError(
-                    f"{what}: deflator for {year} must be finite and > 0, "
-                    f"got {index!r} (row {line})"
-                )
-            values[2] /= index / 100.0
         if not columns.add(year, crop_id, values):
             raise DuplicateKeyError(
                 f"{what}: duplicate ({crop_id}, {year}) in row {line}"

@@ -110,7 +110,7 @@ class Run:
 
     @cached_property
     def readings(self) -> dict:
-        """The market readings ``assemble_indicators`` takes, which the
+        """The market readings ``assemble_indicators`` reads, which the
         market artifacts serialize, but for the terminal area shares;
         ``land`` is ``land_ratios.json``'s record."""
         from . import markets
@@ -153,17 +153,9 @@ class Run:
     def indicators(self) -> str:
         """``indicators.json``: the indicator set the tree evaluates, its
         inputs read in ``report``'s order."""
-        from .markets import crop_shares
-        from .productivity import avg_annual_growth
-
-        readings = self.readings
-        tfp_growth = avg_annual_growth(self.series["tfp"],
-                                       method=self.config.growth_method)
-        return json_text(assemble_indicators(
-            self.config, tfp_growth=tfp_growth, **readings,
-            cai_values=self.cai_values, terminal_area_shares=crop_shares(
-                self.panel, self.config.decomposition_terminal, "area"),
-        ).to_dict(), "indicators.json")
+        self.readings, self.series, self.cai_values, self.panel
+        return json_text(assemble_indicators(self).to_dict(),
+                         "indicators.json")
 
     @cached_property
     def diagnosis(self) -> DiagnosticReport:
@@ -266,60 +258,60 @@ class Run:
             self.diagnose))
 
 
-def assemble_indicators(config: RunConfig, *, tfp_growth: float,
-                        break_stats: list, land: dict, cai_values: dict,
-                        terminal_area_shares: tuple, value_cost: dict,
-                        grain_fert: dict
-                        ) -> IndicatorSet:
-    """Reduce the module outputs to the scalars the tree predicates read;
-    ``land`` is as ``land_ratios.json`` holds it, ``terminal_area_shares``
-    as ``markets.crop_shares`` gives it."""
+def assemble_indicators(run: Run) -> IndicatorSet:
+    """Reduce the readings of RUN to the scalars the tree predicates read,
+    one declared (name, value, units, provenance) entry each."""
     from .diagnostics import IndicatorSet
+    from .markets import crop_shares
+    from .productivity import avg_annual_growth
 
-    ind = IndicatorSet()
-    ind.add("agricultural_land_ratio_change", land["al_ratio_change"],
-            "ratio", "land_use_ratios, first vs last triennium")
-    ind.add("al_ratio_first", land["first"]["al_ratio"], "ratio",
-            "land_use_ratios")
-    ind.add("al_ratio_last", land["last"]["al_ratio"], "ratio",
-            "land_use_ratios")
-    ind.add("tfp_growth_pct", tfp_growth, "pct/yr",
-            f"avg_annual_growth(tfp, method={config.growth_method})")
-    ind.add("tfp_growth_national_pct", config.national_tfp_growth_pct,
-            "pct/yr", "config benchmark")
-    ind.add("tfp_growth_gap_pp",
-            tfp_growth - config.national_tfp_growth_pct,
-            "pp/yr", "avg_annual_growth(tfp) minus national benchmark")
-    rising = sum(1 for s in break_stats if s.cv_after > s.cv_before)
-    ind.add("price_cv_rising_share",
-            rising / len(break_stats) if break_stats else 0.0,
-            "fraction", "break_analysis over configured commodities")
-    for s in break_stats:
-        ind.add(f"price_cv_before_{s.commodity_id}", s.cv_before, "percent",
-                "break_analysis")
-        ind.add(f"price_cv_after_{s.commodity_id}", s.cv_after, "percent",
-                "break_analysis")
-    best_group = max(sorted(cai_values), key=lambda g: cai_values[g])
-    ind.add("cai_max", cai_values[best_group], "ratio",
-            f"cai_table, group {best_group}")
+    config, readings, cai = run.config, run.readings, run.cai_values
+    land, stats = readings["land"], readings["break_stats"]
+    value_cost, grain_fert = readings["value_cost"], readings["grain_fert"]
+    national = config.national_tfp_growth_pct
+    tfp_growth = avg_annual_growth(run.series["tfp"],
+                                   method=config.growth_method)
     group = config.diversification_group
-    crops, shares = terminal_area_shares
+    crops, shares = crop_shares(run.panel, config.decomposition_terminal,
+                                "area")
     row = bisect_left(crops, group)
     if crops[row:row + 1] != (group,):
         raise SchemaError(
             f"diversification group {group!r} not in the crop panel "
             f"(have {list(crops)})"
         )
-    ind.add("high_advantage_area_share_pct", next(islice(shares, row, None)),
-            "percent", f"share_table at terminal triennium, {group} row")
-    last_vc_year = max(value_cost)
-    ind.add("value_cost_ratio_terminal", value_cost[last_vc_year], "ratio",
-            f"value_cost_ratio, year {last_vc_year}")
-    last_pr_year = max(grain_fert)
-    ind.add("grain_fertilizer_price_ratio_terminal", grain_fert[last_pr_year],
-            "ratio",
-            f"price_ratio {config.grain_commodity}/"
-            f"{config.fertilizer_commodity}, year {last_pr_year}")
+    best = max(sorted(cai), key=cai.get)
+    vc_year, pr_year = max(value_cost), max(grain_fert)
+    ind = IndicatorSet()
+    for entry in chain((
+        ("agricultural_land_ratio_change", land["al_ratio_change"], "ratio",
+         "land_use_ratios, first vs last triennium"),
+        ("al_ratio_first", land["first"]["al_ratio"], "ratio",
+         "land_use_ratios"),
+        ("al_ratio_last", land["last"]["al_ratio"], "ratio",
+         "land_use_ratios"),
+        ("tfp_growth_pct", tfp_growth, "pct/yr",
+         f"avg_annual_growth(tfp, method={config.growth_method})"),
+        ("tfp_growth_national_pct", national, "pct/yr", "config benchmark"),
+        ("tfp_growth_gap_pp", tfp_growth - national, "pp/yr",
+         "avg_annual_growth(tfp) minus national benchmark"),
+        ("price_cv_rising_share",
+         sum(s.cv_after > s.cv_before for s in stats) / len(stats)
+         if stats else 0.0,
+         "fraction", "break_analysis over configured commodities"),
+    ), ((f"price_cv_{when}_{s.commodity_id}", cv, "percent", "break_analysis")
+        for s in stats for when, cv in (("before", s.cv_before),
+                                        ("after", s.cv_after))), (
+        ("cai_max", cai[best], "ratio", f"cai_table, group {best}"),
+        ("high_advantage_area_share_pct", next(islice(shares, row, None)),
+         "percent", f"share_table at terminal triennium, {group} row"),
+        ("value_cost_ratio_terminal", value_cost[vc_year], "ratio",
+         f"value_cost_ratio, year {vc_year}"),
+        ("grain_fertilizer_price_ratio_terminal", grain_fert[pr_year],
+         "ratio", f"price_ratio {config.grain_commodity}/"
+         f"{config.fertilizer_commodity}, year {pr_year}"),
+    )):
+        ind.add(*entry)
     return ind
 
 

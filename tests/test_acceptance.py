@@ -8,7 +8,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from agrodiag import fixtures
 from agrodiag.advantage import AreaShareTable, cai

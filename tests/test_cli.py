@@ -15,7 +15,7 @@ from agrodiag.cli import main, parse_args
 from agrodiag.commands import _run
 from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
-from agrodiag.pipeline import Run, run_pipeline
+from agrodiag.pipeline import Run
 
 from helpers import REPORT_ARTIFACTS, other_interpreters, out_flag
 from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
@@ -1428,6 +1428,20 @@ class TestRunConfig:
         assert rc == 1
         assert "Traceback" not in err
         assert err.startswith(f"error: config {config_path}: {key} ")
+
+    def test_a_repeated_break_commodity_exits_1_naming_the_key(
+            self, run_dir, tmp_path, capsys):
+        # repeated, its price-CV indicators would be added twice
+        config = absolute_config(run_dir)
+        config["break_commodities"] = ["paddy", "paddy", "wheat"]
+        path = write_config(tmp_path, config)
+        for command in COMMANDS.split(", "):
+            out = [] if command == "validate" else ["-o", str(tmp_path / "o")]
+            assert main([command, "-c", str(path), *out]) == 1
+            assert capsys.readouterr() == ("", (
+                f"error: config {path}: break_commodities must be a list of "
+                "distinct strings, got ['paddy', 'paddy', 'wheat']\n"))
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_byte_order_marks_change_no_artifact(self, report_dir, tmp_path):
         """A config and CSVs saved with a UTF-8 BOM, as spreadsheet

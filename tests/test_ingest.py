@@ -69,32 +69,11 @@ class TestLoadCropPanel:
         assert panel.crops == ("paddy", "wheat")
         assert crop_row(panel, "paddy", 2005)[1] == 250.0
 
-    def test_deflator_scales_prices(self):
-        # index 125 in the second year deflates prices by a factor 0.8
-        panel = load_text(TWO_CROP_FILE, deflator={2005: 100.0, 2006: 125.0})
-        assert crop_row(panel, "paddy", 2005)[2] == 500.0
-        assert crop_row(panel, "paddy", 2006)[2] == pytest.approx(520.0 * 0.8)
-
-    def test_constant_deflator_of_100_is_identity(self):
-        plain = load_text(TWO_CROP_FILE)
-        deflated = load_text(TWO_CROP_FILE, deflator={2005: 100.0, 2006: 100.0})
-        assert plain == deflated
-
-    @pytest.mark.parametrize("index", [0.0, -100.0, float("nan"),
-                                       float("inf")])
-    def test_bad_deflator_is_domain_error(self, index):
-        with pytest.raises(DomainError, match="deflator for 2006.*row 3"):
-            load_text(TWO_CROP_FILE, deflator={2005: 100.0, 2006: index})
-
-    def test_deflator_must_cover_all_years(self):
-        with pytest.raises(CoverageError):
-            load_text(TWO_CROP_FILE, deflator={2005: 100.0})
-
-    def test_deflator_must_cover_unkept_years(self):
-        # the unkept year's rows are checked as every other row
-        with pytest.raises(CoverageError,
-                           match="deflator does not cover year 2006 .row 3."):
-            load_text(TWO_CROP_FILE, deflator={2005: 100.0}, years={2005})
+    def test_a_positional_second_argument_is_refused(self):
+        # ``years`` is keyword-only: a stale positional deflator mapping
+        # raises rather than being read as the years to keep
+        with pytest.raises(TypeError):
+            load_crop_panel(io.StringIO(TWO_CROP_FILE), {2005: 100.0})
 
     def test_kept_years_hold_only_their_rows(self):
         # maize grows only in 2006, which is not kept; 2004 has no rows
@@ -916,20 +895,6 @@ class TestLoaderMessages:
         assert str(caught.value) == (
             f"crop panel {path}: non-numeric value 'x' in column 'year', "
             f"row 2")
-
-    @pytest.mark.parametrize("deflator, error, message", [
-        ({2006: 100.0}, CoverageError,
-         "deflator does not cover year 2005 (row 2)"),
-        ({2005: 0.0}, DomainError,
-         "deflator for 2005 must be finite and > 0, got 0.0 (row 2)"),
-    ])
-    def test_deflator_faults(self, deflator, error, message):
-        text = ("crop_id,year,area_ha,production_t,price_per_t\n"
-                "paddy,2005,100,250,500\n")
-        with pytest.raises(error) as caught:
-            load_text(text, deflator=deflator)
-        assert type(caught.value) is error
-        assert str(caught.value) == f"crop panel: {message}"
 
     # of two faults in one row, the cells are decoded left to right first,
     # then the row's own checks run: the first four cases changed to this

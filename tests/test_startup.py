@@ -359,8 +359,11 @@ def _names_used(tree: ast.Module) -> set[str]:
 
 
 class TestModuleImports:
-    @pytest.mark.parametrize("path", sorted(
-        Path(agrodiag.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", [
+        *sorted(Path(agrodiag.__file__).parent.glob("*.py")),
+        *sorted(Path(__file__).parent.glob("*.py")),
+        *sorted(Path(__file__).parents[1].glob("demos/*.py"))],
+        ids=lambda p: p.name)
     def test_every_module_level_import_is_used(self, path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _names_used(tree)
