@@ -138,8 +138,8 @@ def parse_args(argv: list[str]) -> dict:
             raise UsageError(f"{command}: unknown flag {flag}")
         if not eq:  # --flag VALUE; a VALUE starting with "-" needs the "="
             value = next(rest, "-")
-            if value.startswith("-"):
-                raise UsageError(f"{command}: {flag} needs a value")
+        if not value or not eq and value.startswith("-"):
+            raise UsageError(f"{command}: {flag} needs a value")
         kind = flags[flag][1]
         if kind is int:
             try:

@@ -21,8 +21,10 @@ _FILE_NAME = decoder(lambda value: type(value) is str and "\0" not in value,
 # a repeated commodity would add its price-CV indicators twice
 _DISTINCT = decoder(lambda value: len(set(strings(value))) == len(value),
                     "a list of distinct strings")
-_PAIR = decoder(lambda value: type(value) is list and len(value) == 2,
-                "a [first_year, last_year] pair")
+# a growth window with first_year >= last_year covers no year
+_PAIR = decoder(lambda value: type(value) is list and len(value) == 2
+                and integer(value[0]) < integer(value[1]),
+                "a [first_year, last_year] pair, first_year < last_year")
 
 
 class RunConfig(Record):
@@ -67,8 +69,7 @@ def load_run_config(path: Path | str) -> RunConfig:
                              "area_shares_nation"), file),
             "price_series": lambda value: [file(p) for p in strings(value)],
         }),
-        "periods": (json_object(
-            lambda value: tuple(map(integer, _PAIR(value)))), {}),
+        "periods": (json_object(lambda value: tuple(_PAIR(value))), {}),
         "decomposition": json_object({"base_year": integer,
                                       "terminal_year": integer}),
         "break_year": integer,

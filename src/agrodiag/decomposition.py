@@ -81,14 +81,10 @@ def _period_values(panel: CropPanel, year: int, mode: str):
     """Resolve one comparison period to ``(label, (crops, area, production,
     price))``, the crops ascending."""
     if mode == "triennium":
-        period = triennium_average(panel, year)
-        label = f"TE {year}"
-    elif mode == "endpoint":
-        period = panel
-        label = str(year)
-    else:
-        raise ValueError(f"unknown period_mode {mode!r}")
-    return label, period.columns(year)
+        return f"TE {year}", triennium_average(panel, year)
+    if mode == "endpoint":
+        return str(year), panel.columns(year)
+    raise ValueError(f"unknown period_mode {mode!r}")
 
 
 def _merged(base, term):

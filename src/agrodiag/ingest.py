@@ -54,16 +54,18 @@ def triennium_years(*ends: int) -> set[int]:
     return {end - k for end in ends for k in range(3)}
 
 
-def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
-    """Average the three years ending in ``end_year`` into one synthetic year.
+def triennium_average(panel: CropPanel, end_year: int) -> tuple:
+    """Average the three years ending in ``end_year``, as ``panel.columns``
+    returns one year: ``(crop_ids, area, production, price)``, crop ids
+    ascending, each value column a read-only view of doubles.
 
     A crop absent in one of the years contributes zero area and production
     to that year's term (not grown means literally nothing harvested), while
     its price is averaged only over years where it was observed: a zero
     price would be meaningless.
 
-    The result is memoised on ``panel``: a second call with the same
-    ``end_year`` returns the same averaged panel.
+    The tuple is memoised on ``panel``: a second call with the same
+    ``end_year`` returns the same tuple and views.
     """
     memo = panel._trienniums
     if end_year in memo:
@@ -98,7 +100,8 @@ def triennium_average(panel: CropPanel, end_year: int) -> CropPanel:
         mean_area.append(area / 3.0)
         mean_production.append(production / 3.0)
         mean_price.append(price / observed)
-    memo[end_year] = CropPanel({end_year: (crops, *means)})
+    memo[end_year] = (crops, *(memoryview(mean).toreadonly()
+                               for mean in means))
     return memo[end_year]
 
 

@@ -152,8 +152,7 @@ def crop_shares(panel: CropPanel, te_year: int, dimension: str = "area"):
     the triennium's columns; a total not positive and finite is refused."""
     if dimension not in ("area", "value"):
         raise ValueError(f"dimension must be 'area' or 'value', got {dimension!r}")
-    crops, area, production, price = triennium_average(
-        panel, te_year).columns(te_year)
+    crops, area, production, price = triennium_average(panel, te_year)
 
     def weights():  # read twice rather than held in a list
         return area if dimension == "area" else map(mul, production, price)

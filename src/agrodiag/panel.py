@@ -16,10 +16,10 @@ their ``array('d')`` columns hold doubles bit for bit.
   item ids in the order given plus two columns (quantity, share).
 
 A ``CropPanel`` also memoises the trienniums averaged from it
-(``ingest.triennium_average``), each one year stored as the average fills
-it. That memo is an idempotent cache on an
+(``ingest.triennium_average``), each as the tuple ``columns`` returns for a
+year, its columns read-only views. That memo is an idempotent cache on an
 immutable panel: it changes no result, and two threads that fill one entry
-at once store equal panels, so it needs no lock.
+at once store equal tuples, so it needs no lock.
 """
 from __future__ import annotations
 
@@ -93,56 +93,49 @@ def _shared(ids, last):
 class CropPanel:
     """Crop observations keyed by (crop_id, year), at most one per key.
 
-    Built from a loader's ``_Columns``, or from years as stored. They are
-    indexed by year once, at construction: years ascend and, within a year,
-    crop ids ascend, so every downstream aggregate is reproducible
-    bit-for-bit. Each year is stored as a tuple of crop ids plus area,
-    production and price columns of doubles, read through ``columns``;
-    equal id tuples are shared. ``checked`` counts every row given, kept
-    or not: ``(rows, distinct crops, years)``, the years ascending.
-    ``_trienniums`` maps an end year to the triennium averaged from this
-    panel; ``ingest.triennium_average`` fills and reads it.
+    Built from a loader's ``_Columns``, and indexed by year once, at
+    construction: years ascend and, within a year, crop ids ascend, so
+    every downstream aggregate is reproducible bit-for-bit. Each year is
+    stored as a tuple of crop ids plus area, production and price columns
+    of doubles, read through ``columns``; equal id tuples are shared.
+    ``checked`` counts every row given, kept or not: ``(rows, distinct
+    crops, years)``, the years ascending. ``_trienniums`` maps an end year
+    to the triennium averaged from this panel, in ``columns``' shape;
+    ``ingest.triennium_average`` fills and reads it.
     """
 
     def __init__(self, columns) -> None:
-        if isinstance(columns, dict):
-            # years as stored, ``{year: (crop ids ascending, area,
-            # production, price)}``: kept as given, every row counted
-            self._by_year, checked = columns, None
-        else:
-            by_key, years, count = columns.by_key, sorted(columns.by_key), 0
-            for flags, _, _ in by_key.values():
-                count += flags.count(1)
-                flags.clear()  # freed before the list of ids is made
-            names = list(columns.codes)  # each code's id
-            columns.codes.clear()
-            checked = (count, len(names), tuple(years))
-            # sort year by year, each year's scratch freed before the next
-            self._by_year: dict[int, tuple[tuple[str, ...], array, array,
-                                           array]] = {}
-            last = None
-            for year in years:
-                _, codes, flat = by_key.pop(year)
-                if codes is None:
-                    continue
-                ids = list(map(names.__getitem__, codes))
-                order = array("I", sorted(range(len(ids)),
-                                          key=ids.__getitem__))
-                last = _shared(map(ids.__getitem__, order), last)
-                del codes, ids
-                rows = array("d")  # the year's rows in crop order, whose
-                for i in order:  # strided slices are allocated at their length
-                    rows.extend(flat[3 * i:3 * i + 3])
-                self._by_year[year] = (last, *(rows[k::3] for k in range(3)))
-                del flat, order, rows
+        by_key, years, count = columns.by_key, sorted(columns.by_key), 0
+        for flags, _, _ in by_key.values():
+            count += flags.count(1)
+            flags.clear()  # freed before the list of ids is made
+        names = list(columns.codes)  # each code's id
+        columns.codes.clear()
+        self.checked = (count, len(names), tuple(years))
+        # sort year by year, each year's scratch freed before the next
+        self._by_year: dict[int, tuple[tuple[str, ...], array, array,
+                                       array]] = {}
+        last = None
+        for year in years:
+            _, codes, flat = by_key.pop(year)
+            if codes is None:
+                continue
+            ids = list(map(names.__getitem__, codes))
+            order = array("I", sorted(range(len(ids)), key=ids.__getitem__))
+            last = _shared(map(ids.__getitem__, order), last)
+            del codes, ids
+            rows = array("d")  # the year's rows in crop order, whose
+            for i in order:  # strided slices are allocated at their length
+                rows.extend(flat[3 * i:3 * i + 3])
+            self._by_year[year] = (last, *(rows[k::3] for k in range(3)))
+            del flat, order, rows
         self._years = tuple(self._by_year)
         kept = [ids for ids, *_ in self._by_year.values()]
         widest = max(kept, key=len, default=())  # no set if every year is it
         self._crops = widest if all(ids is widest for ids in kept) else (
             _shared(sorted(set().union(*kept)), widest))
         self._len = sum(map(len, kept))
-        self.checked = checked or (self._len, len(self._crops), self._years)
-        self._trienniums: dict[int, CropPanel] = {}
+        self._trienniums: dict[int, tuple] = {}
 
     @property
     def years(self) -> tuple[int, ...]:

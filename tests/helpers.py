@@ -61,20 +61,23 @@ def crop_panel(rows) -> CropPanel:
     return CropPanel(columns)
 
 
-def crop_rows(panel: CropPanel, year: int | None = None) -> list[tuple]:
-    """The panel's rows, read through ``columns``: one year's by crop_id,
-    or all of them in (crop_id, year) order."""
-    if year is not None:
-        if not panel.has_year(year):
-            return []
-        ids, *values = panel.columns(year)
+def crop_rows(panel, year: int | None = None) -> list[tuple]:
+    """The rows of a ``columns`` tuple (a panel year or a triennium), by
+    crop_id and labelled ``year``; or a panel's, read through ``columns``:
+    one year's, or all of them in (crop_id, year) order."""
+    if isinstance(panel, tuple):
+        ids, *values = panel
         return [(crop, year, *row) for crop, *row in zip(ids, *values)]
+    if year is not None:
+        return crop_rows(panel.columns(year), year) if panel.has_year(
+            year) else []
     return sorted((row for y in panel.years for row in crop_rows(panel, y)),
                   key=lambda row: row[:2])
 
 
-def crop_row(panel: CropPanel, crop: str, year: int) -> tuple | None:
-    """``(area, production, price)`` of one crop and year, or None."""
+def crop_row(panel, crop: str, year: int) -> tuple | None:
+    """``(area, production, price)`` of one crop and year, or None; PANEL
+    is a panel or a ``columns`` tuple, as for ``crop_rows``."""
     for row in crop_rows(panel, year):
         if row[0] == crop:
             return row[2:]

@@ -369,6 +369,24 @@ class TestSubcommands:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert loaded_modules(RUN_CLI, *argv) == (2, ENTRY)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["markets", "-c", "{config}", "-o", ""], "markets: --out needs a value"),
+        (["report", "-c", "{config}", "--out="], "report: --out needs a value"),
+        (["report", "--config="], "report: --config needs a value"),
+        (["report", "-c", ""], "report: --config needs a value"),
+        (["decompose", "--crop-panel=", "--base", "2002", "--terminal",
+          "2016"], "decompose: --crop-panel needs a value"),
+    ], ids=["markets-o", "report-out", "report-config", "report-c",
+            "decompose-crop-panel"])
+    def test_an_empty_value_exits_2_writing_nothing(
+            self, run_dir, tmp_path, monkeypatch, capsys, argv, message):
+        # an empty path would be '.', the working directory
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(config=run_dir / "config.json") for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("spaced, joined", [
         (["decompose", "--crop-panel", "{inputs}/crops.csv", "--base",
           "2002", "--terminal", "2016", "--mode", "endpoint"],
@@ -1392,6 +1410,8 @@ class TestRunConfig:
         ("decomposition.terminal_year", True),
         ("periods.x", [2001.7, True]),
         ("periods.x", [2001, 2005, 2009]),
+        ("periods.overall", [2016, 2001]),
+        ("periods.overall", [2005, 2005]),
         ("methods.cv_ddof", True),
         ("methods.cv_ddof", 1.0),
         ("benchmarks.national_tfp_growth_pct", "1.6"),

@@ -100,7 +100,8 @@ class TestDecompose:
         from agrodiag.ingest import triennium_average
         te_base = triennium_average(panel, 2002)
         te_term = triennium_average(panel, 2006)
-        merged = crop_panel(crop_rows(te_base) + crop_rows(te_term))
+        merged = crop_panel(crop_rows(te_base, 2002)
+                            + crop_rows(te_term, 2006))
         via_te = decompose(panel, 2002, 2006, period_mode="triennium")
         via_endpoint = decompose(merged, 2002, 2006, period_mode="endpoint")
         for name in via_te.effects:

@@ -240,8 +240,8 @@ class TestLoadCropPanel:
         assert ids[2000] is ids[2001] is panel.crops
         assert ids[2002] == ("a", "b") and ids[2002] is not ids[2001]
         assert ids[2004] is ids[2003] == ids[2000]
-        assert triennium_average(panel, 2002).columns(2002)[0] is ids[2000]
-        assert triennium_average(panel, 2004).columns(2004)[0] is ids[2003]
+        assert triennium_average(panel, 2002)[0] is ids[2000]
+        assert triennium_average(panel, 2004)[0] is ids[2003]
         # the previous kept year's tuple, across the years not kept
         kept = load_text(text, years={2000, 2003})
         assert kept.columns(2003)[0] is kept.columns(2000)[0] is kept.crops
@@ -251,7 +251,7 @@ class TestLoadCropPanel:
                 "a,2000,1,1,1\nb,2000,1,1,1\nb,2001,1,1,1\nc,2001,1,1,1\n"
                 "b,2002,1,1,1\n")
         panel = load_text(text)
-        ids = triennium_average(panel, 2002).columns(2002)[0]
+        ids = triennium_average(panel, 2002)[0]
         assert ids == ("a", "b", "c") == panel.crops
         assert ids is not panel.crops
         assert all(ids is not panel.columns(y)[0] for y in panel.years)
@@ -376,8 +376,7 @@ class TestTriennium:
             te = triennium_average(panel, end_year)
             assert triennium_average(panel, end_year) is te
             expected = oracle_triennium(by_year, end_year)
-            assert te.years == (end_year,)
-            assert te.crops == tuple(expected)
+            assert len(te) == 4 and te[0] == tuple(expected)
             for crop, values in expected.items():
                 assert crop_row(te, crop, end_year) == values
 
@@ -395,7 +394,7 @@ class TestTriennium:
     def test_sparse_and_signed_zero_bits_equal_oracle(self, by_year):
         te = triennium_average(self.make_panel(by_year), 2006)
         expected = oracle_triennium(by_year, 2006)
-        assert te.crops == tuple(expected)
+        assert te[0] == tuple(expected)
         for crop, values in expected.items():
             assert [v.hex() for v in crop_row(te, crop, 2006)] \
                 == [v.hex() for v in values]
@@ -415,7 +414,7 @@ class TestTriennium:
                    for year in (2004, 2005, 2006)}
         panel = self.make_panel(by_year)
         te = triennium_average(panel, 2006)
-        ids, *columns = te.columns(2006)
+        ids, *columns = te
         expected = oracle_triennium(by_year, 2006)
         assert ids == tuple(expected)
         for i, want in enumerate(expected.values()):
@@ -439,8 +438,18 @@ class TestTriennium:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert te.crops is panel.crops and len(te) == 2000
+        assert te[0] is panel.crops and all(len(c) == 2000 for c in te)
         assert peak / 2000 < 40
+
+    def test_columns_are_read_only_and_memoised(self):
+        panel = self.make_panel({y: {"paddy": (1.0, 2.0, 3.0)}
+                                 for y in (2004, 2005, 2006)})
+        te = triennium_average(panel, 2006)
+        for column in te[1:]:
+            with pytest.raises(TypeError):
+                column[0] = 9.0
+        assert crop_row(te, "paddy", 2006) == (1.0, 2.0, 3.0)
+        assert triennium_average(panel, 2006) is te
 
     def test_insufficient_years(self):
         panel = self.make_panel({2006: {"paddy": (1.0, 1.0, 1.0)}})

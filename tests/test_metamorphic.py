@@ -6,6 +6,10 @@ whose effect on every artifact is known without computing it.
 * Scaling every price by 2^k is exact in binary floating point, and every
   indicator is a ratio of prices or free of them: only the price levels
   reported (the break means, the decomposition's currency terms) scale.
+* A year of crop rows outside every triennium is read by no artifact: no
+  byte changes.
+* Crop ids are labels: a prefix that keeps their order, given to the
+  ``diversification_group`` too, changes only where an id is written.
 """
 import io
 import json
@@ -117,3 +121,52 @@ def test_prices_scaled_by_a_power_of_two_scale_only_price_levels(
     for key, value in before.items():
         assert after[key] == (level(value) if key.endswith("_effect")
                               or key == "total" else value), key
+
+
+def test_a_crop_year_outside_every_triennium_changes_no_byte(
+        inputs, base, tmp_path):
+    def add_1990(name, rows):
+        if name != "crops.csv":
+            return rows
+        # the first year's rows again, as 1990
+        first = rows[0].split(",")[1]
+        return rows + [row.replace(f",{first},", ",1990,", 1) for row in rows
+                       if row.split(",")[1] == first]
+
+    config = edited_inputs(inputs, tmp_path / "inputs", add_1990)
+    assert ",1990," in config.with_name("crops.csv").read_text()
+    stdout, artifacts = report(config, tmp_path / "out")
+    assert stdout == base[0]
+    assert artifacts == base[1]
+
+
+def test_prefixed_crop_ids_change_only_the_ids_written(inputs, base,
+                                                       tmp_path):
+    def prefix(name, rows):
+        return ["x_" + row for row in rows] if name == "crops.csv" else rows
+
+    config = edited_inputs(inputs, tmp_path / "inputs", prefix)
+    raw = json.loads(config.read_text())
+    group = raw["diversification_group"]
+    raw["diversification_group"] = "x_" + group
+    config.write_text(json.dumps(raw))
+    stdout, artifacts = report(config, tmp_path / "out")
+    assert stdout == base[0]
+    written = {"shares.csv", "indicators.json"}
+    for name in sorted(set(REPORT_ARTIFACTS) - written):
+        assert artifacts[name] == base[1][name], name
+
+    header, *rows = base[1]["shares.csv"].decode().splitlines()
+    column = header.split(",").index("crop_id")
+    want = [header]
+    for row in rows:
+        cells = row.split(",")
+        cells[column] = "x_" + cells[column]
+        want.append(",".join(cells))
+    assert artifacts["shares.csv"].decode().splitlines() == want
+
+    # the provenance of the diversification indicator names the group
+    old = f"terminal triennium, {group} row".encode()
+    assert base[1]["indicators.json"].count(old) == 1
+    assert artifacts["indicators.json"] == base[1]["indicators.json"].replace(
+        old, f"terminal triennium, x_{group} row".encode())
