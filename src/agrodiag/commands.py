@@ -70,6 +70,10 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # compiled before any input is read, so its parse scratch does not
+    # add to the loaded inputs' peak
+    from . import diagnostics
+
     run = _run(args)
     run.crop_years = set()  # count every row, keep none
     # each input read once and reduced to what is printed, in a fixed
@@ -80,6 +84,7 @@ def _cmd_validate(args) -> int:
     io_years = run.io_panel.years
     land_years = len(run.land)
     region, nation = (len(table.groups) for table in run.areas)
+    tree = diagnostics.resolve_tree(run.config.tree)
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
@@ -88,6 +93,7 @@ def _cmd_validate(args) -> int:
     print(f"land use: {land_years} years")
     print(f"value/cost series: {value_cost_years} years")
     print(f"area tables: {region} region groups, {nation} nation groups")
+    print(f"tree: {len(tree.roots)} chains, {len(tree.nodes)} nodes")
     print("all inputs valid")
     return 0
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from ._record import Record
 from .errors import (
+    DomainError,
     DuplicateKeyError,
     EvaluationError,
     IndicatorTypeError,
@@ -217,7 +218,8 @@ def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport
     Each chain ends in exactly one verdict; the verdict is attributed to
     the chain's constraint label (the most recent labeled node on the
     path). Binding constraints are ranked by how far the deciding value
-    sits past its threshold, normalized by the threshold's magnitude.
+    sits past its threshold, normalized by the threshold's magnitude; a
+    severity past the float range raises ``DomainError`` naming the node.
     """
     for name in tree.manifest:
         if name not in indicators:
@@ -256,7 +258,13 @@ def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport
                 if label is not None:
                     evidence[label] = dict(steps[-1])
                     if branch.verdict == "binding":
-                        binding[label] = pred.severity(value)
+                        binding[label] = severity = pred.severity(value)
+                        if not math.isfinite(severity):
+                            raise DomainError(
+                                f"node {node.id!r}: the severity of "
+                                f"{pred.indicator!r} = {value!r} against "
+                                f"threshold {pred.threshold!r} overflows "
+                                f"a float")
                     else:
                         non_binding.append(label)
                 trace.append({

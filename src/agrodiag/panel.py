@@ -130,34 +130,11 @@ class CropPanel:
             self._by_year[year] = (last, *(rows[k::3] for k in range(3)))
             del flat, order, rows
         self._years = tuple(self._by_year)
-        kept = [ids for ids, *_ in self._by_year.values()]
-        widest = max(kept, key=len, default=())  # no set if every year is it
-        self._crops = widest if all(ids is widest for ids in kept) else (
-            _shared(sorted(set().union(*kept)), widest))
-        self._len = sum(map(len, kept))
         self._trienniums: dict[int, tuple] = {}
 
     @property
     def years(self) -> tuple[int, ...]:
         return self._years
-
-    @property
-    def crops(self) -> tuple[str, ...]:
-        return self._crops
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CropPanel):
-            return NotImplemented
-        return self._by_year == other._by_year
-
-    def __repr__(self) -> str:
-        return (
-            f"CropPanel({self._len} observations, "
-            f"{len(self._crops)} crops, years {self._years[:1]}..{self._years[-1:]})"
-        )
 
     def has_year(self, year: int) -> bool:
         return year in self._by_year
@@ -219,11 +196,6 @@ class InputOutputPanel:
     @property
     def years(self) -> tuple[int, ...]:
         return self._years
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InputOutputPanel):
-            return NotImplemented
-        return self._by_year == other._by_year
 
     def columns(self, year: int, side: str):
         """One year's outputs or inputs (``side`` is ``"output"`` or

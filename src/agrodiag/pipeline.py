@@ -17,6 +17,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DuplicateKeyError, SchemaError
 from .serialize import (
@@ -24,8 +25,6 @@ from .serialize import (
     read_json, write_artifacts,
 )
 
-# true for type checkers only; saves importing ``typing`` for annotations
-TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .advantage import AreaShareTable
     from .config import RunConfig
@@ -74,9 +73,9 @@ class Run:
         return prices
 
     @cached_property
-    def crop_years(self) -> set[int] | None:
-        """The comparison trienniums' years; ``None`` keeps every year, and
-        an empty set none."""
+    def crop_years(self) -> set[int]:
+        """The years the crop panel keeps: the comparison trienniums'
+        years; ``validate`` sets an empty set, which keeps none."""
         from .ingest import triennium_years
 
         return triennium_years(self.config.decomposition_base,

@@ -169,6 +169,14 @@ def io_panel(years: dict) -> InputOutputPanel:
     return InputOutputPanel(columns)
 
 
+def io_rows(panel: InputOutputPanel) -> list[tuple]:
+    """The panel's rows, read through ``columns``, as ``(year, side,
+    item_id, quantity, share)``: years ascending, outputs before inputs,
+    each side's items in the order given."""
+    return [(year, side, *row) for year in panel.years for side in IO_SIDES
+            for row in zip(*panel.columns(year, side))]
+
+
 def oracle_tornqvist(out0: dict, out1: dict, in0: dict, in1: dict) -> float:
     """Eq-by-eq evaluation: averaged-share-weighted log quantity ratios."""
 

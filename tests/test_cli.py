@@ -17,7 +17,7 @@ from agrodiag.config import load_run_config
 from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
 from agrodiag.pipeline import Run
 
-from helpers import REPORT_ARTIFACTS, other_interpreters, out_flag
+from helpers import REPORT_ARTIFACTS, crop_rows, other_interpreters, out_flag
 from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
 
 # every command, as a usage error lists them
@@ -149,6 +149,7 @@ class TestSubcommands:
             "land use: 17 years\n"
             "value/cost series: 17 years\n"
             "area tables: 5 region groups, 5 nation groups\n"
+            "tree: 5 chains, 7 nodes\n"
             "all inputs valid\n"
         )
 
@@ -984,6 +985,63 @@ class TestFailureModes:
             verdicts.append(capsys.readouterr().out)
         assert verdicts[0] == verdicts[1]
 
+    @pytest.mark.parametrize("tree", [None, '{"roots":\n'],
+                             ids=["missing", "malformed"])
+    def test_validate_refuses_the_tree_as_report_does(self, run_dir,
+                                                      tmp_path, capsys, tree):
+        path = tmp_path / "tree.json"
+        if tree is not None:
+            path.write_text(tree)
+        config = absolute_config(run_dir)
+        config["tree"] = str(path)
+        config = write_config(tmp_path, config)
+        errors = []
+        for command in ("report", "validate"):
+            assert main([command, "-c", str(config),
+                         *out_flag(command, tmp_path / "o")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: no inputs: {path}\n"
+                                    if tree is None else
+                                    f"error: tree config {path}: ")
+
+    @pytest.mark.parametrize("form", ["diagnose", "diagnose -o", "report"])
+    def test_an_overflowing_severity_exits_1_naming_the_node(
+            self, run_dir, report_dir, tmp_path, capsys, form):
+        # cai_max is about 1.7: past a threshold of 5e-324, its distance
+        # over the threshold's magnitude leaves the float range
+        value = json.loads((report_dir / "indicators.json").read_text())[
+            "cai_max"]["value"]
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "manifest": {"cai_max": "ratio"}, "roots": ["r"],
+            "nodes": {"r": {
+                "question": "is any group advantaged?",
+                "predicate": {"indicator": "cai_max", "comparator": ">",
+                              "threshold": 5e-324},
+                "constraint_label": "advantage",
+                "on_true": {"verdict": "binding"},
+                "on_false": {"verdict": "not_binding"}}}}))
+        out = tmp_path / "o"
+        if form == "report":
+            config = absolute_config(run_dir)
+            config["tree"] = str(tree)
+            argv = ["report", "-c", str(write_config(tmp_path, config)),
+                    "-o", str(out)]
+        else:
+            argv = ["diagnose", "--tree", str(tree), "--indicators",
+                    str(report_dir / "indicators.json"),
+                    *(["-o", str(out)] if form.endswith("-o") else [])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: node 'r': the severity of 'cai_max' = {value!r} against "
+            f"threshold 5e-324 overflows a float\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("text, fragment", [
         ("[1, 2]", "must be an object mapping indicator names"),
@@ -1530,8 +1588,9 @@ class TestCropYearsKept:
             ["decompose", "-c", str(run_dir / "config.json"), *flags])
         panel = _run(args).panel
         assert panel.years == kept
-        assert len(panel) == 10 * len(kept)
-        assert len(panel.crops) == 10
+        rows = crop_rows(panel)
+        assert len(rows) == 10 * len(kept)
+        assert len({crop for crop, *_ in rows}) == 10
 
     def test_endpoint_mode_in_the_config_keeps_the_trienniums(self, run_dir,
                                                               tmp_path):
@@ -1581,7 +1640,7 @@ class TestCropYearsKept:
                             lambda args: runs.append(_run(args)) or runs[-1])
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
         panel = runs[0].panel
-        assert panel.years == () and len(panel) == 0 and panel.crops == ()
+        assert panel.years == () and crop_rows(panel) == []
         assert panel.checked == (170, 10, tuple(range(2000, 2017)))
         assert capsys.readouterr().out.startswith(
             "crop panel: 170 observations, 10 crops, years 2000-2016\n")
@@ -1603,5 +1662,6 @@ class TestCropYearsKept:
             "land use: 17 years\n"
             "value/cost series: 17 years\n"
             "area tables: 5 region groups, 5 nation groups\n"
+            "tree: 5 chains, 7 nodes\n"
             "all inputs valid\n"
         )

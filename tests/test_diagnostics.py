@@ -14,6 +14,7 @@ from agrodiag.diagnostics import (
 from agrodiag.errors import (
     CycleError,
     DanglingReferenceError,
+    DomainError,
     DuplicateKeyError,
     EvaluationError,
     IndicatorTypeError,
@@ -325,6 +326,20 @@ class TestEvaluate:
         ind.add("x", 25.0, units="ratio")
         with pytest.raises(EvaluationError, match="units"):
             evaluate(tree, ind)
+
+    def test_overflowing_severity_names_node_indicator_and_threshold(self):
+        # (1e300 - 5e-324) / 5e-324 leaves the float range
+        config = single_node_config()
+        config["nodes"]["only"]["predicate"]["threshold"] = 5e-324
+        with pytest.raises(DomainError) as caught:
+            evaluate(tree_from_dict(config), indicators(x=1e300))
+        assert str(caught.value) == (
+            "node 'only': the severity of 'x' = 1e+300 against threshold "
+            "5e-324 overflows a float")
+        # the largest finite severity is still ranked
+        config["nodes"]["only"]["predicate"]["threshold"] = 1.0
+        report = evaluate(tree_from_dict(config), indicators(x=1e308))
+        assert report.severity == {"bigness": 1e308 - 1.0}
 
     def test_verdict_completeness(self):
         tree = builtin_bihar_tree()

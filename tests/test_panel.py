@@ -24,7 +24,14 @@ from agrodiag.panel import (
     _Columns,
 )
 
-from helpers import crop_csv, crop_panel, crop_row, crop_rows, io_panel
+from helpers import (
+    crop_csv,
+    crop_panel,
+    crop_row,
+    crop_rows,
+    io_panel,
+    io_rows,
+)
 
 
 def bits(row: tuple) -> tuple:
@@ -66,9 +73,11 @@ class TestCropPanel:
         panel = crop_panel([
             ("wheat", 2006, 1.0, 1.0, 1.0),
             ("paddy", 2005, 1.0, 1.0, 1.0),
+            ("paddy", 2006, 1.0, 1.0, 1.0),
         ])
         assert panel.years == (2005, 2006)
-        assert panel.crops == ("paddy", "wheat")
+        assert panel.columns(2005)[0] == ("paddy",)
+        assert panel.columns(2006)[0] == ("paddy", "wheat")
 
     def test_missing_year_is_coverage_error(self):
         panel = crop_panel([("a", 2000, 1.0, 1.0, 1.0)])
@@ -86,8 +95,6 @@ class TestCropPanel:
         assert [bits(row) for row in crop_rows(panel)] == \
             [bits(row) for row in model.values()]
         assert panel.years == tuple(sorted({y for _, y in model}))
-        assert panel.crops == tuple(sorted({c for c, _ in model}))
-        assert len(panel) == len(model)
         for year in (YEARS.start - 1, *YEARS):
             want = [row for (_, y), row in model.items() if y == year]
             assert panel.has_year(year) == bool(want)
@@ -100,13 +107,13 @@ class TestCropPanel:
             for k, column in enumerate(columns):
                 assert [v.hex() for v in column] == \
                     [row[2 + k].hex() for row in want]
-        assert panel == crop_panel(observations)
+        assert crop_rows(panel) == crop_rows(crop_panel(observations))
         if observations:
-            assert panel != crop_panel(shuffled[1:])
+            assert crop_rows(panel) != crop_rows(crop_panel(shuffled[1:]))
 
         text = io.StringIO(crop_csv(panel))
         if observations:
-            assert load_crop_panel(text) == panel
+            assert crop_rows(load_crop_panel(text)) == crop_rows(panel)
         else:
             # an empty panel writes a header-only file, which loads as none
             with pytest.raises(SchemaError, match="header but no data rows"):
@@ -129,9 +136,10 @@ class TestCropPanel:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(panel) == 12_000 and panel.crops == tuple(crops)
+        assert all(panel.columns(year)[0] == tuple(crops)
+                   for year in panel.years) and len(panel.years) == 6
         assert crop_row(panel, "crop1999", 2003) == (1.5, 2.5, 2003.25)
-        assert (peak - kept) / len(panel) < 10
+        assert (peak - kept) / 12_000 < 10
 
     def test_kept_columns_are_allocated_at_their_length(self):
         # rows in descending crop order, so every kept year is sorted; an
@@ -206,15 +214,16 @@ class TestInputOutputPanel:
         assert panel.years == (2000, 2001)
         assert panel.columns(2001, "output")[0] == ("y", "x")
         assert panel.columns(2000, "input")[0] == ("l",)
-        assert panel == io_panel(dict(reversed(self.YEARS.items())))
-        assert panel != io_panel({2000: self.YEARS[2000]})
+        assert io_rows(panel) == io_rows(io_panel(
+            dict(reversed(self.YEARS.items()))))
+        assert io_rows(panel) != io_rows(io_panel({2000: self.YEARS[2000]}))
         # outputs summing to 0.9995 are rescaled, whoever fills the builder
         built = io_panel({2000: ({"x": (1.0, 0.6), "y": (2.0, 0.3995)},
                                  {"l": (3.0, 1.0)})})
         loaded = load_io_panel(io.StringIO(
             "year,kind,item_id,quantity,share\n2000,output,x,1.0,0.6\n"
             "2000,output,y,2.0,0.3995\n2000,input,l,3.0,1.0\n"))
-        assert built == loaded
+        assert io_rows(built) == io_rows(loaded)
         for side in ("output", "input"):
             ids, *values = built.columns(2000, side)
             want_ids, *want = loaded.columns(2000, side)

@@ -50,8 +50,8 @@ RUN_CLI = (
 )
 
 
-# runs ``main([COMMAND, '-c', CONFIG, '-o', OUT])``, then prints its exit
-# code and the modules loaded when it opened its first CSV file
+# runs ``main([COMMAND, '-c', CONFIG, *FLAGS])``, then prints its exit code
+# and the modules loaded when it opened its first CSV file
 FIRST_CSV_MODULES = (
     "import json, sys\n"
     "first_csv = []\n"
@@ -61,8 +61,8 @@ FIRST_CSV_MODULES = (
     "        first_csv.append(sorted(sys.modules))\n"
     "sys.addaudithook(hook)\n"
     "from agrodiag.cli import main\n"
-    "command, config, out = sys.argv[1:]\n"
-    "code = main([command, '-c', config, '-o', out])\n"
+    "command, config, *flags = sys.argv[1:]\n"
+    "code = main([command, '-c', config, *flags])\n"
     "print(json.dumps([code, first_csv[0]]))\n"
 )
 
@@ -141,6 +141,9 @@ class TestImportFootprint:
         assert sum(map(tokens, paths)) <= MAX_PARSE_PATH_TOKENS
 
     @pytest.mark.parametrize("argv, expected", [
+        (["validate", "-c", "config.json"],
+         layers("config", "pipeline", "ingest", "csvread", "panel",
+                "advantage", "diagnostics", "tree", "serialize")),
         (["cai", "-c", "config.json"],
          layers("config", "pipeline", "advantage", "csvread", "serialize")),
         (["cai", "--region", "area_region.csv",
@@ -158,7 +161,8 @@ class TestImportFootprint:
                                               argv, expected):
         argv = [str(fixture_dir / a) if a.endswith((".csv", ".json")) else a
                 for a in argv]
-        code, modules = loaded_modules(RUN_CLI, *argv, "-o", str(tmp_path))
+        code, modules = loaded_modules(RUN_CLI, *argv,
+                                       *out_flag(argv[0], tmp_path))
         assert (code, modules) == (0, expected)
 
     def test_diagnose_indicators_loads_only_the_tree(self, indicators,
@@ -244,17 +248,18 @@ class TestImportFootprint:
         # loaded would add its compile scratch to the report's peak memory
         code, modules = loaded_modules(
             FIRST_CSV_MODULES, "report", str(fixture_dir / "config.json"),
-            str(tmp_path))
+            "-o", str(tmp_path))
         assert code == 0
         assert layers("decomposition", "productivity", "markets", "advantage",
                       "diagnostics", "config", "tree", "csvread") <= modules
 
-    def test_diagnose_config_imports_the_tree_before_reading_an_input(
-            self, fixture_dir, tmp_path):
+    @pytest.mark.parametrize("command", ["diagnose", "validate"])
+    def test_config_imports_the_tree_before_reading_an_input(
+            self, fixture_dir, tmp_path, command):
         # ~0.7 MB of a scaled diagnose's peak, if compiled after the inputs
         code, modules = loaded_modules(
-            FIRST_CSV_MODULES, "diagnose", str(fixture_dir / "config.json"),
-            str(tmp_path))
+            FIRST_CSV_MODULES, command, str(fixture_dir / "config.json"),
+            *out_flag(command, tmp_path))
         assert code == 0
         assert layers("diagnostics", "config", "tree", "csvread") <= modules
 
