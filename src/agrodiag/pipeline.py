@@ -58,11 +58,12 @@ class Run:
 
     @property
     def prices(self) -> dict[str, PriceSeries]:
-        """Every configured price series, keyed by commodity id."""
+        """Every configured price series, keyed by commodity id; a break,
+        grain or fertilizer commodity with none is refused."""
         from . import ingest
 
-        prices = {}
-        for path in self.config.price_series:
+        config, prices = self.config, {}
+        for path in config.price_series:
             for commodity, series in ingest.load_price_table(path).items():
                 if commodity in prices:
                     raise DuplicateKeyError(
@@ -70,6 +71,13 @@ class Run:
                         "price-series file"
                     )
                 prices[commodity] = series
+        for role, commodity in (
+                *zip(repeat("break"), sorted(config.break_commodities)),
+                ("grain", config.grain_commodity),
+                ("fertilizer", config.fertilizer_commodity)):
+            if commodity not in prices:
+                raise SchemaError(
+                    f"{role} commodity {commodity!r} has no price series")
         return prices
 
     @cached_property
@@ -115,21 +123,14 @@ class Run:
         from . import markets
 
         config, prices = self.config, self.prices
-
-        def price(role: str, commodity: str) -> PriceSeries:
-            if commodity not in prices:
-                raise SchemaError(
-                    f"{role} commodity {commodity!r} has no price series")
-            return prices[commodity]
-
         readings = {
             "break_stats": [markets.break_analysis(
-                price("break", c), config.break_year, ddof=config.cv_ddof)
+                prices[c], config.break_year, ddof=config.cv_ddof)
                 for c in sorted(config.break_commodities)],
             "value_cost": markets.value_cost_ratio(*self.value_cost),
             "grain_fert": markets.price_ratio(
-                price("grain", config.grain_commodity),
-                price("fertilizer", config.fertilizer_commodity)),
+                prices[config.grain_commodity],
+                prices[config.fertilizer_commodity]),
         }
         land = self.land
         first_te, last_te = land[0].year + 2, land[-1].year

@@ -11,6 +11,7 @@ JSON and evaluating a tree are ``diagnostics``' part.
 """
 from __future__ import annotations
 
+from operator import ge, gt, le, lt
 from typing import Mapping
 
 from ._record import Record
@@ -22,20 +23,21 @@ from .errors import (
 )
 from .serialize import Refused, finite, json_object, string, strings
 
-COMPARATORS = ("<", "<=", ">", ">=", "=", "trend_up", "trend_down", "stable")
-_THRESHOLD_COMPARATORS = ("<", "<=", ">", ">=", "=")
-_TOLERANCE_COMPARATORS = ("=", "stable")
+# each comparator's rule, which validation, ``holds`` and ``severity``
+# read: its test, and whether it takes a threshold. A test orders the
+# value against the threshold, or against zero as a trend's sign test;
+# None is the tolerance test, centred on the threshold, or else on zero
+_RULES = {"<": (lt, True), "<=": (le, True), ">": (gt, True),
+          ">=": (ge, True), "=": (None, True), "trend_up": (gt, False),
+          "trend_down": (lt, False), "stable": (None, False)}
+COMPARATORS = tuple(_RULES)
 VERDICTS = ("binding", "not_binding")
 
 
 class Predicate(Record, frozen=True):
-    """One comparison against a scalar indicator.
-
-    Threshold comparators (``<  <=  >  >=  =``) test the value against
-    ``threshold`` (``=`` within ``tolerance``). Trend comparators read the
-    value as a signed change: ``trend_up`` means it is positive,
-    ``trend_down`` negative, and ``stable`` within ``tolerance`` of zero.
-    """
+    """One comparison against a scalar indicator, by its comparator's
+    rule; a comparator that takes no threshold reads the value as a signed
+    change."""
 
     indicator: str
     comparator: str
@@ -43,70 +45,44 @@ class Predicate(Record, frozen=True):
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
-        if self.comparator not in COMPARATORS:
+        if self.comparator not in _RULES:
             raise TreeConfigError(
                 f"unknown comparator {self.comparator!r}; "
                 f"expected one of {COMPARATORS}"
             )
-        needs_threshold = self.comparator in _THRESHOLD_COMPARATORS
-        if needs_threshold and self.threshold is None:
-            raise TreeConfigError(
-                f"comparator {self.comparator!r} on {self.indicator!r} "
-                "requires a threshold"
-            )
-        if not needs_threshold and self.threshold is not None:
-            raise TreeConfigError(
-                f"comparator {self.comparator!r} on {self.indicator!r} "
-                "does not take a threshold"
-            )
-        needs_tolerance = self.comparator in _TOLERANCE_COMPARATORS
-        if needs_tolerance and (self.tolerance is None or self.tolerance < 0):
-            raise TreeConfigError(
-                f"comparator {self.comparator!r} on {self.indicator!r} "
-                "requires a non-negative tolerance"
-            )
-        if not needs_tolerance and self.tolerance is not None:
-            raise TreeConfigError(
-                f"comparator {self.comparator!r} on {self.indicator!r} "
-                "does not take a tolerance"
-            )
+        test, takes_threshold = _RULES[self.comparator]
+        if (self.threshold is None) == takes_threshold:
+            verb = "requires" if takes_threshold else "does not take"
+            fault = f"{verb} a threshold"
+        elif test is None and (self.tolerance is None or self.tolerance < 0):
+            fault = "requires a non-negative tolerance"
+        elif test is not None and self.tolerance is not None:
+            fault = "does not take a tolerance"
+        else:
+            return
+        raise TreeConfigError(
+            f"comparator {self.comparator!r} on {self.indicator!r} {fault}")
 
     def holds(self, value: float) -> bool:
-        c = self.comparator
-        if c == "<":
-            return value < self.threshold
-        if c == "<=":
-            return value <= self.threshold
-        if c == ">":
-            return value > self.threshold
-        if c == ">=":
-            return value >= self.threshold
-        if c == "=":
-            return abs(value - self.threshold) <= self.tolerance
-        if c == "trend_up":
-            return value > 0.0
-        if c == "trend_down":
-            return value < 0.0
-        return abs(value) <= self.tolerance  # stable
+        # zero in place of a -0.0 threshold too: no test tells them apart
+        test, centre = _RULES[self.comparator][0], self.threshold or 0.0
+        if test is None:
+            return abs(value - centre) <= self.tolerance
+        return test(value, centre)
 
     def severity(self, value: float) -> float:
         """Normalized distance past the decision boundary (>= 0 when the
         predicate holds); used to rank simultaneous binding constraints."""
-        c = self.comparator
-        if c in ("<", "<=", ">", ">="):
-            scale = abs(self.threshold) if self.threshold else 1.0
-            distance = (value - self.threshold if c in (">", ">=")
-                        else self.threshold - value)
-            return distance / scale
-        if c == "=":
-            if self.tolerance == 0:
-                return 0.0
-            return (self.tolerance - abs(value - self.threshold)) / self.tolerance
-        if c in ("trend_up", "trend_down"):
+        test, threshold = _RULES[self.comparator][0], self.threshold
+        if test is None:
+            tolerance = self.tolerance
+            return ((tolerance - abs(value - (threshold or 0.0))) / tolerance
+                    if tolerance else 0.0)
+        if threshold is None:  # a trend
             return abs(value)
-        if self.tolerance == 0:  # stable
-            return 0.0
-        return (self.tolerance - abs(value)) / self.tolerance
+        scale = abs(threshold) if threshold else 1.0
+        return (value - threshold if test in (gt, ge)
+                else threshold - value) / scale
 
 
 class Branch(Record, frozen=True):

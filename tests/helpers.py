@@ -207,3 +207,40 @@ def canonical(obj):
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
     return obj
+
+
+def predicate_oracle(comparator: str, threshold, tolerance,
+                     value: float) -> tuple[bool, float]:
+    """Whether a tree predicate holds for VALUE, and its severity, as the
+    comparators were first written: one branch per comparator."""
+    c = comparator
+    if c == "<":
+        holds = value < threshold
+    elif c == "<=":
+        holds = value <= threshold
+    elif c == ">":
+        holds = value > threshold
+    elif c == ">=":
+        holds = value >= threshold
+    elif c == "=":
+        holds = abs(value - threshold) <= tolerance
+    elif c == "trend_up":
+        holds = value > 0.0
+    elif c == "trend_down":
+        holds = value < 0.0
+    else:  # stable
+        holds = abs(value) <= tolerance
+    if c in ("<", "<=", ">", ">="):
+        scale = abs(threshold) if threshold else 1.0
+        distance = (value - threshold if c in (">", ">=")
+                    else threshold - value)
+        severity = distance / scale
+    elif c == "=":
+        severity = (0.0 if tolerance == 0 else
+                    (tolerance - abs(value - threshold)) / tolerance)
+    elif c in ("trend_up", "trend_down"):
+        severity = abs(value)
+    else:  # stable
+        severity = (0.0 if tolerance == 0 else
+                    (tolerance - abs(value)) / tolerance)
+    return holds, severity

@@ -1343,22 +1343,41 @@ class TestRunHoldings:
         assert not any(isinstance(value, inputs)
                        for value in held_objects(vars(run)))
 
-    @pytest.mark.parametrize("command", ["report", "markets", "diagnose"])
+    @pytest.mark.parametrize("command",
+                             ["report", "markets", "diagnose", "validate"])
     def test_of_two_faults_the_one_read_first_is_named(
             self, run_dir, tmp_path, capsys, command):
         # a crops.csv that is not CSV, and a break commodity without prices:
-        # the prices are read, and reduced, before the crop panel
+        # the prices are read, and their commodities checked, before the
+        # crop panel
         config = with_broken_input(run_dir, tmp_path, "crop_panel")
         config["break_commodities"].append("okra")
         path = write_config(tmp_path, config)
-        assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == \
-            "error: break commodity 'okra' has no price series\n"
-        # validate checks no commodity, so the crop panel fails it
-        assert main(["validate", "-c", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: crop panel {tmp_path / 'broken.csv'}: bad header ")
+        assert main([command, "-c", str(path),
+                     *out_flag(command, tmp_path / "o")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: break commodity 'okra' has no price series\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("break_commodities", ["maize", "okra"], "break commodity 'okra'"),
+        ("grain_commodity", "rye", "grain commodity 'rye'"),
+        ("fertilizer_commodity", "potash", "fertilizer commodity 'potash'"),
+    ])
+    def test_validate_refuses_a_commodity_as_report_does(
+            self, run_dir, tmp_path, capsys, key, value, named):
+        config = absolute_config(run_dir)
+        config[key] = value
+        path = write_config(tmp_path, config)
+        errors = []
+        for command in ("report", "validate"):
+            assert main([command, "-c", str(path),
+                         *out_flag(command, tmp_path / "o")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == \
+            f"error: {named} has no price series\n"
 
     @pytest.mark.parametrize("argv, streams", [
         (["decompose", "--crop-panel", "{missing}", "--base", "2002",

@@ -11,6 +11,7 @@ import pytest
 
 from agrodiag.config import load_run_config
 from agrodiag.errors import SchemaError
+from agrodiag.tree import COMPARATORS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = ROOT / "demos"
@@ -74,3 +75,10 @@ def test_readme_run_config_loads_and_every_key_is_read(tmp_path):
         with pytest.raises(SchemaError) as info:
             load_run_config(path)
         assert str(info.value).startswith(f"config {path}: {key} ")
+
+
+def test_readme_lists_every_comparator_in_order():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Diagnostic tree schema", 1)[1]
+    bullet = section.split("\n* Comparators: `", 1)[1]
+    assert tuple(bullet.split("`", 1)[0].split()) == COMPARATORS

@@ -2,7 +2,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agrodiag.diagnostics import (
@@ -23,7 +23,9 @@ from agrodiag.errors import (
 )
 from agrodiag.fixtures import bihar_reference_indicators
 from agrodiag.serialize import json_text
-from agrodiag.tree import Predicate, tree_from_dict
+from agrodiag.tree import COMPARATORS, Predicate, tree_from_dict
+
+from helpers import predicate_oracle
 
 
 def single_node_config(**overrides):
@@ -101,18 +103,6 @@ class TestLoadTree:
                                               "verdict": "binding"}
         with pytest.raises(TreeConfigError):
             tree_from_dict(config)
-
-    def test_threshold_comparator_requires_threshold(self):
-        with pytest.raises(TreeConfigError):
-            Predicate("x", "<")
-
-    def test_trend_comparator_forbids_threshold(self):
-        with pytest.raises(TreeConfigError):
-            Predicate("x", "trend_down", threshold=1.0)
-
-    def test_equality_requires_tolerance(self):
-        with pytest.raises(TreeConfigError):
-            Predicate("x", "=", threshold=1.0)
 
     def test_unreachable_node_rejected(self):
         config = single_node_config()
@@ -216,6 +206,73 @@ class TestLoadTree:
             config["nodes"]["only"] = replacement
         with pytest.raises(TreeConfigError, match="node 'only'"):
             tree_from_dict(config)
+
+
+ORDERINGS = ("<", "<=", ">", ">=")
+TRENDS = ("trend_up", "trend_down")
+# the float edges: both zeros, the largest finite and the least subnormal
+EDGES = (0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324)
+FLOATS = st.one_of(st.sampled_from(EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def valid_parameters(draw):
+    """A comparator with a threshold and tolerance it accepts."""
+    comparator = draw(st.sampled_from(COMPARATORS))
+    threshold = tolerance = None
+    if comparator not in (*TRENDS, "stable"):
+        threshold = draw(FLOATS)
+    if comparator in ("=", "stable"):
+        tolerance = draw(st.one_of(
+            st.sampled_from((0.0, -0.0, 5e-324, 1e308)),
+            st.floats(min_value=0.0, allow_infinity=False)))
+    return comparator, threshold, tolerance
+
+
+class TestPredicate:
+    @pytest.mark.parametrize("comparator, threshold, tolerance, message", [
+        ("~", None, None, "unknown comparator '~'; expected one of "
+         "('<', '<=', '>', '>=', '=', 'trend_up', 'trend_down', 'stable')"),
+        ("==", 1.0, 0.1, "unknown comparator '=='; expected one of "
+         "('<', '<=', '>', '>=', '=', 'trend_up', 'trend_down', 'stable')"),
+        *[(c, None, None, f"comparator '{c}' on 'x' requires a threshold")
+          for c in ORDERINGS],
+        ("=", None, 0.1, "comparator '=' on 'x' requires a threshold"),
+        ("=", None, None, "comparator '=' on 'x' requires a threshold"),
+        *[(c, 1.0, None,
+           f"comparator '{c}' on 'x' does not take a threshold")
+          for c in (*TRENDS, "stable")],
+        ("stable", 1.0, 0.1,
+         "comparator 'stable' on 'x' does not take a threshold"),
+        *[(c, t, tol,
+           f"comparator '{c}' on 'x' requires a non-negative tolerance")
+          for c, t in (("=", 1.0), ("stable", None))
+          for tol in (None, -0.1, -5e-324)],
+        *[(c, 1.0, 0.1, f"comparator '{c}' on 'x' does not take a tolerance")
+          for c in ORDERINGS],
+        *[(c, None, t, f"comparator '{c}' on 'x' does not take a tolerance")
+          for c in TRENDS for t in (0.0, -0.1)],
+    ])
+    def test_refusal_messages(self, comparator, threshold, tolerance,
+                              message):
+        with pytest.raises(TreeConfigError) as info:
+            Predicate("x", comparator, threshold, tolerance)
+        assert str(info.value) == message
+
+    @given(valid_parameters(), FLOATS)
+    @example((">", -1e308, None), 1e308)  # distance overflows
+    @example(("<", 5e-324, None), -1.0)  # quotient overflows
+    @example(("=", 0.0, 5e-324), 1e308)
+    @example(("stable", None, 5e-324), -1e308)
+    @example(("<=", -0.0, None), -0.0)  # a signed zero distance
+    @example((">=", -0.0, None), -0.0)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_agrees_bit_for_bit_with_the_oracle(self, parameters, value):
+        predicate = Predicate("x", *parameters)
+        holds, severity = predicate_oracle(*parameters, value)
+        assert predicate.holds(value) is holds
+        assert predicate.severity(value).hex() == severity.hex()
 
 
 def chain_config(length):
