@@ -8,6 +8,8 @@ devotes relatively more of its land to the group than the country does.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 from ._record import Record
 from .errors import (
@@ -47,7 +49,7 @@ class AreaShareTable(Record, frozen=True):
                 )
             clean[group] = area
         object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "total", sum(clean.values()))
+        object.__setattr__(self, "total", reduce(add, clean.values(), 0))
         if not 0 < self.total < math.inf:
             raise DomainError(f"{self.scope} table for {self.year} has " + (
                 "no area" if self.total <= 0 else "an infinite total area"))

@@ -70,21 +70,27 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # compiled before any input is read, so its parse scratch does not
+    # compiled before any input is read, so their parse scratch does not
     # add to the loaded inputs' peak
-    from . import diagnostics
+    from . import diagnostics, markets
+    from .ingest import triennium_years
 
     run = _run(args)
-    run.crop_years = set()  # count every row, keep none
+    config = run.config
+    # count every row, keep the terminal triennium: the crops that
+    # ``diversification_group`` must be among
+    run.crop_years = triennium_years(config.decomposition_terminal)
     # each input read once and reduced to what is printed, in a fixed
     # order; nothing is printed unless every input is valid
     commodities = sorted(run.prices)
     value_cost_years = len(run.value_cost[0])
     rows, crops, years = run.panel.checked
+    markets.group_share(run.panel, config.decomposition_terminal,
+                        config.diversification_group)
     io_years = run.io_panel.years
     land_years = len(run.land)
     region, nation = (len(table.groups) for table in run.areas)
-    tree = diagnostics.resolve_tree(run.config.tree)
+    tree = diagnostics.resolve_tree(config.tree)
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")

@@ -19,6 +19,9 @@ concurrently.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from ._record import Record
 from .errors import DataInconsistencyError, DomainError
 from .ingest import triennium_average
@@ -144,8 +147,8 @@ def decompose(
     base_label, base = _period_values(panel, base_year, period_mode)
     term_label, term = _period_values(panel, terminal_year, period_mode)
 
-    area_base = sum(base[1])
-    area_term = sum(term[1])
+    area_base = reduce(add, base[1], 0)
+    area_term = reduce(add, term[1], 0)
     if area_base <= 0:
         raise DomainError(f"total cropped area in base period {base_label} "
                           "is not positive")

@@ -6,11 +6,12 @@ Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from ._record import Record
-from .errors import CoverageError, DomainError
+from .errors import CoverageError, DomainError, SchemaError
 from .ingest import triennium_average
 from .panel import CropPanel, LandUseRecord, PriceSeries
 
@@ -157,11 +158,22 @@ def crop_shares(panel: CropPanel, te_year: int, dimension: str = "area"):
     def weights():  # read twice rather than held in a list
         return area if dimension == "area" else map(mul, production, price)
 
-    total = sum(weights())
+    total = reduce(add, weights(), 0)
     if not 0 < total < math.inf:
         raise DomainError(f"total {dimension} in TE {te_year} is "
                           f"{'not positive' if total <= 0 else 'not finite'}")
     return crops, (w / total * 100.0 for w in weights())
+
+
+def group_share(panel: CropPanel, te_year: int, group: str) -> float:
+    """The diversification GROUP's percent share of area in the triennium
+    ending ``te_year``; a group not among its crops is refused."""
+    crops, shares = crop_shares(panel, te_year, "area")
+    for crop, share in zip(crops, shares):
+        if crop == group:
+            return share
+    raise SchemaError(f"diversification group {group!r} not in the crop "
+                      f"panel (have {list(crops)})")
 
 
 def land_use_ratios(records: Sequence[LandUseRecord],
@@ -179,11 +191,12 @@ def land_use_ratios(records: Sequence[LandUseRecord],
             f"land-use triennium ending {te_year} is missing years {missing}"
         )
     window = [by_year[y] for y in span]
-    total = sum(r.total_reported for r in window) / 3.0
+    total = reduce(add, (r.total_reported for r in window), 0) / 3.0
     if total <= 0:
         raise DomainError(f"total reported area in TE {te_year} is not positive")
-    agricultural = sum(r.agricultural_land for r in window) / 3.0
-    non_agricultural = sum(r.non_agricultural_land for r in window) / 3.0
+    agricultural = reduce(add, (r.agricultural_land for r in window), 0) / 3.0
+    non_agricultural = reduce(
+        add, (r.non_agricultural_land for r in window), 0) / 3.0
     return {
         "al_ratio": agricultural / total,
         "nal_ratio": non_agricultural / total,

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import reduce
+from operator import add
 
 from ._record import Record
 from .errors import (
@@ -176,7 +178,7 @@ class InputOutputPanel:
             for side in IO_SIDES:
                 _, codes, flat = columns.by_key.pop((year, side), (0, (), ()))
                 quantities, shares = flat[0::2], flat[1::2]
-                total = sum(shares)
+                total = reduce(add, shares, 0)
                 if not SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
                     raise NormalizationError(
                         f"{side} shares for {year} sum to {total!r}, outside "

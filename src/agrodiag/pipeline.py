@@ -13,9 +13,8 @@ output directories.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,6 +53,11 @@ class Run:
     """
 
     def __init__(self, config: RunConfig) -> None:
+        base, terminal = (config.decomposition_base,
+                          config.decomposition_terminal)
+        if None not in (base, terminal) and base >= terminal:
+            raise SchemaError(f"decomposition base year {base} does not "
+                              f"precede terminal year {terminal}")
         self.config = config
 
     @property
@@ -83,7 +87,7 @@ class Run:
     @cached_property
     def crop_years(self) -> set[int]:
         """The years the crop panel keeps: the comparison trienniums'
-        years; ``validate`` sets an empty set, which keeps none."""
+        years; ``validate`` sets the terminal triennium's alone."""
         from .ingest import triennium_years
 
         return triennium_years(self.config.decomposition_base,
@@ -262,7 +266,7 @@ def assemble_indicators(run: Run) -> IndicatorSet:
     """Reduce the readings of RUN to the scalars the tree predicates read,
     one declared (name, value, units, provenance) entry each."""
     from .diagnostics import IndicatorSet
-    from .markets import crop_shares
+    from .markets import group_share
     from .productivity import avg_annual_growth
 
     config, readings, cai = run.config, run.readings, run.cai_values
@@ -272,14 +276,7 @@ def assemble_indicators(run: Run) -> IndicatorSet:
     tfp_growth = avg_annual_growth(run.series["tfp"],
                                    method=config.growth_method)
     group = config.diversification_group
-    crops, shares = crop_shares(run.panel, config.decomposition_terminal,
-                                "area")
-    row = bisect_left(crops, group)
-    if crops[row:row + 1] != (group,):
-        raise SchemaError(
-            f"diversification group {group!r} not in the crop panel "
-            f"(have {list(crops)})"
-        )
+    share = group_share(run.panel, config.decomposition_terminal, group)
     best = max(sorted(cai), key=cai.get)
     vc_year, pr_year = max(value_cost), max(grain_fert)
     ind = IndicatorSet()
@@ -303,8 +300,8 @@ def assemble_indicators(run: Run) -> IndicatorSet:
         for s in stats for when, cv in (("before", s.cv_before),
                                         ("after", s.cv_after))), (
         ("cai_max", cai[best], "ratio", f"cai_table, group {best}"),
-        ("high_advantage_area_share_pct", next(islice(shares, row, None)),
-         "percent", f"share_table at terminal triennium, {group} row"),
+        ("high_advantage_area_share_pct", share, "percent",
+         f"share_table at terminal triennium, {group} row"),
         ("value_cost_ratio_terminal", value_cost[vc_year], "ratio",
          f"value_cost_ratio, year {vc_year}"),
         ("grain_fertilizer_price_ratio_terminal", grain_fert[pr_year],

@@ -71,95 +71,50 @@ class IndexSeries(Record, frozen=True):
         return [(y, self.values[y]) for y in self.years]
 
 
-def _paired_items(
-    old, new, kind: str, from_year: int, to_year: int,
-) -> list[tuple[str, float, float]]:
-    """Match items across two years' ``(item_ids, quantity, share)``
-    columns -> (id, mean share, new qty / old qty), by item id."""
-    # read each column into a list once, so no access boxes a new float
-    old_ids, old_quantity, old_share = old[0], old[1].tolist(), old[2].tolist()
-    new_ids, new_quantity, new_share = new[0], new[1].tolist(), new[2].tolist()
-    old_at = dict(zip(old_ids, range(len(old_ids))))
-    new_at = dict(zip(new_ids, range(len(new_ids))))
-    rows = []
-    for item_id in sorted(old_at.keys() | new_at.keys()):
-        i, j = old_at.get(item_id), new_at.get(item_id)
-        if i is None or j is None:
-            present_share = new_share[j] if i is None else old_share[i]
+def _log_change(panel: InputOutputPanel, from_year: int, to_year: int,
+                side: str) -> float:
+    """One side's log change FROM_YEAR -> TO_YEAR: each item's mean share
+    times its log quantity ratio, items matched by id in id order, added
+    left to right from int 0 (as ``sum()`` adds floats up to CPython 3.11)."""
+    def items(year):  # id -> (quantity, share), each float boxed once
+        ids, quantity, share = panel.columns(year, side)
+        return dict(zip(ids, zip(quantity.tolist(), share.tolist())))
+
+    old, new = items(from_year), items(to_year)
+    total = 0
+    for item_id in sorted(old.keys() | new.keys()):
+        if item_id not in old or item_id not in new:
+            present_share = (old.get(item_id) or new[item_id])[1]
             if present_share > 0:
                 raise CompositionChangeError(
-                    f"{kind} {item_id!r} carries share {present_share!r} but "
+                    f"{side} {item_id!r} carries share {present_share!r} but "
                     f"exists in only one of years {from_year} and {to_year}"
                 )
             continue
-        share = 0.5 * (old_share[i] + new_share[j])
+        (q0, s0), (q1, s1) = old[item_id], new[item_id]
+        share = 0.5 * (s0 + s1)
         if share == 0.0:
             continue
-        q0, q1 = old_quantity[i], new_quantity[j]
         if q0 <= 0 or q1 <= 0:
             raise LogDomainError(
-                f"{kind} {item_id!r} has non-positive quantity in "
+                f"{side} {item_id!r} has non-positive quantity in "
                 f"{from_year}->{to_year} but share {share!r}"
             )
         ratio = q1 / q0
         if not 0 < ratio < math.inf:
             raise DomainError(
-                f"{kind} {item_id!r}: its quantity ratio {from_year}->"
+                f"{side} {item_id!r}: its quantity ratio {from_year}->"
                 f"{to_year} ({q1!r} / {q0!r}) leaves the float range"
             )
-        rows.append((item_id, share, ratio))
-    return rows
-
-
-def _weighted_log_change(panel: InputOutputPanel, from_year: int,
-                         to_year: int, side: str) -> float:
-    old = panel.columns(from_year, side)
-    new = panel.columns(to_year, side)
-    return sum(
-        share * math.log(ratio)
-        for _, share, ratio in _paired_items(old, new, side, from_year, to_year)
-    )
+        total += share * math.log(ratio)
+    return total
 
 
 def tornqvist_log_growth(panel: InputOutputPanel, from_year: int,
                          to_year: int) -> float:
     """Log TFP change between two years: output term minus input term."""
-    return (
-        _weighted_log_change(panel, from_year, to_year, "output")
-        - _weighted_log_change(panel, from_year, to_year, "input")
-    )
-
-
-def _index_years(panel: InputOutputPanel,
-                 base_year: int | None) -> tuple[tuple[int, ...], int]:
-    """The panel's years, checked to be contiguous, and the base year
-    (default: the first)."""
-    years = panel.years
-    if not years:
-        raise CoverageError("io panel is empty")
-    if list(years) != list(range(years[0], years[-1] + 1)):
-        raise CoverageError(f"io panel years are not contiguous: {years}")
-    if base_year is None:
-        base_year = years[0]
-    if base_year not in years:
-        raise CoverageError(f"base year {base_year} outside panel years {years}")
-    return years, base_year
-
-
-def _log_changes(panel: InputOutputPanel, years: tuple[int, ...],
-                 side: str) -> list[float]:
-    """One side's log change into each year after the first."""
-    return [_weighted_log_change(panel, y - 1, y, side) for y in years[1:]]
-
-
-def _steps(panel: InputOutputPanel,
-           years: tuple[int, ...]) -> dict[str, list[float]]:
-    """Each series' log change into each year after the first: both sides',
-    the output side computed first, and TFP's as their difference."""
-    output = _log_changes(panel, years, "output")
-    input_ = _log_changes(panel, years, "input")
-    return {"output": output, "input": input_,
-            "tfp": [o - i for o, i in zip(output, input_)]}
+    return (_log_change(panel, from_year, to_year, "output")
+            - _log_change(panel, from_year, to_year, "input"))
 
 
 def _chain(kind: str, years: tuple[int, ...], base_year: int,
@@ -183,11 +138,23 @@ def _chain(kind: str, years: tuple[int, ...], base_year: int,
 
 def index_series(panel: InputOutputPanel,
                  base_year: int | None = None) -> dict[str, IndexSeries]:
-    """The output, input and TFP series of PANEL on one base year.
+    """The output, input and TFP series of PANEL, whose years must be
+    contiguous, on one base year (default: the first).
 
-    Each side's log changes are computed once."""
-    years, base_year = _index_years(panel, base_year)
-    steps = _steps(panel, years)
+    Each side's log changes are computed once, the output side first; TFP's
+    are their difference."""
+    years = panel.years
+    if not years:
+        raise CoverageError("io panel is empty")
+    if list(years) != list(range(years[0], years[-1] + 1)):
+        raise CoverageError(f"io panel years are not contiguous: {years}")
+    if base_year is None:
+        base_year = years[0]
+    if base_year not in years:
+        raise CoverageError(f"base year {base_year} outside panel years {years}")
+    steps = {side: [_log_change(panel, y - 1, y, side) for y in years[1:]]
+             for side in ("output", "input")}
+    steps["tfp"] = [o - i for o, i in zip(steps["output"], steps["input"])]
     return {kind: _chain(kind, years, base_year, steps[kind])
             for kind in INDEX_KINDS}
 

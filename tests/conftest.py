@@ -1,4 +1,6 @@
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,19 @@ def fixture_dir(tmp_path_factory):
     """Synthetic input bundle shared by CLI and acceptance tests."""
     directory = tmp_path_factory.mktemp("inputs")
     fixtures.write_synthetic_inputs(directory)
+    return directory
+
+
+@pytest.fixture(scope="session")
+def scaled_dir(tmp_path_factory):
+    """The benchmark's seed-1 scaled input bundle
+    (``perfbench/gen.write_scaled_inputs``), shared read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    directory = tmp_path_factory.mktemp("scaled") / "inputs"
+    gen.write_scaled_inputs(directory, 1)
     return directory
 
 

@@ -1,9 +1,12 @@
 import csv
 import hashlib
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,30 @@ def run_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli_inputs")
     fixtures.write_synthetic_inputs(directory)
     return directory
+
+
+def print_values(configs) -> None:
+    """Print the ``repr`` of each run config's unrounded values: the
+    decomposition record, the index series, both trienniums' area and value
+    shares, the land ratios and the CAI table."""
+    from agrodiag import decomposition, markets
+    from agrodiag.config import load_run_config
+    from agrodiag.pipeline import Run
+
+    for path in configs:
+        run = Run(load_run_config(path))
+        config = run.config
+        trienniums = (config.decomposition_base, config.decomposition_terminal)
+        print(repr(decomposition.decompose(
+            run.panel, *trienniums, period_mode=config.period_mode
+        ).to_record()))
+        print(repr({kind: s.values for kind, s in run.series.items()}))
+        for te in trienniums:
+            for dimension in ("area", "value"):
+                print(repr(list(
+                    markets.crop_shares(run.panel, te, dimension)[1])))
+        print(repr(run.readings["land"]))
+        print(repr(run.cai_values))
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +144,28 @@ class TestReport:
             assert (result.returncode, result.stderr) == (0, ""), exe
             assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in PINNED} == PINNED, exe
+
+    def test_other_interpreters_compute_the_same_values(self, run_dir,
+                                                        scaled_dir):
+        # every total is added left to right, so no value depends on how
+        # an interpreter's ``sum()`` adds floats (compensated from 3.12)
+        found = other_interpreters()
+        if not found:
+            pytest.skip("no other python3.10 ... python3.13 on PATH starts")
+        configs = [str(run_dir / "config.json"),
+                   str(scaled_dir / "config.json")]
+        here = io.StringIO()
+        with redirect_stdout(here):
+            print_values(configs)
+        script = ("import sys\n" + inspect.getsource(print_values)
+                  + "print_values(sys.argv[1:])\n")
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+        for exe in found:
+            result = subprocess.run([exe, "-c", script, *configs], env=env,
+                                    capture_output=True, text=True,
+                                    timeout=120)
+            assert (result.returncode, result.stderr) == (0, ""), exe
+            assert result.stdout == here.getvalue(), exe
 
     def test_decomposition_percent_view_present(self, report_dir):
         record = json.loads((report_dir / "decomposition.json").read_text())
@@ -1379,6 +1428,52 @@ class TestRunHoldings:
         assert errors[0] == errors[1] == \
             f"error: {named} has no price series\n"
 
+    def test_validate_refuses_an_unknown_group_as_report_does(
+            self, run_dir, tmp_path, capsys):
+        config = absolute_config(run_dir)
+        config["diversification_group"] = "nope"
+        path = write_config(tmp_path, config)
+        errors = []
+        for command in ("report", "validate"):
+            assert main([command, "-c", str(path),
+                         *out_flag(command, tmp_path / "o")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == (
+            "error: diversification group 'nope' not in the crop panel "
+            "(have ['horticulture', 'jute', 'maize', 'oilseeds', 'others', "
+            "'paddy', 'potato', 'pulses', 'sugarcane', 'wheat'])\n")
+
+    @pytest.mark.parametrize("base", [2016, 2017])
+    @pytest.mark.parametrize("command", ["report", "validate", "decompose"])
+    def test_a_base_year_not_before_the_terminal_is_refused(
+            self, run_dir, tmp_path, capsys, command, base):
+        # as a growth period's first year must precede its last
+        config = absolute_config(run_dir)
+        config["decomposition"]["base_year"] = base
+        path = write_config(tmp_path, config)
+        assert main([command, "-c", str(path),
+                     *out_flag(command, tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: decomposition base year {base} does not precede "
+            "terminal year 2016\n"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("base, terminal", [("2016", "2016"),
+                                                ("2012", "2005")])
+    @pytest.mark.parametrize("source", ["--crop-panel", "-c"])
+    def test_decompose_flags_refuse_a_base_year_not_before_the_terminal(
+            self, run_dir, tmp_path, capsys, source, base, terminal):
+        given = (str(run_dir / "crops.csv") if source == "--crop-panel"
+                 else str(run_dir / "config.json"))
+        assert main(["decompose", source, given, "--base", base,
+                     "--terminal", terminal, "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: decomposition base year {base} does not precede "
+            f"terminal year {terminal}\n"))
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv, streams", [
         (["decompose", "--crop-panel", "{missing}", "--base", "2002",
           "--terminal", "2016"], True),
@@ -1651,7 +1746,9 @@ class TestCropYearsKept:
                                                     "decomposition.json")
         assert loaded[0].years == (2003, 2004, 2005, 2010, 2011, 2012)
 
-    def test_validate_keeps_no_year(self, run_dir, capsys, monkeypatch):
+    def test_validate_keeps_the_terminal_triennium(self, run_dir, capsys,
+                                                   monkeypatch):
+        # its crops are those the diversification group must be among
         import agrodiag.commands
 
         runs = []
@@ -1659,7 +1756,8 @@ class TestCropYearsKept:
                             lambda args: runs.append(_run(args)) or runs[-1])
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
         panel = runs[0].panel
-        assert panel.years == () and crop_rows(panel) == []
+        assert panel.years == (2014, 2015, 2016)
+        assert len(crop_rows(panel)) == 30
         assert panel.checked == (170, 10, tuple(range(2000, 2017)))
         assert capsys.readouterr().out.startswith(
             "crop panel: 170 observations, 10 crops, years 2000-2016\n")

@@ -10,9 +10,13 @@ whose effect on every artifact is known without computing it.
   byte changes.
 * Crop ids are labels: a prefix that keeps their order, given to the
   ``diversification_group`` too, changes only where an id is written.
+
+The row-order and price relations are checked on the benchmark's seed-1
+scaled inputs too (one shuffle, crop-major crop rows, prices doubled).
 """
 import io
 import json
+import random
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -52,41 +56,17 @@ def edited_inputs(source: Path, target: Path, edit) -> Path:
     return target / "config.json"
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("metamorphic") / "inputs"
-    fixtures.write_synthetic_inputs(directory)
-    return directory
-
-
-@pytest.fixture(scope="module")
-def base(inputs, tmp_path_factory):
-    stdout, artifacts = report(inputs / "config.json",
-                               tmp_path_factory.mktemp("base") / "out")
-    assert sorted(artifacts) == sorted(REPORT_ARTIFACTS)
-    return stdout, artifacts
-
-
-@settings(max_examples=5, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_row_order_changes_no_byte(inputs, base, tmp_path_factory, data):
-    def shuffle(name, rows):
-        return data.draw(st.permutations(rows), label=name)
-
-    run = tmp_path_factory.mktemp("shuffled")
-    config = edited_inputs(inputs, run / "inputs", shuffle)
-    stdout, artifacts = report(config, run / "out")
+def assert_unchanged(base, run) -> None:
+    """RUN's stdout and artifacts are BASE's, byte for byte."""
+    stdout, artifacts = run
     assert stdout == base[0]
     assert sorted(artifacts) == sorted(base[1])
     for name, text in base[1].items():
         assert artifacts[name] == text, name
 
 
-@pytest.mark.parametrize("k", range(-3, 4))
-def test_prices_scaled_by_a_power_of_two_scale_only_price_levels(
-        inputs, base, tmp_path, k):
-    factor = 2.0 ** k
-
+def scale_prices(factor: float):
+    """An edit that multiplies every price by FACTOR."""
     def scale(name, rows):
         column = PRICE_COLUMN.get(name)
         for row in rows:
@@ -94,9 +74,13 @@ def test_prices_scaled_by_a_power_of_two_scale_only_price_levels(
             if column is not None:
                 cells[column] = repr(float(cells[column]) * factor)
             yield ",".join(cells)
+    return scale
 
-    config = edited_inputs(inputs, tmp_path / "inputs", scale)
-    stdout, artifacts = report(config, tmp_path / "out")
+
+def assert_only_price_levels_scaled(base, run, factor: float) -> None:
+    """RUN's stdout and artifacts are BASE's, but the break means and the
+    decomposition's currency terms, which are BASE's times FACTOR."""
+    stdout, artifacts = run
     assert stdout == base[0]
     scaled = {"break_stats.json", "decomposition.json"}
     for name in sorted(set(REPORT_ARTIFACTS) - scaled):
@@ -121,6 +105,40 @@ def test_prices_scaled_by_a_power_of_two_scale_only_price_levels(
     for key, value in before.items():
         assert after[key] == (level(value) if key.endswith("_effect")
                               or key == "total" else value), key
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("metamorphic") / "inputs"
+    fixtures.write_synthetic_inputs(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def base(inputs, tmp_path_factory):
+    stdout, artifacts = report(inputs / "config.json",
+                               tmp_path_factory.mktemp("base") / "out")
+    assert sorted(artifacts) == sorted(REPORT_ARTIFACTS)
+    return stdout, artifacts
+
+
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_row_order_changes_no_byte(inputs, base, tmp_path_factory, data):
+    def shuffle(name, rows):
+        return data.draw(st.permutations(rows), label=name)
+
+    run = tmp_path_factory.mktemp("shuffled")
+    config = edited_inputs(inputs, run / "inputs", shuffle)
+    assert_unchanged(base, report(config, run / "out"))
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_prices_scaled_by_a_power_of_two_scale_only_price_levels(
+        inputs, base, tmp_path, k):
+    config = edited_inputs(inputs, tmp_path / "inputs", scale_prices(2.0 ** k))
+    assert_only_price_levels_scaled(base, report(config, tmp_path / "out"),
+                                    2.0 ** k)
 
 
 def test_a_crop_year_outside_every_triennium_changes_no_byte(
@@ -170,3 +188,41 @@ def test_prefixed_crop_ids_change_only_the_ids_written(inputs, base,
     assert base[1]["indicators.json"].count(old) == 1
     assert artifacts["indicators.json"] == base[1]["indicators.json"].replace(
         old, f"terminal triennium, x_{group} row".encode())
+
+
+@pytest.fixture(scope="module")
+def scaled_base(scaled_dir, tmp_path_factory):
+    return report(scaled_dir / "config.json",
+                  tmp_path_factory.mktemp("scaled_base") / "out")
+
+
+def test_scaled_row_order_changes_no_byte(scaled_dir, scaled_base, tmp_path):
+    def shuffle(name, rows):
+        rows = list(rows)
+        random.Random(name).shuffle(rows)
+        return rows
+
+    config = edited_inputs(scaled_dir, tmp_path / "inputs", shuffle)
+    assert_unchanged(scaled_base, report(config, tmp_path / "out"))
+
+
+def test_scaled_crop_major_rows_change_no_byte(scaled_dir, scaled_base,
+                                               tmp_path):
+    # the crop rows sorted by crop id, then year, not in year blocks
+    def crop_major(name, rows):
+        if name != "crops.csv":
+            return rows
+        def crop_year(row):
+            crop, year, _ = row.split(",", 2)
+            return crop, int(year)
+        return sorted(rows, key=crop_year)
+
+    config = edited_inputs(scaled_dir, tmp_path / "inputs", crop_major)
+    assert_unchanged(scaled_base, report(config, tmp_path / "out"))
+
+
+def test_scaled_prices_doubled_double_only_price_levels(
+        scaled_dir, scaled_base, tmp_path):
+    config = edited_inputs(scaled_dir, tmp_path / "inputs", scale_prices(2.0))
+    assert_only_price_levels_scaled(
+        scaled_base, report(config, tmp_path / "out"), 2.0)

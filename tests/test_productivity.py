@@ -224,20 +224,23 @@ class TestIndexSeriesOfPanel:
 
     def test_each_log_change_computed_once(self, monkeypatch):
         panel = self.random_panel(12)
-        calls = []
-        paired = productivity._paired_items
+        calls, steps = [], {"output": [], "input": []}
+        log_change = productivity._log_change
 
-        def counting(*args):
-            calls.append(args[2])
-            return paired(*args)
+        def counting(panel, from_year, to_year, side):
+            calls.append((side, from_year, to_year))
+            step = log_change(panel, from_year, to_year, side)
+            steps[side].append(step)
+            return step
 
-        monkeypatch.setattr(productivity, "_paired_items", counting)
+        monkeypatch.setattr(productivity, "_log_change", counting)
         series = index_series(panel, 2003)
         # one call per side and year-over-year step, the output side first
-        assert calls == ["output"] * 11 + ["input"] * 11
+        assert calls == [(side, y - 1, y) for side in ("output", "input")
+                         for y in panel.years[1:]]
         monkeypatch.undo()
+        steps["tfp"] = [o - i for o, i in zip(steps["output"], steps["input"])]
         # each series chains its log changes, 100 at the base year
-        steps = productivity._steps(panel, panel.years)
         for kind, got in series.items():
             level = {2000: 0.0}
             for y, step in zip(panel.years[1:], steps[kind]):

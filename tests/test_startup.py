@@ -143,7 +143,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, expected", [
         (["validate", "-c", "config.json"],
          layers("config", "pipeline", "ingest", "csvread", "panel",
-                "advantage", "diagnostics", "tree", "serialize")),
+                "advantage", "markets", "diagnostics", "tree", "serialize")),
         (["cai", "-c", "config.json"],
          layers("config", "pipeline", "advantage", "csvread", "serialize")),
         (["cai", "--region", "area_region.csv",
