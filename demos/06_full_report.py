@@ -11,15 +11,17 @@ from pathlib import Path
 
 from agrodiag.config import load_run_config
 from agrodiag.fixtures import write_synthetic_inputs
-from agrodiag.pipeline import run_pipeline
+from agrodiag.pipeline import Run
+from agrodiag.serialize import write_artifacts
 
 with tempfile.TemporaryDirectory(prefix="agrodiag_demo_") as workdir:
     config_path = write_synthetic_inputs(Path(workdir))
     print(f"inputs written to {workdir}")
 
     config = load_run_config(config_path)
-    report = run_pipeline(config)
-    print(report.to_text())
+    run = Run(config)
+    write_artifacts(config.output_dir, run.report())
+    print(run.diagnosis.to_text())
 
     out = config.output_dir
     print(f"artifacts in {out}:")

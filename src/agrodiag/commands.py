@@ -72,24 +72,45 @@ def _cmd_diagnose(args) -> int:
 def _cmd_validate(args) -> int:
     # compiled before any input is read, so their parse scratch does not
     # add to the loaded inputs' peak
-    from . import diagnostics, markets
-    from .ingest import triennium_years
+    from . import diagnostics, ingest, markets
+    from .serialize import collect
 
     run = _run(args)
     config = run.config
-    # count every row, keep the terminal triennium: the crops that
-    # ``diversification_group`` must be among
-    run.crop_years = triennium_years(config.decomposition_terminal)
-    # each input read once and reduced to what is printed, in a fixed
-    # order; nothing is printed unless every input is valid
-    commodities = sorted(run.prices)
+    terminal = config.decomposition_terminal
+    # each input read once, in a fixed order, and put through the calls
+    # ``report`` refuses it with; nothing is printed unless all pass
+    prices = run.prices
+    for commodity in sorted(config.break_commodities):
+        markets.break_analysis(prices[commodity], config.break_year,
+                               ddof=config.cv_ddof)
+    markets.price_ratio(prices[config.grain_commodity],
+                        prices[config.fertilizer_commodity])
+    commodities = sorted(prices)
+    del prices  # not held through the crop panel's load
     value_cost_years = len(run.value_cost[0])
-    rows, crops, years = run.panel.checked
-    markets.group_share(run.panel, config.decomposition_terminal,
-                        config.diversification_group)
-    io_years = run.io_panel.years
+    # count every row, keep the terminal triennium: its crops, which
+    # ``diversification_group`` must be among, and its area and value
+    # totals; the base triennium's years are checked against every year
+    # counted
+    panel = ingest.load_crop_panel(
+        config.crop_panel, years=ingest.triennium_years(terminal))
+    rows, crops, years = panel.checked
+    ingest.triennium_span(config.decomposition_base, years)
+    markets.group_share(panel, terminal, config.diversification_group)
+    markets.crop_shares(panel, terminal, "value")
+    # the crop panel is the largest input: freed before the next is read,
+    # and before the layers that read the rest compile
+    del panel
+    from . import advantage, productivity
+    # the TFP series, every growth window and the whole series' growth
+    collect(run.growth())
+    tfp = run.series["tfp"]
+    productivity.avg_annual_growth(tfp, method=config.growth_method)
+    io_years = tfp.years
     land_years = len(run.land)
-    region, nation = (len(table.groups) for table in run.areas)
+    region, nation = run.areas
+    advantage.cai_table(region, nation)
     tree = diagnostics.resolve_tree(config.tree)
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
@@ -98,20 +119,22 @@ def _cmd_validate(args) -> int:
           f"({', '.join(commodities)})")
     print(f"land use: {land_years} years")
     print(f"value/cost series: {value_cost_years} years")
-    print(f"area tables: {region} region groups, {nation} nation groups")
+    print(f"area tables: {len(region.groups)} region groups, "
+          f"{len(nation.groups)} nation groups")
     print(f"tree: {len(tree.roots)} chains, {len(tree.nodes)} nodes")
     print("all inputs valid")
     return 0
 
 
 def _cmd_report(args) -> int:
-    from .config import load_run_config
-    from .pipeline import run_pipeline
+    """Write every artifact to ``-o``, or to the config's output directory,
+    as each stage yields it; then print the tree's verdicts."""
+    from .serialize import write_artifacts
 
-    config = load_run_config(args["--config"])
-    outdir = Path(args["--out"]) if "--out" in args else config.output_dir
-    report = run_pipeline(config, outdir)
-    sys.stdout.write(report.to_text())
+    run = _run(args)
+    outdir = Path(args["--out"]) if "--out" in args else run.config.output_dir
+    write_artifacts(outdir, run.report())
+    sys.stdout.write(run.diagnosis.to_text())
     print(f"artifacts written to {outdir}")
     return 0
 

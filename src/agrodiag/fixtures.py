@@ -229,27 +229,18 @@ def bihar_reference_indicators() -> IndicatorSet:
     return ind
 
 
-def run_config(directory: Path | str = ".") -> dict:
-    """The RunConfig for the generated files, with paths under ``directory``.
-
-    With the default ``"."`` the paths are bare filenames; the CLI resolves
-    them relative to wherever the config file lives.
-    """
-    d = str(directory)
-
-    def p(name: str) -> str:
-        name = str(Path(d) / name)
-        return name[2:] if name.startswith("./") else name
-
+def run_config() -> dict:
+    """The RunConfig for the generated files, each path a bare file name:
+    the CLI resolves it relative to wherever the config file lives."""
     return {
         "inputs": {
-            "crop_panel": p("crops.csv"),
-            "io_panel": p("io_panel.csv"),
-            "price_series": [p("prices.csv")],
-            "land_use": p("land_use.csv"),
-            "cost_series": p("value_cost.csv"),
-            "area_shares_region": p("area_region.csv"),
-            "area_shares_nation": p("area_nation.csv"),
+            "crop_panel": "crops.csv",
+            "io_panel": "io_panel.csv",
+            "price_series": ["prices.csv"],
+            "land_use": "land_use.csv",
+            "cost_series": "value_cost.csv",
+            "area_shares_region": "area_region.csv",
+            "area_shares_nation": "area_nation.csv",
         },
         "periods": {
             "pre_road_map": [2001, 2007],
@@ -265,7 +256,7 @@ def run_config(directory: Path | str = ".") -> dict:
         "diversification_group": "horticulture",
         "benchmarks": {"national_tfp_growth_pct": NATIONAL_TFP_GROWTH_PCT},
         "tree": "builtin",
-        "output_dir": p("out"),
+        "output_dir": "out",
         "methods": {
             "growth_method": "loglinear",
             "cv_ddof": 1,
@@ -307,7 +298,7 @@ def write_synthetic_inputs(directory: Path | str) -> Path:
     _write_csv(directory / "area_nation.csv",
                ["crop_id", "year", "area_ha", "production_t", "price_per_t"],
                [(g, y, a, 0.0, 0.0) for g, y, a in nation])
-    config = run_config(".")  # bare names; resolved relative to the config file
+    config = run_config()
     config_path = directory / "config.json"
     config_path.write_text(json_text(config), encoding="utf-8")
     return config_path

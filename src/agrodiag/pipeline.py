@@ -21,13 +21,13 @@ from typing import TYPE_CHECKING
 from .errors import DuplicateKeyError, SchemaError
 from .serialize import (
     cai_csv, csv_chunks, csv_text, index_csvs, json_chunks, json_text,
-    read_json, write_artifacts,
+    read_json,
 )
 
 if TYPE_CHECKING:
     from .advantage import AreaShareTable
     from .config import RunConfig
-    from .diagnostics import DiagnosticReport, IndicatorSet
+    from .diagnostics import DiagnosticReport
     from .panel import CropPanel, PriceSeries
     from .productivity import IndexSeries
 
@@ -85,20 +85,14 @@ class Run:
         return prices
 
     @cached_property
-    def crop_years(self) -> set[int]:
-        """The years the crop panel keeps: the comparison trienniums'
-        years; ``validate`` sets the terminal triennium's alone."""
-        from .ingest import triennium_years
-
-        return triennium_years(self.config.decomposition_base,
-                               self.config.decomposition_terminal)
-
-    @cached_property
     def panel(self) -> CropPanel:
-        """The crop panel: every row checked, the ``crop_years`` kept."""
-        from .ingest import load_crop_panel
+        """The crop panel: every row checked, the comparison trienniums'
+        years kept."""
+        from .ingest import load_crop_panel, triennium_years
 
-        return load_crop_panel(self.config.crop_panel, years=self.crop_years)
+        config = self.config
+        return load_crop_panel(config.crop_panel, years=triennium_years(
+            config.decomposition_base, config.decomposition_terminal))
 
     value_cost = _input("load_value_cost", "cost_series")
     io_panel = _input("load_io_panel", "io_panel")
@@ -158,8 +152,7 @@ class Run:
         """``indicators.json``: the indicator set the tree evaluates, its
         inputs read in ``report``'s order."""
         self.readings, self.series, self.cai_values, self.panel
-        return json_text(assemble_indicators(self).to_dict(),
-                         "indicators.json")
+        return json_text(assemble_indicators(self), "indicators.json")
 
     @cached_property
     def diagnosis(self) -> DiagnosticReport:
@@ -262,10 +255,11 @@ class Run:
             self.diagnose))
 
 
-def assemble_indicators(run: Run) -> IndicatorSet:
+def assemble_indicators(run: Run) -> dict:
     """Reduce the readings of RUN to the scalars the tree predicates read,
-    one declared (name, value, units, provenance) entry each."""
-    from .diagnostics import IndicatorSet
+    one declared (name, value, units, provenance) entry each, in
+    ``indicators.json``'s form: by name, ascending. No name repeats, as
+    the config refuses a repeated break commodity."""
     from .markets import group_share
     from .productivity import avg_annual_growth
 
@@ -279,8 +273,7 @@ def assemble_indicators(run: Run) -> IndicatorSet:
     share = group_share(run.panel, config.decomposition_terminal, group)
     best = max(sorted(cai), key=cai.get)
     vc_year, pr_year = max(value_cost), max(grain_fert)
-    ind = IndicatorSet()
-    for entry in chain((
+    entries = chain((
         ("agricultural_land_ratio_change", land["al_ratio_change"], "ratio",
          "land_use_ratios, first vs last triennium"),
         ("al_ratio_first", land["first"]["al_ratio"], "ratio",
@@ -307,15 +300,7 @@ def assemble_indicators(run: Run) -> IndicatorSet:
         ("grain_fertilizer_price_ratio_terminal", grain_fert[pr_year],
          "ratio", f"price_ratio {config.grain_commodity}/"
          f"{config.fertilizer_commodity}, year {pr_year}"),
-    )):
-        ind.add(*entry)
-    return ind
-
-
-def run_pipeline(config: RunConfig, outdir: Path | None = None
-                 ) -> DiagnosticReport:
-    """Compute every report artifact, writing each as its stage yields it;
-    returns the diagnosis."""
-    run = Run(config)
-    write_artifacts(outdir or config.output_dir, run.report())
-    return run.diagnosis
+    ))
+    return {name: {"value": float(value), "units": units,
+                   "provenance": provenance}
+            for name, value, units, provenance in sorted(entries)}

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -1385,7 +1386,7 @@ class TestRunHoldings:
         assert sorted(serialize.collect(run.report())) == \
             sorted(REPORT_ARTIFACTS)
         assert sorted(vars(run)) == [
-            "cai_values", "config", "crop_years", "diagnosis", "indicators",
+            "cai_values", "config", "diagnosis", "indicators",
             "panel", "readings", "series"]
         inputs = (InputOutputPanel, PriceSeries, LandUseRecord,
                   AreaShareTable)
@@ -1651,8 +1652,8 @@ class TestRunConfig:
 class TestCropYearsKept:
     """``report``, the ``-c`` subcommands and ``decompose --crop-panel``
     keep only the comparison trienniums' crop years, but every crop-panel
-    row is still read and checked; ``validate`` keeps no year and counts
-    every row."""
+    row is still read and checked; ``validate`` keeps the terminal
+    triennium's years and counts every row."""
 
     KEPT = (2000, 2001, 2002, 2014, 2015, 2016)  # the fixture's TE 2002, 2016
 
@@ -1749,13 +1750,15 @@ class TestCropYearsKept:
     def test_validate_keeps_the_terminal_triennium(self, run_dir, capsys,
                                                    monkeypatch):
         # its crops are those the diversification group must be among
-        import agrodiag.commands
+        from agrodiag import ingest
 
-        runs = []
-        monkeypatch.setattr(agrodiag.commands, "_run",
-                            lambda args: runs.append(_run(args)) or runs[-1])
+        loaded = []
+        load = ingest.load_crop_panel
+        monkeypatch.setattr(ingest, "load_crop_panel",
+                            lambda *a, **k: loaded.append(load(*a, **k))
+                            or loaded[-1])
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
-        panel = runs[0].panel
+        [panel] = loaded
         assert panel.years == (2014, 2015, 2016)
         assert len(crop_rows(panel)) == 30
         assert panel.checked == (170, 10, tuple(range(2000, 2017)))
@@ -1782,3 +1785,81 @@ class TestCropYearsKept:
             "tree: 5 chains, 7 nodes\n"
             "all inputs valid\n"
         )
+
+
+# single faults of the fixture that ``report -c`` refuses: (id, config
+# values by dotted key, input edit or None); an edit (input key, pattern,
+# replacement) is ``re.sub`` over that input's text, one line per match
+SINGLE_FAULTS = [
+    ("growth-window-of-one-year", {"periods.overall": [2015, 2016]}, None),
+    ("tfp-base-year-outside-the-io-years",
+     {"methods.tfp_base_year": 1990}, None),
+    ("input-renamed-in-one-year", {},
+     ("io_panel", r"^2005,input,labour,", "2005,input,labor,")),
+    ("one-io-year-and-no-periods", {"periods": {}},
+     ("io_panel", r"^20(0[1-9]|1\d),.*\n", "")),
+    ("break-year-before-every-price", {"break_year": 1900}, None),
+    ("break-year-at-the-last-price", {"break_year": 2016}, None),
+    ("fertilizer-prices-miss-a-year", {},
+     ("price_series", r"^urea,2010,.*\n", "")),
+    ("base-triennium-before-the-panel",
+     {"decomposition.base_year": 1980}, None),
+    ("base-triennium-one-year-short", {"decomposition.base_year": 2001}, None),
+    ("endpoint-base-year-before-the-panel",
+     {"decomposition.base_year": 1980, "methods.period_mode": "endpoint"},
+     None),
+    ("unknown-diversification-group", {"diversification_group": "nope"},
+     None),
+    ("terminal-triennium-without-value", {},
+     ("crop_panel", r"^([^,]*,201[4-6],[^,]*,[^,]*),.*$", r"\1,0")),
+    ("unpriced-break-commodity", {"break_commodities": ["maize", "okra"]},
+     None),
+    ("base-year-not-before-the-terminal",
+     {"decomposition.base_year": 2016}, None),
+    ("nation-table-lacks-a-region-group", {},
+     ("area_shares_nation", r"^flowers,.*\n", "")),
+]
+
+
+class TestValidateRefusesWhatReportRefuses:
+    # in endpoint mode ``report`` decomposes the base year itself, so
+    # ``CropPanel.columns`` names the year the panel lacks; ``validate``
+    # keeps no base-year row and checks the base triennium against every
+    # year it counted, so it names the triennium
+    EXIT_CODE_ONLY = {"endpoint-base-year-before-the-panel"}
+
+    @pytest.mark.parametrize("fault, values, edit", SINGLE_FAULTS,
+                             ids=[fault for fault, *_ in SINGLE_FAULTS])
+    def test_validate_exits_and_errs_as_report_does(
+            self, run_dir, tmp_path, capsys, fault, values, edit):
+        config = absolute_config(run_dir)
+        for key, value in values.items():
+            *parents, leaf = key.split(".")
+            node = config
+            for parent in parents:
+                node = node[parent]
+            node[leaf] = value
+        if edit is not None:
+            key, pattern, replacement = edit
+            paths = config["inputs"][key]
+            source = Path(paths[0] if isinstance(paths, list) else paths)
+            text, count = re.subn(pattern, replacement, source.read_text(),
+                                  flags=re.MULTILINE)
+            assert count
+            target = tmp_path / source.name
+            target.write_text(text)
+            config["inputs"][key] = ([str(target)] if isinstance(paths, list)
+                                     else str(target))
+        path = write_config(tmp_path, config)
+        results = {}
+        for command in ("report", "validate"):
+            code = main([command, "-c", str(path),
+                         *out_flag(command, tmp_path / "o")])
+            results[command] = code, *capsys.readouterr()
+        assert not (tmp_path / "o").exists()
+        (code, out, err), (report_code, report_out, report_err) = (
+            results["validate"], results["report"])
+        assert (code, out) == (report_code, report_out) == (1, "")
+        assert err.startswith("error: ")
+        if fault not in self.EXIT_CODE_ONLY:
+            assert err == report_err

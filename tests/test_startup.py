@@ -143,7 +143,8 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, expected", [
         (["validate", "-c", "config.json"],
          layers("config", "pipeline", "ingest", "csvread", "panel",
-                "advantage", "markets", "diagnostics", "tree", "serialize")),
+                "advantage", "markets", "productivity", "diagnostics", "tree",
+                "serialize")),
         (["cai", "-c", "config.json"],
          layers("config", "pipeline", "advantage", "csvread", "serialize")),
         (["cai", "--region", "area_region.csv",
