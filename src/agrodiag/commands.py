@@ -73,6 +73,7 @@ def _cmd_validate(args) -> int:
     # compiled before any input is read, so their parse scratch does not
     # add to the loaded inputs' peak
     from . import diagnostics, ingest, markets
+    from .pipeline import indicator_names
     from .serialize import collect
 
     run = _run(args)
@@ -111,7 +112,10 @@ def _cmd_validate(args) -> int:
     land_years = len(run.land)
     region, nation = run.areas
     advantage.cai_table(region, nation)
+    # the tree, whose manifest must name only indicators ``report``
+    # assembles
     tree = diagnostics.resolve_tree(config.tree)
+    diagnostics.check_manifest(tree, indicator_names(config))
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")

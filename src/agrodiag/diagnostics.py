@@ -25,6 +25,8 @@ from .serialize import Refused, finite, integer, json_object, read_json, string
 from .tree import tree_from_dict
 
 if TYPE_CHECKING:
+    from collections.abc import Container
+
     from .tree import DiagnosticTree
 
 _BUILTIN_TREE_RESOURCE = "bihar_tree.json"
@@ -212,6 +214,15 @@ def _scalar_value(indicators: IndicatorSet, name: str,
     return value
 
 
+def check_manifest(tree: DiagnosticTree, names: Container[str]) -> None:
+    """Refuse TREE if its manifest names an indicator not among NAMES."""
+    for name in tree.manifest:
+        if name not in names:
+            raise EvaluationError(
+                f"manifest indicator {name!r} missing from indicator set"
+            )
+
+
 def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport:
     """Walk every chain of the tree against the indicators.
 
@@ -221,11 +232,7 @@ def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport
     sits past its threshold, normalized by the threshold's magnitude; a
     severity past the float range raises ``DomainError`` naming the node.
     """
-    for name in tree.manifest:
-        if name not in indicators:
-            raise EvaluationError(
-                f"manifest indicator {name!r} missing from indicator set"
-            )
+    check_manifest(tree, indicators)
     binding: dict[str, float] = {}
     non_binding: list[str] = []
     evidence: dict[str, dict] = {}

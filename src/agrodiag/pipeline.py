@@ -45,11 +45,12 @@ class Run:
     """The report of one run config, computed on demand.
 
     An input is a plain property, read on each access and not kept; the
-    readings reduced from it, and the crop panel, are cached properties,
-    each reading the inputs it consumes once. Each ``-c`` subcommand is
-    the method of its name and yields exactly its artifacts (as
-    ``serialize.write_artifacts`` takes them), so it reads only the inputs
-    they need; ``report`` reads every input and yields the union of the six.
+    readings reduced from it, and the crop panel until the indicator set
+    is built, are cached properties, each reading the inputs it consumes
+    once. Each ``-c`` subcommand is the method of its name and yields
+    exactly its artifacts (as ``serialize.write_artifacts`` takes them),
+    so it reads only the inputs they need; ``report`` reads every input
+    and yields the union of the six.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -148,10 +149,22 @@ class Run:
         return cai_table(*self.areas)
 
     @cached_property
+    def group_share(self) -> float:
+        """The diversification group's percent of the terminal triennium's
+        area: the one indicator read from the crop panel."""
+        from .markets import group_share
+
+        config = self.config
+        return group_share(self.panel, config.decomposition_terminal,
+                           config.diversification_group)
+
+    @cached_property
     def indicators(self) -> str:
         """``indicators.json``: the indicator set the tree evaluates, its
-        inputs read in ``report``'s order."""
-        self.readings, self.series, self.cai_values, self.panel
+        inputs read in ``report``'s order; the crop panel, whose last
+        reader is the group share, is freed before it is built."""
+        self.readings, self.series, self.cai_values, self.group_share
+        del self.panel
         return json_text(assemble_indicators(self), "indicators.json")
 
     @cached_property
@@ -199,9 +212,11 @@ class Run:
             "growth_rates.json")
 
     def markets(self):
-        """Break stats, figure3/4, crop shares and land-use ratios."""
-        from .markets import crop_shares
+        """Break stats, figure3/4, land-use ratios and crop shares."""
+        return chain(self._crop_free_markets(), self._shares())
 
+    def _crop_free_markets(self):
+        """The market artifacts, but for the crop shares."""
         readings = self.readings
         yield "break_stats.json", json_chunks(
             [s.to_record() for s in readings["break_stats"]],
@@ -210,10 +225,15 @@ class Run:
                           ("figure4.csv", "grain_fert")):
             yield name, csv_text(["year", "value"],
                                  sorted(readings[key].items()), name)
+        yield "land_ratios.json", json_chunks(readings["land"],
+                                              "land_ratios.json")
 
-        # crop shares at the comparison trienniums, read from their
-        # columns as the rows are written: both area totals are checked
-        # first, a triennium's value total at its first row
+    def _shares(self):
+        """``shares.csv``: the crop shares at the comparison trienniums,
+        read from their columns as the rows are written: both area totals
+        are checked first, a triennium's value total at its first row."""
+        from .markets import crop_shares
+
         panel = self.panel
         trienniums = (self.config.decomposition_base,
                       self.config.decomposition_terminal)
@@ -224,8 +244,6 @@ class Run:
              for row in zip(repeat(te), crops, area,
                             crop_shares(panel, te, "value")[1])),
             "shares.csv")
-        yield "land_ratios.json", json_chunks(readings["land"],
-                                              "land_ratios.json")
 
     def cai(self):
         """``cai.csv``: the comparative-advantage table."""
@@ -240,19 +258,38 @@ class Run:
                                             "diagnosis.json")
 
     def report(self):
-        """Every input reduced to its readings, the crop panel last, so a
-        run holds one large input at a time; then every artifact, stage by
-        stage, as each stage yields it."""
+        """Every input but the crop panel reduced to its readings, and the
+        artifacts serialized from them; then the crop panel's artifacts and
+        group share, and, once the panel is freed, the indicator set and
+        the diagnosis. Each artifact is written as its stage yields it."""
         # without a bytecode cache, a module compiled once the inputs are
         # loaded would add its parse scratch to the peak: so these layers,
         # and with them ``tree`` (imported by ``diagnostics``), ``ingest``
         # and ``csvread`` (by ``advantage``), are compiled first
         from . import advantage, decomposition, diagnostics, markets, productivity  # noqa: F401
 
-        self.readings, self.series, self.cai_values, self.panel
+        self.readings, self.series, self.cai_values
+        # the crop panel, the largest input, is loaded by ``decompose``
+        # once the crop-free artifacts are written, so their scratch does
+        # not stack on it, and ``growth`` still comes after it, so a crop
+        # panel fault is named before a growth window's
         return chain.from_iterable(stage() for stage in (
-            self.decompose, self.tfp, self.growth, self.markets, self.cai,
-            self.diagnose))
+            self.tfp, self._crop_free_markets, self.cai, self.decompose,
+            self.growth, self._shares, self.diagnose))
+
+
+def indicator_names(config: RunConfig) -> list[str]:
+    """The names of the indicators ``assemble_indicators`` sets on the
+    readings of a run of CONFIG, in the order it lists their values."""
+    return ["agricultural_land_ratio_change", "al_ratio_first",
+            "al_ratio_last", "tfp_growth_pct", "tfp_growth_national_pct",
+            "tfp_growth_gap_pp", "price_cv_rising_share",
+            *(f"price_cv_{when}_{commodity}"
+              for commodity in sorted(config.break_commodities)
+              for when in ("before", "after")),
+            "cai_max", "high_advantage_area_share_pct",
+            "value_cost_ratio_terminal",
+            "grain_fertilizer_price_ratio_terminal"]
 
 
 def assemble_indicators(run: Run) -> dict:
@@ -260,7 +297,6 @@ def assemble_indicators(run: Run) -> dict:
     one declared (name, value, units, provenance) entry each, in
     ``indicators.json``'s form: by name, ascending. No name repeats, as
     the config refuses a repeated break commodity."""
-    from .markets import group_share
     from .productivity import avg_annual_growth
 
     config, readings, cai = run.config, run.readings, run.cai_values
@@ -269,38 +305,30 @@ def assemble_indicators(run: Run) -> dict:
     national = config.national_tfp_growth_pct
     tfp_growth = avg_annual_growth(run.series["tfp"],
                                    method=config.growth_method)
-    group = config.diversification_group
-    share = group_share(run.panel, config.decomposition_terminal, group)
     best = max(sorted(cai), key=cai.get)
     vc_year, pr_year = max(value_cost), max(grain_fert)
-    entries = chain((
-        ("agricultural_land_ratio_change", land["al_ratio_change"], "ratio",
+    entries = zip(indicator_names(config), chain((
+        (land["al_ratio_change"], "ratio",
          "land_use_ratios, first vs last triennium"),
-        ("al_ratio_first", land["first"]["al_ratio"], "ratio",
-         "land_use_ratios"),
-        ("al_ratio_last", land["last"]["al_ratio"], "ratio",
-         "land_use_ratios"),
-        ("tfp_growth_pct", tfp_growth, "pct/yr",
+        (land["first"]["al_ratio"], "ratio", "land_use_ratios"),
+        (land["last"]["al_ratio"], "ratio", "land_use_ratios"),
+        (tfp_growth, "pct/yr",
          f"avg_annual_growth(tfp, method={config.growth_method})"),
-        ("tfp_growth_national_pct", national, "pct/yr", "config benchmark"),
-        ("tfp_growth_gap_pp", tfp_growth - national, "pp/yr",
+        (national, "pct/yr", "config benchmark"),
+        (tfp_growth - national, "pp/yr",
          "avg_annual_growth(tfp) minus national benchmark"),
-        ("price_cv_rising_share",
-         sum(s.cv_after > s.cv_before for s in stats) / len(stats)
+        (sum(s.cv_after > s.cv_before for s in stats) / len(stats)
          if stats else 0.0,
          "fraction", "break_analysis over configured commodities"),
-    ), ((f"price_cv_{when}_{s.commodity_id}", cv, "percent", "break_analysis")
-        for s in stats for when, cv in (("before", s.cv_before),
-                                        ("after", s.cv_after))), (
-        ("cai_max", cai[best], "ratio", f"cai_table, group {best}"),
-        ("high_advantage_area_share_pct", share, "percent",
-         f"share_table at terminal triennium, {group} row"),
-        ("value_cost_ratio_terminal", value_cost[vc_year], "ratio",
-         f"value_cost_ratio, year {vc_year}"),
-        ("grain_fertilizer_price_ratio_terminal", grain_fert[pr_year],
-         "ratio", f"price_ratio {config.grain_commodity}/"
+    ), ((cv, "percent", "break_analysis")
+        for s in stats for cv in (s.cv_before, s.cv_after)), (
+        (cai[best], "ratio", f"cai_table, group {best}"),
+        (run.group_share, "percent", "share_table at terminal triennium, "
+         f"{config.diversification_group} row"),
+        (value_cost[vc_year], "ratio", f"value_cost_ratio, year {vc_year}"),
+        (grain_fert[pr_year], "ratio", f"price_ratio {config.grain_commodity}/"
          f"{config.fertilizer_commodity}, year {pr_year}"),
-    ))
+    )), strict=True)
     return {name: {"value": float(value), "units": units,
                    "provenance": provenance}
-            for name, value, units, provenance in sorted(entries)}
+            for name, (value, units, provenance) in sorted(entries)}

@@ -18,7 +18,9 @@ from agrodiag.advantage import AreaShareTable
 from agrodiag.cli import main, parse_args
 from agrodiag.commands import _run
 from agrodiag.config import load_run_config
-from agrodiag.panel import InputOutputPanel, LandUseRecord, PriceSeries
+from agrodiag.panel import (
+    CropPanel, InputOutputPanel, LandUseRecord, PriceSeries,
+)
 from agrodiag.pipeline import Run
 
 from helpers import REPORT_ARTIFACTS, crop_rows, other_interpreters, out_flag
@@ -1358,7 +1360,8 @@ def held_objects(value, depth: int = 3):
 
 class TestRunHoldings:
     """A run reads each input file once and keeps only what it reduced
-    the input to, reading the crop panel after the other inputs."""
+    the input to, reading the crop panel after the other inputs and
+    holding it only until its last reader has run."""
 
     @pytest.mark.parametrize("command, inputs", [
         ("report", INPUTS),
@@ -1386,12 +1389,79 @@ class TestRunHoldings:
         assert sorted(serialize.collect(run.report())) == \
             sorted(REPORT_ARTIFACTS)
         assert sorted(vars(run)) == [
-            "cai_values", "config", "diagnosis", "indicators",
-            "panel", "readings", "series"]
+            "cai_values", "config", "diagnosis", "group_share", "indicators",
+            "readings", "series"]
         inputs = (InputOutputPanel, PriceSeries, LandUseRecord,
-                  AreaShareTable)
+                  AreaShareTable, CropPanel)
         assert not any(isinstance(value, inputs)
                        for value in held_objects(vars(run)))
+
+    def test_the_crop_panel_lives_from_its_load_to_its_last_reader(
+            self, run_dir, tmp_path, monkeypatch):
+        # the artifacts of the other inputs' readings are written before
+        # the crop panel is loaded, and the indicator set after it is freed
+        from agrodiag import ingest
+
+        run = Run(load_run_config(run_dir / "config.json"))
+        staged, staged_at_load, panel_held = [], [], {}
+        stage, load = serialize._stage, ingest.load_crop_panel
+
+        def staging(path, chunks):
+            name = path.name[1:].rsplit(".", 2)[0]  # .NAME.PID.tmp
+            staged.append(name)
+            panel_held[name] = any(isinstance(value, CropPanel)
+                                   for value in held_objects(vars(run)))
+            return stage(path, chunks)
+
+        def loading(*args, **kwargs):
+            staged_at_load.append(list(staged))
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(serialize, "_stage", staging)
+        monkeypatch.setattr(ingest, "load_crop_panel", loading)
+        serialize.write_artifacts(tmp_path / "o", run.report())
+        assert sorted(staged) == sorted(REPORT_ARTIFACTS)
+        [before] = staged_at_load
+        assert sorted(before) == [
+            "break_stats.json", "cai.csv", "figure2.csv", "figure3.csv",
+            "figure4.csv", "land_ratios.json", "tfp_index.csv"]
+        assert panel_held["shares.csv"]
+        assert not panel_held["indicators.json"]
+        assert not panel_held["diagnosis.json"]
+
+    def test_diagnose_frees_the_crop_panel_before_the_indicator_set(
+            self, run_dir, monkeypatch):
+        from agrodiag import pipeline
+
+        run = _run(parse_args(
+            ["diagnose", "-c", str(run_dir / "config.json")]))
+        held = []
+        assemble = pipeline.assemble_indicators
+
+        def assembling(run):
+            held.append(any(isinstance(value, CropPanel)
+                            for value in held_objects(vars(run))))
+            return assemble(run)
+
+        monkeypatch.setattr(pipeline, "assemble_indicators", assembling)
+        run.diagnosis
+        assert held == [False]
+        assert "group_share" in vars(run)
+
+    @pytest.mark.parametrize("command", ["report", "validate"])
+    def test_a_crop_panel_fault_is_named_before_a_growth_window(
+            self, run_dir, tmp_path, capsys, command):
+        # the growth windows are computed once the crop panel is read
+        config = with_broken_input(run_dir, tmp_path, "crop_panel")
+        config["periods"]["overall"] = [2015, 2016]
+        path = write_config(tmp_path, config)
+        assert main([command, "-c", str(path),
+                     *out_flag(command, tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: crop panel {tmp_path / 'broken.csv'}: bad header "
+            "['nonsense'], expected ['crop_id', 'year', 'area_ha', "
+            "'production_t', 'price_per_t']\n"))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command",
                              ["report", "markets", "diagnose", "validate"])
@@ -1788,8 +1858,9 @@ class TestCropYearsKept:
 
 
 # single faults of the fixture that ``report -c`` refuses: (id, config
-# values by dotted key, input edit or None); an edit (input key, pattern,
-# replacement) is ``re.sub`` over that input's text, one line per match
+# values by dotted key, input edit or None); an edit (input key or
+# "tree", pattern, replacement) is ``re.sub`` over that file's text, one
+# line per match
 SINGLE_FAULTS = [
     ("growth-window-of-one-year", {"periods.overall": [2015, 2016]}, None),
     ("tfp-base-year-outside-the-io-years",
@@ -1818,7 +1889,14 @@ SINGLE_FAULTS = [
      {"decomposition.base_year": 2016}, None),
     ("nation-table-lacks-a-region-group", {},
      ("area_shares_nation", r"^flowers,.*\n", "")),
+    ("manifest-names-an-unassembled-indicator", {},
+     ("tree", r'^( *)"cai_max": "ratio",$',
+      r'\1"cai_max": "ratio",\n\1"price_cv_before_okra": "percent",')),
 ]
+
+# the builtin tree's JSON, which a tree edit of SINGLE_FAULTS starts from
+BUILTIN_TREE = str(Path(agrodiag.__file__).with_name("data")
+                   / "bihar_tree.json")
 
 
 class TestValidateRefusesWhatReportRefuses:
@@ -1841,15 +1919,18 @@ class TestValidateRefusesWhatReportRefuses:
             node[leaf] = value
         if edit is not None:
             key, pattern, replacement = edit
-            paths = config["inputs"][key]
+            holder = config if key == "tree" else config["inputs"]
+            paths = holder[key]
+            if paths == "builtin":
+                paths = BUILTIN_TREE
             source = Path(paths[0] if isinstance(paths, list) else paths)
             text, count = re.subn(pattern, replacement, source.read_text(),
                                   flags=re.MULTILINE)
             assert count
             target = tmp_path / source.name
             target.write_text(text)
-            config["inputs"][key] = ([str(target)] if isinstance(paths, list)
-                                     else str(target))
+            holder[key] = ([str(target)] if isinstance(paths, list)
+                           else str(target))
         path = write_config(tmp_path, config)
         results = {}
         for command in ("report", "validate"):
