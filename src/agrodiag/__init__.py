@@ -34,7 +34,6 @@ _EXPORTS = {
     "DiagnosticReport": "diagnostics",
     "DiagnosticTree": "tree",
     "IndexSeries": "productivity",
-    "IndicatorSet": "diagnostics",
     "InputOutputPanel": "panel",
     "LandUseRecord": "panel",
     "Predicate": "tree",

@@ -73,7 +73,7 @@ def _cmd_validate(args) -> int:
     # compiled before any input is read, so their parse scratch does not
     # add to the loaded inputs' peak
     from . import diagnostics, ingest, markets
-    from .pipeline import indicator_names
+    from .pipeline import indicator_units
     from .serialize import collect
 
     run = _run(args)
@@ -85,11 +85,11 @@ def _cmd_validate(args) -> int:
     for commodity in sorted(config.break_commodities):
         markets.break_analysis(prices[commodity], config.break_year,
                                ddof=config.cv_ddof)
+    value_cost_years = len(markets.value_cost_ratio(*run.value_cost))
     markets.price_ratio(prices[config.grain_commodity],
                         prices[config.fertilizer_commodity])
     commodities = sorted(prices)
     del prices  # not held through the crop panel's load
-    value_cost_years = len(run.value_cost[0])
     # count every row, keep the terminal triennium: its crops, which
     # ``diversification_group`` must be among, and its area and value
     # totals; the base triennium's years are checked against every year
@@ -109,19 +109,20 @@ def _cmd_validate(args) -> int:
     tfp = run.series["tfp"]
     productivity.avg_annual_growth(tfp, method=config.growth_method)
     io_years = tfp.years
-    land_years = len(run.land)
+    land = run.land
+    markets.land_record(land)
     region, nation = run.areas
     advantage.cai_table(region, nation)
     # the tree, whose manifest must name only indicators ``report``
-    # assembles
+    # assembles, with the units it assembles them with
     tree = diagnostics.resolve_tree(config.tree)
-    diagnostics.check_manifest(tree, indicator_names(config))
+    diagnostics.check_manifest(tree, indicator_units(config))
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
     print(f"price series: {len(commodities)} commodities "
           f"({', '.join(commodities)})")
-    print(f"land use: {land_years} years")
+    print(f"land use: {len(land)} years")
     print(f"value/cost series: {value_cost_years} years")
     print(f"area tables: {len(region.groups)} region groups, "
           f"{len(nation.groups)} nation groups")

@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ._record import Record
 from .errors import (
     DomainError,
-    DuplicateKeyError,
     EvaluationError,
     IndicatorTypeError,
     SchemaError,
@@ -25,85 +24,30 @@ from .serialize import Refused, finite, integer, json_object, read_json, string
 from .tree import tree_from_dict
 
 if TYPE_CHECKING:
-    from collections.abc import Container
-
     from .tree import DiagnosticTree
 
 _BUILTIN_TREE_RESOURCE = "bihar_tree.json"
 
 
-class Indicator(Record, frozen=True):
-    """A named quantity with a units tag and a note on where it came from."""
-
-    name: str
-    value: Any  # scalar (Real) or series (mapping year -> value)
-    units: str = ""
-    provenance: str = ""
-
-    @property
-    def is_scalar(self) -> bool:
-        # ``bool`` subclasses ``int``, so ``True`` must be kept out
-        return isinstance(self.value, Real) and not isinstance(self.value, bool)
-
-
-class IndicatorSet:
-    """Unique-name collection of indicators, the input to ``evaluate``."""
-
-    def __init__(self) -> None:
-        self._items: dict[str, Indicator] = {}
-
-    def add(self, name: str, value, units: str = "", provenance: str = "") -> None:
-        if name in self._items:
-            raise DuplicateKeyError(f"indicator {name!r} already present")
-        self._items[name] = Indicator(name, value, units, provenance)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __getitem__(self, name: str) -> Indicator:
-        return self._items[name]
-
-    def get(self, name: str) -> Indicator | None:
-        return self._items.get(name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._items))
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        for name in self.names:
-            ind = self._items[name]
-            if ind.is_scalar:
-                value = float(ind.value)
-            elif isinstance(ind.value, Mapping):
-                value = [[int(k), float(v)] for k, v in sorted(ind.value.items())]
-            else:
-                value = ind.value
-            out[name] = {"value": value, "units": ind.units,
-                         "provenance": ind.provenance}
-        return out
-
-    @classmethod
-    def from_dict(cls, data, what: str = "indicator set") -> "IndicatorSet":
-        """The inverse of ``to_dict``: a value is a finite number or a list
-        of ``[year, number]`` pairs, units and provenance are strings, and
-        anything else raises SchemaError naming WHAT and the indicator."""
-        if type(data) is not dict:
-            raise SchemaError(f"{what}: must be an object mapping indicator "
-                              f"names to entries, got {data!r}")
-        out = cls()
-        for name in sorted(data):
-            entry = data[name]
-            if type(entry) is not dict or "value" not in entry:
-                raise SchemaError(f"{what}: indicator {name!r} must be an "
-                                  f"object with a 'value', got {entry!r}")
-            try:
-                out.add(name, _value(entry["value"]), **_ENTRY(entry))
-            except Refused as exc:
-                raise SchemaError(
-                    f"{what}: indicator {name!r}: {exc}") from None
-        return out
+def read_indicators(data, what: str = "indicator set") -> dict:
+    """``indicators.json``'s dict, checked: each value a finite number or a
+    list of ``[year, number]`` pairs (read as {year: number}), units and
+    provenance strings (by default empty); anything else raises
+    SchemaError naming WHAT and the indicator."""
+    if type(data) is not dict:
+        raise SchemaError(f"{what}: must be an object mapping indicator "
+                          f"names to entries, got {data!r}")
+    out = {}
+    for name in sorted(data):
+        entry = data[name]
+        if type(entry) is not dict or "value" not in entry:
+            raise SchemaError(f"{what}: indicator {name!r} must be an "
+                              f"object with a 'value', got {entry!r}")
+        try:
+            out[name] = {"value": _value(entry["value"]), **_ENTRY(entry)}
+        except Refused as exc:
+            raise SchemaError(f"{what}: indicator {name!r}: {exc}") from None
+    return out
 
 
 _ENTRY = json_object({"units": (string, ""), "provenance": (string, "")})
@@ -191,40 +135,42 @@ class DiagnosticReport(Record, frozen=True):
         return "\n".join(lines) + "\n"
 
 
-def _scalar_value(indicators: IndicatorSet, name: str,
-                  manifest_units: str, node_id: str) -> float:
-    indicator = indicators.get(name)
-    if indicator is None:
-        raise EvaluationError(
-            f"indicator {name!r} (node {node_id!r}) missing from indicator set"
-        )
-    if not indicator.is_scalar:
+def _scalar_value(indicators: Mapping[str, dict], name: str,
+                  node_id: str) -> float:
+    value = indicators[name]["value"]
+    # ``bool`` subclasses ``int``, so ``True`` must be kept out
+    if not isinstance(value, Real) or isinstance(value, bool):
         raise IndicatorTypeError(
             f"indicator {name!r} (node {node_id!r}) is a series; predicates "
             "need scalars, reduce it upstream"
         )
-    if manifest_units and indicator.units and manifest_units != indicator.units:
-        raise EvaluationError(
-            f"indicator {name!r} has units {indicator.units!r} but the tree "
-            f"expects {manifest_units!r}"
-        )
-    value = float(indicator.value)
+    value = float(value)
     if not math.isfinite(value):
         raise EvaluationError(f"indicator {name!r} is not finite: {value!r}")
     return value
 
 
-def check_manifest(tree: DiagnosticTree, names: Container[str]) -> None:
-    """Refuse TREE if its manifest names an indicator not among NAMES."""
+def check_manifest(tree: DiagnosticTree, units: Mapping[str, str]) -> None:
+    """Refuse TREE if its manifest names an indicator not among UNITS's
+    names, then, in manifest order, one whose units tag differs from its
+    UNITS entry where both are non-empty."""
     for name in tree.manifest:
-        if name not in names:
+        if name not in units:
             raise EvaluationError(
                 f"manifest indicator {name!r} missing from indicator set"
             )
+    for name, expected in tree.manifest.items():
+        if expected and units[name] and expected != units[name]:
+            raise EvaluationError(
+                f"indicator {name!r} has units {units[name]!r} but the tree "
+                f"expects {expected!r}"
+            )
 
 
-def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport:
-    """Walk every chain of the tree against the indicators.
+def evaluate(tree: DiagnosticTree,
+             indicators: Mapping[str, dict]) -> DiagnosticReport:
+    """Walk every chain of the tree against INDICATORS, in
+    ``indicators.json``'s form: {name: {"value", "units", "provenance"}}.
 
     Each chain ends in exactly one verdict; the verdict is attributed to
     the chain's constraint label (the most recent labeled node on the
@@ -232,7 +178,8 @@ def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport
     sits past its threshold, normalized by the threshold's magnitude; a
     severity past the float range raises ``DomainError`` naming the node.
     """
-    check_manifest(tree, indicators)
+    check_manifest(tree, {name: entry["units"]
+                          for name, entry in indicators.items()})
     binding: dict[str, float] = {}
     non_binding: list[str] = []
     evidence: dict[str, dict] = {}
@@ -243,10 +190,7 @@ def evaluate(tree: DiagnosticTree, indicators: IndicatorSet) -> DiagnosticReport
         node = tree.nodes[root]
         while True:
             pred = node.predicate
-            value = _scalar_value(
-                indicators, pred.indicator,
-                tree.manifest.get(pred.indicator, ""), node.id,
-            )
+            value = _scalar_value(indicators, pred.indicator, node.id)
             result = pred.holds(value)
             steps.append({
                 "node": node.id,

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
-from .diagnostics import IndicatorSet
+from .pipeline import indicator_units
 from .serialize import json_text
 
 YEARS = tuple(range(2000, 2017))          # crop panel, land use, value/cost
@@ -195,8 +196,10 @@ def area_table_rows() -> tuple[list, list]:
     return region, nation
 
 
-def bihar_reference_indicators() -> IndicatorSet:
-    """Indicator set carrying the case study's headline values.
+def bihar_reference_indicators() -> dict:
+    """The case study's headline values as an indicator set, in
+    ``indicators.json``'s form, each with the units a report assembles it
+    with.
 
     These are the numbers the shipped tree is meant to be read against:
     productivity growth 1.71 vs a national 1.60 percent, price CVs rising
@@ -204,29 +207,31 @@ def bihar_reference_indicators() -> IndicatorSet:
     comparative-advantage index of 1.72 against a horticulture area share
     of 6.2 percent, and value/cost and grain/fertiliser ratios above one.
     """
-    ind = IndicatorSet()
     cv_pairs = {c: (b[1], a[1]) for c, (b, a) in PRICE_MOMENTS.items()}
     rising = sum(1 for b, a in cv_pairs.values() if a > b) / len(cv_pairs)
-    ind.add("agricultural_land_ratio_change", 0.67 - 0.68, "ratio",
-            "land_use_ratios, first vs last triennium")
-    ind.add("tfp_growth_gap_pp", 1.71 - NATIONAL_TFP_GROWTH_PCT, "pp/yr",
-            "avg_annual_growth(tfp) minus national benchmark")
-    ind.add("price_cv_rising_share", rising, "fraction",
-            "break_analysis over paddy, wheat, maize")
-    ind.add("cai_max", CAI_TARGETS["vegetables"], "ratio",
-            "max comparative-advantage index over horticultural groups")
-    ind.add("high_advantage_area_share_pct", 6.2, "percent",
-            "share_table at terminal triennium, horticulture row")
-    ind.add("value_cost_ratio_terminal", 1.22, "ratio",
-            "value_cost_ratio, terminal year")
-    ind.add("grain_fertilizer_price_ratio_terminal", 1.38, "ratio",
-            "price_ratio wheat/urea, terminal year")
-    for commodity, (before, after) in sorted(cv_pairs.items()):
-        ind.add(f"price_cv_before_{commodity}", before, "percent",
-                "break_analysis")
-        ind.add(f"price_cv_after_{commodity}", after, "percent",
-                "break_analysis")
-    return ind
+    entries = {
+        "agricultural_land_ratio_change": (
+            0.67 - 0.68, "land_use_ratios, first vs last triennium"),
+        "tfp_growth_gap_pp": (
+            1.71 - NATIONAL_TFP_GROWTH_PCT,
+            "avg_annual_growth(tfp) minus national benchmark"),
+        "price_cv_rising_share": (rising,
+                                  "break_analysis over paddy, wheat, maize"),
+        "cai_max": (CAI_TARGETS["vegetables"], "max comparative-advantage "
+                    "index over horticultural groups"),
+        "high_advantage_area_share_pct": (
+            6.2, "share_table at terminal triennium, horticulture row"),
+        "value_cost_ratio_terminal": (1.22, "value_cost_ratio, terminal year"),
+        "grain_fertilizer_price_ratio_terminal": (
+            1.38, "price_ratio wheat/urea, terminal year"),
+    }
+    for commodity, pair in cv_pairs.items():
+        for when, cv in zip(("before", "after"), pair):
+            entries[f"price_cv_{when}_{commodity}"] = (cv, "break_analysis")
+    units = indicator_units(SimpleNamespace(break_commodities=cv_pairs))
+    return {name: {"value": value, "units": units[name],
+                   "provenance": provenance}
+            for name, (value, provenance) in sorted(entries.items())}
 
 
 def run_config() -> dict:

@@ -128,7 +128,9 @@ def _pointwise_ratio(numerator: Mapping[int, float],
     for year in sorted(num_years):
         if denominator[year] <= 0:
             raise DomainError(f"{what}: non-positive denominator in {year}")
-        out[year] = numerator[year] / denominator[year]
+        out[year] = ratio = numerator[year] / denominator[year]
+        if not math.isfinite(ratio):
+            raise DomainError(f"{what}: the ratio in {year} overflows a float")
     return out
 
 
@@ -197,7 +199,23 @@ def land_use_ratios(records: Sequence[LandUseRecord],
     agricultural = reduce(add, (r.agricultural_land for r in window), 0) / 3.0
     non_agricultural = reduce(
         add, (r.non_agricultural_land for r in window), 0) / 3.0
-    return {
+    ratios = {
         "al_ratio": agricultural / total,
         "nal_ratio": non_agricultural / total,
     }
+    if not all(map(math.isfinite, (total, *ratios.values()))):
+        raise DomainError(f"land-use triennium ending {te_year}: its average "
+                          "areas or their ratios overflow a float")
+    return ratios
+
+
+def land_record(records: Sequence[LandUseRecord]) -> dict:
+    """``land_ratios.json``'s record: the land-use ratios of the first and
+    the last triennium of RECORDS (sorted by year) and the change in the
+    agricultural ratio between them."""
+    first_te, last_te = records[0].year + 2, records[-1].year
+    first = land_use_ratios(records, first_te)
+    last = land_use_ratios(records, last_te)
+    return {"first_te": first_te, "last_te": last_te,
+            "first": first, "last": last,
+            "al_ratio_change": last["al_ratio"] - first["al_ratio"]}

@@ -122,7 +122,7 @@ class Run:
         from . import markets
 
         config, prices = self.config, self.prices
-        readings = {
+        return {
             "break_stats": [markets.break_analysis(
                 prices[c], config.break_year, ddof=config.cv_ddof)
                 for c in sorted(config.break_commodities)],
@@ -130,17 +130,8 @@ class Run:
             "grain_fert": markets.price_ratio(
                 prices[config.grain_commodity],
                 prices[config.fertilizer_commodity]),
+            "land": markets.land_record(self.land),
         }
-        land = self.land
-        first_te, last_te = land[0].year + 2, land[-1].year
-        first = markets.land_use_ratios(land, first_te)
-        last = markets.land_use_ratios(land, last_te)
-        readings["land"] = {
-            "first_te": first_te, "last_te": last_te,
-            "first": first, "last": last,
-            "al_ratio_change": last["al_ratio"] - first["al_ratio"],
-        }
-        return readings
 
     @cached_property
     def cai_values(self) -> dict[str, float]:
@@ -176,11 +167,11 @@ class Run:
 
         path = self.config.indicators
         if path is None:
-            indicators = diagnostics.IndicatorSet.from_dict(
+            indicators = diagnostics.read_indicators(
                 json.loads(self.indicators))
         else:
             path = Path(path)
-            indicators = diagnostics.IndicatorSet.from_dict(
+            indicators = diagnostics.read_indicators(
                 read_json(path, "indicators file"), f"indicators file {path}")
         return diagnostics.evaluate(
             diagnostics.resolve_tree(self.config.tree), indicators)
@@ -278,23 +269,25 @@ class Run:
             self.growth, self._shares, self.diagnose))
 
 
-def indicator_names(config: RunConfig) -> list[str]:
-    """The names of the indicators ``assemble_indicators`` sets on the
-    readings of a run of CONFIG, in the order it lists their values."""
-    return ["agricultural_land_ratio_change", "al_ratio_first",
-            "al_ratio_last", "tfp_growth_pct", "tfp_growth_national_pct",
-            "tfp_growth_gap_pp", "price_cv_rising_share",
-            *(f"price_cv_{when}_{commodity}"
-              for commodity in sorted(config.break_commodities)
-              for when in ("before", "after")),
-            "cai_max", "high_advantage_area_share_pct",
-            "value_cost_ratio_terminal",
-            "grain_fertilizer_price_ratio_terminal"]
+def indicator_units(config: RunConfig) -> dict[str, str]:
+    """The name and units of each indicator ``assemble_indicators`` sets
+    on the readings of a run of CONFIG, in the order it lists their
+    values."""
+    return {"agricultural_land_ratio_change": "ratio",
+            "al_ratio_first": "ratio", "al_ratio_last": "ratio",
+            "tfp_growth_pct": "pct/yr", "tfp_growth_national_pct": "pct/yr",
+            "tfp_growth_gap_pp": "pp/yr", "price_cv_rising_share": "fraction",
+            **{f"price_cv_{when}_{commodity}": "percent"
+               for commodity in sorted(config.break_commodities)
+               for when in ("before", "after")},
+            "cai_max": "ratio", "high_advantage_area_share_pct": "percent",
+            "value_cost_ratio_terminal": "ratio",
+            "grain_fertilizer_price_ratio_terminal": "ratio"}
 
 
 def assemble_indicators(run: Run) -> dict:
     """Reduce the readings of RUN to the scalars the tree predicates read,
-    one declared (name, value, units, provenance) entry each, in
+    one (value, provenance) pair each on its ``indicator_units`` entry, in
     ``indicators.json``'s form: by name, ascending. No name repeats, as
     the config refuses a repeated break commodity."""
     from .productivity import avg_annual_growth
@@ -307,28 +300,25 @@ def assemble_indicators(run: Run) -> dict:
                                    method=config.growth_method)
     best = max(sorted(cai), key=cai.get)
     vc_year, pr_year = max(value_cost), max(grain_fert)
-    entries = zip(indicator_names(config), chain((
-        (land["al_ratio_change"], "ratio",
-         "land_use_ratios, first vs last triennium"),
-        (land["first"]["al_ratio"], "ratio", "land_use_ratios"),
-        (land["last"]["al_ratio"], "ratio", "land_use_ratios"),
-        (tfp_growth, "pct/yr",
-         f"avg_annual_growth(tfp, method={config.growth_method})"),
-        (national, "pct/yr", "config benchmark"),
-        (tfp_growth - national, "pp/yr",
+    entries = zip(indicator_units(config).items(), chain((
+        (land["al_ratio_change"], "land_use_ratios, first vs last triennium"),
+        (land["first"]["al_ratio"], "land_use_ratios"),
+        (land["last"]["al_ratio"], "land_use_ratios"),
+        (tfp_growth, f"avg_annual_growth(tfp, method={config.growth_method})"),
+        (national, "config benchmark"),
+        (tfp_growth - national,
          "avg_annual_growth(tfp) minus national benchmark"),
         (sum(s.cv_after > s.cv_before for s in stats) / len(stats)
-         if stats else 0.0,
-         "fraction", "break_analysis over configured commodities"),
-    ), ((cv, "percent", "break_analysis")
+         if stats else 0.0, "break_analysis over configured commodities"),
+    ), ((cv, "break_analysis")
         for s in stats for cv in (s.cv_before, s.cv_after)), (
-        (cai[best], "ratio", f"cai_table, group {best}"),
-        (run.group_share, "percent", "share_table at terminal triennium, "
+        (cai[best], f"cai_table, group {best}"),
+        (run.group_share, "share_table at terminal triennium, "
          f"{config.diversification_group} row"),
-        (value_cost[vc_year], "ratio", f"value_cost_ratio, year {vc_year}"),
-        (grain_fert[pr_year], "ratio", f"price_ratio {config.grain_commodity}/"
+        (value_cost[vc_year], f"value_cost_ratio, year {vc_year}"),
+        (grain_fert[pr_year], f"price_ratio {config.grain_commodity}/"
          f"{config.fertilizer_commodity}, year {pr_year}"),
     )), strict=True)
     return {name: {"value": float(value), "units": units,
                    "provenance": provenance}
-            for name, (value, units, provenance) in sorted(entries)}
+            for (name, units), (value, provenance) in sorted(entries)}

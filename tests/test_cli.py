@@ -1859,8 +1859,8 @@ class TestCropYearsKept:
 
 # single faults of the fixture that ``report -c`` refuses: (id, config
 # values by dotted key, input edit or None); an edit (input key or
-# "tree", pattern, replacement) is ``re.sub`` over that file's text, one
-# line per match
+# "tree", pattern, replacement string or function) is ``re.sub`` over
+# that file's text, one line per match
 SINGLE_FAULTS = [
     ("growth-window-of-one-year", {"periods.overall": [2015, 2016]}, None),
     ("tfp-base-year-outside-the-io-years",
@@ -1892,6 +1892,16 @@ SINGLE_FAULTS = [
     ("manifest-names-an-unassembled-indicator", {},
      ("tree", r'^( *)"cai_max": "ratio",$',
       r'\1"cai_max": "ratio",\n\1"price_cv_before_okra": "percent",')),
+    ("manifest-gives-an-indicator-other-units", {},
+     ("tree", r'"cai_max": "ratio"', '"cai_max": "percent"')),
+    ("value-cost-ratio-overflows", {},
+     ("cost_series", r"^2004,.*$", "2004,1.7e308,1e-10")),
+    ("grain-fertilizer-ratio-overflows", {},
+     ("price_series", r"^(wheat|urea),2010,.*$",
+      lambda match: {"wheat": "wheat,2010,1.7e308",
+                     "urea": "urea,2010,1e-10"}[match[1]])),
+    ("land-use-triennium-overflows", {},
+     ("land_use", r"^(200[0-2]),.*$", r"\1,1.7e308,0.0,1.7e308")),
 ]
 
 # the builtin tree's JSON, which a tree edit of SINGLE_FAULTS starts from

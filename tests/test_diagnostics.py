@@ -6,16 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agrodiag.diagnostics import (
-    IndicatorSet,
     builtin_bihar_tree,
     evaluate,
     load_tree,
+    read_indicators,
 )
 from agrodiag.errors import (
     CycleError,
     DanglingReferenceError,
     DomainError,
-    DuplicateKeyError,
     EvaluationError,
     IndicatorTypeError,
     ManifestError,
@@ -54,10 +53,10 @@ def labels(tree):
 
 
 def indicators(**values):
-    ind = IndicatorSet()
-    for name, value in values.items():
-        ind.add(name, value)
-    return ind
+    """An indicator set, in ``indicators.json``'s form, of VALUES with
+    empty units and provenance."""
+    return {name: {"value": value, "units": "", "provenance": ""}
+            for name, value in values.items()}
 
 
 class TestLoadTree:
@@ -379,10 +378,33 @@ class TestEvaluate:
     def test_units_mismatch_rejected(self):
         config = single_node_config(manifest={"x": "percent"})
         tree = tree_from_dict(config)
-        ind = IndicatorSet()
-        ind.add("x", 25.0, units="ratio")
+        ind = indicators(x=25.0)
+        ind["x"]["units"] = "ratio"
         with pytest.raises(EvaluationError, match="units"):
             evaluate(tree, ind)
+
+    def test_units_mismatch_on_an_entry_no_node_reads_rejected(self):
+        # units are checked for every manifest entry before any chain is
+        # walked, so ``validate`` can give the same answer without values
+        tree = tree_from_dict(single_node_config(
+            manifest={"x": "", "unread": "percent"}))
+        ind = indicators(x=25.0, unread=1.0)
+        ind["unread"]["units"] = "ratio"
+        with pytest.raises(EvaluationError) as caught:
+            evaluate(tree, ind)
+        assert str(caught.value) == (
+            "indicator 'unread' has units 'ratio' but the tree expects "
+            "'percent'")
+
+    def test_missing_name_refused_before_a_units_mismatch(self):
+        tree = tree_from_dict(single_node_config(
+            manifest={"x": "percent", "absent": ""}))
+        ind = indicators(x=25.0)
+        ind["x"]["units"] = "ratio"
+        with pytest.raises(EvaluationError) as caught:
+            evaluate(tree, ind)
+        assert str(caught.value) == (
+            "manifest indicator 'absent' missing from indicator set")
 
     def test_overflowing_severity_names_node_indicator_and_threshold(self):
         # (1e300 - 5e-324) / 5e-324 leaves the float range
@@ -453,14 +475,12 @@ class TestBuiltinTree:
             "agricultural_land", "technology", "input_costs"}
 
     def test_all_healthy_indicators_bind_nothing(self):
-        ind = IndicatorSet()
-        ind.add("agricultural_land_ratio_change", 0.00)
-        ind.add("tfp_growth_gap_pp", 0.5)
-        ind.add("price_cv_rising_share", 0.0)
-        ind.add("cai_max", 0.9)
-        ind.add("high_advantage_area_share_pct", 25.0)
-        ind.add("value_cost_ratio_terminal", 1.4)
-        ind.add("grain_fertilizer_price_ratio_terminal", 1.3)
+        ind = indicators(
+            agricultural_land_ratio_change=0.00, tfp_growth_gap_pp=0.5,
+            price_cv_rising_share=0.0, cai_max=0.9,
+            high_advantage_area_share_pct=25.0,
+            value_cost_ratio_terminal=1.4,
+            grain_fertilizer_price_ratio_terminal=1.3)
         report = evaluate(builtin_bihar_tree(), ind)
         assert report.binding_constraints == ()
         assert set(report.non_binding) == {
@@ -480,19 +500,13 @@ class TestBuiltinTree:
         assert "crop_diversification" in text
 
 
-class TestIndicatorSet:
-    def test_duplicate_names_rejected(self):
-        ind = IndicatorSet()
-        ind.add("x", 1.0)
-        with pytest.raises(DuplicateKeyError):
-            ind.add("x", 2.0)
-
+class TestReadIndicators:
     def test_round_trip_with_series(self):
-        ind = IndicatorSet()
-        ind.add("scalar", 1.5, units="ratio", provenance="test")
-        ind.add("series", {2000: 1.0, 2001: 2.0}, units="levels")
-        again = IndicatorSet.from_dict(json.loads(json.dumps(ind.to_dict())))
-        assert again["scalar"].value == 1.5
-        assert again["scalar"].units == "ratio"
-        assert again["series"].value == {2000: 1.0, 2001: 2.0}
-        assert not again["series"].is_scalar
+        data = {"scalar": {"value": 1.5, "units": "ratio",
+                           "provenance": "test"},
+                "series": {"value": [[2000, 1.0], [2001, 2.0]],
+                           "units": "levels"}}
+        assert read_indicators(json.loads(json.dumps(data))) == {
+            "scalar": {"value": 1.5, "units": "ratio", "provenance": "test"},
+            "series": {"value": {2000: 1.0, 2001: 2.0}, "units": "levels",
+                       "provenance": ""}}

@@ -214,6 +214,13 @@ class TestRatios:
         with pytest.raises(DomainError):
             value_cost_ratio({2000: 1.0}, {2000: 0.0})
 
+    def test_overflowing_ratio_names_ratio_and_year(self):
+        with pytest.raises(DomainError) as caught:
+            value_cost_ratio({2000: 1.0, 2004: 1.7e308},
+                             {2000: 1.0, 2004: 1e-10})
+        assert str(caught.value) == (
+            "value/cost ratio: the ratio in 2004 overflows a float")
+
     def test_price_ratio_basic(self):
         wheat = PriceSeries("wheat", {2000: 1000.0})
         urea = PriceSeries("urea", {2000: 800.0})
@@ -323,4 +330,16 @@ class TestLandUseRatios:
     def test_missing_years(self):
         records = [LandUseRecord(2000, 68.0, 18.0, 100.0)]
         with pytest.raises(CoverageError):
+            land_use_ratios(records, 2002)
+
+    @pytest.mark.parametrize("agricultural, total", [
+        (1.7e308, 1.7e308),  # both averages overflow: inf / inf
+        (0.0, 1.7e308),      # the total overflows, the ratios do not
+        (1e-12, 5e-324),     # finite averages, an overflowing ratio
+    ])
+    def test_leaving_the_float_range_names_the_triennium(
+            self, agricultural, total):
+        records = [LandUseRecord(y, agricultural, 0.0, total)
+                   for y in (2000, 2001, 2002)]
+        with pytest.raises(DomainError, match="triennium ending 2002"):
             land_use_ratios(records, 2002)
