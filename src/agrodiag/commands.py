@@ -79,8 +79,8 @@ def _cmd_validate(args) -> int:
     run = _run(args)
     config = run.config
     terminal = config.decomposition_terminal
-    # each input read once, in a fixed order, and put through the calls
-    # ``report`` refuses it with; nothing is printed unless all pass
+    # each input read once, in ``report``'s order, and put through the
+    # calls ``report`` refuses it with; nothing is printed unless all pass
     prices = run.prices
     for commodity in sorted(config.break_commodities):
         markets.break_analysis(prices[commodity], config.break_year,
@@ -88,8 +88,10 @@ def _cmd_validate(args) -> int:
     value_cost_years = len(markets.value_cost_ratio(*run.value_cost))
     markets.price_ratio(prices[config.grain_commodity],
                         prices[config.fertilizer_commodity])
-    commodities = sorted(prices)
-    del prices  # not held through the crop panel's load
+    land = run.land
+    markets.land_record(land)
+    commodities, land_years = sorted(prices), len(land)
+    del prices, land  # not held through the crop panel's load
     # count every row, keep the terminal triennium: its crops, which
     # ``diversification_group`` must be among, and its area and value
     # totals; the base triennium's years are checked against every year
@@ -109,8 +111,6 @@ def _cmd_validate(args) -> int:
     tfp = run.series["tfp"]
     productivity.avg_annual_growth(tfp, method=config.growth_method)
     io_years = tfp.years
-    land = run.land
-    markets.land_record(land)
     region, nation = run.areas
     advantage.cai_table(region, nation)
     # the tree, whose manifest must name only indicators ``report``
@@ -122,7 +122,7 @@ def _cmd_validate(args) -> int:
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
     print(f"price series: {len(commodities)} commodities "
           f"({', '.join(commodities)})")
-    print(f"land use: {len(land)} years")
+    print(f"land use: {land_years} years")
     print(f"value/cost series: {value_cost_years} years")
     print(f"area tables: {len(region.groups)} region groups, "
           f"{len(nation.groups)} nation groups")

@@ -45,12 +45,12 @@ class Run:
     """The report of one run config, computed on demand.
 
     An input is a plain property, read on each access and not kept; the
-    readings reduced from it, and the crop panel until the indicator set
-    is built, are cached properties, each reading the inputs it consumes
-    once. Each ``-c`` subcommand is the method of its name and yields
-    exactly its artifacts (as ``serialize.write_artifacts`` takes them),
-    so it reads only the inputs they need; ``report`` reads every input
-    and yields the union of the six.
+    readings reduced from it, and the crop panel until its last reader,
+    the group share, has run, are cached properties, each reading the
+    inputs it consumes once. Each ``-c`` subcommand is the method of its
+    name and yields exactly its artifacts (as ``serialize.write_artifacts``
+    takes them), so it reads only the inputs they need; ``report`` reads
+    every input and yields the union of the six.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -142,20 +142,22 @@ class Run:
     @cached_property
     def group_share(self) -> float:
         """The diversification group's percent of the terminal triennium's
-        area: the one indicator read from the crop panel."""
+        area: the one indicator read from the crop panel, and the panel's
+        last reader, which frees it."""
         from .markets import group_share
 
         config = self.config
-        return group_share(self.panel, config.decomposition_terminal,
-                           config.diversification_group)
+        share = group_share(self.panel, config.decomposition_terminal,
+                            config.diversification_group)
+        del self.panel
+        return share
 
     @cached_property
     def indicators(self) -> str:
         """``indicators.json``: the indicator set the tree evaluates, its
-        inputs read in ``report``'s order; the crop panel, whose last
-        reader is the group share, is freed before it is built."""
-        self.readings, self.series, self.cai_values, self.group_share
-        del self.panel
+        inputs read in ``report``'s order, so the crop panel is freed
+        before the io panel is read."""
+        self.readings, self.group_share, self.series, self.cai_values
         return json_text(assemble_indicators(self), "indicators.json")
 
     @cached_property
@@ -249,24 +251,26 @@ class Run:
                                             "diagnosis.json")
 
     def report(self):
-        """Every input but the crop panel reduced to its readings, and the
-        artifacts serialized from them; then the crop panel's artifacts and
-        group share, and, once the panel is freed, the indicator set and
-        the diagnosis. Each artifact is written as its stage yields it."""
-        # without a bytecode cache, a module compiled once the inputs are
-        # loaded would add its parse scratch to the peak: so these layers,
-        # and with them ``tree`` (imported by ``diagnostics``), ``ingest``
-        # and ``csvread`` (by ``advantage``), are compiled first
-        from . import advantage, decomposition, diagnostics, markets, productivity  # noqa: F401
+        """The market readings; then the crop phase: the crop panel's
+        artifacts and group share, after which the panel is freed; then
+        the io panel's and the area tables' readings, the other artifacts,
+        the indicator set and the diagnosis. Each artifact is written as
+        its stage yields it."""
+        # without a bytecode cache, a module compiled while the crop panel
+        # is held would add its parse scratch to the peak: so the layers
+        # the readings and the crop phase run, with ``ingest``, ``csvread``
+        # and ``panel``, are compiled first, and the rest once it is freed
+        from . import decomposition, markets  # noqa: F401
 
-        self.readings, self.series, self.cai_values
-        # the crop panel, the largest input, is loaded by ``decompose``
-        # once the crop-free artifacts are written, so their scratch does
-        # not stack on it, and ``growth`` still comes after it, so a crop
-        # panel fault is named before a growth window's
-        return chain.from_iterable(stage() for stage in (
-            self.tfp, self._crop_free_markets, self.cai, self.decompose,
-            self.growth, self._shares, self.diagnose))
+        self.readings
+        yield from self.decompose()
+        yield from self._shares()
+        # ``growth`` comes after the crop phase, so a crop panel fault is
+        # named before a growth window's
+        self.group_share, self.series, self.cai_values
+        for stage in (self.tfp, self._crop_free_markets, self.cai,
+                      self.growth, self.diagnose):
+            yield from stage()
 
 
 def indicator_units(config: RunConfig) -> dict[str, str]:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from agrodiag.panel import (
 from agrodiag.pipeline import Run
 
 from helpers import REPORT_ARTIFACTS, crop_rows, other_interpreters, out_flag
-from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules
+from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules, opened_files
 
 # every command, as a usage error lists them
 COMMANDS = ("validate, decompose, tfp, growth, markets, cai, diagnose, "
@@ -1235,23 +1236,31 @@ class TestFailureModes:
         self.assert_left_as_it_was(tmp_path, out, previous)
 
     @pytest.mark.parametrize("under", [".", "new"])
+    @pytest.mark.parametrize("fault, error, staged", [
+        # the diversification group is looked up at the end of the crop
+        # phase, once its two artifacts are staged
+        (lambda config: config.update(diversification_group="no_such_group"),
+         "error: diversification group 'no_such_group' not in the crop "
+         "panel (have [", 2),
+        # the growth windows, once every artifact but growth_rates.json,
+        # indicators.json and diagnosis.json is staged
+        (lambda config: config["periods"].update(overall=[2015, 2016]),
+         "error: growth window [2015, 2016] covers 1 year(s)", 9),
+    ], ids=["group", "growth"])
     def test_later_stage_failure_keeps_the_last_report(
-            self, run_dir, tmp_path, monkeypatch, capsys, under):
-        # the diversification group is looked up in the last stage, once
-        # the other stages' artifacts are staged
+            self, run_dir, tmp_path, monkeypatch, capsys, under, fault, error,
+            staged):
         config = absolute_config(run_dir)
-        config["diversification_group"] = "no_such_group"
+        fault(config)
         path = write_config(tmp_path, config)
         out = tmp_path / under / "o"
         previous = self.previous_report(out)
-        stage, staged = serialize._stage, []
+        stage, names = serialize._stage, []
         monkeypatch.setattr(serialize, "_stage", lambda path, chunks: (
-            staged.append(path.name), stage(path, chunks)))
+            names.append(path.name), stage(path, chunks)))
         assert main(["report", "-c", str(path), "-o", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: diversification group 'no_such_group' not in the crop "
-            "panel (have [")
-        assert len(staged) == len(REPORT_ARTIFACTS) - 2
+        assert capsys.readouterr().err.startswith(error)
+        assert len(names) == staged
         path.unlink()
         self.assert_left_as_it_was(tmp_path, out, previous)
 
@@ -1325,6 +1334,12 @@ class TestFailureModes:
 
 INPUTS = ("area_nation.csv", "area_region.csv", "crops.csv", "io_panel.csv",
           "land_use.csv", "prices.csv", "value_cost.csv")
+# the order in which every command opens the inputs it reads: those of the
+# market readings, the crop panel, the io panel, the area tables, then the
+# tree (the fixture's is the builtin one)
+INPUT_ORDER = ("prices.csv", "value_cost.csv", "land_use.csv", "crops.csv",
+               "io_panel.csv", "area_region.csv", "area_nation.csv",
+               "bihar_tree.json")
 
 
 @pytest.fixture
@@ -1359,9 +1374,9 @@ def held_objects(value, depth: int = 3):
 
 
 class TestRunHoldings:
-    """A run reads each input file once and keeps only what it reduced
-    the input to, reading the crop panel after the other inputs and
-    holding it only until its last reader has run."""
+    """A run reads each input file once, in one order, and keeps only what
+    it reduced the input to, holding the crop panel only until its last
+    reader has run."""
 
     @pytest.mark.parametrize("command, inputs", [
         ("report", INPUTS),
@@ -1398,13 +1413,16 @@ class TestRunHoldings:
 
     def test_the_crop_panel_lives_from_its_load_to_its_last_reader(
             self, run_dir, tmp_path, monkeypatch):
-        # the artifacts of the other inputs' readings are written before
-        # the crop panel is loaded, and the indicator set after it is freed
+        # the crop panel is loaded once the market readings are taken and
+        # before any artifact is staged; only its own two artifacts are
+        # staged while it is held, and it is freed before the io panel is
+        # read
         from agrodiag import ingest
 
         run = Run(load_run_config(run_dir / "config.json"))
-        staged, staged_at_load, panel_held = [], [], {}
+        staged, at_load, panel_held, held_at_io = [], [], {}, []
         stage, load = serialize._stage, ingest.load_crop_panel
+        load_io = ingest.load_io_panel
 
         def staging(path, chunks):
             name = path.name[1:].rsplit(".", 2)[0]  # .NAME.PID.tmp
@@ -1414,20 +1432,23 @@ class TestRunHoldings:
             return stage(path, chunks)
 
         def loading(*args, **kwargs):
-            staged_at_load.append(list(staged))
+            at_load.append((list(staged), sorted(vars(run))))
             return load(*args, **kwargs)
+
+        def loading_io(*args, **kwargs):
+            held_at_io.append(any(isinstance(value, CropPanel)
+                                  for value in held_objects(vars(run))))
+            return load_io(*args, **kwargs)
 
         monkeypatch.setattr(serialize, "_stage", staging)
         monkeypatch.setattr(ingest, "load_crop_panel", loading)
+        monkeypatch.setattr(ingest, "load_io_panel", loading_io)
         serialize.write_artifacts(tmp_path / "o", run.report())
         assert sorted(staged) == sorted(REPORT_ARTIFACTS)
-        [before] = staged_at_load
-        assert sorted(before) == [
-            "break_stats.json", "cai.csv", "figure2.csv", "figure3.csv",
-            "figure4.csv", "land_ratios.json", "tfp_index.csv"]
-        assert panel_held["shares.csv"]
-        assert not panel_held["indicators.json"]
-        assert not panel_held["diagnosis.json"]
+        assert at_load == [([], ["config", "readings"])]
+        assert [name for name in staged if panel_held[name]] == [
+            "decomposition.json", "shares.csv"]
+        assert held_at_io == [False]
 
     def test_diagnose_frees_the_crop_panel_before_the_indicator_set(
             self, run_dir, monkeypatch):
@@ -1461,6 +1482,38 @@ class TestRunHoldings:
             f"error: crop panel {tmp_path / 'broken.csv'}: bad header "
             "['nonsense'], expected ['crop_id', 'year', 'area_ha', "
             "'production_t', 'price_per_t']\n"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("report", INPUT_ORDER), ("validate", INPUT_ORDER),
+        ("diagnose", INPUT_ORDER), ("markets", INPUT_ORDER[:4])])
+    def test_inputs_are_opened_in_the_declared_order(
+            self, run_dir, tmp_path, command, inputs):
+        code, opened = opened_files(command, str(run_dir / "config.json"),
+                                    *out_flag(command, tmp_path / "o"))
+        assert code == 0
+        assert [name for name, _ in opened if name in INPUT_ORDER] == \
+            list(inputs)
+
+    @pytest.mark.parametrize("pair", list(combinations(INPUT_ORDER[:-1], 2)),
+                             ids="+".join)
+    def test_validate_and_report_name_the_same_of_two_faults(
+            self, tmp_path, capsys, pair):
+        # two inputs, each with a bad header: both commands name the one
+        # that comes first in the declared order
+        inputs = tmp_path / "inputs"
+        fixtures.write_synthetic_inputs(inputs)
+        for name in pair:
+            bad = inputs / name
+            bad.write_text("nonsense\n" + bad.read_text().split("\n", 1)[1])
+        captured = []
+        for command in ("validate", "report"):
+            assert main([command, "-c", str(inputs / "config.json"),
+                         *out_flag(command, tmp_path / "o")]) == 1
+            captured.append(capsys.readouterr())
+        assert captured[0] == captured[1]
+        out, err = captured[0]
+        assert out == "" and f" {inputs / pair[0]}: bad header " in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command",

@@ -51,33 +51,47 @@ RUN_CLI = (
 
 
 # runs ``main([COMMAND, '-c', CONFIG, *FLAGS])``, then prints its exit code
-# and the modules loaded when it opened its first CSV file
-FIRST_CSV_MODULES = (
-    "import json, sys\n"
-    "first_csv = []\n"
+# and, for each file it opened, in order, the file's name and the agrodiag
+# modules loaded when it was opened
+OPENED_FILES = (
+    "import json, os, sys\n"
+    "opened = []\n"
     "def hook(event, args):\n"
-    "    if (event == 'open' and not first_csv\n"
-    "            and str(args[0]).endswith('.csv')):\n"
-    "        first_csv.append(sorted(sys.modules))\n"
+    "    if event == 'open' and isinstance(args[0], (str, os.PathLike)):\n"
+    "        opened.append([os.path.basename(args[0]), sorted(\n"
+    "            m for m in sys.modules if m.split('.')[0] == 'agrodiag')])\n"
     "sys.addaudithook(hook)\n"
     "from agrodiag.cli import main\n"
     "command, config, *flags = sys.argv[1:]\n"
     "code = main([command, '-c', config, *flags])\n"
-    "print(json.dumps([code, first_csv[0]]))\n"
+    "print(json.dumps([code, opened]))\n"
 )
+
+
+def script_output(script: str, *args: str, flags: tuple[str, ...] = ()):
+    """Run SCRIPT in a fresh interpreter started with FLAGS; return its
+    last line of output, decoded as JSON."""
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def loaded_modules(script: str, *args: str,
                    flags: tuple[str, ...] = ()) -> tuple[object, set[str]]:
     """Run SCRIPT in a fresh interpreter started with FLAGS; return its exit
     code and modules."""
-    result = subprocess.run(
-        [sys.executable, *flags, "-c", script, *args],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
-        text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    code, modules = json.loads(result.stdout.splitlines()[-1])
+    code, modules = script_output(script, *args, flags=flags)
     return code, set(modules)
+
+
+def opened_files(*args: str) -> tuple[int, list[tuple[str, set[str]]]]:
+    """Run OPENED_FILES on ARGS in a fresh interpreter; return its exit
+    code and, in order, each file opened with the modules loaded then."""
+    code, opened = script_output(OPENED_FILES, *args)
+    return code, [(name, set(modules)) for name, modules in opened]
 
 
 @pytest.fixture(scope="module")
@@ -243,25 +257,35 @@ class TestImportFootprint:
             "config", "pipeline", "ingest", "csvread", "panel", "markets",
             "serialize"))
 
-    def test_report_imports_every_layer_before_reading_an_input(
+    def test_report_compiles_each_layer_before_the_input_it_reads(
             self, fixture_dir, tmp_path):
-        # without a bytecode cache, a layer compiled once the inputs are
-        # loaded would add its compile scratch to the report's peak memory
-        code, modules = loaded_modules(
-            FIRST_CSV_MODULES, "report", str(fixture_dir / "config.json"),
-            "-o", str(tmp_path))
+        # without a bytecode cache, a layer compiled while the crop panel is
+        # held would add its compile scratch to the report's peak memory: the
+        # crop phase's layers compile before the panel is read, the others
+        # once it is freed, each before the input it reads
+        code, opened = opened_files(
+            "report", str(fixture_dir / "config.json"), "-o", str(tmp_path))
         assert code == 0
-        assert layers("decomposition", "productivity", "markets", "advantage",
-                      "diagnostics", "config", "tree", "csvread") <= modules
+        first = {}
+        for name, modules in opened:
+            first.setdefault(name, modules)
+        assert layers("decomposition", "markets", "ingest", "csvread",
+                      "panel") <= first["crops.csv"]
+        assert not {f"agrodiag.{name}" for name in (
+            "productivity", "advantage", "diagnostics", "tree")
+        } & first["crops.csv"]
+        assert "agrodiag.productivity" in first["io_panel.csv"]
+        assert "agrodiag.advantage" in first["area_region.csv"]
 
     @pytest.mark.parametrize("command", ["diagnose", "validate"])
     def test_config_imports_the_tree_before_reading_an_input(
             self, fixture_dir, tmp_path, command):
         # ~0.7 MB of a scaled diagnose's peak, if compiled after the inputs
-        code, modules = loaded_modules(
-            FIRST_CSV_MODULES, command, str(fixture_dir / "config.json"),
-            *out_flag(command, tmp_path))
+        code, opened = opened_files(command, str(fixture_dir / "config.json"),
+                                    *out_flag(command, tmp_path))
         assert code == 0
+        modules = next(modules for name, modules in opened
+                       if name.endswith(".csv"))
         assert layers("diagnostics", "config", "tree", "csvread") <= modules
 
     def test_report_parses_no_module_over_the_token_bound(self, fixture_dir,
