@@ -70,63 +70,27 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # compiled before any input is read, so their parse scratch does not
-    # add to the loaded inputs' peak
-    from . import diagnostics, ingest, markets
-    from .pipeline import indicator_units
-    from .serialize import collect
+    """Run ``report``'s stages, writing nothing: each artifact's chunks are
+    made and dropped one at a time. Then print what each input held."""
+    from collections import deque
 
     run = _run(args)
-    config = run.config
-    terminal = config.decomposition_terminal
-    # each input read once, in ``report``'s order, and put through the
-    # calls ``report`` refuses it with; nothing is printed unless all pass
-    prices = run.prices
-    for commodity in sorted(config.break_commodities):
-        markets.break_analysis(prices[commodity], config.break_year,
-                               ddof=config.cv_ddof)
-    value_cost_years = len(markets.value_cost_ratio(*run.value_cost))
-    markets.price_ratio(prices[config.grain_commodity],
-                        prices[config.fertilizer_commodity])
-    land = run.land
-    markets.land_record(land)
-    commodities, land_years = sorted(prices), len(land)
-    del prices, land  # not held through the crop panel's load
-    # count every row, keep the terminal triennium: its crops, which
-    # ``diversification_group`` must be among, and its area and value
-    # totals; the base triennium's years are checked against every year
-    # counted
-    panel = ingest.load_crop_panel(
-        config.crop_panel, years=ingest.triennium_years(terminal))
-    rows, crops, years = panel.checked
-    ingest.triennium_span(config.decomposition_base, years)
-    markets.group_share(panel, terminal, config.diversification_group)
-    markets.crop_shares(panel, terminal, "value")
-    # the crop panel is the largest input: freed before the next is read,
-    # and before the layers that read the rest compile
-    del panel
-    from . import advantage, productivity
-    # the TFP series, every growth window and the whole series' growth
-    collect(run.growth())
-    tfp = run.series["tfp"]
-    productivity.avg_annual_growth(tfp, method=config.growth_method)
-    io_years = tfp.years
-    region, nation = run.areas
-    advantage.cai_table(region, nation)
-    # the tree, whose manifest must name only indicators ``report``
-    # assembles, with the units it assembles them with
-    tree = diagnostics.resolve_tree(config.tree)
-    diagnostics.check_manifest(tree, indicator_units(config))
+    for _, text in run.report():
+        deque(text, 0)
+    counts, io_years = run.counts, run.series["tfp"].years
+    rows, crops, years = counts["crop panel"]
+    commodities = counts["price series"]
+    region, nation = counts["area tables"]
+    chains, nodes = counts["tree"]
     print(f"crop panel: {rows} observations, {crops} crops, "
           f"years {years[0]}-{years[-1]}")
     print(f"io panel: {len(io_years)} years, {io_years[0]}-{io_years[-1]}")
     print(f"price series: {len(commodities)} commodities "
           f"({', '.join(commodities)})")
-    print(f"land use: {land_years} years")
-    print(f"value/cost series: {value_cost_years} years")
-    print(f"area tables: {len(region.groups)} region groups, "
-          f"{len(nation.groups)} nation groups")
-    print(f"tree: {len(tree.roots)} chains, {len(tree.nodes)} nodes")
+    print(f"land use: {counts['land use']} years")
+    print(f"value/cost series: {len(run.readings['value_cost'])} years")
+    print(f"area tables: {region} region groups, {nation} nation groups")
+    print(f"tree: {chains} chains, {nodes} nodes")
     print("all inputs valid")
     return 0
 

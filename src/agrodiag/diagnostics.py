@@ -150,27 +150,14 @@ def _scalar_value(indicators: Mapping[str, dict], name: str,
     return value
 
 
-def check_manifest(tree: DiagnosticTree, units: Mapping[str, str]) -> None:
-    """Refuse TREE if its manifest names an indicator not among UNITS's
-    names, then, in manifest order, one whose units tag differs from its
-    UNITS entry where both are non-empty."""
-    for name in tree.manifest:
-        if name not in units:
-            raise EvaluationError(
-                f"manifest indicator {name!r} missing from indicator set"
-            )
-    for name, expected in tree.manifest.items():
-        if expected and units[name] and expected != units[name]:
-            raise EvaluationError(
-                f"indicator {name!r} has units {units[name]!r} but the tree "
-                f"expects {expected!r}"
-            )
-
-
 def evaluate(tree: DiagnosticTree,
              indicators: Mapping[str, dict]) -> DiagnosticReport:
     """Walk every chain of the tree against INDICATORS, in
     ``indicators.json``'s form: {name: {"value", "units", "provenance"}}.
+
+    First the tree is refused if its manifest names an indicator not in
+    INDICATORS, then, in manifest order, if it gives one a units tag other
+    than the indicator's, where both are non-empty.
 
     Each chain ends in exactly one verdict; the verdict is attributed to
     the chain's constraint label (the most recent labeled node on the
@@ -178,8 +165,18 @@ def evaluate(tree: DiagnosticTree,
     sits past its threshold, normalized by the threshold's magnitude; a
     severity past the float range raises ``DomainError`` naming the node.
     """
-    check_manifest(tree, {name: entry["units"]
-                          for name, entry in indicators.items()})
+    for name in tree.manifest:
+        if name not in indicators:
+            raise EvaluationError(
+                f"manifest indicator {name!r} missing from indicator set"
+            )
+    for name, expected in tree.manifest.items():
+        units = indicators[name]["units"]
+        if expected and units and expected != units:
+            raise EvaluationError(
+                f"indicator {name!r} has units {units!r} but the tree "
+                f"expects {expected!r}"
+            )
     binding: dict[str, float] = {}
     non_binding: list[str] = []
     evidence: dict[str, dict] = {}

@@ -54,18 +54,6 @@ def triennium_years(*ends: int) -> set[int]:
     return {end - k for end in ends for k in range(3)}
 
 
-def triennium_span(end_year: int, years) -> tuple[int, int, int]:
-    """The three years of the triennium ending in ``end_year``, each of
-    which must be in YEARS: those a panel keeps, or all it checked."""
-    span = (end_year - 2, end_year - 1, end_year)
-    missing = [y for y in span if y not in years]
-    if missing:
-        raise CoverageError(
-            f"triennium ending {end_year} needs years {span}, missing {missing}"
-        )
-    return span
-
-
 def triennium_average(panel: CropPanel, end_year: int) -> tuple:
     """Average the three years ending in ``end_year``, as ``panel.columns``
     returns one year: ``(crop_ids, area, production, price)``, crop ids
@@ -82,8 +70,13 @@ def triennium_average(panel: CropPanel, end_year: int) -> tuple:
     memo = panel._trienniums
     if end_year in memo:
         return memo[end_year]
-    years = [panel.columns(year)
-             for year in triennium_span(end_year, panel.years)]
+    span = (end_year - 2, end_year - 1, end_year)
+    missing = [y for y in span if y not in panel.years]
+    if missing:
+        raise CoverageError(
+            f"triennium ending {end_year} needs years {span}, missing {missing}"
+        )
+    years = [panel.columns(year) for year in span]
     ids_of = [ids for ids, *_ in years]
     crops = widest = max(ids_of, key=len)
     if not ids_of[0] is ids_of[1] is ids_of[2]:  # else no union is needed

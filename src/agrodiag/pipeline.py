@@ -50,7 +50,9 @@ class Run:
     inputs it consumes once. Each ``-c`` subcommand is the method of its
     name and yields exactly its artifacts (as ``serialize.write_artifacts``
     takes them), so it reads only the inputs they need; ``report`` reads
-    every input and yields the union of the six.
+    every input and yields the union of the six. ``counts`` keeps what
+    ``validate`` prints of the inputs a finished run no longer holds, each
+    entry set as its input is read, the crop panel's as it is freed.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -60,6 +62,7 @@ class Run:
             raise SchemaError(f"decomposition base year {base} does not "
                               f"precede terminal year {terminal}")
         self.config = config
+        self.counts = {}
 
     @property
     def prices(self) -> dict[str, PriceSeries]:
@@ -83,6 +86,7 @@ class Run:
             if commodity not in prices:
                 raise SchemaError(
                     f"{role} commodity {commodity!r} has no price series")
+        self.counts["price series"] = sorted(prices)
         return prices
 
     @cached_property
@@ -104,8 +108,11 @@ class Run:
         """The region and the nation area-share tables."""
         from .advantage import load_area_share_table
 
-        return (load_area_share_table(self.config.area_shares_region, "region"),
-                load_area_share_table(self.config.area_shares_nation, "nation"))
+        tables = (
+            load_area_share_table(self.config.area_shares_region, "region"),
+            load_area_share_table(self.config.area_shares_nation, "nation"))
+        self.counts["area tables"] = [len(table.groups) for table in tables]
+        return tables
 
     @cached_property
     def series(self) -> dict[str, IndexSeries]:
@@ -122,7 +129,7 @@ class Run:
         from . import markets
 
         config, prices = self.config, self.prices
-        return {
+        readings = {
             "break_stats": [markets.break_analysis(
                 prices[c], config.break_year, ddof=config.cv_ddof)
                 for c in sorted(config.break_commodities)],
@@ -130,8 +137,10 @@ class Run:
             "grain_fert": markets.price_ratio(
                 prices[config.grain_commodity],
                 prices[config.fertilizer_commodity]),
-            "land": markets.land_record(self.land),
+            "land": markets.land_record(land := self.land),
         }
+        self.counts["land use"] = len(land)
+        return readings
 
     @cached_property
     def cai_values(self) -> dict[str, float]:
@@ -149,6 +158,7 @@ class Run:
         config = self.config
         share = group_share(self.panel, config.decomposition_terminal,
                             config.diversification_group)
+        self.counts["crop panel"] = self.panel.checked
         del self.panel
         return share
 
@@ -175,8 +185,9 @@ class Run:
             path = Path(path)
             indicators = diagnostics.read_indicators(
                 read_json(path, "indicators file"), f"indicators file {path}")
-        return diagnostics.evaluate(
-            diagnostics.resolve_tree(self.config.tree), indicators)
+        tree = diagnostics.resolve_tree(self.config.tree)
+        self.counts["tree"] = len(tree.roots), len(tree.nodes)
+        return diagnostics.evaluate(tree, indicators)
 
     def decompose(self):
         """``decomposition.json``: the revenue-change decomposition."""

@@ -1404,8 +1404,8 @@ class TestRunHoldings:
         assert sorted(serialize.collect(run.report())) == \
             sorted(REPORT_ARTIFACTS)
         assert sorted(vars(run)) == [
-            "cai_values", "config", "diagnosis", "group_share", "indicators",
-            "readings", "series"]
+            "cai_values", "config", "counts", "diagnosis", "group_share",
+            "indicators", "readings", "series"]
         inputs = (InputOutputPanel, PriceSeries, LandUseRecord,
                   AreaShareTable, CropPanel)
         assert not any(isinstance(value, inputs)
@@ -1445,7 +1445,7 @@ class TestRunHoldings:
         monkeypatch.setattr(ingest, "load_io_panel", loading_io)
         serialize.write_artifacts(tmp_path / "o", run.report())
         assert sorted(staged) == sorted(REPORT_ARTIFACTS)
-        assert at_load == [([], ["config", "readings"])]
+        assert at_load == [([], ["config", "counts", "readings"])]
         assert [name for name in staged if panel_held[name]] == [
             "decomposition.json", "shares.csv"]
         assert held_at_io == [False]
@@ -1773,10 +1773,9 @@ class TestRunConfig:
 
 
 class TestCropYearsKept:
-    """``report``, the ``-c`` subcommands and ``decompose --crop-panel``
-    keep only the comparison trienniums' crop years, but every crop-panel
-    row is still read and checked; ``validate`` keeps the terminal
-    triennium's years and counts every row."""
+    """``report``, ``validate``, the ``-c`` subcommands and ``decompose
+    --crop-panel`` keep only the comparison trienniums' crop years, but
+    every crop-panel row is still read and checked, and counted."""
 
     KEPT = (2000, 2001, 2002, 2014, 2015, 2016)  # the fixture's TE 2002, 2016
 
@@ -1870,9 +1869,9 @@ class TestCropYearsKept:
                                                     "decomposition.json")
         assert loaded[0].years == (2003, 2004, 2005, 2010, 2011, 2012)
 
-    def test_validate_keeps_the_terminal_triennium(self, run_dir, capsys,
-                                                   monkeypatch):
-        # its crops are those the diversification group must be among
+    def test_validate_keeps_the_comparison_trienniums(self, run_dir, capsys,
+                                                      monkeypatch):
+        # as ``report`` does, and counts every row
         from agrodiag import ingest
 
         loaded = []
@@ -1882,8 +1881,8 @@ class TestCropYearsKept:
                             or loaded[-1])
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
         [panel] = loaded
-        assert panel.years == (2014, 2015, 2016)
-        assert len(crop_rows(panel)) == 30
+        assert panel.years == self.KEPT
+        assert len(crop_rows(panel)) == 60
         assert panel.checked == (170, 10, tuple(range(2000, 2017)))
         assert capsys.readouterr().out.startswith(
             "crop panel: 170 observations, 10 crops, years 2000-2016\n")
@@ -1913,7 +1912,7 @@ class TestCropYearsKept:
 # single faults of the fixture that ``report -c`` refuses: (id, config
 # values by dotted key, input edit or None); an edit (input key or
 # "tree", pattern, replacement string or function) is ``re.sub`` over
-# that file's text, one line per match
+# that file's text, one line per match but for a tree node's predicate
 SINGLE_FAULTS = [
     ("growth-window-of-one-year", {"periods.overall": [2015, 2016]}, None),
     ("tfp-base-year-outside-the-io-years",
@@ -1955,6 +1954,11 @@ SINGLE_FAULTS = [
                      "urea": "urea,2010,1e-10"}[match[1]])),
     ("land-use-triennium-overflows", {},
      ("land_use", r"^(200[0-2]),.*$", r"\1,1.7e308,0.0,1.7e308")),
+    ("base-triennium-without-area", {},
+     ("crop_panel", r"^([^,]*,200[0-2]),[^,]*,", r"\1,0,")),
+    ("binding-severity-overflows", {},
+     ("tree", r'("tfp_growth_gap_pp",\s*"comparator": )"<",'
+      r'(\s*"threshold": )0\.0$', r'\1">",\g<2>5e-324')),
 ]
 
 # the builtin tree's JSON, which a tree edit of SINGLE_FAULTS starts from
@@ -1963,12 +1967,6 @@ BUILTIN_TREE = str(Path(agrodiag.__file__).with_name("data")
 
 
 class TestValidateRefusesWhatReportRefuses:
-    # in endpoint mode ``report`` decomposes the base year itself, so
-    # ``CropPanel.columns`` names the year the panel lacks; ``validate``
-    # keeps no base-year row and checks the base triennium against every
-    # year it counted, so it names the triennium
-    EXIT_CODE_ONLY = {"endpoint-base-year-before-the-panel"}
-
     @pytest.mark.parametrize("fault, values, edit", SINGLE_FAULTS,
                              ids=[fault for fault, *_ in SINGLE_FAULTS])
     def test_validate_exits_and_errs_as_report_does(
@@ -2005,5 +2003,4 @@ class TestValidateRefusesWhatReportRefuses:
             results["validate"], results["report"])
         assert (code, out) == (report_code, report_out) == (1, "")
         assert err.startswith("error: ")
-        if fault not in self.EXIT_CODE_ONLY:
-            assert err == report_err
+        assert err == report_err

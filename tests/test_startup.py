@@ -157,8 +157,8 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, expected", [
         (["validate", "-c", "config.json"],
          layers("config", "pipeline", "ingest", "csvread", "panel",
-                "advantage", "markets", "productivity", "diagnostics", "tree",
-                "serialize")),
+                "advantage", "decomposition", "markets", "productivity",
+                "diagnostics", "tree", "serialize")),
         (["cai", "-c", "config.json"],
          layers("config", "pipeline", "advantage", "csvread", "serialize")),
         (["cai", "--region", "area_region.csv",
@@ -257,14 +257,15 @@ class TestImportFootprint:
             "config", "pipeline", "ingest", "csvread", "panel", "markets",
             "serialize"))
 
+    @pytest.mark.parametrize("command", ["report", "validate"])
     def test_report_compiles_each_layer_before_the_input_it_reads(
-            self, fixture_dir, tmp_path):
+            self, fixture_dir, tmp_path, command):
         # without a bytecode cache, a layer compiled while the crop panel is
         # held would add its compile scratch to the report's peak memory: the
         # crop phase's layers compile before the panel is read, the others
         # once it is freed, each before the input it reads
-        code, opened = opened_files(
-            "report", str(fixture_dir / "config.json"), "-o", str(tmp_path))
+        code, opened = opened_files(command, str(fixture_dir / "config.json"),
+                                    *out_flag(command, tmp_path))
         assert code == 0
         first = {}
         for name, modules in opened:
@@ -277,12 +278,12 @@ class TestImportFootprint:
         assert "agrodiag.productivity" in first["io_panel.csv"]
         assert "agrodiag.advantage" in first["area_region.csv"]
 
-    @pytest.mark.parametrize("command", ["diagnose", "validate"])
     def test_config_imports_the_tree_before_reading_an_input(
-            self, fixture_dir, tmp_path, command):
+            self, fixture_dir, tmp_path):
         # ~0.7 MB of a scaled diagnose's peak, if compiled after the inputs
-        code, opened = opened_files(command, str(fixture_dir / "config.json"),
-                                    *out_flag(command, tmp_path))
+        code, opened = opened_files("diagnose",
+                                    str(fixture_dir / "config.json"),
+                                    "-o", str(tmp_path))
         assert code == 0
         modules = next(modules for name, modules in opened
                        if name.endswith(".csv"))
