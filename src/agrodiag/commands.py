@@ -46,15 +46,16 @@ def _run(args: dict):
 
 def _cmd_run(args, run=None) -> int:
     """Write the artifacts of the subcommand's method of RUN (by default
-    ARGS's) to ``-o`` as they are computed, or print them."""
-    from .serialize import collect, write_artifacts
+    ARGS's) to ``-o`` as they are computed, or print each chunk as it is
+    made: a slice yields its artifacts in name order."""
+    from .serialize import write_artifacts
 
     artifacts = getattr(run or _run(args), args["command"])()
     if "--out" in args:
         write_artifacts(Path(args["--out"]), artifacts)
     else:
-        for _, text in sorted(collect(artifacts).items()):
-            sys.stdout.write(text)
+        for _, text in artifacts:
+            sys.stdout.writelines([text] if isinstance(text, str) else text)
     return 0
 
 

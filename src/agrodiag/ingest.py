@@ -27,31 +27,97 @@ from .panel import (
     InputOutputPanel,
     LandUseRecord,
     PriceSeries,
-    _Columns,
     _shared,
 )
 
 
-def load_crop_panel(source, *, years=None) -> CropPanel:
+# a new code's P and Q slots (see ``_Columns``), three doubles each
+_P, _Q = array("d", [0.0] * 3), array("d", [-0.0] * 3)
+
+
+class _Columns:
+    """Rows gathered key by key, in arrival order: per key, the codes of
+    the item ids plus the rows' values, row after row, in one column of
+    doubles; or, given a crop panel's comparison trienniums by their end
+    years, each row folded into its trienniums as it comes.
+
+    A key is a crop panel's year or an io panel's ``(year, side)``. Every
+    ``CropPanel`` and ``InputOutputPanel`` is built from one of these,
+    which it empties; the loaders below fill one straight from a file, so
+    no per-row object is built. ``codes`` numbers the item ids as they
+    come, its keys the one string kept of each id, and a key's flags hold
+    one byte per code, set once that id is under the key.
+
+    With ``ends``, no row is appended. ``slots`` maps each end year E to
+    two arrays of three doubles a code (area, production, price): P, 0.0
+    plus the values of years E - 2 and E - 1, and Q, -0.0 plus the value
+    of E, which is that value itself. ``into`` maps a year to the slots
+    its rows are added into. Either year of P may come first: 0.0 + x is x
+    but for a -0.0, which it makes 0.0, and x + -0.0 is x, so P holds the
+    bits of a left-to-right sum in year order whatever the row order.
+    """
+
+    __slots__ = ("by_key", "codes", "slots", "into")
+
+    def __init__(self, ends=()) -> None:
+        # key -> (its flags, its rows' codes, values row-major, the slots
+        # its rows are added into)
+        self.by_key = {}
+        self.codes = {}  # item id -> code
+        self.slots = {end: (array("d"), array("d")) for end in sorted(ends)}
+        self.into = {}  # year -> the slots its rows are added into
+        for end, (p, q) in self.slots.items():
+            for year in range(end - 2, end + 1):
+                self.into.setdefault(year, []).append(q if year == end else p)
+
+    def add(self, key, item_id: str, values: list[float]) -> bool:
+        """Take one row; False, and nothing taken, if ``item_id`` is
+        already under ``key``."""
+        code = self.codes.get(item_id)
+        if code is None:
+            code = self.codes[item_id] = len(self.codes)
+            for p, q in self.slots.values():
+                p.extend(_P)
+                q.extend(_Q)
+        entry = self.by_key.get(key)
+        if entry is None:
+            entry = self.by_key[key] = (bytearray(), array("I"), array("d"),
+                                        self.into.get(key, ()))
+        flags, codes, flat, into = entry
+        if code >= len(flags):
+            flags.extend(bytes(len(self.codes) - len(flags)))
+        elif flags[code]:
+            return False
+        flags[code] = 1
+        if into:
+            i = 3 * code
+            area, production, price = values
+            for slot in into:
+                slot[i] += area
+                slot[i + 1] += production
+                slot[i + 2] += price
+        elif not self.slots:
+            codes.append(code)
+            flat.fromlist(values)
+        return True
+
+
+def load_crop_panel(source, *, trienniums=()) -> CropPanel:
     """Load a crop panel file; prices are kept as loaded (nominal).
 
-    Every row is checked, but with ``years`` (a set) only the rows of
-    those are kept; ``CropPanel.checked`` counts them all.
+    Every row is checked, and ``CropPanel.checked`` counts them all. With
+    ``trienniums``, end years, each row of their years is folded into
+    them as it comes, in any row order, and the panel holds those
+    trienniums and the columns of their end years only (see ``_Columns``).
     """
     what = _label(source, "crop panel")
-    columns = _Columns(years)
+    columns = _Columns(trienniums)
     for line, (crop_id, year, *values) in records(source, what, CROP_COLUMNS):
         if not columns.add(year, crop_id, values):
             raise DuplicateKeyError(
                 f"{what}: duplicate ({crop_id}, {year}) in row {line}"
             )
     return CropPanel(columns)
-
-
-def triennium_years(*ends: int) -> set[int]:
-    """The years of the trienniums ending in ENDS: all that ``decompose``
-    and ``markets.crop_shares`` read of a crop panel, in either mode."""
-    return {end - k for end in ends for k in range(3)}
 
 
 def triennium_average(panel: CropPanel, end_year: int) -> tuple:
@@ -65,7 +131,8 @@ def triennium_average(panel: CropPanel, end_year: int) -> tuple:
     price would be meaningless.
 
     The tuple is memoised on ``panel``: a second call with the same
-    ``end_year`` returns the same tuple and views.
+    ``end_year`` returns the same tuple and views. A panel loaded for its
+    trienniums holds them from its load, with the bits this merge gives.
     """
     memo = panel._trienniums
     if end_year in memo:

@@ -4,28 +4,32 @@ All types here are immutable once constructed and therefore safe to share
 across threads. Validation happens at construction time (where an io
 panel's shares are rescaled); analysis code can assume the invariants hold.
 
-Both panels are columnar, and both are built one way: from a private
-builder, ``_Columns``, which the loaders in ``ingest`` fill row by row
-(one code per item id, and per key the rows' codes and values), so no
-per-row object is made. Both are read one way, through ``columns``, and
-their ``array('d')`` columns hold doubles bit for bit.
+Both panels are columnar, and both are built one way: from the private
+builder ``ingest._Columns``, which the loaders fill row by row (one code
+per item id, and per key the rows' codes and values, or a crop panel's
+trienniums), so no per-row object is made. Both are read one way, through
+``columns``, and their ``array('d')`` columns hold doubles bit for bit.
 
 * A ``CropPanel`` stores each year as ascending crop ids plus three columns
   (area, production, price).
 * An ``InputOutputPanel`` stores each year and side (outputs, inputs) as
   item ids in the order given plus two columns (quantity, share).
 
-A ``CropPanel`` also memoises the trienniums averaged from it
+A ``CropPanel`` also holds the trienniums averaged from it
 (``ingest.triennium_average``), each as the tuple ``columns`` returns for a
-year, its columns read-only views. That memo is an idempotent cache on an
-immutable panel: it changes no result, and two threads that fill one entry
-at once store equal tuples, so it needs no lock.
+year, its columns read-only views. A crop panel loaded for its comparison
+trienniums folds each row into them as it comes, in any row order, and
+keeps no year but their end years: it fills them at construction. A panel
+of every year memoises them as they are asked for: an idempotent cache on
+an immutable panel, which changes no result; two threads that fill one
+entry at once store equal tuples, so it needs no lock.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from functools import reduce
+from itertools import compress
 from operator import add
 
 from ._record import Record
@@ -41,48 +45,9 @@ from .errors import (
 SHARE_RENORM_BAND = (0.999, 1.001)
 
 
-class _Columns:
-    """Rows gathered key by key, in arrival order: per key, the codes of
-    the item ids plus the rows' values, row after row, in one column of
-    doubles.
-
-    A key is a crop panel's year or an io panel's ``(year, side)``. Every
-    ``CropPanel`` and ``InputOutputPanel`` is built from one of these,
-    which it empties; the loaders in ``ingest`` fill one straight from a
-    file, so no per-row object is built. ``codes`` numbers the item ids as
-    they come, its keys the one string kept of each id, and a key's flags
-    hold one byte per code, set once that id is under the key. With
-    ``keep``, a key not in it gets its flags but no codes (None).
-    """
-
-    __slots__ = ("by_key", "codes", "keep")
-
-    def __init__(self, keep=None) -> None:
-        # key -> (its flags, its rows' codes or None, values row-major)
-        self.by_key: dict[object, tuple[bytearray, array | None, array]] = {}
-        self.codes: dict[str, int] = {}
-        self.keep = keep
-
-    def add(self, key, item_id: str, values: list[float]) -> bool:
-        """Append one row; False, and nothing appended, if ``item_id`` is
-        already under ``key``."""
-        code = self.codes.get(item_id)
-        if code is None:
-            code = self.codes[item_id] = len(self.codes)
-        entry = self.by_key.get(key)
-        if entry is None:
-            codes = array("I") if self.keep is None or key in self.keep else None
-            entry = self.by_key[key] = (bytearray(), codes, array("d"))
-        flags, codes, flat = entry
-        if code >= len(flags):
-            flags.extend(bytes(len(self.codes) - len(flags)))
-        elif flags[code]:
-            return False
-        flags[code] = 1
-        if codes is not None:
-            codes.append(code)
-            flat.fromlist(values)
-        return True
+def _view(column) -> memoryview:
+    """A read-only view of COLUMN, as ``columns`` gives each column."""
+    return memoryview(column).toreadonly()
 
 
 def _shared(ids, last):
@@ -90,6 +55,21 @@ def _shared(ids, last):
     tuples of a panel's keys are stored once."""
     ids = tuple(ids)
     return last if ids == last else ids
+
+
+def _pick(names, order, weights, last, values):
+    """The codes of ORDER whose weight is not 0, as ``columns`` returns a
+    year: their ids (``_shared`` with LAST), then their area, production
+    and price columns, each allocated at its length, from VALUES, three
+    doubles a code."""
+    picked = array("I", compress(order, map(weights.__getitem__, order)))
+    columns = [array("d", [0.0]) * len(picked) for _ in range(3)]
+    area, production, price = columns
+    for i, code in enumerate(picked):
+        j = 3 * code
+        area[i], production[i], price[i] = (values[j], values[j + 1],
+                                            values[j + 2])
+    return _shared(map(names.__getitem__, picked), last), *columns
 
 
 class CropPanel:
@@ -100,28 +80,44 @@ class CropPanel:
     every downstream aggregate is reproducible bit-for-bit. Each year is
     stored as a tuple of crop ids plus area, production and price columns
     of doubles, read through ``columns``; equal id tuples are shared.
-    ``checked`` counts every row given, kept or not: ``(rows, distinct
-    crops, years)``, the years ascending. ``_trienniums`` maps an end year
-    to the triennium averaged from this panel, in ``columns``' shape;
-    ``ingest.triennium_average`` fills and reads it.
+    ``checked`` counts every row given: ``(rows, distinct crops, years)``,
+    the years ascending. ``_trienniums`` maps an end year to the triennium
+    averaged from this panel, in ``columns``' shape;
+    ``ingest.triennium_average`` reads it, and fills it for a panel of
+    every year.
+
+    A panel folded into trienniums (``ingest._Columns`` with ``ends``)
+    keeps no year: it fills ``_trienniums`` here, each with the bits
+    ``triennium_average`` gives on the same rows, and holds the columns of
+    its end years only, from their Q slots. Its ``years`` are the years of
+    its trienniums that have rows.
     """
 
     def __init__(self, columns) -> None:
         by_key, years, count = columns.by_key, sorted(columns.by_key), 0
-        for flags, _, _ in by_key.values():
+        folded = sorted(columns.into.keys() & by_key.keys())
+        for year, (flags, *_) in by_key.items():
             count += flags.count(1)
-            flags.clear()  # freed before the list of ids is made
+            if year in folded:  # a flag byte for every code
+                flags.extend(bytes(len(columns.codes) - len(flags)))
+            else:
+                flags.clear()  # freed before the list of ids is made
         names = list(columns.codes)  # each code's id
         columns.codes.clear()
+        for slots in columns.into.values():  # held by the years' entries
+            slots.clear()  # too: emptied, so each slot is freed once read
         self.checked = (count, len(names), tuple(years))
-        # sort year by year, each year's scratch freed before the next
+        self._years = tuple(folded if columns.slots else years)
         self._by_year: dict[int, tuple[tuple[str, ...], array, array,
                                        array]] = {}
+        self._trienniums = {}
+        if columns.slots:
+            self._fold(names, by_key, columns.slots)
+            return
+        # sort year by year, each year's scratch freed before the next
         last = None
         for year in years:
-            _, codes, flat = by_key.pop(year)
-            if codes is None:
-                continue
+            _, codes, flat, _ = by_key.pop(year)
             ids = list(map(names.__getitem__, codes))
             order = array("I", sorted(range(len(ids)), key=ids.__getitem__))
             last = _shared(map(ids.__getitem__, order), last)
@@ -131,8 +127,36 @@ class CropPanel:
                 rows.extend(flat[3 * i:3 * i + 3])
             self._by_year[year] = (last, *(rows[k::3] for k in range(3)))
             del flat, order, rows
-        self._years = tuple(self._by_year)
-        self._trienniums: dict[int, tuple] = {}
+
+    def _fold(self, names, by_key, slots) -> None:
+        """Fill ``_trienniums``, and the columns of their end years, from
+        the SLOTS a loader folded the rows into, by the flags of BY_KEY: a
+        triennium holds each crop of any of its years, its area and
+        production (P + Q) / 3.0, its price (P + Q) over the years that
+        have the crop, as ``triennium_average`` sums them. The ids are
+        sorted once; each end year's P is freed once its triennium is
+        made, its Q once its columns are."""
+        order = array("I", sorted(range(len(names)), key=names.__getitem__))
+        ids = None
+        for end in list(slots):
+            p, q = slots.pop(end)
+            span = [by_key[year][0] for year in range(end - 2, end + 1)
+                    if year in by_key]
+            if len(span) == 3:
+                seen = bytes(map(sum, zip(*span)))  # years with the crop
+                # P becomes the triennium's means, in place
+                for code in compress(range(len(names)), seen):
+                    i = 3 * code
+                    p[i] = (p[i] + q[i]) / 3.0
+                    p[i + 1] = (p[i + 1] + q[i + 1]) / 3.0
+                    p[i + 2] = (p[i + 2] + q[i + 2]) / seen[code]
+                ids, *means = _pick(names, order, seen, ids, p)
+                self._trienniums[end] = (ids, *map(_view, means))
+            del p
+            if end in by_key:
+                ids, *_ = self._by_year[end] = _pick(names, order,
+                                                    by_key[end][0], ids, q)
+            del q
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -148,9 +172,10 @@ class CropPanel:
         if year not in self._by_year:
             raise CoverageError(
                 f"year {year} not covered by panel (have {self._years})"
-            )
+                if year not in self._years else
+                f"year {year} is held only in its triennium's average")
         ids, *values = self._by_year[year]
-        return (ids, *(memoryview(column).toreadonly() for column in values))
+        return (ids, *map(_view, values))
 
 
 IO_SIDES = ("output", "input")
@@ -176,7 +201,8 @@ class InputOutputPanel:
         for year in sorted({year for year, _ in columns.by_key}):
             sides = self._by_year[year] = {}
             for side in IO_SIDES:
-                _, codes, flat = columns.by_key.pop((year, side), (0, (), ()))
+                _, codes, flat, _ = columns.by_key.pop((year, side),
+                                                       (0, (), (), ()))
                 quantities, shares = flat[0::2], flat[1::2]
                 total = reduce(add, shares, 0)
                 if not SHARE_RENORM_BAND[0] <= total <= SHARE_RENORM_BAND[1]:
@@ -210,7 +236,7 @@ class InputOutputPanel:
                 f"year {year} not covered by panel (have {self._years})"
             )
         ids, *values = sides[side]
-        return (ids, *(memoryview(column).toreadonly() for column in values))
+        return (ids, *map(_view, values))
 
 
 class PriceSeries(Record, frozen=True):

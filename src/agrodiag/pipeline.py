@@ -91,12 +91,12 @@ class Run:
 
     @cached_property
     def panel(self) -> CropPanel:
-        """The crop panel: every row checked, the comparison trienniums'
-        years kept."""
-        from .ingest import load_crop_panel, triennium_years
+        """The crop panel: every row checked, each row of the comparison
+        trienniums folded into them."""
+        from .ingest import load_crop_panel
 
         config = self.config
-        return load_crop_panel(config.crop_panel, years=triennium_years(
+        return load_crop_panel(config.crop_panel, trienniums=(
             config.decomposition_base, config.decomposition_terminal))
 
     value_cost = _input("load_value_cost", "cost_series")
@@ -201,7 +201,7 @@ class Run:
                                                 "decomposition.json")
 
     def tfp(self):
-        """``tfp_index.csv`` and ``figure2.csv``: the index series."""
+        """``figure2.csv`` and ``tfp_index.csv``: the index series."""
         yield from index_csvs(self.series)
 
     def growth(self):

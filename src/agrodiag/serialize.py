@@ -136,16 +136,18 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
 
 
 def index_csvs(series: Mapping[str, Any]):
-    """``tfp_index.csv`` and ``figure2.csv``, as (name, text) pairs, from
-    the output, input and tfp series of ``productivity.index_series``."""
+    """``figure2.csv`` and ``tfp_index.csv``, in name order, as (name,
+    text) pairs, from the output, input and tfp series of
+    ``productivity.index_series``; ``tfp_index.csv`` is made first, so
+    its fault is the one named of both."""
     output, input_, tfp = series["output"], series["input"], series["tfp"]
-    yield "tfp_index.csv", csv_text(["year", "value"], tfp.to_rows(),
-                                    "tfp_index.csv")
+    index = csv_text(["year", "value"], tfp.to_rows(), "tfp_index.csv")
     yield "figure2.csv", csv_text(
         ["year", "output", "input", "tfp"],
         [(y, output.values[y], input_.values[y], tfp.values[y])
          for y in tfp.years],
         "figure2.csv")
+    yield "tfp_index.csv", index
 
 
 def cai_csv(cai_values: Mapping[str, float]) -> str:
@@ -247,12 +249,6 @@ def json_object(fields, closed: bool = False):
                 raise
         return out
     return decode
-
-
-def collect(artifacts) -> dict[str, str]:
-    """ARTIFACTS (see ``write_artifacts``) as a dict of whole texts."""
-    return {name: text if isinstance(text, str) else "".join(text)
-            for name, text in artifacts}
 
 
 def _stage(path: Path, chunks: Iterable[str]) -> None:

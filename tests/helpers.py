@@ -11,7 +11,8 @@ import shutil
 import subprocess
 import sys
 
-from agrodiag.panel import IO_SIDES, CropPanel, InputOutputPanel, _Columns
+from agrodiag.ingest import _Columns
+from agrodiag.panel import IO_SIDES, CropPanel, InputOutputPanel
 from agrodiag.serialize import round_sig
 
 # the files ``report`` writes, as the README documents them
@@ -40,6 +41,13 @@ def other_interpreters() -> list[str]:
         if started:
             found.append(exe)
     return found
+
+
+def artifact_texts(artifacts) -> dict[str, str]:
+    """ARTIFACTS, (name, text) pairs as ``serialize.write_artifacts`` takes
+    them, a text a string or its chunks, as a dict of whole texts."""
+    return {name: text if isinstance(text, str) else "".join(text)
+            for name, text in artifacts}
 
 
 def out_flag(command: str, out) -> list[str]:

@@ -19,12 +19,14 @@ from agrodiag.advantage import AreaShareTable
 from agrodiag.cli import main, parse_args
 from agrodiag.commands import _run
 from agrodiag.config import load_run_config
+from agrodiag.errors import CoverageError
 from agrodiag.panel import (
     CropPanel, InputOutputPanel, LandUseRecord, PriceSeries,
 )
 from agrodiag.pipeline import Run
 
-from helpers import REPORT_ARTIFACTS, crop_rows, other_interpreters, out_flag
+from helpers import (REPORT_ARTIFACTS, artifact_texts, crop_rows,
+                     other_interpreters, out_flag)
 from test_startup import ENTRY, RUN_CLI, SRC, loaded_modules, opened_files
 
 # every command, as a usage error lists them
@@ -1373,6 +1375,42 @@ def held_objects(value, depth: int = 3):
             yield from held_objects(item, depth - 1)
 
 
+class TestPrintedSlices:
+    """Without ``-o``, a slice prints each artifact's chunks as they are
+    made, in name order: the texts ``-o`` writes, joined, and no artifact
+    held whole."""
+
+    @pytest.mark.parametrize("command",
+                             ["decompose", "tfp", "growth", "markets", "cai"])
+    def test_a_slice_yields_its_artifacts_in_name_order(self, run_dir,
+                                                        command):
+        run = Run(load_run_config(run_dir / "config.json"))
+        names = [name for name, _ in getattr(run, command)()]
+        assert names == sorted(names) and len(names) == len(set(names))
+
+    @pytest.mark.parametrize("command",
+                             ["decompose", "tfp", "growth", "markets", "cai"])
+    def test_stdout_is_the_written_texts_in_name_order_chunk_by_chunk(
+            self, run_dir, tmp_path, monkeypatch, command):
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        config = str(run_dir / "config.json")
+        assert main([command, "-c", config, "-o", str(tmp_path)]) == 0
+        written = "".join(path.read_text()
+                          for path in sorted(tmp_path.iterdir()))
+        monkeypatch.setattr(serialize, "CSV_CHUNK_LINES", 4)
+        writes, stdout = [], Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([command, "-c", config]) == 0
+        assert stdout.getvalue() == written
+        if command == "markets":  # shares.csv, the last, in six chunks
+            shares = (tmp_path / "shares.csv").read_text()
+            assert "".join(writes[-6:]) == shares != "".join(writes[-5:])
+
+
 class TestRunHoldings:
     """A run reads each input file once, in one order, and keeps only what
     it reduced the input to, holding the crop panel only until its last
@@ -1401,7 +1439,7 @@ class TestRunHoldings:
 
     def test_a_finished_report_holds_no_input(self, run_dir):
         run = Run(load_run_config(run_dir / "config.json"))
-        assert sorted(serialize.collect(run.report())) == \
+        assert sorted(artifact_texts(run.report())) == \
             sorted(REPORT_ARTIFACTS)
         assert sorted(vars(run)) == [
             "cai_values", "config", "counts", "diagnosis", "group_share",
@@ -1688,7 +1726,7 @@ class TestRunConfig:
 
     def test_a_report_collected_in_memory_is_pure(self, run_dir):
         run = Run(load_run_config(run_dir / "config.json"))
-        artifacts = serialize.collect(run.report())
+        artifacts = artifact_texts(run.report())
         assert sorted(artifacts) == sorted(REPORT_ARTIFACTS)
         assert run.diagnosis.binding_constraints
 
@@ -1821,13 +1859,27 @@ class TestCropYearsKept:
          (2002, 2003, 2004, 2005)),
     ])
     def test_run_keeps_the_comparison_trienniums(self, run_dir, flags, kept):
+        # folded from the rows as they came, with the bits of a full
+        # load's, and the end years' columns; no other year is held
+        from agrodiag.ingest import load_crop_panel, triennium_average
+
         args = parse_args(
             ["decompose", "-c", str(run_dir / "config.json"), *flags])
-        panel = _run(args).panel
+        run = _run(args)
+        panel, full = run.panel, load_crop_panel(run_dir / "crops.csv")
+        ends = run.config.decomposition_base, run.config.decomposition_terminal
         assert panel.years == kept
-        rows = crop_rows(panel)
-        assert len(rows) == 10 * len(kept)
-        assert len({crop for crop, *_ in rows}) == 10
+        assert sorted(panel._trienniums) == list(ends)
+        for end in ends:
+            for got, want in ((triennium_average(panel, end),
+                               triennium_average(full, end)),
+                              (panel.columns(end), full.columns(end))):
+                assert got[0] == want[0] and len(got[0]) == 10
+                assert [c.tobytes() for c in got[1:]] == \
+                    [c.tobytes() for c in want[1:]]
+        with pytest.raises(CoverageError, match=rf"^year {kept[0]} is held "
+                           "only in its triennium's average$"):
+            panel.columns(kept[0])
 
     def test_endpoint_mode_in_the_config_keeps_the_trienniums(self, run_dir,
                                                               tmp_path):
@@ -1882,7 +1934,8 @@ class TestCropYearsKept:
         assert main(["validate", "-c", str(run_dir / "config.json")]) == 0
         [panel] = loaded
         assert panel.years == self.KEPT
-        assert len(crop_rows(panel)) == 60
+        assert sorted(panel._trienniums) == [2002, 2016]
+        assert len(crop_rows(panel, 2002) + crop_rows(panel, 2016)) == 20
         assert panel.checked == (170, 10, tuple(range(2000, 2017)))
         assert capsys.readouterr().out.startswith(
             "crop panel: 170 observations, 10 crops, years 2000-2016\n")
@@ -1956,6 +2009,13 @@ SINGLE_FAULTS = [
      ("land_use", r"^(200[0-2]),.*$", r"\1,1.7e308,0.0,1.7e308")),
     ("base-triennium-without-area", {},
      ("crop_panel", r"^([^,]*,200[0-2]),[^,]*,", r"\1,0,")),
+    ("comparison-year-missing-from-the-panel", {},
+     ("crop_panel", r"^[^,]*,2015,.*\n", "")),
+    ("endpoint-year-missing-from-the-panel",
+     {"methods.period_mode": "endpoint"},
+     ("crop_panel", r"^[^,]*,2016,.*\n", "")),
+    ("duplicate-crop-row", {},
+     ("crop_panel", r"^(paddy,2008,.*)$", r"\1\n\1")),
     ("binding-severity-overflows", {},
      ("tree", r'("tfp_growth_gap_pp",\s*"comparator": )"<",'
       r'(\s*"threshold": )0\.0$', r'\1">",\g<2>5e-324')),
@@ -1966,33 +2026,39 @@ BUILTIN_TREE = str(Path(agrodiag.__file__).with_name("data")
                    / "bihar_tree.json")
 
 
+def fault_config(run_dir: Path, tmp_path: Path, values: dict, edit) -> Path:
+    """A run config in TMP_PATH: RUN_DIR's, with the VALUES and the EDIT
+    of a ``SINGLE_FAULTS`` entry, an edited file written to TMP_PATH."""
+    config = absolute_config(run_dir)
+    for key, value in values.items():
+        *parents, leaf = key.split(".")
+        node = config
+        for parent in parents:
+            node = node[parent]
+        node[leaf] = value
+    if edit is not None:
+        key, pattern, replacement = edit
+        holder = config if key == "tree" else config["inputs"]
+        paths = holder[key]
+        if paths == "builtin":
+            paths = BUILTIN_TREE
+        source = Path(paths[0] if isinstance(paths, list) else paths)
+        text, count = re.subn(pattern, replacement, source.read_text(),
+                              flags=re.MULTILINE)
+        assert count
+        target = tmp_path / source.name
+        target.write_text(text)
+        holder[key] = ([str(target)] if isinstance(paths, list)
+                       else str(target))
+    return write_config(tmp_path, config)
+
+
 class TestValidateRefusesWhatReportRefuses:
     @pytest.mark.parametrize("fault, values, edit", SINGLE_FAULTS,
                              ids=[fault for fault, *_ in SINGLE_FAULTS])
     def test_validate_exits_and_errs_as_report_does(
             self, run_dir, tmp_path, capsys, fault, values, edit):
-        config = absolute_config(run_dir)
-        for key, value in values.items():
-            *parents, leaf = key.split(".")
-            node = config
-            for parent in parents:
-                node = node[parent]
-            node[leaf] = value
-        if edit is not None:
-            key, pattern, replacement = edit
-            holder = config if key == "tree" else config["inputs"]
-            paths = holder[key]
-            if paths == "builtin":
-                paths = BUILTIN_TREE
-            source = Path(paths[0] if isinstance(paths, list) else paths)
-            text, count = re.subn(pattern, replacement, source.read_text(),
-                                  flags=re.MULTILINE)
-            assert count
-            target = tmp_path / source.name
-            target.write_text(text)
-            holder[key] = ([str(target)] if isinstance(paths, list)
-                           else str(target))
-        path = write_config(tmp_path, config)
+        path = fault_config(run_dir, tmp_path, values, edit)
         results = {}
         for command in ("report", "validate"):
             code = main([command, "-c", str(path),
@@ -2004,3 +2070,47 @@ class TestValidateRefusesWhatReportRefuses:
         assert (code, out) == (report_code, report_out) == (1, "")
         assert err.startswith("error: ")
         assert err == report_err
+
+
+# the crop-panel faults of SINGLE_FAULTS: the stderr of ``report``,
+# ``validate`` and ``decompose`` under ``-c``, then of ``decompose -c
+# --mode endpoint``, or None where that exits 0; CROPS is the edited crop
+# panel. A load that folds the rows into the comparison trienniums gives
+# each text that a load keeping their years gave
+CROP_PANEL_REFUSALS = {
+    "comparison-year-missing-from-the-panel": (
+        "triennium ending 2016 needs years (2014, 2015, 2016), missing "
+        "[2015]", None),
+    "endpoint-year-missing-from-the-panel": (
+        ("year 2016 not covered by panel (have (2000, 2001, 2002, 2014, "
+         "2015))",) * 2),
+    "duplicate-crop-row": (
+        ("crop panel {crops}: duplicate (paddy, 2008) in row 83",) * 2),
+    "base-triennium-without-area": (
+        "total cropped area in base period TE 2002 is not positive",
+        "total cropped area in base period 2002 is not positive"),
+    "base-triennium-one-year-short": (
+        "triennium ending 2001 needs years (1999, 2000, 2001), missing "
+        "[1999]", None),
+    "endpoint-base-year-before-the-panel": (
+        ("year 1980 not covered by panel (have (2014, 2015, 2016))",) * 2),
+}
+
+
+class TestCropPanelRefusals:
+    @pytest.mark.parametrize("fault", CROP_PANEL_REFUSALS)
+    def test_each_command_refuses_with_its_text(self, run_dir, tmp_path,
+                                                capsys, fault):
+        [(values, edit)] = [(values, edit) for name, values, edit
+                            in SINGLE_FAULTS if name == fault]
+        path = fault_config(run_dir, tmp_path, values, edit)
+        triennium, endpoint = CROP_PANEL_REFUSALS[fault]
+        for command, flags, text in (
+                ("report", [], triennium), ("validate", [], triennium),
+                ("decompose", [], triennium),
+                ("decompose", ["--mode", "endpoint"], endpoint)):
+            code = main([command, "-c", str(path), *flags,
+                         *out_flag(command, tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert (code, err) == ((0, "") if text is None else (
+                1, f"error: {text.format(crops=tmp_path / 'crops.csv')}\n"))

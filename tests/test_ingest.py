@@ -20,6 +20,7 @@ from agrodiag.errors import (
     SchemaError,
 )
 from agrodiag.ingest import (
+    _Columns,
     load_crop_panel,
     load_io_panel,
     load_land_use,
@@ -28,7 +29,7 @@ from agrodiag.ingest import (
     triennium_average,
 )
 from agrodiag.markets import crop_shares
-from agrodiag.panel import CropPanel, InputOutputPanel, _Columns
+from agrodiag.panel import CropPanel, InputOutputPanel
 from agrodiag.productivity import index_series, tornqvist_log_growth
 
 from helpers import (
@@ -72,34 +73,45 @@ class TestLoadCropPanel:
         assert crop_row(panel, "paddy", 2005)[1] == 250.0
 
     def test_a_positional_second_argument_is_refused(self):
-        # ``years`` is keyword-only: a stale positional deflator mapping
-        # raises rather than being read as the years to keep
+        # ``trienniums`` is keyword-only: a stale positional deflator
+        # mapping raises rather than being read as the trienniums
         with pytest.raises(TypeError):
             load_crop_panel(io.StringIO(TWO_CROP_FILE), {2005: 100.0})
 
-    def test_kept_years_hold_only_their_rows(self):
-        # maize grows only in 2006, which is not kept; 2004 has no rows
+    def test_folded_years_hold_only_their_end_years_rows(self):
+        # maize grows only in 2006, outside the triennium ending 2005;
+        # 2003 and 2004 have no rows, so that triennium is not made
         text = TWO_CROP_FILE + "maize,2006,1,2,3\n"
-        panel = load_text(text, years={2005, 2004})
-        assert panel.years == (2005,)
-        assert [row[:2] for row in crop_rows(panel)] == [
-            ("paddy", 2005), ("wheat", 2005)]
-        assert load_text(text, years=set()).years == ()
+        panel = load_text(text, trienniums=(2005,))
+        assert panel.years == (2005,) and panel._trienniums == {}
+        assert crop_rows(panel) == crop_rows(load_text(text), 2005)
+        assert panel.checked == (5, 3, (2005, 2006))
+        with pytest.raises(CoverageError, match=r"^triennium ending 2005 "
+                           r"needs years \(2003, 2004, 2005\), missing "
+                           r"\[2003, 2004\]$"):
+            triennium_average(panel, 2005)
+        with pytest.raises(CoverageError, match=r"^year 2006 not covered by "
+                           r"panel \(have \(2005,\)\)$"):
+            panel.columns(2006)
+        assert load_text(text, trienniums=(2010,)).years == ()
 
-    def test_kept_years_columns_equal_a_full_load_bit_for_bit(self, tmp_path):
+    def test_folded_trienniums_equal_a_full_load_bit_for_bit(self, tmp_path):
         crops = fixtures.write_synthetic_inputs(tmp_path).parent / "crops.csv"
         full = load_crop_panel(crops)
-        kept = {2000, 2001, 2002, 2014, 2015, 2016}
-        panel = load_crop_panel(crops, years=kept)
-        assert panel.years == tuple(sorted(kept))
+        panel = load_crop_panel(crops, trienniums=(2016, 2002))
+        assert panel.years == (2000, 2001, 2002, 2014, 2015, 2016)
+        assert panel.checked == full.checked
 
         def hexed(columns):
             ids, *values = columns
             return ids, [[v.hex() for v in column] for column in values]
-        for year in kept:
-            assert hexed(panel.columns(year)) == hexed(full.columns(year))
-        with pytest.raises(CoverageError):
-            panel.columns(2008)
+        for end in (2002, 2016):
+            assert hexed(panel.columns(end)) == hexed(full.columns(end))
+            assert hexed(triennium_average(panel, end)) == hexed(
+                triennium_average(full, end))
+        for year in (2001, 2008):
+            with pytest.raises(CoverageError):
+                panel.columns(year)
 
     def test_duplicate_row_cites_row_number(self):
         text = TWO_CROP_FILE + "paddy,2005,1,1,1\n"
@@ -195,47 +207,74 @@ class TestLoadCropPanel:
         assert len(crop_rows(panel)) == 20_000
         assert peak / 20_000 < 50
 
-    def test_memory_per_kept_row(self):
-        # 2,000 crops x 17 years, six kept: three doubles a kept row, plus
-        # one string per crop and one id tuple that the six years share.
-        # A row not kept leaves nothing behind, so keeping no year retains
-        # next to nothing, and an id is not left in the interned table.
+    def test_folding_no_row_retains_next_to_nothing(self):
+        # 2,000 crops x 17 years, none in the triennium ending 1990: every
+        # row is checked and counted, none leaves anything behind, and an
+        # id is not left in the interned table. What a fold into the
+        # comparison trienniums retains is pinned below
         rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
                        for y in range(2000, 2017) for c in range(2000))
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + rows
-        kept = {2000, 2001, 2002, 2014, 2015, 2016}
-        panel, retained = retained_by(lambda: load_text(text, years=kept))
-        assert len(crop_rows(panel)) == 12_000
-        assert retained / 12_000 < 40
-        panel, retained = retained_by(lambda: load_text(text, years=set()))
+        panel, retained = retained_by(
+            lambda: load_text(text, trienniums=(1990,)))
         assert panel.years == () and panel.checked[:2] == (34_000, 2000)
         assert retained / 34_000 < 1
 
     @pytest.mark.parametrize("gap, n_kept", [(0, 12_000), (10, 10_800)],
                              ids=["same crops", "a tenth missing"])
-    def test_transient_peak_per_kept_row(self, gap, n_kept):
-        # 2,000 crops x 17 years, six kept; with a GAP, each year misses
-        # every GAP-th crop, a different tenth each year, so no two years'
-        # id tuples are equal. Beyond the panel it keeps, the load peaks at
-        # its loop end: one code per crop in the id table, one flag byte per
-        # crop and year, one code per kept row, ~17 bytes a kept row. A
-        # list of ids per kept year and a {crop id: bit mask} dict, with one
-        # year's sort scratch still held while the next year sorted, took
-        # it to ~24
+    def test_transient_peak_per_folded_row(self, gap, n_kept):
+        # 2,000 crops x 17 years, folded into the trienniums ending 2002
+        # and 2016; with a GAP, each year misses every GAP-th crop, a
+        # different tenth each year, so no two id tuples are equal. Beyond
+        # the panel it keeps, the load peaks at its loop end: one code per
+        # crop in the id table, one flag byte per crop and year, and the
+        # slots, which the trienniums replace, ~10-12 bytes for each of
+        # N_KEPT rows of the six years. Keeping those years, a code per
+        # row, took it to ~11-17
         rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
                        for y in range(2000, 2017) for c in range(2000)
                        if not gap or (c + y) % gap)
         stream = io.StringIO(
             "crop_id,year,area_ha,production_t,price_per_t\n" + rows)
-        kept = {2000, 2001, 2002, 2014, 2015, 2016}
         tracemalloc.start()
         try:
-            panel = load_crop_panel(stream, years=kept)
+            panel = load_crop_panel(stream, trienniums=(2002, 2016))
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(crop_rows(panel)) == n_kept
+        assert panel.checked[0] == rows.count("\n")
+        assert sorted(panel._trienniums) == [2002, 2016]
         assert (peak - retained) / n_kept < 20
+
+    @pytest.mark.parametrize("crop_major", [False, True],
+                             ids=["year blocks", "crop-major"])
+    def test_folded_load_peak_and_retention_per_crop(self, crop_major):
+        # 2,000 crops x 17 years, folded into the trienniums ending 2002
+        # and 2016, the rows in year blocks or crop by crop. The load peaks
+        # at its last row: per crop, its id string and its code in the id
+        # table, a flag byte a year, and four slots of three doubles; the
+        # panel's construction, its id table freed first, stays under
+        # that. It keeps, per crop, the string and three doubles in each
+        # of the two trienniums and the two end years, which share one id
+        # tuple. ~240 bytes a crop at the peak, ~164 kept, ~27 for each of
+        # the 12,000 rows of the six years (kept, those years peaked at
+        # ~314 and kept ~211, ~35 a row)
+        rows = sorted((c, y) for y in range(2000, 2017) for c in range(2000))
+        if not crop_major:
+            rows.sort(key=lambda row: row[1])
+        stream = io.StringIO(
+            "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+                f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
+                for c, y in rows))
+        tracemalloc.start()
+        try:
+            panel = load_crop_panel(stream, trienniums=(2002, 2016))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert panel.checked == (34_000, 2000, tuple(range(2000, 2017)))
+        assert peak / 2000 < 270
+        assert retained / 2000 < 185
 
     def test_equal_id_tuples_are_shared(self):
         # c is missing in 2002, so that year and the triennium ending 2004
@@ -250,9 +289,15 @@ class TestLoadCropPanel:
         assert ids[2004] is ids[2003] == ids[2000]
         assert triennium_average(panel, 2002)[0] is ids[2000]
         assert triennium_average(panel, 2004)[0] is ids[2003]
-        # the previous kept year's tuple, across the years not kept
-        kept = load_text(text, years={2000, 2003})
-        assert kept.columns(2003)[0] is kept.columns(2000)[0]
+        # folded: each triennium and end year shares the tuple made before
+        # it if equal, so the trienniums ending 2003 and 2004 and both end
+        # years hold one
+        folded = load_text(text, trienniums=(2003, 2004))
+        first = triennium_average(folded, 2003)[0]
+        assert first == ("a", "b", "c")
+        assert folded.columns(2003)[0] is first
+        assert triennium_average(folded, 2004)[0] is first
+        assert folded.columns(2004)[0] is first
 
     def test_triennium_wider_than_each_year_has_its_own_tuple(self):
         text = ("crop_id,year,area_ha,production_t,price_per_t\n"
@@ -333,6 +378,61 @@ class TestDecomposeTransientPeak:
             tracemalloc.stop()
         assert result.base_label == "TE 2002"
         assert peak / 1000 < 16
+
+
+# a folded value: signed zeros, the least subnormal, a double whose sum
+# with itself overflows, and ordinary floats
+FOLDED_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308]),
+                          st.floats(0.0, 1e6))
+
+
+class TestFold:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_folded_load_is_the_full_loads_merge_bit_for_bit(self, data):
+        # 4 crops x 8 years, some (crop, year) rows absent, the trienniums
+        # apart, overlapping or one; the rows in year blocks in a shuffled
+        # block order (as perfbench/gen.py writes them), crop by crop, or
+        # shuffled. Each triennium and end year, or the refusal to give
+        # it, is the full load's, compared as the arrays' bytes
+        years = list(range(2000, 2008))
+        rows = [(crop, year, *data.draw(st.tuples(*[FOLDED_VALUES] * 3)))
+                for crop in "abcd" for year in years
+                if data.draw(st.booleans())]
+        order = data.draw(st.sampled_from(["year blocks", "crop-major",
+                                           "shuffled"]))
+        if order == "year blocks":
+            blocks = data.draw(st.permutations(years))
+            rows.sort(key=lambda row: blocks.index(row[1]))
+        elif order == "shuffled":
+            rows = data.draw(st.permutations(rows))
+        ends = data.draw(st.sampled_from([(2002, 2007), (2004, 2005),
+                                          (2005, 2005), (2001, 2007)]))
+        if not rows:
+            return
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+            f"{crop},{year},{a!r},{q!r},{p!r}\n"
+            for crop, year, a, q, p in rows)
+        full, folded = load_text(text), load_text(text, trienniums=ends)
+        assert folded.checked == full.checked
+        assert folded.years == tuple(y for y in full.years
+                                     if any(0 <= e - y <= 2 for e in ends))
+
+        def read(read_one, panel, end):
+            try:
+                ids, *columns = read_one(panel, end)
+            except CoverageError as exc:
+                return str(exc)
+            return ids, [column.tobytes() for column in columns]
+        for end in ends:
+            assert read(triennium_average, folded, end) == read(
+                triennium_average, full, end)
+            if full.has_year(end):
+                assert read(CropPanel.columns, folded, end) == read(
+                    CropPanel.columns, full, end)
+            else:
+                assert read(CropPanel.columns, folded, end) == (
+                    f"year {end} not covered by panel (have {folded.years})")
 
 
 class TestTriennium:

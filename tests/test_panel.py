@@ -16,13 +16,9 @@ from agrodiag.errors import (
     NormalizationError,
     SchemaError,
 )
-from agrodiag.ingest import load_crop_panel, load_io_panel
-from agrodiag.panel import (
-    CropPanel,
-    LandUseRecord,
-    PriceSeries,
-    _Columns,
-)
+from agrodiag.ingest import (_Columns, load_crop_panel, load_io_panel,
+                             triennium_average)
+from agrodiag.panel import CropPanel, LandUseRecord, PriceSeries
 
 from helpers import (
     crop_csv,
@@ -141,41 +137,48 @@ class TestCropPanel:
         assert crop_row(panel, "crop1999", 2003) == (1.5, 2.5, 2003.25)
         assert (peak - kept) / 12_000 < 10
 
-    def test_kept_columns_are_allocated_at_their_length(self):
-        # rows in descending crop order, so every kept year is sorted; an
+    def test_folded_columns_are_allocated_at_their_length(self):
+        # rows in descending crop order, so every folded year is sorted; an
         # array grown by appends would carry slack beyond its length
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
             f"crop{c:04d},{y},{c + 0.5},{y},1.25\n"
             for y in range(2000, 2004) for c in reversed(range(1000)))
-        panel = load_crop_panel(io.StringIO(text), years={2000, 2003})
-        assert panel.years == (2000, 2003)
-        for year in panel.years:
-            ids, *columns = panel.columns(year)
-            assert len(ids) == 1000
-            for column in columns:
-                assert sys.getsizeof(column.obj) == sys.getsizeof(
-                    array("d", [0.0] * len(ids)))
+        panel = load_crop_panel(io.StringIO(text), trienniums=(2002, 2003))
+        assert panel.years == (2000, 2001, 2002, 2003)
+        for end in (2002, 2003):
+            for ids, *columns in (panel.columns(end),
+                                  triennium_average(panel, end)):
+                assert len(ids) == 1000
+                for column in columns:
+                    assert sys.getsizeof(column.obj) == sys.getsizeof(
+                        array("d", [0.0] * len(ids)))
 
     @given(st.lists(st.tuples(st.integers(1900, 2040),
                               st.sampled_from(["a", "b", "c", "d", "e"])),
                     max_size=150),
            st.sets(st.integers(1900, 2040)))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_add_finds_repeats_as_a_set_does(self, stream, keep):
+    def test_add_finds_repeats_as_a_set_does(self, stream, ends):
         # 70 keys come first, so every stream spans more keys than a 64-bit
-        # mask has bits; the first row of a (key, id) is the one kept
+        # mask has bits; the first row of a (key, id) is the one kept, and
+        # the one folded into the trienniums ending in ENDS
         stream = [(year, "z") for year in range(1950, 2020)] + stream
-        columns, first = _Columns(keep), {}
+        every, first = _Columns(), {}
+        folded = _Columns(ends)
         for row, (year, item_id) in enumerate(stream):
-            added = columns.add(year, item_id, [row, 0.5, year])
+            added = every.add(year, item_id, [row, 0.5, year])
             assert added == ((year, item_id) not in first)
+            assert folded.add(year, item_id, [row, 0.5, year]) == added
             first.setdefault((year, item_id), row)
-        panel = CropPanel(columns)
-        assert panel.checked == (len(first), len({i for _, i in first}),
-                                 tuple(sorted({y for y, _ in first})))
+        panel, folded = CropPanel(every), CropPanel(folded)
+        assert panel.checked == folded.checked == (
+            len(first), len({i for _, i in first}),
+            tuple(sorted({y for y, _ in first})))
         assert {(year, crop): area
-                for crop, year, area, *_ in crop_rows(panel)} == {
-            key: row for key, row in first.items() if key[0] in keep}
+                for crop, year, area, *_ in crop_rows(panel)} == first
+        assert {(year, crop): area for year in ends
+                for crop, _, area, *_ in crop_rows(folded, year)} == {
+            key: row for key, row in first.items() if key[0] in ends}
 
 
 class TestInputOutputPanel:
