@@ -19,7 +19,9 @@ paddy,2016,8.2,21.3,1150.0
 wheat,2016,6.1,17.1,1280.0
 maize,2016,2.9,9.6,1090.0
 """
-panel = load_crop_panel(io.StringIO(csv_text))
+# the panel is folded into the periods it compares, given by their end
+# years; each end year keeps its own columns too
+panel = load_crop_panel(io.StringIO(csv_text), trienniums=(2002, 2016))
 
 # gross revenue: production times price, summed over the year's crops
 for year in (2002, 2016):

@@ -36,7 +36,7 @@ for year in sorted(ratio)[-5:]:
 csv = "crop_id,year,area_ha,production_t,price_per_t\n" + "\n".join(
     f"{c},{y},{a!r},{q!r},{p!r}" for c, y, a, q, p in crop_panel_rows()
 )
-panel = load_crop_panel(io.StringIO(csv))
+panel = load_crop_panel(io.StringIO(csv), trienniums=(2016,))
 area = dict(zip(*crop_shares(panel, te_year=2016, dimension="area")))
 value = dict(zip(*crop_shares(panel, te_year=2016, dimension="value")))
 print("\ncrop shares, triennium ending 2016 (% of area / % of value):")

@@ -1,4 +1,5 @@
-"""Loaders for the tabular input formats, plus triennium averaging.
+"""Loaders for the tabular input formats; a crop panel is folded into
+its trienniums as it loads.
 
 File schemas (delimited text, UTF-8, ``.`` decimal separator, header row):
 
@@ -21,14 +22,8 @@ from array import array
 from .csvread import (CROP_COLUMNS, _amount, _label, _named, _price, _text,
                       records)
 from .errors import CoverageError, DuplicateKeyError, SchemaError
-from .panel import (
-    IO_SIDES,
-    CropPanel,
-    InputOutputPanel,
-    LandUseRecord,
-    PriceSeries,
-    _shared,
-)
+from .panel import (IO_SIDES, CropPanel, InputOutputPanel, LandUseRecord,
+                    PriceSeries)
 
 
 # a new code's P and Q slots (see ``_Columns``), three doubles each
@@ -36,10 +31,10 @@ _P, _Q = array("d", [0.0] * 3), array("d", [-0.0] * 3)
 
 
 class _Columns:
-    """Rows gathered key by key, in arrival order: per key, the codes of
-    the item ids plus the rows' values, row after row, in one column of
-    doubles; or, given a crop panel's comparison trienniums by their end
-    years, each row folded into its trienniums as it comes.
+    """Rows gathered key by key, in arrival order: an io panel's, per key
+    the codes of the item ids plus the rows' values, row after row, in one
+    column of doubles; or, given a crop panel's trienniums by their end
+    years (``ends``), each row folded into its trienniums as it comes.
 
     A key is a crop panel's year or an io panel's ``(year, side)``. Every
     ``CropPanel`` and ``InputOutputPanel`` is built from one of these,
@@ -102,16 +97,21 @@ class _Columns:
         return True
 
 
-def load_crop_panel(source, *, trienniums=()) -> CropPanel:
-    """Load a crop panel file; prices are kept as loaded (nominal).
+def load_crop_panel(source, *, trienniums) -> CropPanel:
+    """Load a crop panel file, folded into the ``trienniums`` it is
+    compared over, given by their end years; prices are kept as loaded
+    (nominal).
 
-    Every row is checked, and ``CropPanel.checked`` counts them all. With
-    ``trienniums``, end years, each row of their years is folded into
-    them as it comes, in any row order, and the panel holds those
-    trienniums and the columns of their end years only (see ``_Columns``).
+    Every row is checked, and ``CropPanel.checked`` counts them all. Each
+    row of a triennium's years is folded into it as it comes, in any row
+    order, and the panel holds those trienniums and the columns of their
+    end years only (see ``_Columns``). For every year's columns, pass
+    every year: ``trienniums=range(first, last + 1)``.
     """
-    what = _label(source, "crop panel")
     columns = _Columns(trienniums)
+    if not columns.slots:
+        raise ValueError("trienniums must name at least one end year")
+    what = _label(source, "crop panel")
     for line, (crop_id, year, *values) in records(source, what, CROP_COLUMNS):
         if not columns.add(year, crop_id, values):
             raise DuplicateKeyError(
@@ -121,55 +121,28 @@ def load_crop_panel(source, *, trienniums=()) -> CropPanel:
 
 
 def triennium_average(panel: CropPanel, end_year: int) -> tuple:
-    """Average the three years ending in ``end_year``, as ``panel.columns``
-    returns one year: ``(crop_ids, area, production, price)``, crop ids
-    ascending, each value column a read-only view of doubles.
+    """The triennium ending ``end_year``, as ``panel.columns`` returns one
+    year: ``(crop_ids, area, production, price)``, crop ids ascending, each
+    value column a read-only view of doubles; the panel folded it at its
+    load, and each call returns the same tuple.
 
     A crop absent in one of the years contributes zero area and production
     to that year's term (not grown means literally nothing harvested), while
     its price is averaged only over years where it was observed: a zero
-    price would be meaningless.
-
-    The tuple is memoised on ``panel``: a second call with the same
-    ``end_year`` returns the same tuple and views. A panel loaded for its
-    trienniums holds them from its load, with the bits this merge gives.
+    price would be meaningless. Each total is a left-to-right ``+`` chain
+    from int 0 in year order, as ``sum()`` adds floats up to CPython 3.11.
     """
-    memo = panel._trienniums
-    if end_year in memo:
-        return memo[end_year]
-    span = (end_year - 2, end_year - 1, end_year)
-    missing = [y for y in span if y not in panel.years]
-    if missing:
-        raise CoverageError(
-            f"triennium ending {end_year} needs years {span}, missing {missing}"
-        )
-    years = [panel.columns(year) for year in span]
-    ids_of = [ids for ids, *_ in years]
-    crops = widest = max(ids_of, key=len)
-    if not ids_of[0] is ids_of[1] is ids_of[2]:  # else no union is needed
-        crops = _shared(sorted(set().union(*ids_of)), widest)
-    at = [0, 0, 0]  # per year, the position of the next crop not yet merged
-    means = mean_area, mean_production, mean_price = (
-        array("d"), array("d"), array("d"))
-    for crop in crops:
-        # each total is a left-to-right ``+`` chain from int 0 in year
-        # order, as ``sum()`` adds floats up to CPython 3.11
-        area = production = price = 0
-        observed = 0
-        for k, (ids, areas, productions, prices) in enumerate(years):
-            i = at[k]
-            if i < len(ids) and ids[i] == crop:
-                area += areas[i]
-                production += productions[i]
-                price += prices[i]
-                observed += 1
-                at[k] = i + 1
-        mean_area.append(area / 3.0)
-        mean_production.append(production / 3.0)
-        mean_price.append(price / observed)
-    memo[end_year] = (crops, *(memoryview(mean).toreadonly()
-                               for mean in means))
-    return memo[end_year]
+    held = panel._trienniums.get(end_year)
+    if held is None:
+        span = (end_year - 2, end_year - 1, end_year)
+        missing = [y for y in span if y not in panel.years]
+        if missing:
+            raise CoverageError(f"triennium ending {end_year} needs years "
+                                f"{span}, missing {missing}")
+        # its years were folded, but not into it: ``columns`` names the
+        # first that the panel holds only in another triennium's average
+        panel.columns(next(y for y in span if not panel.has_year(y)))
+    return held
 
 
 def load_io_panel(source) -> InputOutputPanel:

@@ -10,19 +10,16 @@ per item id, and per key the rows' codes and values, or a crop panel's
 trienniums), so no per-row object is made. Both are read one way, through
 ``columns``, and their ``array('d')`` columns hold doubles bit for bit.
 
-* A ``CropPanel`` stores each year as ascending crop ids plus three columns
-  (area, production, price).
+* A ``CropPanel`` stores each of its trienniums and their end years as
+  ascending crop ids plus three columns (area, production, price).
 * An ``InputOutputPanel`` stores each year and side (outputs, inputs) as
   item ids in the order given plus two columns (quantity, share).
 
-A ``CropPanel`` also holds the trienniums averaged from it
-(``ingest.triennium_average``), each as the tuple ``columns`` returns for a
-year, its columns read-only views. A crop panel loaded for its comparison
-trienniums folds each row into them as it comes, in any row order, and
-keeps no year but their end years: it fills them at construction. A panel
-of every year memoises them as they are asked for: an idempotent cache on
-an immutable panel, which changes no result; two threads that fill one
-entry at once store equal tuples, so it needs no lock.
+A ``CropPanel`` is folded into the trienniums its loader was given, each
+row as it comes, in any row order, and fills them at construction; it
+keeps no year but their end years. ``ingest.triennium_average`` reads a
+triennium, as the tuple ``columns`` returns for a year, its columns
+read-only views.
 """
 from __future__ import annotations
 
@@ -50,18 +47,12 @@ def _view(column) -> memoryview:
     return memoryview(column).toreadonly()
 
 
-def _shared(ids, last):
-    """IDS as a tuple, or LAST if that holds the same ids: equal id
-    tuples of a panel's keys are stored once."""
-    ids = tuple(ids)
-    return last if ids == last else ids
-
-
 def _pick(names, order, weights, last, values):
     """The codes of ORDER whose weight is not 0, as ``columns`` returns a
-    year: their ids (``_shared`` with LAST), then their area, production
-    and price columns, each allocated at its length, from VALUES, three
-    doubles a code."""
+    year: their ids, as a tuple or as LAST if that holds the same ids (so
+    equal id tuples of a panel are stored once), then their area,
+    production and price columns, each allocated at its length, from
+    VALUES, three doubles a code."""
     picked = array("I", compress(order, map(weights.__getitem__, order)))
     columns = [array("d", [0.0]) * len(picked) for _ in range(3)]
     area, production, price = columns
@@ -69,73 +60,46 @@ def _pick(names, order, weights, last, values):
         j = 3 * code
         area[i], production[i], price[i] = (values[j], values[j + 1],
                                             values[j + 2])
-    return _shared(map(names.__getitem__, picked), last), *columns
+    ids = tuple(map(names.__getitem__, picked))
+    return last if ids == last else ids, *columns
 
 
 class CropPanel:
-    """Crop observations keyed by (crop_id, year), at most one per key.
+    """Crop observations keyed by (crop_id, year), at most one per key,
+    folded into the trienniums a loader's ``_Columns`` was given.
 
-    Built from a loader's ``_Columns``, and indexed by year once, at
-    construction: years ascend and, within a year, crop ids ascend, so
-    every downstream aggregate is reproducible bit-for-bit. Each year is
-    stored as a tuple of crop ids plus area, production and price columns
-    of doubles, read through ``columns``; equal id tuples are shared.
+    ``_trienniums`` maps each end year whose three years have rows to its
+    triennium, in ``columns``' shape: the crops of any of its years, their
+    area and production (P + Q) / 3.0 and their price (P + Q) over the
+    years that have the crop, from the slots the rows were folded into
+    (see ``ingest._Columns``); ``ingest.triennium_average`` reads it. An
+    end year with rows keeps its own columns, from its Q slot, read
+    through ``columns``; no other year is kept. Crop ids ascend, so every
+    downstream aggregate is reproducible bit-for-bit, and equal id tuples
+    are shared. ``years`` are the years of the trienniums that have rows;
     ``checked`` counts every row given: ``(rows, distinct crops, years)``,
-    the years ascending. ``_trienniums`` maps an end year to the triennium
-    averaged from this panel, in ``columns``' shape;
-    ``ingest.triennium_average`` reads it, and fills it for a panel of
-    every year.
-
-    A panel folded into trienniums (``ingest._Columns`` with ``ends``)
-    keeps no year: it fills ``_trienniums`` here, each with the bits
-    ``triennium_average`` gives on the same rows, and holds the columns of
-    its end years only, from their Q slots. Its ``years`` are the years of
-    its trienniums that have rows.
+    the years ascending.
     """
 
     def __init__(self, columns) -> None:
-        by_key, years, count = columns.by_key, sorted(columns.by_key), 0
-        folded = sorted(columns.into.keys() & by_key.keys())
+        by_key, slots, count = columns.by_key, columns.slots, 0
         for year, (flags, *_) in by_key.items():
             count += flags.count(1)
-            if year in folded:  # a flag byte for every code
+            if year in columns.into:  # a flag byte for every code
                 flags.extend(bytes(len(columns.codes) - len(flags)))
             else:
                 flags.clear()  # freed before the list of ids is made
         names = list(columns.codes)  # each code's id
         columns.codes.clear()
-        for slots in columns.into.values():  # held by the years' entries
-            slots.clear()  # too: emptied, so each slot is freed once read
-        self.checked = (count, len(names), tuple(years))
-        self._years = tuple(folded if columns.slots else years)
+        for into in columns.into.values():  # held by the years' entries
+            into.clear()  # too: emptied, so each slot is freed once read
+        self.checked = (count, len(names), tuple(sorted(by_key)))
+        self._years = tuple(sorted(columns.into.keys() & by_key.keys()))
         self._by_year: dict[int, tuple[tuple[str, ...], array, array,
                                        array]] = {}
         self._trienniums = {}
-        if columns.slots:
-            self._fold(names, by_key, columns.slots)
-            return
-        # sort year by year, each year's scratch freed before the next
-        last = None
-        for year in years:
-            _, codes, flat, _ = by_key.pop(year)
-            ids = list(map(names.__getitem__, codes))
-            order = array("I", sorted(range(len(ids)), key=ids.__getitem__))
-            last = _shared(map(ids.__getitem__, order), last)
-            del codes, ids
-            rows = array("d")  # the year's rows in crop order, whose
-            for i in order:  # strided slices are allocated at their length
-                rows.extend(flat[3 * i:3 * i + 3])
-            self._by_year[year] = (last, *(rows[k::3] for k in range(3)))
-            del flat, order, rows
-
-    def _fold(self, names, by_key, slots) -> None:
-        """Fill ``_trienniums``, and the columns of their end years, from
-        the SLOTS a loader folded the rows into, by the flags of BY_KEY: a
-        triennium holds each crop of any of its years, its area and
-        production (P + Q) / 3.0, its price (P + Q) over the years that
-        have the crop, as ``triennium_average`` sums them. The ids are
-        sorted once; each end year's P is freed once its triennium is
-        made, its Q once its columns are."""
+        # the ids are sorted once; each end year's P is freed once its
+        # triennium is made, its Q once its columns are
         order = array("I", sorted(range(len(names)), key=names.__getitem__))
         ids = None
         for end in list(slots):

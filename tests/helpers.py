@@ -10,6 +10,8 @@ import math
 import shutil
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 
 from agrodiag.ingest import _Columns
 from agrodiag.panel import IO_SIDES, CropPanel, InputOutputPanel
@@ -60,9 +62,11 @@ def out_flag(command: str, out) -> list[str]:
 
 
 def crop_panel(rows) -> CropPanel:
-    """ROWS -> panel, through the ``_Columns`` builder every loader fills;
-    a repeated (crop_id, year) is refused."""
-    columns = _Columns()
+    """ROWS -> panel, through the ``_Columns`` builder every loader fills,
+    folded into the triennium ending in each year of its rows, so it holds
+    every year's columns; a repeated (crop_id, year) is refused."""
+    rows = list(rows)
+    columns = _Columns({year for _, year, *_ in rows})
     for crop, year, *values in rows:
         if not columns.add(year, crop, values):
             raise ValueError(f"duplicate row for {(crop, year)}")
@@ -148,18 +152,18 @@ def oracle_decompose(base: dict, term: dict) -> dict:
 
 def oracle_triennium(by_year: dict, end_year: int) -> dict:
     """Triennium average from ``{year: {crop: (area, production, price)}}``,
-    term by term: area and production over all three years, an absent year
-    counting as zero; price over the years the crop was observed."""
+    term by term: each total a left-to-right ``+`` chain from int 0 in year
+    order over the years that have the crop; area and production over all
+    three years, an absent year counting as zero, price over the years the
+    crop was observed."""
     span = (end_year - 2, end_year - 1, end_year)
     crops = sorted({c for y in span for c in by_year[y]})
-    zero = (0.0, 0.0, None)
     out = {}
     for crop in crops:
-        a, b, c = (by_year[y].get(crop, zero) for y in span)
-        prices = [v[2] for v in (a, b, c) if v[2] is not None]
-        out[crop] = ((a[0] + b[0] + c[0]) / 3.0,
-                     (a[1] + b[1] + c[1]) / 3.0,
-                     sum(prices) / len(prices))
+        observed = [by_year[y][crop] for y in span if crop in by_year[y]]
+        area, production, price = (reduce(add, column, 0)
+                                   for column in zip(*observed))
+        out[crop] = (area / 3.0, production / 3.0, price / len(observed))
     return out
 
 

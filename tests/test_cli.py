@@ -1816,6 +1816,8 @@ class TestCropYearsKept:
     every crop-panel row is still read and checked, and counted."""
 
     KEPT = (2000, 2001, 2002, 2014, 2015, 2016)  # the fixture's TE 2002, 2016
+    # the fixture's years, each folded as an end: a full load
+    EVERY_YEAR = range(2000, 2017)
 
     @pytest.mark.parametrize("command", ["report", "decompose", "markets",
                                          "validate", "decompose --crop-panel"])
@@ -1866,7 +1868,9 @@ class TestCropYearsKept:
         args = parse_args(
             ["decompose", "-c", str(run_dir / "config.json"), *flags])
         run = _run(args)
-        panel, full = run.panel, load_crop_panel(run_dir / "crops.csv")
+        panel = run.panel
+        full = load_crop_panel(run_dir / "crops.csv",
+                               trienniums=self.EVERY_YEAR)
         ends = run.config.decomposition_base, run.config.decomposition_terminal
         assert panel.years == kept
         assert sorted(panel._trienniums) == list(ends)
@@ -1908,8 +1912,8 @@ class TestCropYearsKept:
         from agrodiag.serialize import json_text
 
         crops = run_dir / "crops.csv"
-        full = decomposition.decompose(ingest.load_crop_panel(crops), 2005,
-                                       2012, period_mode=mode)
+        full = decomposition.decompose(ingest.load_crop_panel(
+            crops, trienniums=self.EVERY_YEAR), 2005, 2012, period_mode=mode)
         loaded = []
         load = ingest.load_crop_panel
         monkeypatch.setattr(ingest, "load_crop_panel",
@@ -2021,6 +2025,60 @@ SINGLE_FAULTS = [
       r'(\s*"threshold": )0\.0$', r'\1">",\g<2>5e-324')),
 ]
 
+# the stderr of ``report -c`` for each fault of SINGLE_FAULTS but those of
+# the crop panel, whose texts are in CROP_PANEL_REFUSALS
+REPORT_REFUSALS = {
+    "growth-window-of-one-year":
+        "growth window [2015, 2016] covers 1 year(s); need at least 2",
+    "tfp-base-year-outside-the-io-years":
+        f"base year 1990 outside panel years {tuple(range(2000, 2016))}",
+    "input-renamed-in-one-year":
+        "input 'labor' carries share 0.5 but exists in only one of years "
+        "2004 and 2005",
+    "one-io-year-and-no-periods":
+        "growth window [None, None] covers 1 year(s); need at least 2",
+    "break-year-before-every-price":
+        "before window for 'maize' around 1900 has 0 observation(s); "
+        "need >= 2",
+    "break-year-at-the-last-price":
+        "after window for 'maize' around 2016 has 1 observation(s); "
+        "need >= 2",
+    "fertilizer-prices-miss-a-year":
+        "price ratio wheat/urea: year coverage differs (only-numerator "
+        "[2010], only-denominator [])",
+    "base-triennium-before-the-panel":
+        "triennium ending 1980 needs years (1978, 1979, 1980), missing "
+        "[1978, 1979, 1980]",
+    "unknown-diversification-group":
+        "diversification group 'nope' not in the crop panel (have "
+        "['horticulture', 'jute', 'maize', 'oilseeds', 'others', 'paddy', "
+        "'potato', 'pulses', 'sugarcane', 'wheat'])",
+    "terminal-triennium-without-value":
+        "total value in TE 2016 is not positive",
+    "unpriced-break-commodity": "break commodity 'okra' has no price series",
+    "base-year-not-before-the-terminal":
+        "decomposition base year 2016 does not precede terminal year 2016",
+    "nation-table-lacks-a-region-group":
+        "group 'flowers' not in nation table (have ['aromatic_medicinal', "
+        "'fruits', 'spices', 'vegetables'])",
+    "manifest-names-an-unassembled-indicator":
+        "manifest indicator 'price_cv_before_okra' missing from indicator "
+        "set",
+    "manifest-gives-an-indicator-other-units":
+        "indicator 'cai_max' has units 'ratio' but the tree expects "
+        "'percent'",
+    "value-cost-ratio-overflows":
+        "value/cost ratio: the ratio in 2004 overflows a float",
+    "grain-fertilizer-ratio-overflows":
+        "price ratio wheat/urea: the ratio in 2010 overflows a float",
+    "land-use-triennium-overflows":
+        "land-use triennium ending 2002: its average areas or their ratios "
+        "overflow a float",
+    "binding-severity-overflows":
+        "node 'technology': the severity of 'tfp_growth_gap_pp' = 0.110464 "
+        "against threshold 5e-324 overflows a float",
+}
+
 # the builtin tree's JSON, which a tree edit of SINGLE_FAULTS starts from
 BUILTIN_TREE = str(Path(agrodiag.__file__).with_name("data")
                    / "bihar_tree.json")
@@ -2054,10 +2112,17 @@ def fault_config(run_dir: Path, tmp_path: Path, values: dict, edit) -> Path:
 
 
 class TestValidateRefusesWhatReportRefuses:
+    def test_each_fault_has_one_pinned_text(self):
+        assert sorted(REPORT_REFUSALS.keys() | CROP_PANEL_REFUSALS.keys()) \
+            == sorted(fault for fault, *_ in SINGLE_FAULTS)
+        assert not REPORT_REFUSALS.keys() & CROP_PANEL_REFUSALS.keys()
+
     @pytest.mark.parametrize("fault, values, edit", SINGLE_FAULTS,
                              ids=[fault for fault, *_ in SINGLE_FAULTS])
     def test_validate_exits_and_errs_as_report_does(
             self, run_dir, tmp_path, capsys, fault, values, edit):
+        # each with the text its fault names, so an edit that made another
+        # fault would fail here
         path = fault_config(run_dir, tmp_path, values, edit)
         results = {}
         for command in ("report", "validate"):
@@ -2068,8 +2133,9 @@ class TestValidateRefusesWhatReportRefuses:
         (code, out, err), (report_code, report_out, report_err) = (
             results["validate"], results["report"])
         assert (code, out) == (report_code, report_out) == (1, "")
-        assert err.startswith("error: ")
-        assert err == report_err
+        text = REPORT_REFUSALS.get(fault) or CROP_PANEL_REFUSALS[fault][0]
+        assert err == report_err == \
+            f"error: {text.format(crops=tmp_path / 'crops.csv')}\n"
 
 
 # the crop-panel faults of SINGLE_FAULTS: the stderr of ``report``,

@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -50,8 +51,13 @@ wheat,2006,55,95,710
 """
 
 
-def load_text(text, **kwargs):
-    return load_crop_panel(io.StringIO(text), **kwargs)
+# each year a test file has rows in the end of a triennium, so a panel
+# folded into these holds every year's columns
+EVERY_YEAR = range(1950, 2021)
+
+
+def load_text(text, trienniums=EVERY_YEAR):
+    return load_crop_panel(io.StringIO(text), trienniums=trienniums)
 
 
 def retained_by(load):
@@ -78,6 +84,15 @@ class TestLoadCropPanel:
         with pytest.raises(TypeError):
             load_crop_panel(io.StringIO(TWO_CROP_FILE), {2005: 100.0})
 
+    def test_no_trienniums_is_refused(self):
+        # the fold is the one build, so a load names what it folds into
+        with pytest.raises(TypeError, match="'trienniums'"):
+            load_crop_panel(io.StringIO(TWO_CROP_FILE))
+        for none in ((), [], range(2005, 2005)):
+            with pytest.raises(ValueError, match=r"^trienniums must name at "
+                               r"least one end year$"):
+                load_text(TWO_CROP_FILE, trienniums=none)
+
     def test_folded_years_hold_only_their_end_years_rows(self):
         # maize grows only in 2006, outside the triennium ending 2005;
         # 2003 and 2004 have no rows, so that triennium is not made
@@ -96,19 +111,24 @@ class TestLoadCropPanel:
         assert load_text(text, trienniums=(2010,)).years == ()
 
     def test_folded_trienniums_equal_a_full_load_bit_for_bit(self, tmp_path):
+        # the fixture folded into its two trienniums, and into every year;
+        # both give the oracle's bits
         crops = fixtures.write_synthetic_inputs(tmp_path).parent / "crops.csv"
-        full = load_crop_panel(crops)
+        full = load_crop_panel(crops, trienniums=range(2000, 2017))
         panel = load_crop_panel(crops, trienniums=(2016, 2002))
+        assert full.years == tuple(range(2000, 2017))
         assert panel.years == (2000, 2001, 2002, 2014, 2015, 2016)
         assert panel.checked == full.checked
-
-        def hexed(columns):
-            ids, *values = columns
-            return ids, [[v.hex() for v in column] for column in values]
+        by_year = {}
+        with crops.open() as stream:
+            for crop, year, *values in list(csv.reader(stream))[1:]:
+                by_year.setdefault(int(year), {})[crop] = tuple(
+                    map(float, values))
         for end in (2002, 2016):
-            assert hexed(panel.columns(end)) == hexed(full.columns(end))
-            assert hexed(triennium_average(panel, end)) == hexed(
-                triennium_average(full, end))
+            assert as_bytes(triennium_average(panel, end)) == as_bytes(
+                triennium_average(full, end)) == as_columns(
+                oracle_triennium(by_year, end))
+            assert as_bytes(panel.columns(end)) == as_bytes(full.columns(end))
         for year in (2001, 2008):
             with pytest.raises(CoverageError):
                 panel.columns(year)
@@ -149,13 +169,13 @@ class TestLoadCropPanel:
         rows = "".join(f"c{i},2000,1,1,1\n" for i in range(5000))
         path.write_bytes((TWO_CROP_FILE + rows).encode() + b"\xff\n")
         with pytest.raises(SchemaError, match="crop panel .*crops.csv.*UTF-8"):
-            load_crop_panel(path)
+            load_crop_panel(path, trienniums=EVERY_YEAR)
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "crops.csv"
         path.write_bytes(TWO_CROP_FILE.encode("utf-8-sig"))
-        assert crop_rows(load_crop_panel(path)) == crop_rows(
-            load_text(TWO_CROP_FILE))
+        assert crop_rows(load_crop_panel(
+            path, trienniums=EVERY_YEAR)) == crop_rows(load_text(TWO_CROP_FILE))
 
     def test_round_trip_is_identity(self):
         panel = load_text(TWO_CROP_FILE)
@@ -174,38 +194,21 @@ class TestLoadCropPanel:
         assert crop_csv(panel) == text
 
     def test_memory_per_row(self):
-        # 1,000 crops x 20 years; the panel keeps ids and three columns of
-        # doubles, not an object per row
+        # 1,000 crops x 20 years, each year an end: the panel keeps ids and,
+        # per year, its three columns of doubles and its triennium's, not
+        # an object per row
         rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
                        for y in range(2000, 2020) for c in range(1000))
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + rows
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            panel = load_text(text)
+            panel = load_text(text, trienniums=range(2000, 2020))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(crop_rows(panel)) == 20_000
         assert retained / 20_000 < 80
-
-    def test_transient_peak_per_row(self):
-        # the loader's scratch on top of the panel it keeps: one {crop id:
-        # code} table, per year an array of codes and, for duplicates, one
-        # flag byte per crop
-        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
-                       for y in range(2000, 2020) for c in range(1000))
-        stream = io.StringIO(
-            "crop_id,year,area_ha,production_t,price_per_t\n" + rows)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            panel = load_crop_panel(stream)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(crop_rows(panel)) == 20_000
-        assert peak / 20_000 < 50
 
     def test_folding_no_row_retains_next_to_nothing(self):
         # 2,000 crops x 17 years, none in the triennium ending 1990: every
@@ -277,8 +280,10 @@ class TestLoadCropPanel:
         assert retained / 2000 < 185
 
     def test_equal_id_tuples_are_shared(self):
-        # c is missing in 2002, so that year and the triennium ending 2004
-        # (a, b, c) each get their own tuple
+        # each triennium and end year shares the tuple made just before it
+        # if equal, a triennium coming before its end year: c is missing in
+        # 2002, so that year gets its own tuple, and the triennium ending
+        # 2003 (a, b, c) a new one, which the ones after it share
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
             f"{crop},{year},1,2,3\n" for year in range(2000, 2005)
             for crop in "cab" if (crop, year) != ("c", 2002))
@@ -289,9 +294,7 @@ class TestLoadCropPanel:
         assert ids[2004] is ids[2003] == ids[2000]
         assert triennium_average(panel, 2002)[0] is ids[2000]
         assert triennium_average(panel, 2004)[0] is ids[2003]
-        # folded: each triennium and end year shares the tuple made before
-        # it if equal, so the trienniums ending 2003 and 2004 and both end
-        # years hold one
+        # folded into two trienniums: they and both end years hold one
         folded = load_text(text, trienniums=(2003, 2004))
         first = triennium_average(folded, 2003)[0]
         assert first == ("a", "b", "c")
@@ -329,7 +332,7 @@ class TestLoadCropPanel:
                                match=rf"^crop panel: duplicate \(c1, {year}\) "
                                      rf"in row 212$"):
                 load_text(text + f"c1,{year},2,2,2\n")
-        columns = _Columns()
+        columns = _Columns(range(1950, 2020))
         for year in range(1950, 2020):
             assert columns.add(year, "a", [1.0, 2.0, 3.0])
         assert not columns.add(2019, "a", [9.0, 9.0, 9.0])
@@ -367,8 +370,6 @@ class TestDecomposeTransientPeak:
             (f"crop{c:04d}", y, c + 1.5, y * 0.25, c + 7.5)
             for y in range(2000, 2008) for c in range(1000)
             if (c + y) % 5)    # each year misses a fifth of the crops
-        for end_year in (2002, 2007):
-            triennium_average(panel, end_year)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -386,15 +387,28 @@ FOLDED_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308]),
                           st.floats(0.0, 1e6))
 
 
+def as_bytes(columns: tuple) -> tuple:
+    """A tuple as ``columns`` returns it, each column as its bytes."""
+    ids, *values = columns
+    return ids, [column.tobytes() for column in values]
+
+
+def as_columns(values: dict) -> tuple:
+    """``{crop: (area, production, price)}`` as ``as_bytes`` gives the
+    tuple ``columns`` would return for it."""
+    return as_bytes((tuple(values), *(array("d", column)
+                                      for column in zip(*values.values()))))
+
+
 class TestFold:
     @given(st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_folded_load_is_the_full_loads_merge_bit_for_bit(self, data):
+    def test_folded_load_equals_the_oracle_bit_for_bit(self, data):
         # 4 crops x 8 years, some (crop, year) rows absent, the trienniums
         # apart, overlapping or one; the rows in year blocks in a shuffled
         # block order (as perfbench/gen.py writes them), crop by crop, or
-        # shuffled. Each triennium and end year, or the refusal to give
-        # it, is the full load's, compared as the arrays' bytes
+        # shuffled. Each triennium is the oracle's, each end year its rows,
+        # compared as the arrays' bytes, or the refusal to give it is
         years = list(range(2000, 2008))
         rows = [(crop, year, *data.draw(st.tuples(*[FOLDED_VALUES] * 3)))
                 for crop in "abcd" for year in years
@@ -413,26 +427,32 @@ class TestFold:
         text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
             f"{crop},{year},{a!r},{q!r},{p!r}\n"
             for crop, year, a, q, p in rows)
-        full, folded = load_text(text), load_text(text, trienniums=ends)
-        assert folded.checked == full.checked
-        assert folded.years == tuple(y for y in full.years
+        folded = load_text(text, trienniums=ends)
+        by_year = {year: {} for year in range(1999, 2008)}
+        for crop, year, *values in rows:
+            by_year[year][crop] = tuple(values)
+        have = tuple(year for year, crops in by_year.items() if crops)
+        assert folded.checked == (len(rows), len({row[0] for row in rows}),
+                                  have)
+        assert folded.years == tuple(y for y in have
                                      if any(0 <= e - y <= 2 for e in ends))
 
-        def read(read_one, panel, end):
+        def read(read_one, end):
             try:
-                ids, *columns = read_one(panel, end)
+                return as_bytes(read_one(folded, end))
             except CoverageError as exc:
                 return str(exc)
-            return ids, [column.tobytes() for column in columns]
         for end in ends:
-            assert read(triennium_average, folded, end) == read(
-                triennium_average, full, end)
-            if full.has_year(end):
-                assert read(CropPanel.columns, folded, end) == read(
-                    CropPanel.columns, full, end)
-            else:
-                assert read(CropPanel.columns, folded, end) == (
-                    f"year {end} not covered by panel (have {folded.years})")
+            span = (end - 2, end - 1, end)
+            missing = [y for y in span if y not in have]
+            assert read(triennium_average, end) == (
+                f"triennium ending {end} needs years {span}, missing "
+                f"{missing}" if missing else
+                as_columns(oracle_triennium(by_year, end)))
+            assert read(CropPanel.columns, end) == (
+                as_columns(dict(sorted(by_year[end].items())))
+                if by_year[end] else
+                f"year {end} not covered by panel (have {folded.years})")
 
 
 class TestTriennium:
@@ -472,9 +492,7 @@ class TestTriennium:
     @given(st.dictionaries(
         st.sampled_from(range(2003, 2008)),
         st.dictionaries(st.sampled_from(["gram", "maize", "paddy", "wheat"]),
-                        st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6),
-                                  st.floats(1.0, 1e6)),
-                        min_size=1),
+                        st.tuples(*[FOLDED_VALUES] * 3), min_size=1),
         min_size=5,
     ))
     @settings(max_examples=50, deadline=None)
@@ -483,10 +501,8 @@ class TestTriennium:
         for end_year in (2005, 2007, 2005):
             te = triennium_average(panel, end_year)
             assert triennium_average(panel, end_year) is te
-            expected = oracle_triennium(by_year, end_year)
-            assert len(te) == 4 and te[0] == tuple(expected)
-            for crop, values in expected.items():
-                assert crop_row(te, crop, end_year) == values
+            assert as_bytes(te) == as_columns(
+                oracle_triennium(by_year, end_year))
 
     @pytest.mark.parametrize("by_year", [
         # maize grown in the middle year only
@@ -498,56 +514,30 @@ class TestTriennium:
         {2004: {"paddy": (-0.0, 1.0, 2.0)},
          2005: {"paddy": (0.3, 1.1, 2.2)},
          2006: {"gram": (-0.0, 0.0, 9.0), "paddy": (0.7, 1.3, 2.3)}},
+        # a crop grown every year on a signed-zero area, whose total is
+        # 0.0 from int 0, where -0.0 + -0.0 + -0.0 is -0.0
+        {year: {"gram": (-0.0, -0.0, 1.0)} for year in (2004, 2005, 2006)},
+        # prices whose chain rounds apart from a compensated sum()
+        {year: {"paddy": (1.0, 1.0, price)}
+         for year, price in zip((2004, 2005, 2006), (0.1, 0.2, 0.3))},
     ])
     def test_sparse_and_signed_zero_bits_equal_oracle(self, by_year):
-        te = triennium_average(self.make_panel(by_year), 2006)
-        expected = oracle_triennium(by_year, 2006)
-        assert te[0] == tuple(expected)
-        for crop, values in expected.items():
-            assert [v.hex() for v in crop_row(te, crop, 2006)] \
-                == [v.hex() for v in values]
+        assert as_bytes(triennium_average(self.make_panel(by_year), 2006)) \
+            == as_columns(oracle_triennium(by_year, 2006))
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_shared_and_differing_id_sets_bits_equal_oracle(self, data):
-        # each year grows the shared crop set or a set of its own; a year
-        # whose set equals the previous year's shares its id tuple
+        # each year grows the shared crop set or a set of its own
         crop_sets = st.sets(st.sampled_from(["gram", "maize", "okra",
                                              "paddy", "wheat"]), min_size=1)
-        values = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6),
-                           st.floats(1.0, 1e6))
+        values = st.tuples(*[FOLDED_VALUES] * 3)
         shared = data.draw(crop_sets)
         by_year = {year: {crop: data.draw(values) for crop in sorted(
                        data.draw(st.one_of(st.just(shared), crop_sets)))}
                    for year in (2004, 2005, 2006)}
-        panel = self.make_panel(by_year)
-        te = triennium_average(panel, 2006)
-        ids, *columns = te
-        expected = oracle_triennium(by_year, 2006)
-        assert ids == tuple(expected)
-        for i, want in enumerate(expected.values()):
-            assert [column[i].hex() for column in columns] == \
-                [v.hex() for v in want]
-        widest = max((panel.columns(y)[0] for y in (2004, 2005, 2006)),
-                     key=len)
-        assert (ids is widest) == (ids == widest)
-
-    def test_peak_heap_per_crop_when_the_years_share_ids(self):
-        # 2,000 crops grown in each year: the three columns are filled in
-        # crop order, with no union set, builder or sort
-        rows = "".join(f"crop{c:04d},{y},{c + 1.5},{y * 0.25},{c + y}.75\n"
-                       for y in range(2000, 2003) for c in range(2000))
-        panel = load_text("crop_id,year,area_ha,production_t,price_per_t\n"
-                          + rows)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            te = triennium_average(panel, 2002)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert te[0] is panel.columns(2000)[0] and all(len(c) == 2000 for c in te)
-        assert peak / 2000 < 40
+        assert as_bytes(triennium_average(self.make_panel(by_year), 2006)) \
+            == as_columns(oracle_triennium(by_year, 2006))
 
     def test_columns_are_read_only_and_memoised(self):
         panel = self.make_panel({y: {"paddy": (1.0, 2.0, 3.0)}
@@ -827,7 +817,7 @@ class TestLoadLandUseAndCosts:
 # input kind -> (its loader, its header, a valid data row); a stream has no
 # name, so each message starts with the kind alone
 LOADERS = {
-    "crop panel": (load_crop_panel,
+    "crop panel": (lambda s: load_crop_panel(s, trienniums=EVERY_YEAR),
                    "crop_id,year,area_ha,production_t,price_per_t",
                    "paddy,2005,100,250,500"),
     "io panel": (load_io_panel, "year,kind,item_id,quantity,share",
@@ -1008,7 +998,7 @@ class TestLoaderMessages:
         path.write_text("crop_id,year,area_ha,production_t,price_per_t\n"
                         "paddy,x,1,1,1\n")
         with pytest.raises(SchemaError) as caught:
-            load_crop_panel(path)
+            load_crop_panel(path, trienniums=EVERY_YEAR)
         assert str(caught.value) == (
             f"crop panel {path}: non-numeric value 'x' in column 'year', "
             f"row 2")

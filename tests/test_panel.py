@@ -1,7 +1,6 @@
 import io
 import math
 import sys
-import tracemalloc
 from array import array
 
 import pytest
@@ -23,7 +22,6 @@ from agrodiag.panel import CropPanel, LandUseRecord, PriceSeries
 from helpers import (
     crop_csv,
     crop_panel,
-    crop_row,
     crop_rows,
     io_panel,
     io_rows,
@@ -52,7 +50,7 @@ class TestCropPanel:
         text = ("crop_id,year,area_ha,production_t,price_per_t\n"
                 "paddy,2005,1,1,1\npaddy,2005,2,2,2\n")
         with pytest.raises(DuplicateKeyError):
-            load_crop_panel(io.StringIO(text))
+            load_crop_panel(io.StringIO(text), trienniums=(2005,))
 
     @pytest.mark.parametrize("column, field", [
         (2, "area_ha"), (3, "production_t"), (4, "price_per_t"),
@@ -63,7 +61,7 @@ class TestCropPanel:
         text = ("crop_id,year,area_ha,production_t,price_per_t\n"
                 + ",".join(cells) + "\n")
         with pytest.raises(DomainError, match=field):
-            load_crop_panel(io.StringIO(text))
+            load_crop_panel(io.StringIO(text), trienniums=(2005,))
 
     def test_years_and_crops_sorted(self):
         panel = crop_panel([
@@ -109,33 +107,12 @@ class TestCropPanel:
 
         text = io.StringIO(crop_csv(panel))
         if observations:
-            assert crop_rows(load_crop_panel(text)) == crop_rows(panel)
+            assert crop_rows(load_crop_panel(text, trienniums=YEARS)) == \
+                crop_rows(panel)
         else:
             # an empty panel writes a header-only file, which loads as none
             with pytest.raises(SchemaError, match="header but no data rows"):
-                load_crop_panel(text)
-
-    def test_build_sorts_without_a_list_per_column(self):
-        # 2,000 crops x 6 years, each year's rows rotated, so every year is
-        # sorted. Beyond what the panel keeps, the build holds one year's
-        # permutation at a time (~9 bytes a panel row); a list of floats
-        # per column, 32 bytes a row of its year, took it to ~11
-        crops = [f"crop{c:04d}" for c in range(2000)]
-        columns = _Columns()
-        for k, year in enumerate(range(2000, 2006)):
-            shift = 331 * (k + 1)
-            for crop in crops[shift:] + crops[:shift]:
-                columns.add(year, crop, [1.5, 2.5, year + 0.25])
-        tracemalloc.start()
-        try:
-            panel = CropPanel(columns)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert all(panel.columns(year)[0] == tuple(crops)
-                   for year in panel.years) and len(panel.years) == 6
-        assert crop_row(panel, "crop1999", 2003) == (1.5, 2.5, 2003.25)
-        assert (peak - kept) / 12_000 < 10
+                load_crop_panel(text, trienniums=YEARS)
 
     def test_folded_columns_are_allocated_at_their_length(self):
         # rows in descending crop order, so every folded year is sorted; an
@@ -161,9 +138,9 @@ class TestCropPanel:
     def test_add_finds_repeats_as_a_set_does(self, stream, ends):
         # 70 keys come first, so every stream spans more keys than a 64-bit
         # mask has bits; the first row of a (key, id) is the one kept, and
-        # the one folded into the trienniums ending in ENDS
+        # the one folded into the trienniums ending in every year or in ENDS
         stream = [(year, "z") for year in range(1950, 2020)] + stream
-        every, first = _Columns(), {}
+        every, first = _Columns(range(1900, 2041)), {}
         folded = _Columns(ends)
         for row, (year, item_id) in enumerate(stream):
             added = every.add(year, item_id, [row, 0.5, year])
