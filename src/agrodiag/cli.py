@@ -14,11 +14,11 @@ import os
 import sys
 
 # names defined elsewhere that stay reachable as ``agrodiag.cli.<name>``,
-# each imported from its submodule on first access (PEP 562): the span
-# tracer in ``perfbench/spans.py`` looks these two up here to find the
-# functions it times
+# each imported from its defining module on first access (PEP 562): the
+# span tracer in ``perfbench/spans.py`` looks these two up here to find
+# the functions it times
 _FORWARDED = {
-    "assemble_indicators": "pipeline",
+    "assemble_indicators": "diagnostics",
     "write_artifacts": "serialize",
 }
 

@@ -24,9 +24,58 @@ from .serialize import Refused, finite, integer, json_object, read_json, string
 from .tree import tree_from_dict
 
 if TYPE_CHECKING:
+    from .pipeline import Run
     from .tree import DiagnosticTree
 
 _BUILTIN_TREE_RESOURCE = "bihar_tree.json"
+
+
+def assemble_indicators(run: Run) -> dict:
+    """Reduce the readings of RUN to the scalars the tree predicates read,
+    each indicator's name, units, value and provenance in one row, in
+    ``indicators.json``'s form: by name, ascending. No name repeats, as
+    the config refuses a repeated break commodity."""
+    from .productivity import avg_annual_growth
+
+    config, readings, cai = run.config, run.readings, run.cai_values
+    land, stats = readings["land"], readings["break_stats"]
+    value_cost, grain_fert = readings["value_cost"], readings["grain_fert"]
+    national, method = config.national_tfp_growth_pct, config.growth_method
+    tfp_growth = avg_annual_growth(run.series["tfp"], method=method)
+    best = max(sorted(cai), key=cai.get)
+    vc_year, pr_year = max(value_cost), max(grain_fert)
+    rows = [
+        ("agricultural_land_ratio_change", "ratio", land["al_ratio_change"],
+         "land_use_ratios, first vs last triennium"),
+        ("al_ratio_first", "ratio", land["first"]["al_ratio"],
+         "land_use_ratios"),
+        ("al_ratio_last", "ratio", land["last"]["al_ratio"],
+         "land_use_ratios"),
+        ("tfp_growth_pct", "pct/yr", tfp_growth,
+         f"avg_annual_growth(tfp, method={method})"),
+        ("tfp_growth_national_pct", "pct/yr", national, "config benchmark"),
+        ("tfp_growth_gap_pp", "pp/yr", tfp_growth - national,
+         "avg_annual_growth(tfp) minus national benchmark"),
+        ("price_cv_rising_share", "fraction",
+         sum(s.cv_after > s.cv_before for s in stats) / len(stats)
+         if stats else 0.0, "break_analysis over configured commodities"),
+        *((f"price_cv_{when}_{s.commodity_id}", "percent", cv,
+           "break_analysis")
+          for s in stats
+          for when, cv in (("before", s.cv_before), ("after", s.cv_after))),
+        ("cai_max", "ratio", cai[best], f"cai_table, group {best}"),
+        ("high_advantage_area_share_pct", "percent", run.group_share,
+         "share_table at terminal triennium, "
+         f"{config.diversification_group} row"),
+        ("value_cost_ratio_terminal", "ratio", value_cost[vc_year],
+         f"value_cost_ratio, year {vc_year}"),
+        ("grain_fertilizer_price_ratio_terminal", "ratio",
+         grain_fert[pr_year], f"price_ratio {config.grain_commodity}/"
+         f"{config.fertilizer_commodity}, year {pr_year}"),
+    ]
+    return {name: {"value": float(value), "units": units,
+                   "provenance": provenance}
+            for name, units, value, provenance in sorted(rows)}
 
 
 def read_indicators(data, what: str = "indicator set") -> dict:

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
-from .pipeline import indicator_units
 from .serialize import json_text
 
 YEARS = tuple(range(2000, 2017))          # crop panel, land use, value/cost
@@ -228,8 +226,12 @@ def bihar_reference_indicators() -> dict:
     for commodity, pair in cv_pairs.items():
         for when, cv in zip(("before", "after"), pair):
             entries[f"price_cv_{when}_{commodity}"] = (cv, "break_analysis")
-    units = indicator_units(SimpleNamespace(break_commodities=cv_pairs))
-    return {name: {"value": value, "units": units[name],
+    from .diagnostics import builtin_bihar_tree
+
+    # the units of the scalars the shipped tree reads; the rest, the price
+    # CVs, are in percent
+    units = builtin_bihar_tree().manifest
+    return {name: {"value": value, "units": units.get(name, "percent"),
                    "provenance": provenance}
             for name, (value, provenance) in sorted(entries.items())}
 

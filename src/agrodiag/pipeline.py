@@ -1,6 +1,7 @@
 """The report pipeline: load the inputs a run config (see ``config``)
-names, run every analysis, assemble the indicator set and evaluate the
-diagnostic tree: the union of the slices of one ``Run``.
+names, run every analysis, and hand the readings to ``diagnostics``,
+which assembles the indicator set and evaluates the diagnostic tree: the
+union of the slices of one ``Run``.
 
 Only ``serialize`` is imported with this module, as every run writes or
 prints its artifacts with it. A ``Run`` method imports the analysis layers
@@ -123,9 +124,9 @@ class Run:
 
     @cached_property
     def readings(self) -> dict:
-        """The market readings ``assemble_indicators`` reads, which the
-        market artifacts serialize, but for the terminal area shares;
-        ``land`` is ``land_ratios.json``'s record."""
+        """The market readings ``diagnostics.assemble_indicators`` reads,
+        which the market artifacts serialize, but for the terminal area
+        shares; ``land`` is ``land_ratios.json``'s record."""
         from . import markets
 
         config, prices = self.config, self.prices
@@ -164,10 +165,12 @@ class Run:
 
     @cached_property
     def indicators(self) -> str:
-        """``indicators.json``: the indicator set the tree evaluates, its
-        inputs read in ``report``'s order, so the crop panel is freed
-        before the io panel is read."""
+        """``indicators.json``: ``diagnostics.assemble_indicators`` on the
+        readings, read in ``report``'s order, so the crop panel is freed
+        before the io panel is read and ``diagnostics`` is compiled."""
         self.readings, self.group_share, self.series, self.cai_values
+        from .diagnostics import assemble_indicators
+
         return json_text(assemble_indicators(self), "indicators.json")
 
     @cached_property
@@ -282,58 +285,3 @@ class Run:
         for stage in (self.tfp, self._crop_free_markets, self.cai,
                       self.growth, self.diagnose):
             yield from stage()
-
-
-def indicator_units(config: RunConfig) -> dict[str, str]:
-    """The name and units of each indicator ``assemble_indicators`` sets
-    on the readings of a run of CONFIG, in the order it lists their
-    values."""
-    return {"agricultural_land_ratio_change": "ratio",
-            "al_ratio_first": "ratio", "al_ratio_last": "ratio",
-            "tfp_growth_pct": "pct/yr", "tfp_growth_national_pct": "pct/yr",
-            "tfp_growth_gap_pp": "pp/yr", "price_cv_rising_share": "fraction",
-            **{f"price_cv_{when}_{commodity}": "percent"
-               for commodity in sorted(config.break_commodities)
-               for when in ("before", "after")},
-            "cai_max": "ratio", "high_advantage_area_share_pct": "percent",
-            "value_cost_ratio_terminal": "ratio",
-            "grain_fertilizer_price_ratio_terminal": "ratio"}
-
-
-def assemble_indicators(run: Run) -> dict:
-    """Reduce the readings of RUN to the scalars the tree predicates read,
-    one (value, provenance) pair each on its ``indicator_units`` entry, in
-    ``indicators.json``'s form: by name, ascending. No name repeats, as
-    the config refuses a repeated break commodity."""
-    from .productivity import avg_annual_growth
-
-    config, readings, cai = run.config, run.readings, run.cai_values
-    land, stats = readings["land"], readings["break_stats"]
-    value_cost, grain_fert = readings["value_cost"], readings["grain_fert"]
-    national = config.national_tfp_growth_pct
-    tfp_growth = avg_annual_growth(run.series["tfp"],
-                                   method=config.growth_method)
-    best = max(sorted(cai), key=cai.get)
-    vc_year, pr_year = max(value_cost), max(grain_fert)
-    entries = zip(indicator_units(config).items(), chain((
-        (land["al_ratio_change"], "land_use_ratios, first vs last triennium"),
-        (land["first"]["al_ratio"], "land_use_ratios"),
-        (land["last"]["al_ratio"], "land_use_ratios"),
-        (tfp_growth, f"avg_annual_growth(tfp, method={config.growth_method})"),
-        (national, "config benchmark"),
-        (tfp_growth - national,
-         "avg_annual_growth(tfp) minus national benchmark"),
-        (sum(s.cv_after > s.cv_before for s in stats) / len(stats)
-         if stats else 0.0, "break_analysis over configured commodities"),
-    ), ((cv, "break_analysis")
-        for s in stats for cv in (s.cv_before, s.cv_after)), (
-        (cai[best], f"cai_table, group {best}"),
-        (run.group_share, "share_table at terminal triennium, "
-         f"{config.diversification_group} row"),
-        (value_cost[vc_year], f"value_cost_ratio, year {vc_year}"),
-        (grain_fert[pr_year], f"price_ratio {config.grain_commodity}/"
-         f"{config.fertilizer_commodity}, year {pr_year}"),
-    )), strict=True)
-    return {name: {"value": float(value), "units": units,
-                   "provenance": provenance}
-            for (name, units), (value, provenance) in sorted(entries)}

@@ -1490,19 +1490,19 @@ class TestRunHoldings:
 
     def test_diagnose_frees_the_crop_panel_before_the_indicator_set(
             self, run_dir, monkeypatch):
-        from agrodiag import pipeline
+        from agrodiag import diagnostics
 
         run = _run(parse_args(
             ["diagnose", "-c", str(run_dir / "config.json")]))
         held = []
-        assemble = pipeline.assemble_indicators
+        assemble = diagnostics.assemble_indicators
 
         def assembling(run):
             held.append(any(isinstance(value, CropPanel)
                             for value in held_objects(vars(run))))
             return assemble(run)
 
-        monkeypatch.setattr(pipeline, "assemble_indicators", assembling)
+        monkeypatch.setattr(diagnostics, "assemble_indicators", assembling)
         run.diagnosis
         assert held == [False]
         assert "group_share" in vars(run)

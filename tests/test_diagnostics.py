@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agrodiag.config import load_run_config
 from agrodiag.diagnostics import (
     builtin_bihar_tree,
     evaluate,
@@ -21,6 +22,7 @@ from agrodiag.errors import (
     TreeConfigError,
 )
 from agrodiag.fixtures import bihar_reference_indicators
+from agrodiag.pipeline import Run
 from agrodiag.serialize import json_text
 from agrodiag.tree import COMPARATORS, Predicate, tree_from_dict
 
@@ -466,6 +468,16 @@ class TestBuiltinTree:
             "agricultural_land", "technology", "agricultural_markets",
             "crop_diversification", "input_costs",
         }
+
+    def test_reference_set_carries_the_reports_units(self, fixture_dir):
+        # each name of the reference set has the units that the fixture
+        # report's indicators.json gives it
+        report = json.loads(
+            Run(load_run_config(fixture_dir / "config.json")).indicators)
+        reference = bihar_reference_indicators()
+        assert set(reference) <= set(report)
+        assert {name: entry["units"] for name, entry in reference.items()} \
+            == {name: report[name]["units"] for name in reference}
 
     def test_reference_verdict(self):
         report = evaluate(builtin_bihar_tree(), bihar_reference_indicators())
