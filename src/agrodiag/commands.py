@@ -47,15 +47,16 @@ def _run(args: dict):
 def _cmd_run(args, run=None) -> int:
     """Write the artifacts of the subcommand's method of RUN (by default
     ARGS's) to ``-o`` as they are computed, or print each chunk as it is
-    made: a slice yields its artifacts in name order."""
+    made: a slice yields its artifacts in name order, each an iterable of
+    chunks."""
     from .serialize import write_artifacts
 
     artifacts = getattr(run or _run(args), args["command"])()
     if "--out" in args:
         write_artifacts(Path(args["--out"]), artifacts)
     else:
-        for _, text in artifacts:
-            sys.stdout.writelines([text] if isinstance(text, str) else text)
+        for _, chunks in artifacts:
+            sys.stdout.writelines(chunks)
     return 0
 
 
@@ -76,8 +77,8 @@ def _cmd_validate(args) -> int:
     from collections import deque
 
     run = _run(args)
-    for _, text in run.report():
-        deque(text, 0)
+    for _, chunks in run.report():
+        deque(chunks, 0)
     counts, io_years = run.counts, run.series["tfp"].years
     rows, crops, years = counts["crop panel"]
     commodities = counts["price series"]

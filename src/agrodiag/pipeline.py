@@ -20,10 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DuplicateKeyError, SchemaError
-from .serialize import (
-    cai_csv, csv_chunks, csv_text, index_csvs, json_chunks, json_text,
-    read_json,
-)
+from .serialize import csv_chunks, csv_text, json_chunks, json_text, read_json
 
 if TYPE_CHECKING:
     from .advantage import AreaShareTable
@@ -49,9 +46,10 @@ class Run:
     readings reduced from it, and the crop panel until its last reader,
     the group share, has run, are cached properties, each reading the
     inputs it consumes once. Each ``-c`` subcommand is the method of its
-    name and yields exactly its artifacts (as ``serialize.write_artifacts``
-    takes them), so it reads only the inputs they need; ``report`` reads
-    every input and yields the union of the six. ``counts`` keeps what
+    name: it formats exactly its artifacts and yields each as (name,
+    chunks), an iterable of chunks as ``serialize.write_artifacts`` takes
+    it (a text made whole is one chunk), so it reads only the inputs they
+    need. ``report`` reads every input and yields the union of the six. ``counts`` keeps what
     ``validate`` prints of the inputs a finished run no longer holds, each
     entry set as its input is read, the crop panel's as it is freed.
     """
@@ -205,7 +203,14 @@ class Run:
 
     def tfp(self):
         """``figure2.csv`` and ``tfp_index.csv``: the index series."""
-        yield from index_csvs(self.series)
+        output, input_, tfp = (self.series[key]
+                               for key in ("output", "input", "tfp"))
+        yield "figure2.csv", [csv_text(
+            ["year", "output", "input", "tfp"],
+            [(y, output.values[y], input_.values[y], tfp.values[y])
+             for y in tfp.years], "figure2.csv")]
+        yield "tfp_index.csv", [csv_text(["year", "value"], tfp.to_rows(),
+                                         "tfp_index.csv")]
 
     def growth(self):
         """``growth_rates.json``: TFP growth over each configured period."""
@@ -230,8 +235,8 @@ class Run:
             "break_stats.json")
         for name, key in (("figure3.csv", "value_cost"),
                           ("figure4.csv", "grain_fert")):
-            yield name, csv_text(["year", "value"],
-                                 sorted(readings[key].items()), name)
+            yield name, [csv_text(["year", "value"],
+                                  sorted(readings[key].items()), name)]
         yield "land_ratios.json", json_chunks(readings["land"],
                                               "land_ratios.json")
 
@@ -254,13 +259,14 @@ class Run:
 
     def cai(self):
         """``cai.csv``: the comparative-advantage table."""
-        yield "cai.csv", cai_csv(self.cai_values)
+        yield "cai.csv", [csv_text(["group_id", "cai"],
+                                   sorted(self.cai_values.items()), "cai.csv")]
 
     def diagnose(self):
         """``indicators.json``, unless the config names an indicators file,
         and ``diagnosis.json``."""
         if self.config.indicators is None:
-            yield "indicators.json", self.indicators
+            yield "indicators.json", [self.indicators]
         yield "diagnosis.json", json_chunks(self.diagnosis.to_dict(),
                                             "diagnosis.json")
 

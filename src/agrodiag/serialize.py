@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .errors import DomainError, SchemaError
 
@@ -135,26 +135,6 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]],
     return "".join(csv_chunks(header, rows, name))
 
 
-def index_csvs(series: Mapping[str, Any]):
-    """``figure2.csv`` and ``tfp_index.csv``, in name order, as (name,
-    text) pairs, from the output, input and tfp series of
-    ``productivity.index_series``; ``tfp_index.csv`` is made first, so
-    its fault is the one named of both."""
-    output, input_, tfp = series["output"], series["input"], series["tfp"]
-    index = csv_text(["year", "value"], tfp.to_rows(), "tfp_index.csv")
-    yield "figure2.csv", csv_text(
-        ["year", "output", "input", "tfp"],
-        [(y, output.values[y], input_.values[y], tfp.values[y])
-         for y in tfp.years],
-        "figure2.csv")
-    yield "tfp_index.csv", index
-
-
-def cai_csv(cai_values: Mapping[str, float]) -> str:
-    """``cai.csv``: one ``group_id,cai`` row per group."""
-    return csv_text(["group_id", "cai"], sorted(cai_values.items()), "cai.csv")
-
-
 def read_json(path: Path, what: str):
     """Parse a UTF-8 JSON file (a leading byte-order mark is dropped); bad
     bytes, bad syntax, a key twice in one object or nesting too deep for
@@ -252,8 +232,9 @@ def json_object(fields, closed: bool = False):
 
 
 def _stage(path: Path, chunks: Iterable[str]) -> None:
-    """Write CHUNKS to PATH as UTF-8, in slices of at most ``WRITE_SLICE``
-    characters, so no encoded copy of a whole text is made."""
+    """Write CHUNKS, an iterable of chunks of text, to PATH as UTF-8, in
+    slices of at most ``WRITE_SLICE`` characters, so no encoded copy of a
+    whole text is made."""
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
         for chunk in chunks:
             for start in range(0, len(chunk), WRITE_SLICE):
@@ -264,21 +245,22 @@ def _stage(path: Path, chunks: Iterable[str]) -> None:
 def write_artifacts(outdir: Path, artifacts) -> None:
     """Write every artifact into OUTDIR, or none of them.
 
-    ARTIFACTS yields (name, text) pairs, a text being a string or an
-    iterable of chunks. Each goes to a temporary file in OUTDIR as it
-    comes; only once the last is written, and every target is absent or a
-    regular file, does each replace its target. If anything fails, even
-    while an artifact is computed, the temporary files and any directory
-    made for OUTDIR are removed, and the files already in OUTDIR, such as
-    the last good report, are left as they were."""
+    ARTIFACTS yields (name, chunks) pairs, the chunks an iterable of
+    strings (a text made whole is one chunk). Each goes to a temporary
+    file in OUTDIR as it comes; only once the last is written, and every
+    target is absent or a regular file, does each replace its target. If
+    anything fails, even while an artifact is computed, the temporary
+    files and any directory made for OUTDIR are removed, and the files
+    already in OUTDIR, such as the last good report, are left as they
+    were."""
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     staged: list[tuple[Path, Path]] = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in artifacts:
+        for name, chunks in artifacts:
             temp = outdir / f".{name}.{os.getpid()}.tmp"
             staged.append((temp, outdir / name))
-            _stage(temp, [text] if isinstance(text, str) else text)
+            _stage(temp, chunks)
         for _, target in staged:  # so no rename fails after the first
             if target.exists() and not target.is_file():
                 raise OSError(f"{target} is in the way: not a regular file")

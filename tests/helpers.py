@@ -46,10 +46,9 @@ def other_interpreters() -> list[str]:
 
 
 def artifact_texts(artifacts) -> dict[str, str]:
-    """ARTIFACTS, (name, text) pairs as ``serialize.write_artifacts`` takes
-    them, a text a string or its chunks, as a dict of whole texts."""
-    return {name: text if isinstance(text, str) else "".join(text)
-            for name, text in artifacts}
+    """ARTIFACTS, (name, chunks) pairs as ``serialize.write_artifacts``
+    takes them, as a dict of whole texts."""
+    return {name: "".join(chunks) for name, chunks in artifacts}
 
 
 def out_flag(command: str, out) -> list[str]:

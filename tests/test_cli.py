@@ -1097,6 +1097,52 @@ class TestFailureModes:
             f"threshold 5e-324 overflows a float\n")
         assert not out.exists()
 
+    # a one-chain tree on cai_max (about 1.7), which nothing makes binding
+    LAND_TREE = json.dumps({
+        "manifest": {"cai_max": "ratio"}, "roots": ["land"],
+        "nodes": {"land": {
+            "predicate": {"indicator": "cai_max", "comparator": ">",
+                          "threshold": 1e6},
+            "constraint_label": "land",
+            "on_true": {"verdict": "binding"},
+            "on_false": {"verdict": "not_binding"}}}})
+
+    def test_a_tree_in_which_nothing_binds_says_so(self, report_dir,
+                                                   tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(self.LAND_TREE)
+        assert main(["diagnose", "--indicators",
+                     str(report_dir / "indicators.json"),
+                     "--tree", str(tree)]) == 0
+        assert capsys.readouterr() == (
+            "Binding constraints: none\n"
+            "Not binding:\n"
+            "  - land: cai_max = 1.72\n", "")
+
+    @pytest.mark.parametrize("edit, text", [
+        (lambda tree: tree["nodes"]["land"]["on_true"].update(
+            verdict="maybe"),
+         "node 'land': verdict must be one of ('binding', 'not_binding'), "
+         "got 'maybe'"),
+        (lambda tree: tree.update(roots=[]), "tree has no roots"),
+        (lambda tree: tree["roots"].append("ghost"),
+         "root 'ghost' is not a node"),
+        (lambda tree: tree["nodes"]["land"]["on_true"].update(extra=1),
+         "node 'land': on_true has unknown keys ['extra']"),
+    ], ids=["unknown-verdict", "no-roots", "root-not-a-node",
+            "unknown-branch-key"])
+    def test_a_refused_tree_exits_1_with_its_full_text(
+            self, report_dir, tmp_path, capsys, edit, text):
+        tree = json.loads(self.LAND_TREE)
+        edit(tree)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(tree))
+        assert main(["diagnose", "--indicators",
+                     str(report_dir / "indicators.json"),
+                     "--tree", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: tree config {path}: {text}\n")
+
 
     @pytest.mark.parametrize("text, fragment", [
         ("[1, 2]", "must be an object mapping indicator names"),
@@ -1373,6 +1419,19 @@ def held_objects(value, depth: int = 3):
     if depth and isinstance(value, (dict, list, tuple)):
         for item in value.values() if isinstance(value, dict) else value:
             yield from held_objects(item, depth - 1)
+
+
+class TestArtifactShape:
+    @pytest.mark.parametrize("command", ["decompose", "tfp", "growth",
+                                         "markets", "cai", "diagnose",
+                                         "report"])
+    def test_every_artifact_is_an_iterable_of_chunks(self, run_dir,
+                                                     command):
+        # a bare string would be written one character at a time
+        run = Run(load_run_config(run_dir / "config.json"))
+        for name, chunks in getattr(run, command)():
+            assert not isinstance(chunks, str), name
+            assert all(type(chunk) is str for chunk in chunks), name
 
 
 class TestPrintedSlices:
@@ -1967,7 +2026,8 @@ class TestCropYearsKept:
 
 
 # single faults of the fixture that ``report -c`` refuses: (id, config
-# values by dotted key, input edit or None); an edit (input key or
+# values by dotted key, each a value or a function of the value it
+# replaces, input edit or None); an edit (input key or
 # "tree", pattern, replacement string or function) is ``re.sub`` over
 # that file's text, one line per match but for a tree node's predicate
 SINGLE_FAULTS = [
@@ -2013,6 +2073,10 @@ SINGLE_FAULTS = [
      ("land_use", r"^(200[0-2]),.*$", r"\1,1.7e308,0.0,1.7e308")),
     ("base-triennium-without-area", {},
      ("crop_panel", r"^([^,]*,200[0-2]),[^,]*,", r"\1,0,")),
+    ("terminal-triennium-without-area", {},
+     ("crop_panel", r"^([^,]*,201[4-6]),[^,]*,[^,]*,", r"\1,0,0,")),
+    ("price-file-listed-twice",
+     {"inputs.price_series": lambda paths: paths * 2}, None),
     ("comparison-year-missing-from-the-panel", {},
      ("crop_panel", r"^[^,]*,2015,.*\n", "")),
     ("endpoint-year-missing-from-the-panel",
@@ -2055,6 +2119,10 @@ REPORT_REFUSALS = {
         "'potato', 'pulses', 'sugarcane', 'wheat'])",
     "terminal-triennium-without-value":
         "total value in TE 2016 is not positive",
+    "terminal-triennium-without-area":
+        "total cropped area in terminal period TE 2016 is not positive",
+    "price-file-listed-twice":
+        "commodity 'maize' appears in more than one price-series file",
     "unpriced-break-commodity": "break commodity 'okra' has no price series",
     "base-year-not-before-the-terminal":
         "decomposition base year 2016 does not precede terminal year 2016",
@@ -2093,7 +2161,7 @@ def fault_config(run_dir: Path, tmp_path: Path, values: dict, edit) -> Path:
         node = config
         for parent in parents:
             node = node[parent]
-        node[leaf] = value
+        node[leaf] = value(node[leaf]) if callable(value) else value
     if edit is not None:
         key, pattern, replacement = edit
         holder = config if key == "tree" else config["inputs"]

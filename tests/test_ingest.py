@@ -110,6 +110,20 @@ class TestLoadCropPanel:
             panel.columns(2006)
         assert load_text(text, trienniums=(2010,)).years == ()
 
+    def test_a_year_held_only_in_a_triennium_is_refused(self):
+        # folded into the trienniums ending 2003 and 2006, the panel holds
+        # 2002 only in the first's average: the triennium ending 2004,
+        # which was not folded, cannot be made of it, nor can it be read
+        text = "crop_id,year,area_ha,production_t,price_per_t\n" + "".join(
+            f"a,{year},1,2,3\n" for year in range(2001, 2007))
+        panel = load_text(text, trienniums=(2003, 2006))
+        assert panel.years == tuple(range(2001, 2007))
+        for read in (lambda: triennium_average(panel, 2004),
+                     lambda: panel.columns(2002)):
+            with pytest.raises(CoverageError, match=r"^year 2002 is held "
+                               r"only in its triennium's average$"):
+                read()
+
     def test_folded_trienniums_equal_a_full_load_bit_for_bit(self, tmp_path):
         # the fixture folded into its two trienniums, and into every year;
         # both give the oracle's bits

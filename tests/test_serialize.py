@@ -111,16 +111,17 @@ class TestCsvText:
 class TestWriteArtifacts:
     @pytest.mark.parametrize("form", ["chunks", "text"])
     def test_a_large_artifact_is_written_in_slices(self, tmp_path, form):
-        # ~1 MB, as 1,024 chunks or as one text: neither the whole text nor
-        # an encoded copy of it is built while it is written
+        # ~1 MB, as 1,024 chunks or as one text made whole, one chunk:
+        # neither the whole text nor an encoded copy of it is built while
+        # it is written
         tail = "\u00e9" * 500 + "x" * 515 + "\n"
         lines = [f"{i:07d},{tail}" for i in range(1024)]
         want = "".join(lines)
-        text = iter(lines) if form == "chunks" else want
+        chunks = iter(lines) if form == "chunks" else [want]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            write_artifacts(tmp_path / "o", [("big.csv", text)])
+            write_artifacts(tmp_path / "o", [("big.csv", chunks)])
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -129,14 +130,15 @@ class TestWriteArtifacts:
         assert peak < len(written) / 4
 
     def test_texts_and_chunks_are_written_alike(self, tmp_path):
+        # a text made whole is one chunk; others come as they are made
         write_artifacts(tmp_path, iter([
-            ("y.json", "{}\n"), ("x.csv", iter(["a\n", "", "1\r\n"]))]))
+            ("y.json", ["{}\n"]), ("x.csv", iter(["a\n", "", "1\r\n"]))]))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
             "x.csv": b"a\n1\r\n", "y.json": b"{}\n"}
 
     def test_a_failed_artifact_leaves_no_directory_it_made(self, tmp_path):
         def artifacts():
-            yield "x.csv", "a\n"
+            yield "x.csv", ["a\n"]
             raise DomainError("y.json: failed")
 
         with pytest.raises(DomainError, match="y.json: failed"):
